@@ -3,16 +3,8 @@
 //!
 //! ```text
 //! bench_check --baseline bench/baseline.json --current BENCH_edge.json \
-//!             [--tolerance 0.25] [--min-speedup 1.2] \
-//!             [--live BENCH_live.json] [--live-tolerance 1.5]
+//!             [--tolerance 0.25] [--min-speedup 1.2]
 //! ```
-//!
-//! With `--live`, a `coic bench --load` report is additionally held to
-//! the live-scale gate ([`check_live_gate`]): zero hung requests in
-//! every cell, every cell completed its stream, and the event loop's
-//! p99 at the largest shared connection count within `--live-tolerance`
-//! of the threads driver. That comparison is within one run on one
-//! host, so no committed baseline is involved.
 //!
 //! Direction-aware: only *worse* results fail (throughput below the band,
 //! p50 above it, sharded-vs-mutex speedup under the floor). Absolute
@@ -28,18 +20,15 @@
 //! scan. That comparison is within one run on one host, so no tolerance
 //! band applies.
 
-use coic_bench::load::{check_live_gate, LiveReport};
 use coic_bench::perf::{check_approx_gate, check_regression, BenchReport};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Opts {
-    baseline: Option<PathBuf>,
-    current: Option<PathBuf>,
+    baseline: PathBuf,
+    current: PathBuf,
     tolerance: f64,
     min_speedup: f64,
-    live: Option<PathBuf>,
-    live_tolerance: f64,
 }
 
 fn parse_args() -> Result<Opts, String> {
@@ -47,8 +36,6 @@ fn parse_args() -> Result<Opts, String> {
     let mut current = None;
     let mut tolerance = 0.25;
     let mut min_speedup = 1.2;
-    let mut live = None;
-    let mut live_tolerance = 1.5;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut val = || {
@@ -68,28 +55,14 @@ fn parse_args() -> Result<Opts, String> {
                     .parse::<f64>()
                     .map_err(|e| format!("bad --min-speedup: {e}"))?
             }
-            "--live" => live = Some(PathBuf::from(val()?)),
-            "--live-tolerance" => {
-                live_tolerance = val()?
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --live-tolerance: {e}"))?
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if baseline.is_none() && live.is_none() {
-        return Err("--baseline/--current (or --live) is required".into());
-    }
-    if baseline.is_some() != current.is_some() {
-        return Err("--baseline and --current must be given together".into());
-    }
     Ok(Opts {
-        baseline,
-        current,
+        baseline: baseline.ok_or("--baseline is required")?,
+        current: current.ok_or("--current is required")?,
         tolerance,
         min_speedup,
-        live,
-        live_tolerance,
     })
 }
 
@@ -100,57 +73,38 @@ fn main() -> ExitCode {
             eprintln!("bench_check: {e}");
             eprintln!(
                 "usage: bench_check --baseline <json> --current <json> \
-                 [--tolerance 0.25] [--min-speedup 1.2] \
-                 [--live BENCH_live.json] [--live-tolerance 1.5]"
+                 [--tolerance 0.25] [--min-speedup 1.2]"
             );
             return ExitCode::from(2);
         }
     };
-    let mut verdict = coic_bench::perf::RegressionReport::default();
-    let mut cells_compared = 0;
-    if let (Some(bpath), Some(cpath)) = (&opts.baseline, &opts.current) {
-        let baseline = match BenchReport::load(bpath) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_check: baseline: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let current = match BenchReport::load(cpath) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_check: current: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        println!(
-            "bench_check: baseline rev {} vs current rev {} \
-             (tolerance ±{:.0}%, min speedup {:.2})",
-            baseline.git_rev,
-            current.git_rev,
-            opts.tolerance * 100.0,
-            opts.min_speedup
-        );
-        cells_compared = baseline.results.len();
-        verdict = check_regression(&baseline, &current, opts.tolerance, opts.min_speedup);
-        let approx = check_approx_gate(&current);
-        verdict.failures.extend(approx.failures);
-        verdict.notes.extend(approx.notes);
-    }
-    // The live-scale gate is within-run (one host, one process), so it
-    // needs no committed baseline: zero hung requests everywhere and
-    // evloop p99 no worse than live_tolerance x threads at the largest
-    // shared connection count.
-    if let Some(path) = &opts.live {
-        match LiveReport::load(path) {
-            Ok(live) => {
-                let lv = check_live_gate(&live, opts.live_tolerance);
-                verdict.failures.extend(lv.failures);
-                verdict.notes.extend(lv.notes);
-            }
-            Err(e) => verdict.failures.push(format!("live report: {e}")),
+    let baseline = match BenchReport::load(&opts.baseline) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("bench_check: baseline: {e}");
+            return ExitCode::from(2);
         }
-    }
+    };
+    let current = match BenchReport::load(&opts.current) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("bench_check: current: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    println!(
+        "bench_check: baseline rev {} vs current rev {} \
+         (tolerance ±{:.0}%, min speedup {:.2})",
+        baseline.git_rev,
+        current.git_rev,
+        opts.tolerance * 100.0,
+        opts.min_speedup
+    );
+    let cells_compared = baseline.results.len();
+    let mut verdict = check_regression(&baseline, &current, opts.tolerance, opts.min_speedup);
+    let approx = check_approx_gate(&current);
+    verdict.failures.extend(approx.failures);
+    verdict.notes.extend(approx.notes);
     for note in &verdict.notes {
         println!("  ok: {note}");
     }

@@ -11,7 +11,6 @@ use coic_core::QoeReport;
 use coic_workload::{Population, Request, SafeDrivingAr, VrVideo, ZoneId, ZoneModel};
 
 pub mod json;
-pub mod load;
 pub mod perf;
 
 /// The standard recognition workload behind Fig. 2a and several ablations:

@@ -17,7 +17,6 @@
 //! * [`sketch`]/[`admission`] — count-min sketch + TinyLFU admission gate,
 //! * [`concurrent`] — single-mutex shared wrappers (contention baseline),
 //! * [`sharded`] — sharded exact-cache wrappers for the real-TCP edge,
-//! * [`coop`] — multi-edge cooperative lookup,
 //! * [`metrics`] — the unified [`metrics::Metrics`] view (publishes to the
 //!   `coic-obs` registry) and the typed [`metrics::Lookup`] outcome,
 //! * [`stats`] — legacy hit/miss/eviction counters (facade view).
@@ -29,7 +28,6 @@ pub mod admission;
 pub mod ann;
 pub mod approx;
 pub mod concurrent;
-pub mod coop;
 pub mod digest;
 pub mod exact;
 pub mod metrics;
@@ -45,7 +43,6 @@ pub use admission::{TinyLfu, TinyLfuConfig};
 pub use ann::{AnnFamily, AnnIndex, DynamicAnn, ProbeStats};
 pub use approx::{ApproxCache, ApproxLookup, IndexKind};
 pub use concurrent::{SharedApproxCache, SharedExactCache};
-pub use coop::{CoopGroup, CoopOutcome};
 pub use digest::{fnv1a64, sha256, Digest};
 pub use exact::ExactCache;
 pub use metrics::{Lookup, Metrics};

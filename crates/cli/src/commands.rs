@@ -315,26 +315,18 @@ pub fn sim(args: &Args) -> CmdResult {
 /// spawned cloud process, one edge with sharded exact caches and the
 /// snapshot/mutex descriptor index picked by `--index`, and a blocking
 /// client with origin fallback — then print the same QoE report shape the
-/// simulator emits. `--driver` selects the edge's IO driver
-/// (`threads` per-connection, or the readiness-driven `evloop`).
+/// simulator emits.
 /// `--trace-out`/`--metrics-out` export the unified telemetry with the
 /// same event vocabulary as `coic sim` (timestamps are wall clock here,
 /// so unlike the simulator the trace bytes vary between runs).
 pub fn live(args: &Args) -> CmdResult {
     use coic_core::netrun::{spawn_cloud, spawn_edge_with, NetClient, NetConfig};
-    use coic_core::{
-        ClientConfig, ComputeConfig, DriverKind, EdgeConfig, ModelLibrary, PanoLibrary,
-    };
+    use coic_core::{ClientConfig, ComputeConfig, EdgeConfig, ModelLibrary, PanoLibrary};
     use coic_vision::ObjectClass;
     use std::sync::Arc;
 
     let trace = from_csv(&std::fs::read_to_string(args.require("in")?)?)?;
     let seed: u64 = args.num("seed", 1)?;
-    let driver = match args.get("driver") {
-        Some(text) => DriverKind::parse(text)
-            .ok_or_else(|| format!("--driver must be threads or evloop, got '{text}'"))?,
-        None => DriverKind::default(),
-    };
     let tel = telemetry_for(args);
     // The cloud must know every class the trace can ask for.
     let classes: Vec<ObjectClass> = {
@@ -351,10 +343,7 @@ pub fn live(args: &Args) -> CmdResult {
     let panos = Arc::new(PanoLibrary::new(64));
     let compute = ComputeConfig::default();
     let cloud = spawn_cloud(&classes, 64, compute, models.clone(), panos.clone(), seed)?;
-    let net = NetConfig::builder()
-        .telemetry(tel.clone())
-        .driver(driver)
-        .build();
+    let net = NetConfig::builder().telemetry(tel.clone()).build();
     let mut edge_cfg = EdgeConfig::default();
     if let Some(kind) = index_arg(args)? {
         edge_cfg.index = kind;
@@ -594,9 +583,6 @@ pub fn analyze_trace(args: &Args) -> CmdResult {
 /// `--trace-out`/`--metrics-out` export the unified telemetry of the
 /// loopback edge cell (same vocabulary as `coic sim` / `coic live`).
 pub fn bench(args: &Args) -> CmdResult {
-    if args.switch("load") {
-        return bench_load(args);
-    }
     let quick = args.switch("quick");
     let seed: u64 = args.num("seed", 7)?;
     let runs: usize = args.num("runs", 1)?;
@@ -664,91 +650,6 @@ pub fn bench(args: &Args) -> CmdResult {
     }
     write!(text, "wrote {out}")?;
     text.push_str(&write_telemetry(args, &tel)?);
-    Ok(text)
-}
-
-/// `bench --load`: the live-scale load harness (see DESIGN.md §17).
-/// `--load-clients` simulated clients each issue `--load-reqs` requests,
-/// multiplexed over every connection-pool size in `--conns`, against a
-/// fresh loopback edge per `--drivers` entry. Emits the canonical
-/// `BENCH_live.json` (connection-count vs p99 curves) and, with
-/// `--ledger-out`, the deterministic reply ledger the CI lane diffs
-/// byte-for-byte between two seeded runs.
-fn bench_load(args: &Args) -> CmdResult {
-    use coic_core::DriverKind;
-
-    let parse_list = |text: &str, what: &str| -> Result<Vec<usize>, String> {
-        text.split(',')
-            .filter(|t| !t.trim().is_empty())
-            .map(|t| {
-                t.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad {what} entry '{t}': {e}"))
-            })
-            .collect()
-    };
-    let conns = parse_list(args.get("conns").unwrap_or("64,256,1000"), "--conns")?;
-    if conns.is_empty() || conns.contains(&0) {
-        return Err("--conns needs at least one nonzero pool size".into());
-    }
-    let drivers = args
-        .get("drivers")
-        .unwrap_or("threads,evloop")
-        .split(',')
-        .filter(|t| !t.trim().is_empty())
-        .map(|t| {
-            DriverKind::parse(t.trim())
-                .ok_or_else(|| format!("--drivers entries must be threads or evloop, got '{t}'"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if drivers.is_empty() {
-        return Err("--drivers needs at least one driver".into());
-    }
-    let cfg = coic_bench::load::LoadConfig {
-        clients: args.num("load-clients", 10_000usize)?,
-        reqs_per_client: args.num("load-reqs", 2usize)?,
-        conns,
-        drivers,
-        seed: args.num("seed", 7u64)?,
-    };
-    if cfg.clients == 0 || cfg.reqs_per_client == 0 {
-        return Err("--load-clients and --load-reqs must be at least 1".into());
-    }
-    let out = args.get("out").unwrap_or("BENCH_live.json");
-    let report = coic_bench::load::run_load(&cfg);
-    report.write(std::path::Path::new(out))?;
-
-    let mut text = String::new();
-    writeln!(
-        text,
-        "{} simulated clients x {} reqs, seed {}",
-        cfg.clients, cfg.reqs_per_client, cfg.seed
-    )?;
-    writeln!(
-        text,
-        "{:<8} {:>6} {:>8} {:>5} {:>11} {:>11} {:>11} {:>10} {:>6}",
-        "driver", "conns", "ops", "hung", "p50 ns", "p95 ns", "p99 ns", "ops/s", "hit%"
-    )?;
-    for c in &report.results {
-        writeln!(
-            text,
-            "{:<8} {:>6} {:>8} {:>5} {:>11} {:>11} {:>11} {:>10.0} {:>5.1}%",
-            c.driver,
-            c.conns,
-            c.ops,
-            c.hung,
-            c.p50_ns,
-            c.p95_ns,
-            c.p99_ns,
-            c.throughput_ops_per_sec,
-            c.hit_ratio * 100.0
-        )?;
-    }
-    if let Some(p) = args.get("ledger-out") {
-        std::fs::write(p, report.ledger_text())?;
-        writeln!(text, "wrote ledger to {p}")?;
-    }
-    write!(text, "wrote {out}")?;
     Ok(text)
 }
 
@@ -971,57 +872,6 @@ mod tests {
         let metrics = std::fs::read_to_string(m).unwrap();
         assert!(metrics.contains("counter qoe.completed"), "{metrics}");
         assert!(metrics.contains("counter cache.exact.hits"), "{metrics}");
-    }
-
-    #[test]
-    fn live_runs_on_the_event_loop_driver() {
-        let path = tmp("t7e.csv");
-        trace_gen(&args(&format!(
-            "--app vrvideo --out {path} --users 1 --frames 3"
-        )))
-        .unwrap();
-        let m = tmp("le.metrics");
-        let out = live(&args(&format!(
-            "--in {path} --driver evloop --metrics-out {m}"
-        )))
-        .unwrap();
-        assert!(out.contains("live:"), "{out}");
-        // The loop.* counters prove the event loop actually served it.
-        let metrics = std::fs::read_to_string(m).unwrap();
-        assert!(metrics.contains("counter loop.frames"), "{metrics}");
-        assert!(
-            live(&args(&format!("--in {path} --driver bogus"))).is_err(),
-            "bad driver spelling must be rejected"
-        );
-    }
-
-    #[test]
-    fn bench_load_emits_canonical_report_and_seeded_ledger() {
-        let out_json = tmp("bl.json");
-        let run = |ledger: &str| {
-            bench_load(&args(&format!(
-                "--load-clients 60 --load-reqs 1 --conns 4 --drivers threads,evloop \
-                 --seed 11 --out {out_json} --ledger-out {ledger}"
-            )))
-            .unwrap()
-        };
-        let l1 = tmp("bl1.ledger");
-        let l2 = tmp("bl2.ledger");
-        let text = run(&l1);
-        assert!(text.contains("evloop"), "{text}");
-        assert!(text.contains("wrote"), "{text}");
-        run(&l2);
-        // The CI lane's contract: two seeded runs, byte-identical ledger.
-        let a = std::fs::read_to_string(&l1).unwrap();
-        let b = std::fs::read_to_string(&l2).unwrap();
-        assert_eq!(a, b, "seeded load ledgers must be byte-identical");
-        assert!(a.contains("driver=evloop conns=4 ops=60"), "{a}");
-        // And the JSON round-trips through the canonical parser.
-        let report = coic_bench::load::LiveReport::load(std::path::Path::new(&out_json)).unwrap();
-        assert_eq!(report.results.len(), 2);
-        assert!(coic_bench::load::check_live_gate(&report, 25.0)
-            .failures
-            .is_empty());
     }
 
     #[test]

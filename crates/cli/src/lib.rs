@@ -7,7 +7,7 @@
 //! coic trace info  --in trace.csv
 //! coic sim         --in trace.csv [--mode coic|origin] [network flags]
 //!                  [--trace-out t.jsonl] [--metrics-out m.txt]
-//! coic live        --in trace.csv [--seed N] [--driver threads|evloop]
+//! coic live        --in trace.csv [--seed N]
 //!                  [--trace-out t.jsonl] [--metrics-out m.txt]
 //! coic compare     --in trace.csv [network flags]
 //! coic obs report  [--trace t.jsonl] [--metrics m.txt]
@@ -18,7 +18,6 @@
 //! coic pano gen    --frame N --out pano.pgm [--height 256]
 //! coic pano crop   --frame N --yaw R --pitch R --out view.pgm
 //! coic bench       [--quick] [--seed N] [--runs N] [--out BENCH_edge.json]
-//! coic bench --load [--load-clients N] [--conns N,N,..] [--out BENCH_live.json]
 //! coic lint        [--root DIR] [--rules FILE]
 //! coic analyze trace --trace t.jsonl --metrics m.txt [--invariants FILE]
 //! ```
@@ -42,7 +41,7 @@ pub fn run(raw: Vec<String>) -> Result<String, String> {
     // Boolean switches are declared per subcommand (every other flag
     // takes a value, and `--flag` with no value stays an error there).
     let switches: &[&str] = match raw.first().map(String::as_str) {
-        Some("bench") => &["quick", "load"],
+        Some("bench") => &["quick"],
         _ => &[],
     };
     let args = Args::parse_with_switches(raw, switches).map_err(|e| e.to_string())?;
@@ -92,7 +91,7 @@ USAGE:
                     [--retry-after-ms N] [--brownout 0|1]
                     [--edge-down MS@EDGE[,MS@EDGE...]]
                     [--canonical 0|1] [--trace-out FILE] [--metrics-out FILE]
-  coic live         --in FILE [--seed N] [--driver threads|evloop]
+  coic live         --in FILE [--seed N]
                     [--trace-out FILE] [--metrics-out FILE]
   coic compare      --in FILE [same network flags as sim]
   coic obs report   [--trace FILE] [--metrics FILE]
@@ -106,11 +105,6 @@ USAGE:
   coic bench        [--quick] [--seed N] [--runs N] [--out BENCH_edge.json]
                     [--trace-out FILE] [--metrics-out FILE]
                     (thread grid: 1/4/16, matching EXPERIMENTS.md)
-  coic bench --load [--load-clients N] [--load-reqs N] [--conns N,N,...]
-                    [--drivers threads,evloop] [--seed N]
-                    [--out BENCH_live.json] [--ledger-out FILE]
-                    (live-scale harness: N simulated clients multiplexed
-                     over each connection-pool size, per IO driver)
   coic lint         [--root DIR] [--rules FILE]
   coic analyze trace --trace FILE --metrics FILE
                     [--invariants FILE] [--root DIR]";

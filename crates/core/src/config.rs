@@ -1,4 +1,4 @@
-//! Shared configuration core and typed builders for the two drivers.
+//! Shared configuration core and typed builders for the two executors.
 //!
 //! [`SimConfig`](crate::simrun::SimConfig) and
 //! [`NetConfig`](crate::netrun::NetConfig) describe the same experiment to
@@ -29,74 +29,6 @@ use crate::services::{ClientConfig, EdgeConfig};
 use crate::simrun::SimConfig;
 use coic_obs::Telemetry;
 use std::time::Duration;
-
-/// Which IO driver a live edge serves connections with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DriverKind {
-    /// Legacy thread-per-connection: one blocking service thread per
-    /// accepted socket. Simple, and right for a handful of clients.
-    #[default]
-    Threads,
-    /// Readiness-driven event loop: one IO thread multiplexes every
-    /// connection (batched frame decode, coalesced writes, admission
-    /// backpressure), dispatching decoded frames to a bounded worker
-    /// pool. Right for large fan-in populations.
-    Evloop,
-}
-
-impl DriverKind {
-    /// Parse a `--driver` CLI value.
-    pub fn parse(s: &str) -> Option<DriverKind> {
-        match s {
-            "threads" => Some(DriverKind::Threads),
-            "evloop" => Some(DriverKind::Evloop),
-            _ => None,
-        }
-    }
-
-    /// Canonical CLI/report spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            DriverKind::Threads => "threads",
-            DriverKind::Evloop => "evloop",
-        }
-    }
-}
-
-/// Tuning for the event-loop driver ([`DriverKind::Evloop`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvloopConfig {
-    /// Worker threads running the (blocking) frame handler. The IO thread
-    /// itself never blocks on service work.
-    pub workers: usize,
-    /// Bound on frames decoded but not yet picked up by a worker. When
-    /// the dispatch queue is full the loop stops reading from every
-    /// connection — kernel socket buffers fill and TCP pushes back on the
-    /// clients instead of the edge buffering unboundedly. With admission
-    /// control configured this bound is additionally clamped to the
-    /// admission queue, so poller backpressure engages no later than the
-    /// admission controller would start shedding.
-    pub dispatch_depth: usize,
-    /// Per-connection bound on dispatched-but-unanswered frames; a
-    /// pipelining client beyond this has its reads paused.
-    pub per_conn_inflight: usize,
-    /// Per-connection bound on queued (encoded, unflushed) reply bytes.
-    /// A stalled reader that lets replies pile past this is shed —
-    /// connection dropped, `loop.conn_shed` counted — so one never-
-    /// draining client cannot OOM the edge.
-    pub max_write_queue_bytes: usize,
-}
-
-impl Default for EvloopConfig {
-    fn default() -> EvloopConfig {
-        EvloopConfig {
-            workers: 8,
-            dispatch_depth: 256,
-            per_conn_inflight: 32,
-            max_write_queue_bytes: 8 * 1024 * 1024,
-        }
-    }
-}
 
 /// The experiment knobs shared by the simulator and the live stack.
 ///
@@ -190,10 +122,6 @@ impl NetConfigBuilder {
         cache_shards: usize,
         /// Observability handle shared by everything under this config.
         telemetry: Telemetry,
-        /// Which IO driver the edge serves connections with.
-        driver: DriverKind,
-        /// Event-loop tuning (only consulted under [`DriverKind::Evloop`]).
-        evloop: EvloopConfig,
     }
 
     /// Enable edge admission control.
@@ -392,15 +320,5 @@ mod tests {
         let literal = NetConfig::default();
         assert_eq!(built.request_deadline, literal.request_deadline);
         assert_eq!(built.cache_shards, literal.cache_shards);
-        assert_eq!(built.driver, literal.driver);
-        assert_eq!(built.evloop, literal.evloop);
-    }
-
-    #[test]
-    fn driver_kind_round_trips_through_cli_spelling() {
-        for kind in [DriverKind::Threads, DriverKind::Evloop] {
-            assert_eq!(DriverKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(DriverKind::parse("fibers"), None);
     }
 }

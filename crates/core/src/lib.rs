@@ -26,7 +26,6 @@
 //! * [`qoe`] — latency/hit/accuracy reporting,
 //! * [`telemetry`] — Decision→trace glue onto the shared `coic-obs`
 //!   recorder (spans, events, metrics registry),
-//! * [`robust`] — facade re-exporting the engine's retry/breaker/stats,
 //! * [`adaptive`] — online threshold tuning via shadow verification,
 //! * [`cluster`] — cooperative multi-edge tier: consistent-hash
 //!   partitioning, bounded peer fan-out, hot-entry replication, and
@@ -49,7 +48,6 @@ pub mod netrun;
 pub mod privacy;
 pub mod protocol;
 pub mod qoe;
-pub mod robust;
 pub mod services;
 pub mod shared_edge;
 pub mod simrun;
@@ -59,18 +57,18 @@ pub mod telemetry;
 pub use adaptive::{AdaptiveConfig, AdaptiveThreshold};
 pub use cluster::{ClusterConfig, ClusterSnapshot, ClusterState, ClusterStats, HashRing};
 pub use compute::ComputeConfig;
-pub use config::{CommonConfig, DriverKind, EvloopConfig, NetConfigBuilder, SimConfigBuilder};
+pub use config::{CommonConfig, NetConfigBuilder, SimConfigBuilder};
 pub use content::{ModelLibrary, PanoLibrary, PanoSource};
 pub use descriptor::FeatureDescriptor;
 pub use engine::{
-    AdmissionConfig, AdmissionController, BrownoutConfig, BrownoutState, ClientEngine, Clock,
-    Decision, Effect, EngineConfig, FaultSchedule, OverloadControl, ReplyKind, SimClock, TimerKind,
-    UpstreamGate, WallClock,
+    AdmissionConfig, AdmissionController, BreakerState, BrownoutConfig, BrownoutState,
+    CircuitBreaker, ClientEngine, Clock, Decision, Effect, EngineConfig, FaultSchedule,
+    OverloadControl, ReplyKind, RetryPolicy, RobustnessSnapshot, RobustnessStats, SimClock,
+    TimerKind, UpstreamGate, WallClock,
 };
 pub use layercache::{LayerCache, LayerOutcome};
 pub use protocol::{Msg, ProtoError};
 pub use qoe::{reduction_percent, Path, QoeReport, Record};
-pub use robust::{BreakerState, CircuitBreaker, RetryPolicy, RobustnessSnapshot, RobustnessStats};
 pub use services::{
     ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeReply, EdgeService, PreparedRequest,
 };

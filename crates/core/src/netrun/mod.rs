@@ -7,14 +7,12 @@
 //! wall-clock time (the SimNet inference, CMF parsing and panorama
 //! synthesis all actually run).
 //!
-//! The edge serves connections through a pluggable [`IoDriver`]
-//! ([`NetConfig::driver`]): the legacy thread-per-connection
-//! [`ThreadsDriver`], or the readiness-driven
-//! [`EventLoop`](evloop::EventLoop) (one IO thread, batched frame decode,
-//! coalesced writes, admission-fed backpressure) for large fan-in
-//! populations. Both run the identical frame handler, so the decision
-//! traces they produce are byte-identical — the acceptance suite diffs
-//! them.
+//! Cloud and edge are both hosted by [`FrameServer`]: one blocking thread
+//! per connection (recv → handler → send). The edge's handler learns
+//! which connection each frame arrived on ([`FrameServer::spawn_conn`]),
+//! because a recognition miss spans two frames of one connection and
+//! every client numbers its requests from 1. DESIGN.md §17 records why
+//! this is the only serving path.
 //!
 //! Orchestration — retries, backoff, deadlines, degrade-to-origin, edge
 //! re-probing — is *not* implemented here. [`NetClient`] is a thin driver
@@ -57,23 +55,14 @@
 //! QoE records accumulate behind the engine and aggregate via
 //! [`NetClient::report`].
 
-pub mod driver;
-pub mod evloop;
-pub mod poller;
-
-pub use driver::{
-    DriverServer, FrameHandler, IoDriver, LoopStats, LoopStatsSnapshot, ThreadsDriver,
-};
-pub use poller::{Interest, PollWaker, Poller, Readiness, ScanPoller, Token};
-
 use crate::cluster::{ClusterConfig, ClusterSnapshot, ClusterState, EdgeId};
 use crate::compute::ComputeConfig;
-use crate::config::{DriverKind, EvloopConfig, NetConfigBuilder};
+use crate::config::NetConfigBuilder;
 use crate::content::{ModelLibrary, PanoLibrary};
 use crate::descriptor::FeatureDescriptor;
 use crate::engine::{
-    AdmissionConfig, BrownoutConfig, BrownoutState, ClientEngine, Clock, Decision, Effect,
-    EngineConfig, FaultSchedule, FlightClaim, OverloadControl, ReplyKind, RetryPolicy,
+    AdmissionConfig, BreakerState, BrownoutConfig, BrownoutState, ClientEngine, Clock, Decision,
+    Effect, EngineConfig, FaultSchedule, FlightClaim, OverloadControl, ReplyKind, RetryPolicy,
     RobustnessStats, ShardedSingleFlight, TimerKind, UpstreamGate, Verdict, WallClock,
 };
 use crate::protocol::Msg;
@@ -131,11 +120,6 @@ pub struct NetConfig {
     /// `coic live` CLI passes [`Telemetry::new`] to capture the same span
     /// and event vocabulary the simulator emits.
     pub telemetry: Telemetry,
-    /// Which IO driver the edge serves connections with (the client side
-    /// is unaffected — it is blocking either way).
-    pub driver: DriverKind,
-    /// Event-loop tuning, consulted only under [`DriverKind::Evloop`].
-    pub evloop: EvloopConfig,
 }
 
 impl Default for NetConfig {
@@ -153,8 +137,6 @@ impl Default for NetConfig {
             admission: None,
             brownout: None,
             telemetry: Telemetry::disabled(),
-            driver: DriverKind::default(),
-            evloop: EvloopConfig::default(),
         }
     }
 }
@@ -285,7 +267,7 @@ pub struct EdgeHandle {
     gate: Arc<UpstreamGate>,
     service: Arc<SharedEdgeService>,
     admission: Option<Arc<LiveAdmission>>,
-    server: DriverServer,
+    server: FrameServer,
 }
 
 impl EdgeHandle {
@@ -327,7 +309,7 @@ impl EdgeHandle {
 
     /// Breaker state of a cluster peer as seen from this edge (`None`
     /// before [`EdgeHandle::join_cluster`]).
-    pub fn peer_state(&self, peer: EdgeId) -> Option<crate::robust::BreakerState> {
+    pub fn peer_state(&self, peer: EdgeId) -> Option<BreakerState> {
         self.cluster
             .lock()
             .as_ref()
@@ -341,7 +323,7 @@ impl EdgeHandle {
     }
 
     /// State of the edge→cloud circuit breaker.
-    pub fn breaker_state(&self) -> crate::robust::BreakerState {
+    pub fn breaker_state(&self) -> BreakerState {
         self.gate.state()
     }
 
@@ -368,7 +350,6 @@ impl EdgeHandle {
     pub fn publish_metrics(&self, reg: &MetricsRegistry) {
         self.service.publish_metrics(reg);
         self.stats.snapshot().publish(reg);
-        self.server.loop_stats().publish(reg);
         if let Some(snap) = self.cluster_stats() {
             snap.publish(reg);
         }
@@ -396,18 +377,6 @@ impl EdgeHandle {
     /// Lock shards per cache on this edge.
     pub fn cache_shards(&self) -> usize {
         self.service.shard_count()
-    }
-
-    /// Which IO driver this edge serves connections with.
-    pub fn driver(&self) -> DriverKind {
-        self.server.kind()
-    }
-
-    /// IO-loop counters (`loop.*`): wakeups, frames per wakeup, coalesced
-    /// writes, read-pause transitions, shed connections. All zero under
-    /// the threads driver except `accepted`.
-    pub fn loop_stats(&self) -> LoopStatsSnapshot {
-        self.server.loop_stats()
     }
 
     /// Stop the edge: no new connections, live ones severed. Idempotent;
@@ -717,6 +686,10 @@ pub fn spawn_edge_with(
     let shards = net.cache_shards.max(1);
     let service = Arc::new(SharedEdgeService::new(cfg, shards));
     let service_in_handle = service.clone();
+    // Descriptors of recognition misses awaiting their `Upload`. Keyed by
+    // (connection, request): every client numbers its requests from 1, so
+    // `req_id` alone would let two clients swap descriptors — one upload
+    // cached under the other's descriptor, the other connection dropped.
     let pending = Arc::new(Mutex::new(HashMap::new()));
     let peers: Arc<Mutex<Vec<SocketAddr>>> = Arc::new(Mutex::new(Vec::new()));
     let peers_in_handler = peers.clone();
@@ -746,18 +719,7 @@ pub fn spawn_edge_with(
     });
     let admission_h = admission.clone();
     let bind = bind.unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 0)));
-    let driver_kind = net.driver;
-    let mut evcfg = net.evloop.clone();
-    // Backpressure chain: with admission control on, the loop must stop
-    // reading no later than the admission queue would start shedding, so
-    // the dispatch bound is clamped to the admission queue (plus the
-    // worker slots that drain it).
-    if let Some(a) = &net.admission {
-        evcfg.dispatch_depth = evcfg
-            .dispatch_depth
-            .min(a.queue_limit.saturating_add(evcfg.workers).max(1));
-    }
-    let server = DriverServer::spawn(bind, driver_kind, evcfg, move |frame| {
+    let server = FrameServer::spawn_conn(bind, move |conn_id, frame| {
         let peers = &peers_in_handler;
         let msg = Msg::decode(&frame).ok()?;
         let now = clock.now_ns();
@@ -835,7 +797,7 @@ pub fn spawn_edge_with(
                 let reply = match decision {
                     EdgeReply::Hit(result) => Msg::Hit { req_id, result },
                     EdgeReply::NeedPayload => {
-                        pending.lock().insert(req_id, descriptor);
+                        pending.lock().insert((conn_id, req_id), descriptor);
                         Msg::NeedPayload { req_id }
                     }
                     EdgeReply::Forward(task) => {
@@ -1230,7 +1192,7 @@ pub fn spawn_edge_with(
                 Msg::ReplicateAck { req_id }
             }
             Msg::Upload { req_id, task } => {
-                let descriptor = pending.lock().remove(&req_id)?;
+                let descriptor = pending.lock().remove(&(conn_id, req_id))?;
                 net.telemetry.event(
                     clock.now_ns(),
                     "cloud.forward",
@@ -2018,7 +1980,7 @@ mod tests {
             "open breaker should refuse fast, took {:?}",
             t.elapsed()
         );
-        assert_eq!(edge.breaker_state(), crate::robust::BreakerState::Open);
+        assert_eq!(edge.breaker_state(), BreakerState::Open);
         let snap = edge.robustness().snapshot();
         assert!(snap.breaker_trips >= 1);
         assert_eq!(snap.unavailable_replies, 3);

@@ -279,8 +279,7 @@ impl FrameConn {
 // --- sans-IO framing ---------------------------------------------------
 
 /// Encode one frame (header + payload) into a fresh buffer without touching
-/// a socket. This is the wire image [`FrameConn::send`] produces; the
-/// event-loop driver queues these for coalesced writes.
+/// a socket. This is the wire image [`FrameConn::send`] produces.
 pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, FrameError> {
     let len = payload.len();
     if len > MAX_FRAME as usize {
@@ -441,6 +440,18 @@ impl FrameServer {
         A: ToSocketAddrs,
         F: Fn(Bytes) -> Option<Vec<u8>> + Send + Sync + 'static,
     {
+        Self::spawn_conn(addr, move |_conn, frame| handler(frame))
+    }
+
+    /// [`FrameServer::spawn`] for handlers that keep state across the
+    /// frames of one connection: `handler` additionally receives the id
+    /// of the connection the frame arrived on. Ids are unique for the
+    /// lifetime of the server and never reused.
+    pub fn spawn_conn<A, F>(addr: A, handler: F) -> io::Result<FrameServer>
+    where
+        A: ToSocketAddrs,
+        F: Fn(u64, Bytes) -> Option<Vec<u8>> + Send + Sync + 'static,
+    {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let handler = Arc::new(handler);
@@ -464,7 +475,7 @@ impl FrameServer {
                         .spawn(move || {
                             if let Ok(mut fc) = FrameConn::new(stream) {
                                 while let Ok(frame) = fc.recv() {
-                                    match h(frame) {
+                                    match h(id, frame) {
                                         Some(resp) => {
                                             if fc.send(&resp).is_err() {
                                                 break;
@@ -928,6 +939,23 @@ mod tests {
             let back = conn.recv().unwrap();
             assert_eq!(&back[..], &[i, b'!']);
         }
+    }
+
+    #[test]
+    fn spawn_conn_ids_are_stable_per_connection_and_distinct_across() {
+        let server = FrameServer::spawn_conn("127.0.0.1:0", |conn, _frame| {
+            Some(conn.to_be_bytes().to_vec())
+        })
+        .unwrap();
+        let mut a = FrameConn::connect(server.local_addr()).unwrap();
+        let mut b = FrameConn::connect(server.local_addr()).unwrap();
+        let id_of = |c: &mut FrameConn| {
+            c.send(b"who am i").unwrap();
+            c.recv().unwrap()
+        };
+        let (a1, b1, a2) = (id_of(&mut a), id_of(&mut b), id_of(&mut a));
+        assert_eq!(a1, a2);
+        assert_ne!(a1, b1);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! TCP stack traverse byte-identical decision traces — timestamps differ
 //! (virtual vs wall clock) but every hit/miss/retry/degrade choice agrees.
 
-use coic::core::netrun::{spawn_cloud, spawn_edge_with, NetClient, NetConfig};
+use coic::core::netrun::{spawn_cloud, spawn_edge, NetClient, NetConfig};
 use coic::core::simrun::{run_traced, Mode, SimConfig};
 use coic::core::{
-    ClientConfig, ComputeConfig, Decision, DriverKind, EdgeConfig, FaultSchedule, ModelLibrary,
-    PanoLibrary, Path, QoeReport, RetryPolicy,
+    ClientConfig, ComputeConfig, Decision, EdgeConfig, FaultSchedule, ModelLibrary, PanoLibrary,
+    Path, QoeReport, RetryPolicy,
 };
 use coic::vision::ObjectClass;
 use coic::workload::{Request, RequestKind, UserId, ZoneId};
@@ -100,19 +100,16 @@ fn sim_twice_is_byte_identical() {
     assert_eq!(traces_a, traces_b, "decision traces must agree");
 }
 
-/// Run the live loopback leg on the given IO driver: same retry policy,
-/// same fault schedule as the simulator leg. Returns the client's
-/// decision trace and QoE report.
-fn live_leg(driver: DriverKind) -> (Vec<Decision>, QoeReport) {
+/// Run the live loopback leg: same retry policy, same fault schedule as
+/// the simulator leg. Returns the client's decision trace and QoE report.
+fn live_leg() -> (Vec<Decision>, QoeReport) {
     let trace = pano_trace();
     let models = Arc::new(ModelLibrary::new());
     let panos = Arc::new(PanoLibrary::new(64));
     let compute = ComputeConfig::default();
     let classes = vec![ObjectClass(0)];
     let cloud = spawn_cloud(&classes, 64, compute, models.clone(), panos.clone(), 7).unwrap();
-    let edge_net = NetConfig::builder().driver(driver).build();
-    let edge = spawn_edge_with(cloud.addr(), &EdgeConfig::default(), edge_net, None).unwrap();
-    assert_eq!(edge.driver(), driver);
+    let edge = spawn_edge(cloud.addr(), &EdgeConfig::default()).unwrap();
     let net = NetConfig::builder()
         .retry(policy())
         .faults(faults())
@@ -133,10 +130,6 @@ fn live_leg(driver: DriverKind) -> (Vec<Decision>, QoeReport) {
     }
     assert_eq!(live_paths, [Path::CloudMiss, Path::EdgeHit, Path::Baseline]);
     assert!(client.is_degraded(), "edge leg of seq 2 was exhausted");
-    if driver == DriverKind::Evloop {
-        let stats = edge.loop_stats();
-        assert!(stats.frames > 0, "evloop edge must have decoded frames");
-    }
     (client.decisions().to_vec(), client.report())
 }
 
@@ -148,41 +141,18 @@ fn sim_and_live_traverse_identical_decision_traces() {
     assert_eq!(sim_traces.len(), 1);
     assert_eq!(sim_traces[0], expected_trace());
 
-    // The tentpole claim, on BOTH IO drivers: byte-identical decision
-    // sequences between the simulator and the live TCP stack, including
-    // under the injected fault schedule.
-    for driver in [DriverKind::Threads, DriverKind::Evloop] {
-        let (live_decisions, live_report) = live_leg(driver);
-        assert_eq!(
-            live_decisions,
-            expected_trace(),
-            "driver {driver:?} diverged from the canonical trace"
-        );
-        assert_eq!(
-            sim_traces[0], live_decisions,
-            "driver {driver:?} diverged from the simulator"
-        );
+    // The tentpole claim: byte-identical decision sequences between the
+    // simulator and the live TCP stack, including under the injected
+    // fault schedule.
+    let (live_decisions, live_report) = live_leg();
+    assert_eq!(live_decisions, expected_trace());
+    assert_eq!(sim_traces[0], live_decisions);
 
-        // And both paths emit the same report type with agreeing
-        // structure (latencies differ: virtual vs wall clock).
-        assert_eq!(live_report.completed, sim_report.completed);
-        assert_eq!(live_report.edge_hits, sim_report.edge_hits);
-        assert_eq!(live_report.cloud_trips, sim_report.cloud_trips);
-        assert_eq!(live_report.retries, sim_report.retries);
-        assert_eq!(live_report.retried_requests, sim_report.retried_requests);
-    }
-}
-
-#[test]
-fn both_io_drivers_traverse_identical_decision_traces() {
-    // Driver-equality acceptance: the threads driver and the event loop
-    // realize the same engine decisions byte-for-byte under the same
-    // seeded workload and fault schedule.
-    let (threads_decisions, threads_report) = live_leg(DriverKind::Threads);
-    let (evloop_decisions, evloop_report) = live_leg(DriverKind::Evloop);
-    assert_eq!(threads_decisions, evloop_decisions);
-    assert_eq!(threads_report.completed, evloop_report.completed);
-    assert_eq!(threads_report.edge_hits, evloop_report.edge_hits);
-    assert_eq!(threads_report.cloud_trips, evloop_report.cloud_trips);
-    assert_eq!(threads_report.retries, evloop_report.retries);
+    // And both paths emit the same report type with agreeing structure
+    // (latencies differ: virtual vs wall clock).
+    assert_eq!(live_report.completed, sim_report.completed);
+    assert_eq!(live_report.edge_hits, sim_report.edge_hits);
+    assert_eq!(live_report.cloud_trips, sim_report.cloud_trips);
+    assert_eq!(live_report.retries, sim_report.retries);
+    assert_eq!(live_report.retried_requests, sim_report.retried_requests);
 }
