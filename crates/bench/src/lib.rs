@@ -1,4 +1,4 @@
-//! Shared helpers for the figure-reproduction binaries and benches.
+//! Shared helpers for the figure-reproduction binaries.
 //!
 //! Each binary in `src/bin/` regenerates one paper figure or one extension
 //! experiment (see DESIGN.md §5 and EXPERIMENTS.md); this crate holds the
@@ -9,9 +9,6 @@
 use coic_core::simrun::{Mode, SimConfig};
 use coic_core::QoeReport;
 use coic_workload::{Population, Request, SafeDrivingAr, VrVideo, ZoneId, ZoneModel};
-
-pub mod json;
-pub mod perf;
 
 /// The standard recognition workload behind Fig. 2a and several ablations:
 /// co-located safe-driving users over a shared landmark pool.

@@ -1,9 +1,8 @@
 //! Mutable adapter: a batch-built [`AnnIndex`] behind the incremental
 //! [`coic_vision::NnIndex`] interface.
 //!
-//! The single-threaded cache paths ([`crate::approx::ApproxCache`], the
-//! simulator's `EdgeService`, the layer cache) mutate their index entry
-//! by entry. The ANN families here are immutable batch builds — so this
+//! The single-threaded research caches ([`crate::approx::ApproxCache`],
+//! the layer cache) mutate their index entry by entry. The ANN families here are immutable batch builds — so this
 //! adapter journals mutations and periodically folds them into a fresh
 //! build, mirroring in miniature what [`crate::snapshot`] does across
 //! threads:

@@ -15,9 +15,9 @@
 //! * [`mplsh::MultiProbeLsh`] — random-hyperplane LSH that probes the
 //!   query's bucket *and its lowest-margin neighbours* in every table.
 //!   Where the old descriptor-space-sharded cache fragmented each LSH
-//!   bucket across shards (the measured regression in
-//!   `bench/baseline.json` rev a68375a), multi-probe keeps one bucket
-//!   array and widens the probe set instead.
+//!   bucket across shards (the measured regression recorded in
+//!   DESIGN.md §14), multi-probe keeps one bucket array and widens the
+//!   probe set instead.
 //! * [`hnsw::HnswIndex`] — an HNSW-style layered proximity graph with
 //!   deterministic level assignment (hash of the id, not an RNG), for
 //!   workloads where descriptor clusters are too diffuse for LSH.
@@ -152,7 +152,7 @@ impl AnnFamily {
         ef_search: 24,
     };
 
-    /// Stable label: `linear`, `mp-lsh` or `hnsw` (bench cell / CLI name).
+    /// Stable label: `linear`, `mp-lsh` or `hnsw` (the CLI name).
     pub fn label(&self) -> &'static str {
         match self {
             AnnFamily::Linear => "linear",

@@ -6,7 +6,7 @@
 //! adding more tables). The descriptor-space-*sharded* cache this
 //! replaces made that worse: it split every bucket's contents across
 //! shards, so a hit had to probe up to N shard indexes and p95 latency
-//! tripled (`bench/baseline.json` rev a68375a). Multi-probe keeps one
+//! tripled (DESIGN.md §14). Multi-probe keeps one
 //! bucket array per table and instead *widens the probe set*: after the
 //! base bucket, it probes the buckets reached by flipping the query's
 //! lowest-|margin| signature bits — exactly the bits most likely to have
@@ -17,8 +17,7 @@
 //! ascending-slot order, candidates dedupe through a slot bitmask, and
 //! ties break by id. If every probed bucket is empty
 //! (or every candidate is filtered), lookup falls back to a full scan
-//! rather than reporting a false miss — the same conservative contract
-//! as the legacy `LshIndex`.
+//! rather than reporting a false miss.
 
 use super::{better, canonical_items, mix64, unit_f32, AnnIndex, ProbeStats};
 use coic_vision::distance::l2;

@@ -3,17 +3,23 @@
 //! The recognition half of CoIC's edge lookup: "If the distance between the
 //! new feature descriptor and another one in the cache is under a certain
 //! threshold, CoIC determines that the computation result is already in the
-//! cache." Lookups go through a nearest-neighbour index (exact linear scan,
-//! classic LSH, or one of the batch-built [`crate::ann`] families behind
-//! the [`crate::ann::DynamicAnn`] adapter), eviction and byte accounting
+//! cache." Lookups go through a nearest-neighbour index (exact linear scan
+//! or one of the batch-built [`crate::ann`] families behind the
+//! [`crate::ann::DynamicAnn`] adapter), eviction and byte accounting
 //! through the shared [`Store`].
+//!
+//! This is the single-threaded *research* cache: the threshold, adaptive,
+//! descriptor, privacy and compaction experiments and the layer cache need
+//! its mutable knobs ([`ApproxCache::set_threshold`],
+//! [`ApproxCache::compact_with`]). The edge service — simulated and live —
+//! serves recognition from [`crate::snapshot::SnapshotApproxCache`].
 
 use crate::ann::{AnnFamily, DynamicAnn};
 use crate::policy::PolicyKind;
 use crate::stats::CacheStats;
 use crate::store::Store;
 use coic_vision::features::FeatureVec;
-use coic_vision::index::{LinearIndex, LshIndex, NnIndex};
+use coic_vision::index::{LinearIndex, NnIndex};
 use coic_vision::Metric;
 
 /// Which nearest-neighbour structure backs the cache.
@@ -21,14 +27,6 @@ use coic_vision::Metric;
 pub enum IndexKind {
     /// Exact linear scan (small caches, ground truth).
     Linear,
-    /// Classic incremental random-hyperplane LSH with the given
-    /// tables × bits (the mutex-era baseline index).
-    Lsh {
-        /// Number of independent hash tables.
-        tables: usize,
-        /// Signature bits per table.
-        bits: usize,
-    },
     /// Multi-probe LSH ([`crate::ann::MultiProbeLsh`]): batch-built,
     /// probes margin-ranked neighbouring buckets instead of piling on
     /// tables.
@@ -65,22 +63,20 @@ impl IndexKind {
         ef_search: 24,
     };
 
-    /// Stable label for configs, CLI flags, and bench cell names.
+    /// Stable label for configs and CLI flags.
     pub fn label(&self) -> &'static str {
         match self {
             IndexKind::Linear => "linear",
-            IndexKind::Lsh { .. } => "lsh",
             IndexKind::MultiProbeLsh { .. } => "mp-lsh",
             IndexKind::Hnsw { .. } => "hnsw",
         }
     }
 
     /// Parse a label back into a kind with default parameters
-    /// (`linear`, `lsh`, `mp-lsh`, `hnsw`).
+    /// (`linear`, `mp-lsh`, `hnsw`).
     pub fn parse(name: &str) -> Option<IndexKind> {
         match name {
             "linear" => Some(IndexKind::Linear),
-            "lsh" => Some(IndexKind::Lsh { tables: 8, bits: 8 }),
             "mp-lsh" | "mplsh" => Some(IndexKind::DEFAULT_MPLSH),
             "hnsw" => Some(IndexKind::DEFAULT_HNSW),
             _ => None,
@@ -88,16 +84,10 @@ impl IndexKind {
     }
 
     /// The batch-built [`AnnFamily`] equivalent of this kind, used by the
-    /// snapshot cache (classic `Lsh` maps to multi-probe with default
-    /// probing — the snapshot path has no incremental index).
+    /// snapshot cache.
     pub fn ann_family(&self) -> AnnFamily {
         match *self {
             IndexKind::Linear => AnnFamily::Linear,
-            IndexKind::Lsh { tables, bits } => AnnFamily::MultiProbeLsh {
-                tables,
-                bits,
-                probes: 8,
-            },
             IndexKind::MultiProbeLsh {
                 tables,
                 bits,
@@ -166,7 +156,7 @@ impl<V> ApproxCache<V> {
     ///
     /// # Panics
     /// Panics if `threshold` is not positive and finite, or `dim == 0` for
-    /// an LSH index.
+    /// an ANN-backed index.
     pub fn new(
         capacity_bytes: u64,
         policy: PolicyKind,
@@ -180,9 +170,6 @@ impl<V> ApproxCache<V> {
         );
         let index: Box<dyn NnIndex + Send + Sync> = match index {
             IndexKind::Linear => Box::new(LinearIndex::new(Metric::L2)),
-            IndexKind::Lsh { tables, bits } => {
-                Box::new(LshIndex::new(dim, tables, bits, 0xC01C_15E3))
-            }
             kind @ (IndexKind::MultiProbeLsh { .. } | IndexKind::Hnsw { .. }) => Box::new(
                 DynamicAnn::new(kind.ann_family(), dim, crate::ann::DEFAULT_REBUILD_BATCH)
                     .with_radius(threshold),
@@ -233,28 +220,6 @@ impl<V> ApproxCache<V> {
                 ApproxLookup::Miss { nearest: None }
             }
         }
-    }
-
-    /// Read-only lookup through a shared reference: same hit/miss decision
-    /// as [`ApproxCache::lookup`] but records no stats and refreshes no
-    /// recency. Callers that count hits externally (e.g. in atomics) pair
-    /// this with [`ApproxCache::touch`] to replay recency later.
-    pub fn lookup_ro(&self, query: &FeatureVec) -> ApproxLookup {
-        match self.index.nearest(query) {
-            Some((id, distance)) if distance <= self.threshold => {
-                ApproxLookup::Hit { id, distance }
-            }
-            Some((_, distance)) => ApproxLookup::Miss {
-                nearest: Some(distance),
-            },
-            None => ApproxLookup::Miss { nearest: None },
-        }
-    }
-
-    /// Replay a read-path hit's recency effect for entry `id`; returns
-    /// `false` when the entry is gone (see [`crate::store::Store::touch`]).
-    pub fn touch(&mut self, id: u64, now_ns: u64) -> bool {
-        self.store.touch(&id, now_ns)
     }
 
     /// Fetch the value of a previously returned hit id.
@@ -451,37 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn lsh_backend_behaves_like_linear_for_hits() {
-        // Random-hyperplane LSH is an *angular* scheme: it groups vectors
-        // pointing the same way. Use angularly separated descriptors and
-        // small angular perturbations as queries (which is exactly what
-        // SimNet's unit-norm embeddings look like).
-        let mut lin = cache(0.3);
-        let mut lsh: ApproxCache<&'static str> = ApproxCache::new(
-            10_000,
-            PolicyKind::Lru,
-            0.3,
-            IndexKind::Lsh { tables: 8, bits: 6 },
-            2,
-        );
-        let stored = [
-            ([1.0f32, 0.0], "east"),
-            ([0.0, 1.0], "north"),
-            ([-1.0, 0.0], "west"),
-            ([0.0, -1.0], "south"),
-        ];
-        for (d, name) in stored {
-            lin.insert(v(&d), name, 10, 0);
-            lsh.insert(v(&d), name, 10, 0);
-        }
-        for q in [[0.99f32, 0.05], [-0.03, 0.98], [-1.02, 0.02], [0.6, 0.6]] {
-            let a = matches!(lin.lookup(&v(&q), 0), ApproxLookup::Hit { .. });
-            let b = matches!(lsh.lookup(&v(&q), 0), ApproxLookup::Hit { .. });
-            assert_eq!(a, b, "disagreement at {q:?}");
-        }
-    }
-
-    #[test]
     fn compaction_merges_near_duplicates() {
         let mut c: ApproxCache<u32> =
             ApproxCache::new(1 << 20, PolicyKind::Lru, 0.5, IndexKind::Linear, 2);
@@ -561,20 +495,11 @@ mod tests {
     fn index_kind_labels_roundtrip() {
         for kind in [
             IndexKind::Linear,
-            IndexKind::Lsh { tables: 8, bits: 8 },
             IndexKind::DEFAULT_MPLSH,
             IndexKind::DEFAULT_HNSW,
         ] {
             assert_eq!(IndexKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(IndexKind::parse("nope"), None);
-        // Every kind maps onto a buildable ANN family.
-        for kind in [
-            IndexKind::Linear,
-            IndexKind::Lsh { tables: 2, bits: 4 },
-            IndexKind::DEFAULT_MPLSH,
-            IndexKind::DEFAULT_HNSW,
-        ] {
+            // Every kind maps onto a buildable ANN family.
             let built = kind.ann_family().build(2, vec![(0, v(&[1.0, 0.0]))]);
             assert_eq!(built.len(), 1);
         }

@@ -58,8 +58,13 @@ impl<V> ExactCache<V> {
         self.store.peek_valid(key, now_ns)
     }
 
-    /// Replay a read-path hit's recency effect; returns `false` when the
-    /// key is gone (see [`crate::store::Store::touch`]).
+    /// Does the underlying store run an admission filter?
+    pub fn has_admission(&self) -> bool {
+        self.store.has_admission()
+    }
+
+    /// Replay a read-path lookup's side effects; returns `false` when the
+    /// key is absent (see [`crate::store::Store::touch`]).
     pub fn touch(&mut self, key: &Digest, now_ns: u64) -> bool {
         self.store.touch(key, now_ns)
     }

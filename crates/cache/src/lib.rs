@@ -15,11 +15,15 @@
 //! * [`snapshot`] — the concurrent snapshot/journal descriptor cache
 //!   (lock-free lookups, deterministic batch rebuilds),
 //! * [`sketch`]/[`admission`] — count-min sketch + TinyLFU admission gate,
-//! * [`concurrent`] — single-mutex shared wrappers (contention baseline),
-//! * [`sharded`] — sharded exact-cache wrappers for the real-TCP edge,
+//! * [`sharded`] — the concurrent exact cache: [`exact`] shards behind
+//!   per-shard read/write locks,
 //! * [`metrics`] — the unified [`metrics::Metrics`] view (publishes to the
-//!   `coic-obs` registry) and the typed [`metrics::Lookup`] outcome,
-//! * [`stats`] — legacy hit/miss/eviction counters (facade view).
+//!   `coic-obs` registry) and the typed [`metrics::Lookup`] outcome.
+//!
+//! One production stack serves the edge, simulated and live alike:
+//! [`ShardedExactCache`] for digests, [`SnapshotApproxCache`] over the
+//! [`AnnIndex`] families for descriptors. [`ApproxCache`] is the
+//! single-threaded research cache the `ext_*` experiments tune.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,7 +31,6 @@
 pub mod admission;
 pub mod ann;
 pub mod approx;
-pub mod concurrent;
 pub mod digest;
 pub mod exact;
 pub mod metrics;
@@ -35,19 +38,18 @@ pub mod policy;
 pub mod sharded;
 pub mod sketch;
 pub mod snapshot;
-pub mod stats;
+mod stats;
 pub mod store;
 mod sync;
 
 pub use admission::{TinyLfu, TinyLfuConfig};
 pub use ann::{AnnFamily, AnnIndex, DynamicAnn, ProbeStats};
 pub use approx::{ApproxCache, ApproxLookup, IndexKind};
-pub use concurrent::{SharedApproxCache, SharedExactCache};
 pub use digest::{fnv1a64, sha256, Digest};
 pub use exact::ExactCache;
 pub use metrics::{Lookup, Metrics};
 pub use policy::{EvictionPolicy, PolicyKind};
-pub use sharded::{ShardedExactCache, TouchStats, DEFAULT_SHARDS};
+pub use sharded::{ShardedExactCache, DEFAULT_SHARDS};
 pub use sketch::CountMinSketch;
 pub use snapshot::{IndexTelemetry, SnapshotApproxCache, DEFAULT_REBUILD_BATCH};
 pub use stats::CacheStats;

@@ -1,14 +1,11 @@
 //! The unified cache metrics view and the typed lookup outcome.
 //!
-//! [`Metrics`] collapses the legacy [`CacheStats`] + [`TouchStats`] pair
-//! into one flat struct that publishes to — and is derivable back from —
-//! the [`coic_obs::MetricsRegistry`]. The per-shard relaxed atomics stay
-//! where they are (they are the measured hot path); `Metrics` is the
-//! snapshot every caller reads, and the legacy structs survive only as
-//! `#[deprecated]` facade views computed from it.
+//! [`Metrics`] is one flat struct — store accounting plus the sharded
+//! cache's deferred-touch counters — that publishes to, and is derivable
+//! back from, the [`coic_obs::MetricsRegistry`]. The per-shard relaxed
+//! atomics stay where they are (they are the measured hot path);
+//! `Metrics` is the snapshot every caller reads.
 
-use crate::sharded::TouchStats;
-use crate::stats::CacheStats;
 use coic_obs::MetricsRegistry;
 
 /// Outcome of an edge-cache lookup, replacing the old bool/`Option`-tuple
@@ -117,23 +114,6 @@ const KEYS: [&str; 11] = [
 ];
 
 impl Metrics {
-    /// Combine the legacy stat pair into one view.
-    pub fn from_parts(stats: CacheStats, touches: TouchStats) -> Metrics {
-        Metrics {
-            hits: stats.hits,
-            misses: stats.misses,
-            insertions: stats.insertions,
-            evictions: stats.evictions,
-            expired: stats.expired,
-            rejected: stats.rejected,
-            admission_rejects: stats.admission_rejects,
-            touch_queued: touches.queued,
-            touch_dropped: touches.dropped,
-            touch_replayed: touches.replayed,
-            touch_dead: touches.dead,
-        }
-    }
-
     fn values(&self) -> [u64; 11] {
         [
             self.hits,
@@ -161,29 +141,6 @@ impl Metrics {
             0.0
         } else {
             self.hits as f64 / self.lookups() as f64
-        }
-    }
-
-    /// The legacy store-counter view of this snapshot.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            insertions: self.insertions,
-            evictions: self.evictions,
-            expired: self.expired,
-            rejected: self.rejected,
-            admission_rejects: self.admission_rejects,
-        }
-    }
-
-    /// The legacy touch-counter view of this snapshot.
-    pub fn touch_stats(&self) -> TouchStats {
-        TouchStats {
-            queued: self.touch_queued,
-            dropped: self.touch_dropped,
-            replayed: self.touch_replayed,
-            dead: self.touch_dead,
         }
     }
 
@@ -252,15 +209,11 @@ mod tests {
     }
 
     #[test]
-    fn facade_views_match_fields() {
+    fn hit_ratio_math() {
         let m = sample();
-        let cs = m.cache_stats();
-        assert_eq!((cs.hits, cs.misses, cs.admission_rejects), (7, 3, 4));
-        assert_eq!(cs.lookups(), m.lookups());
-        let ts = m.touch_stats();
-        assert_eq!((ts.queued, ts.replayed, ts.dead), (6, 5, 0));
+        assert_eq!(m.lookups(), 10);
         assert!((m.hit_ratio() - 0.7).abs() < 1e-12);
-        assert_eq!(Metrics::from_parts(cs, ts), m);
+        assert_eq!(Metrics::default().hit_ratio(), 0.0);
     }
 
     #[test]

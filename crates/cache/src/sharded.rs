@@ -1,29 +1,35 @@
 //! Sharded, read-optimized concurrent *exact* cache for the live edge.
 //!
-//! The original [`crate::concurrent`] wrappers guard each whole cache with
-//! one mutex, so every client connection thread serializes behind every
-//! other — lookups included. [`ShardedExactCache`] splits the digest key
-//! space across N independent shards (shard = digest bytes mod N), each
-//! behind its own `RwLock`, so the hot path (a cache *hit*) takes only a
-//! shared read lock on one shard. Values are stored as `Arc<V>`, so a hit
-//! clones a reference count under the read lock and the guard is dropped
-//! **before** any deep clone of the payload (3D model bytes never copy
-//! inside the lock — see [`ShardedExactCache::lookup_owned`]).
+//! One mutex around a whole cache makes every client connection thread
+//! serialize behind every other — lookups included. [`ShardedExactCache`]
+//! splits the digest key space across N independent [`ExactCache`] shards
+//! (shard = digest bytes mod N), each behind its own `RwLock`, so the hot
+//! path (a cache *hit*) takes only a shared read lock on one shard. Values
+//! are stored as `Arc<V>`, so a hit clones a reference count under the
+//! read lock and the guard is dropped **before** any deep clone of the
+//! payload (3D model bytes never copy inside the lock — see
+//! [`ShardedExactCache::lookup_owned`]). With one shard it makes exactly
+//! the decisions of a bare [`ExactCache`] on the same operation stream —
+//! which is how the single-threaded simulator uses it (`tests/equiv.rs`).
 //!
 //! Digest keys shard cleanly because equality is exact. Descriptor keys do
 //! not: sharding the *descriptor space* fragments LSH buckets and forces a
-//! miss to probe every shard, which benchmarked worse than a single mutex
-//! (`bench/baseline.json`, rev a68375a). The approximate hot path
-//! therefore lives in [`crate::snapshot`] — immutable snapshots with
-//! lock-free lookups — not here.
+//! miss to probe every shard, which measured worse than a single mutex
+//! (DESIGN.md §14). The approximate hot path therefore lives in
+//! [`crate::snapshot`] — immutable snapshots with lock-free lookups — not
+//! here.
 //!
 //! Read-path hit/miss counters accumulate in per-shard relaxed atomics and
 //! are merged with the write-path store counters on [`stats`] snapshots.
 //! Recency is preserved without write-locking on reads: each shard keeps a
 //! small pending-touch queue that the next writer drains and replays, so
-//! LRU order still tracks access order (batched, slightly delayed).
+//! LRU order still tracks access order (batched, slightly delayed). The
+//! replay also feeds the shard's TinyLFU sketch, and a shard that has one
+//! queues its read-path *misses* too, so the filter sees every lookup in
+//! order — a missed key can become popular enough to be admitted — just
+//! as [`crate::store::Store::get`] shows them to it inline.
 //!
-//! The touch protocol is deliberately ordered so a drained touch always
+//! The touch protocol is deliberately ordered so a drained hit always
 //! refers to a key that is still present:
 //!
 //! * readers queue the touch **while holding the shard's read guard**, so
@@ -36,11 +42,7 @@
 //! contend with other readers — a writer is excluded by the read guard —
 //! so a failed try drops the touch instead of deadlocking. The model
 //! checker in `tests/model.rs` explores this protocol's interleavings
-//! exhaustively and asserts [`TouchStats::dead`] stays zero.
-//!
-//! The single-mutex wrappers remain in [`crate::concurrent`] as the
-//! contention baseline that `coic bench` measures the sharded wrappers
-//! against.
+//! exhaustively and asserts [`Metrics::touch_dead`] stays zero.
 //!
 //! [`stats`]: ShardedExactCache::stats
 
@@ -57,30 +59,19 @@ use std::sync::Arc;
 /// per-shard capacity fragmentation.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Bound on queued recency touches per shard (hits observed on the read
-/// path, waiting for the next writer to replay them). Beyond this, further
-/// touches are dropped — recency becomes approximate, correctness is
-/// unaffected.
+/// Bound on queued read-path lookups per shard (hits, plus misses when
+/// the shard has an admission filter, waiting for the next writer to
+/// replay them). Beyond this, further records are dropped — recency and
+/// the frequency sketch become approximate, correctness is unaffected.
 const MAX_PENDING_TOUCHES: usize = 1024;
 
-/// Counters for the deferred-touch protocol, aggregated across shards.
-///
-/// `dead` counts touches replayed against a key that was no longer
-/// present. The drain protocol makes that impossible (see the module
-/// docs), so `dead` staying zero is the protocol's observable invariant —
-/// the model checker and the concurrent regression tests assert on it.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TouchStats {
-    /// Touches queued by read-path hits.
-    pub queued: u64,
-    /// Touches dropped (queue full, or another reader held the queue).
-    pub dropped: u64,
-    /// Queued touches replayed against a still-present key.
-    pub replayed: u64,
-    /// Queued touches that found their key gone at replay time.
-    pub dead: u64,
-}
-
+/// Per-shard counters for the deferred-touch protocol, published as
+/// [`Metrics`]`::touch_*`: hits queued, hits dropped (queue full, or
+/// another reader held the queue), queued hits replayed against a
+/// still-present key, and queued hits whose key was gone at replay time.
+/// The drain protocol makes the last impossible (see the module docs), so
+/// `dead` staying zero is the protocol's observable invariant — the model
+/// checker and the concurrent regression tests assert on it.
 struct TouchCounters {
     queued: AtomicU64,
     dropped: AtomicU64,
@@ -98,11 +89,11 @@ impl TouchCounters {
         }
     }
 
-    fn merge_into(&self, total: &mut TouchStats) {
-        total.queued += self.queued.load(Ordering::Relaxed);
-        total.dropped += self.dropped.load(Ordering::Relaxed);
-        total.replayed += self.replayed.load(Ordering::Relaxed);
-        total.dead += self.dead.load(Ordering::Relaxed);
+    fn merge_into(&self, total: &mut Metrics) {
+        total.touch_queued += self.queued.load(Ordering::Relaxed);
+        total.touch_dropped += self.dropped.load(Ordering::Relaxed);
+        total.touch_replayed += self.replayed.load(Ordering::Relaxed);
+        total.touch_dead += self.dead.load(Ordering::Relaxed);
     }
 
     fn count_replay(&self, live: bool) {
@@ -121,7 +112,8 @@ struct ExactShard<V> {
     cache: RwLock<ExactCache<Arc<V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    touches: Mutex<Vec<Digest>>,
+    /// Read-path lookups awaiting replay: the key and whether it hit.
+    touches: Mutex<Vec<(Digest, bool)>>,
     touch_counters: TouchCounters,
 }
 
@@ -199,21 +191,23 @@ impl<V> ShardedExactCache<V> {
         let found = {
             let guard = shard.cache.read();
             let found = guard.peek_valid(key, now_ns).cloned();
-            if found.is_some() {
-                // Queue the recency touch while still holding the read
-                // guard: writers drain the queue only under the write
-                // lock, so the key cannot be evicted between this hit and
-                // the push. The try_lock can only contend with other
-                // readers (the read guard excludes writers), so a failed
-                // try drops the touch — it never deadlocks.
-                match shard.touches.try_lock() {
+            let hit = found.is_some();
+            if hit || guard.has_admission() {
+                // Queue the lookup while still holding the read guard:
+                // writers drain the queue only under the write lock, so
+                // the key cannot be evicted between a hit and the push.
+                // The try_lock can only contend with other readers (the
+                // read guard excludes writers), so a failed try drops the
+                // record — it never deadlocks.
+                let counter = match shard.touches.try_lock() {
                     Some(mut queue) if queue.len() < MAX_PENDING_TOUCHES => {
-                        queue.push(*key);
-                        shard.touch_counters.queued.fetch_add(1, Ordering::Relaxed);
+                        queue.push((*key, hit));
+                        &shard.touch_counters.queued
                     }
-                    _ => {
-                        shard.touch_counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
+                    _ => &shard.touch_counters.dropped,
+                };
+                if hit {
+                    counter.fetch_add(1, Ordering::Relaxed);
                 }
             }
             found
@@ -240,8 +234,9 @@ impl<V> ShardedExactCache<V> {
             .is_some()
     }
 
-    /// Insert a value. The writer first replays queued read-path recency
-    /// touches, so eviction order keeps tracking access order.
+    /// Insert a value. The writer first replays queued read-path lookups,
+    /// so eviction order keeps tracking access order and the admission
+    /// filter has seen every request that preceded this insert.
     pub fn insert(&self, key: Digest, value: V, size: u64, now_ns: u64) {
         let shard = self.shard_of(&key);
         let mut guard = shard.cache.write();
@@ -251,10 +246,11 @@ impl<V> ShardedExactCache<V> {
         // Draining before locking let a concurrent writer evict a queued
         // key between our drain and our replay, losing the touch — the
         // model checker in tests/model.rs finds that schedule in seconds.
-        let pending = std::mem::take(&mut *shard.touches.lock());
-        for touched in pending {
-            let live = guard.touch(&touched, now_ns);
-            shard.touch_counters.count_replay(live);
+        for (looked_up, hit) in shard.touches.lock().drain(..) {
+            let live = guard.touch(&looked_up, now_ns);
+            if hit {
+                shard.touch_counters.count_replay(live);
+            }
         }
         guard.insert(key, Arc::new(value), size, now_ns);
     }
@@ -265,7 +261,6 @@ impl<V> ShardedExactCache<V> {
     /// must be zero (see the module docs).
     pub fn metrics(&self) -> Metrics {
         let mut total = Metrics::default();
-        let mut touches = TouchStats::default();
         for shard in self.shards.iter() {
             let s = *shard.cache.read().stats();
             total.hits += s.hits + shard.hits.load(Ordering::Relaxed);
@@ -275,12 +270,8 @@ impl<V> ShardedExactCache<V> {
             total.expired += s.expired;
             total.rejected += s.rejected;
             total.admission_rejects += s.admission_rejects;
-            shard.touch_counters.merge_into(&mut touches);
+            shard.touch_counters.merge_into(&mut total);
         }
-        total.touch_queued = touches.queued;
-        total.touch_dropped = touches.dropped;
-        total.touch_replayed = touches.replayed;
-        total.touch_dead = touches.dead;
         total
     }
 

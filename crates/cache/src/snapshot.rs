@@ -1,11 +1,11 @@
 //! Snapshot/epoch concurrent approximate cache — the descriptor hot path.
 //!
-//! The live edge answers "is any cached descriptor within threshold of
-//! this query?" from many connection threads at once. The previous
+//! The edge answers "is any cached descriptor within threshold of this
+//! query?" — from many connection threads at once when live, from the
+//! simulator's one thread otherwise; both run this cache. An earlier
 //! design sharded the descriptor space, which fragmented LSH buckets and
-//! made p95 *worse* than a single mutex (`bench/baseline.json` rev
-//! a68375a). This cache takes the opposite approach — RCU-style
-//! snapshots:
+//! made p95 *worse* than a single mutex (DESIGN.md §14). This cache takes
+//! the opposite approach — RCU-style snapshots:
 //!
 //! * **Lookups walk an immutable snapshot with zero locks.** The shared
 //!   state is a pair of `Arc`s (snapshot + journal) behind a `RwLock`

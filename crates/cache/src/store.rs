@@ -24,6 +24,12 @@ struct Entry<K, V> {
     expires_at_ns: Option<u64>,
 }
 
+impl<K, V> Entry<K, V> {
+    fn expired(&self, now_ns: u64) -> bool {
+        self.expires_at_ns.is_some_and(|t| now_ns >= t)
+    }
+}
+
 /// A bounded, size-aware key-value store.
 ///
 /// # Examples
@@ -79,6 +85,11 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
         self
     }
 
+    /// Is a TinyLFU admission filter installed?
+    pub fn has_admission(&self) -> bool {
+        self.admission.is_some()
+    }
+
     /// Capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
@@ -112,14 +123,6 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
         Some((entry.key, entry.value))
     }
 
-    fn expired(&self, id: u64, now_ns: u64) -> bool {
-        self.entries
-            .get(&id)
-            .and_then(|e| e.expires_at_ns)
-            .map(|t| now_ns >= t)
-            .unwrap_or(false)
-    }
-
     /// Look `key` up at virtual time `now_ns`, recording hit/miss and
     /// recency. Expired entries count as misses and are removed.
     pub fn get(&mut self, key: &K, now_ns: u64) -> Option<&V> {
@@ -130,7 +133,7 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
             self.stats.misses += 1;
             return None;
         };
-        if self.expired(id, now_ns) {
+        if self.entries[&id].expired(now_ns) {
             self.remove_id(id);
             self.stats.expired += 1;
             self.stats.misses += 1;
@@ -153,27 +156,27 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
     /// it). This is the read path of the sharded concurrent wrappers,
     /// where lookups hold only a read lock and must not mutate anything.
     pub fn peek_valid(&self, key: &K, now_ns: u64) -> Option<&V> {
-        let &id = self.by_key.get(key)?;
-        if self.expired(id, now_ns) {
-            return None;
-        }
-        Some(&self.entries[&id].value)
+        let entry = &self.entries[self.by_key.get(key)?];
+        (!entry.expired(now_ns)).then_some(&entry.value)
     }
 
-    /// Refresh recency for `key` without recording a hit or a miss. The
-    /// sharded wrappers count hits on their lock-free read path and replay
-    /// the recency effect here under the next write lock, so eviction
-    /// order still tracks access order without double-counting stats.
-    /// Expired entries are removed (and counted) exactly as in
-    /// [`Store::get`]. Returns `false` when the key is absent (evicted or
-    /// removed since the touch was observed) — the sharded wrappers'
-    /// drain protocol guarantees this never happens, and model/regression
-    /// tests pin that invariant on the return value.
+    /// Replay a lookup of `key` without recording a hit or a miss: every
+    /// side effect of [`Store::get`] (admission sketch, recency, removal
+    /// of an expired entry) minus the stats. The sharded wrapper counts
+    /// hits and misses on its read path and replays them here under the
+    /// next write lock, so eviction order and the TinyLFU filter still
+    /// track the request stream without double-counting. Returns `false`
+    /// when the key is absent — for a replayed *hit* the wrapper's drain
+    /// protocol guarantees that never happens, and model/regression tests
+    /// pin that invariant on the return value.
     pub fn touch(&mut self, key: &K, now_ns: u64) -> bool {
+        if let Some(adm) = &mut self.admission {
+            adm.record(key_hash(key));
+        }
         let Some(&id) = self.by_key.get(key) else {
             return false;
         };
-        if self.expired(id, now_ns) {
+        if self.entries[&id].expired(now_ns) {
             self.remove_id(id);
             self.stats.expired += 1;
             return true;
@@ -256,7 +259,7 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
         let dead: Vec<u64> = self
             .entries
             .iter()
-            .filter(|(_, e)| e.expires_at_ns.map(|t| now_ns >= t).unwrap_or(false))
+            .filter(|(_, e)| e.expired(now_ns))
             .map(|(&id, _)| id)
             .collect();
         let n = dead.len();

@@ -1,9 +1,9 @@
-//! Recall parity property test (ISSUE 7, satellite 3).
+//! Recall parity tests.
 //!
-//! Drives [`SnapshotApproxCache`] with randomly generated descriptor sets
-//! and query mixes, and pins each approximate family's *hit ratio* to a
-//! brute-force linear scan over the same entries. The acceptance band is
-//! the same 0.5% the bench gate enforces: the snapshot families may
+//! Drive [`SnapshotApproxCache`] with descriptor sets and query mixes —
+//! randomly generated, and one seeded Zipf-skewed cluster stream — and
+//! pin each approximate family's *hit ratio* to a linear scan over the
+//! same entries. The acceptance band is 0.5%: the snapshot families may
 //! satisfice (answer with any in-radius entry instead of the true
 //! nearest), but they may not flip hit/miss decisions beyond that band.
 //!
@@ -11,11 +11,12 @@
 //! the threshold-cache contract in `approx.rs` only cares whether some
 //! cached descriptor sits within the radius, so that is what we compare.
 
-use coic_cache::{AnnFamily, SnapshotApproxCache};
+use coic_cache::{AnnFamily, SnapshotApproxCache, DEFAULT_REBUILD_BATCH};
 use coic_vision::features::FeatureVec;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
-/// Matches `check_approx_gate`'s `APPROX_HIT_RATIO_TOLERANCE`.
 const HIT_RATIO_TOLERANCE: f64 = 0.005;
 const DIM: usize = 16;
 const THRESHOLD: f32 = 0.3;
@@ -115,5 +116,60 @@ proptest! {
                 queries.len()
             );
         }
+    }
+}
+
+/// A descriptor modelling a dense DNN embedding: one deterministic unit
+/// direction per cluster plus a small single-coordinate jitter standing in
+/// for sensor noise between co-located queries. Random unit directions sit
+/// ~√2 apart — far outside the hit threshold — while jitter stays well
+/// inside it, so cluster identity decides hit/miss.
+fn cluster_descriptor(cluster: usize, jitter: f32) -> FeatureVec {
+    let mut rng = StdRng::seed_from_u64(0xDE5C_0000 ^ cluster as u64);
+    let direction: Vec<f32> = (0..DIM).map(|_| rng.random_range(-1.0f32..1.0)).collect();
+    let mut v = unit_vec(&direction).as_slice().to_vec();
+    v[cluster % DIM] += jitter;
+    FeatureVec::new(v)
+}
+
+/// Every ANN family makes the linear scan's hit/miss decisions on a
+/// seeded, skewed query stream over a folded snapshot (~1 in 9 queries
+/// targets a cluster that was never cached, so misses are exercised).
+#[test]
+fn every_family_matches_the_linear_scan_on_a_skewed_stream() {
+    const CACHED: usize = 48;
+    let mut rng = StdRng::seed_from_u64(3);
+    let queries: Vec<FeatureVec> = (0..800)
+        .map(|_| {
+            let u: f64 = rng.random();
+            let cluster = ((u * u) * (CACHED + CACHED / 8) as f64) as usize;
+            cluster_descriptor(cluster, rng.random_range(-0.05f32..0.05))
+        })
+        .collect();
+    let hit_ratio = |family: AnnFamily| {
+        let cache: SnapshotApproxCache<u64> =
+            SnapshotApproxCache::new(16 << 20, THRESHOLD, family, DIM, DEFAULT_REBUILD_BATCH);
+        for i in 0..CACHED {
+            cache.insert(cluster_descriptor(i, 0.0), i as u64, 256, 0);
+        }
+        cache.maintain(0);
+        let hits = queries
+            .iter()
+            .filter(|q| cache.lookup(q, 1).is_hit())
+            .count();
+        hits as f64 / queries.len() as f64
+    };
+    let linear = hit_ratio(AnnFamily::Linear);
+    assert!(
+        linear > 0.5 && linear < 1.0,
+        "stream must mostly hit and sometimes miss, got {linear}"
+    );
+    for family in [AnnFamily::DEFAULT_MPLSH, AnnFamily::DEFAULT_HNSW] {
+        let ratio = hit_ratio(family);
+        assert!(
+            (ratio - linear).abs() <= HIT_RATIO_TOLERANCE,
+            "{} hit ratio {ratio} deviates from linear {linear}",
+            family.label()
+        );
     }
 }

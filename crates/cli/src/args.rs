@@ -2,15 +2,12 @@
 
 use std::collections::HashMap;
 
-/// Parsed command line: a subcommand path, `--key value` flags, and
-/// boolean `--switch` flags (declared up front via
-/// [`Args::parse_with_switches`]).
+/// Parsed command line: a subcommand path and `--key value` flags.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// Positional words before the first `--flag`.
     pub command: Vec<String>,
     flags: HashMap<String, String>,
-    switches: Vec<String>,
 }
 
 /// Errors from argument parsing or lookup.
@@ -52,31 +49,13 @@ impl std::error::Error for ArgError {}
 
 impl Args {
     /// Parse raw arguments (without the program name). Every `--flag`
-    /// takes a value; use [`Args::parse_with_switches`] for commands with
-    /// boolean flags.
+    /// takes a value.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ArgError> {
-        Self::parse_with_switches(raw, &[])
-    }
-
-    /// Parse raw arguments where the flags named in `switches` are boolean
-    /// (present/absent, no value); all other `--flag`s take a value.
-    pub fn parse_with_switches<I: IntoIterator<Item = String>>(
-        raw: I,
-        switches: &[&str],
-    ) -> Result<Args, ArgError> {
         let mut command = Vec::new();
         let mut flags = HashMap::new();
-        let mut seen_switches = Vec::new();
-        let mut it = raw.into_iter().peekable();
+        let mut it = raw.into_iter();
         while let Some(tok) = it.next() {
             if let Some(name) = tok.strip_prefix("--") {
-                if switches.contains(&name) {
-                    if seen_switches.iter().any(|s| s == name) {
-                        return Err(ArgError::Duplicate(name.to_string()));
-                    }
-                    seen_switches.push(name.to_string());
-                    continue;
-                }
                 let value = it
                     .next()
                     .ok_or_else(|| ArgError::MissingValue(name.to_string()))?;
@@ -87,17 +66,7 @@ impl Args {
                 command.push(tok);
             }
         }
-        Ok(Args {
-            command,
-            flags,
-            switches: seen_switches,
-        })
-    }
-
-    /// Was a boolean switch present? (Only meaningful for names passed to
-    /// [`Args::parse_with_switches`].)
-    pub fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
+        Ok(Args { command, flags })
     }
 
     /// A string flag, if present.
@@ -172,39 +141,6 @@ mod tests {
         assert_eq!(
             parse("x --a 1 --a 2").unwrap_err(),
             ArgError::Duplicate("a".into())
-        );
-    }
-
-    #[test]
-    fn switches_take_no_value() {
-        let a = Args::parse_with_switches(
-            "bench --quick --seed 7 --out x.json"
-                .split_whitespace()
-                .map(String::from),
-            &["quick"],
-        )
-        .unwrap();
-        assert!(a.switch("quick"));
-        assert!(!a.switch("verbose"));
-        assert_eq!(a.get("seed"), Some("7"));
-        assert_eq!(a.get("out"), Some("x.json"));
-        // A trailing switch is fine (no value consumed)…
-        let b = Args::parse_with_switches(
-            "bench --seed 7 --quick"
-                .split_whitespace()
-                .map(String::from),
-            &["quick"],
-        )
-        .unwrap();
-        assert!(b.switch("quick"));
-        // …and duplicate switches are rejected like duplicate flags.
-        assert_eq!(
-            Args::parse_with_switches(
-                "bench --quick --quick".split_whitespace().map(String::from),
-                &["quick"],
-            )
-            .unwrap_err(),
-            ArgError::Duplicate("quick".into())
         );
     }
 

@@ -225,14 +225,13 @@ fn report_text(label: &str, r: &mut coic_core::QoeReport) -> String {
 }
 
 /// Parse `--index` when present: the recognition-descriptor index family
-/// the edge runs (`linear`/`lsh` on the mutex path, `mp-lsh`/`hnsw` on
-/// the snapshot ANN path).
+/// the edge's snapshot cache builds (`linear`, `mp-lsh` or `hnsw`).
 fn index_arg(args: &Args) -> Result<Option<coic_cache::IndexKind>, Box<dyn std::error::Error>> {
     match args.get("index") {
         None => Ok(None),
         Some(name) => coic_cache::IndexKind::parse(name)
             .map(Some)
-            .ok_or_else(|| format!("unknown index {name:?} (linear|lsh|mp-lsh|hnsw)").into()),
+            .ok_or_else(|| format!("unknown index {name:?} (linear|mp-lsh|hnsw)").into()),
     }
 }
 
@@ -266,7 +265,7 @@ fn write_telemetry(
 }
 
 /// `sim`: run one trace through one system. `--index` picks the edge's
-/// descriptor index family (`linear|lsh|mp-lsh|hnsw`). With `--canonical 1` the
+/// descriptor index family (`linear|mp-lsh|hnsw`). With `--canonical 1` the
 /// report is emitted in the canonical byte-stable serialization (sorted
 /// keys, fixed precision), so two runs of the same seeded workload can be
 /// diffed textually — the CI determinism job does exactly that.
@@ -532,8 +531,6 @@ pub fn pano_crop(args: &Args) -> CmdResult {
     ))
 }
 
-// ------------------------------------------------------------------ bench --
-
 // ------------------------------------------------------------------- lint --
 
 /// `lint`: run the in-tree static analysis pass over the workspace (see
@@ -573,84 +570,6 @@ pub fn analyze_trace(args: &Args) -> CmdResult {
     } else {
         Err(out.into())
     }
-}
-
-/// `bench`: run the edge/cache performance harness and write the
-/// canonical `BENCH_edge.json` report. The concurrency grid is fixed at
-/// 1/4/16 threads (the canonical counts EXPERIMENTS.md tabulates).
-/// `--quick` shrinks op counts for CI smoke runs; `--seed` fixes every
-/// random stream.
-/// `--trace-out`/`--metrics-out` export the unified telemetry of the
-/// loopback edge cell (same vocabulary as `coic sim` / `coic live`).
-pub fn bench(args: &Args) -> CmdResult {
-    let quick = args.switch("quick");
-    let seed: u64 = args.num("seed", 7)?;
-    let runs: usize = args.num("runs", 1)?;
-    if runs == 0 {
-        return Err("--runs must be at least 1".into());
-    }
-    let out = args.get("out").unwrap_or("BENCH_edge.json");
-    let tel = telemetry_for(args);
-    // `--runs N` merges N grid runs into a conservative envelope (minimum
-    // throughput, maximum percentiles) — how bench/baseline.json is
-    // refreshed; CI's fresh run uses the default single run.
-    let report = coic_bench::perf::conservative_merge(
-        (0..runs)
-            .map(|_| coic_bench::perf::run_bench_with(quick, seed, &tel))
-            .collect(),
-    );
-    report.write(std::path::Path::new(out))?;
-    let mut text = String::new();
-    writeln!(
-        text,
-        "{:<24} {:>5} {:>7} {:>10} {:>10} {:>10} {:>12} {:>6}",
-        "workload", "index", "threads", "p50 ns", "p95 ns", "p99 ns", "ops/s", "hit%"
-    )?;
-    for c in &report.results {
-        writeln!(
-            text,
-            "{:<24} {:>5} {:>7} {:>10} {:>10} {:>10} {:>12.0} {:>5.1}%",
-            c.workload,
-            c.index,
-            c.threads,
-            c.p50_ns,
-            c.p95_ns,
-            c.p99_ns,
-            c.throughput_ops_per_sec,
-            c.hit_ratio * 100.0
-        )?;
-    }
-    writeln!(
-        text,
-        "sharded-vs-mutex exact-lookup speedup: {:.2}×  (rev {}, seed {seed}{})",
-        report.speedup_sharded_vs_mutex,
-        report.git_rev,
-        if quick { ", quick" } else { "" }
-    )?;
-    writeln!(
-        text,
-        "snapshot-vs-mutex approx-lookup speedup: {:.2}×  (default ANN family at top thread count)",
-        report.speedup_snapshot_vs_mutex,
-    )?;
-    // Snapshot-index telemetry aggregated over the approx cells — the
-    // same `index.*` keys `coic obs report --metrics` summarizes when
-    // `--metrics-out` is given.
-    let reg = tel.registry();
-    let lookups = reg.counter("index.lookup");
-    if lookups > 0 {
-        writeln!(
-            text,
-            "index telemetry: {:.2} probes/lookup, {} rebuilds, {} entries folded, \
-             journal depth {}",
-            reg.counter("index.probe_count") as f64 / lookups as f64,
-            reg.counter("index.rebuild"),
-            reg.counter("index.folded"),
-            reg.gauge("index.journal_depth"),
-        )?;
-    }
-    write!(text, "wrote {out}")?;
-    text.push_str(&write_telemetry(args, &tel)?);
-    Ok(text)
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@
 //! coic hash        --in any-file
 //! coic pano gen    --frame N --out pano.pgm [--height 256]
 //! coic pano crop   --frame N --yaw R --pitch R --out view.pgm
-//! coic bench       [--quick] [--seed N] [--runs N] [--out BENCH_edge.json]
 //! coic lint        [--root DIR] [--rules FILE]
 //! coic analyze trace --trace t.jsonl --metrics m.txt [--invariants FILE]
 //! ```
@@ -38,13 +37,7 @@ pub fn run(raw: Vec<String>) -> Result<String, String> {
     if raw.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(USAGE.to_string());
     }
-    // Boolean switches are declared per subcommand (every other flag
-    // takes a value, and `--flag` with no value stays an error there).
-    let switches: &[&str] = match raw.first().map(String::as_str) {
-        Some("bench") => &["quick"],
-        _ => &[],
-    };
-    let args = Args::parse_with_switches(raw, switches).map_err(|e| e.to_string())?;
+    let args = Args::parse(raw).map_err(|e| e.to_string())?;
     let cmd: Vec<&str> = args.command.iter().map(|s| s.as_str()).collect();
     match cmd.as_slice() {
         ["trace", "gen"] => commands::trace_gen(&args),
@@ -59,7 +52,6 @@ pub fn run(raw: Vec<String>) -> Result<String, String> {
         ["hash"] => commands::hash(&args),
         ["pano", "gen"] => commands::pano_gen(&args),
         ["pano", "crop"] => commands::pano_crop(&args),
-        ["bench"] => commands::bench(&args),
         ["lint"] => commands::lint(&args),
         ["analyze", "trace"] => commands::analyze_trace(&args),
         [] | ["help"] => Ok(USAGE.to_string()),
@@ -102,9 +94,6 @@ USAGE:
   coic pano gen     --frame N --out FILE.pgm [--height N]
   coic pano crop    --frame N --yaw R --pitch R --out FILE.pgm
                     [--fov R] [--width N] [--height N]
-  coic bench        [--quick] [--seed N] [--runs N] [--out BENCH_edge.json]
-                    [--trace-out FILE] [--metrics-out FILE]
-                    (thread grid: 1/4/16, matching EXPERIMENTS.md)
   coic lint         [--root DIR] [--rules FILE]
   coic analyze trace --trace FILE --metrics FILE
                     [--invariants FILE] [--root DIR]";

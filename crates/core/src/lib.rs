@@ -11,9 +11,9 @@
 //! the task to the cloud and inserts the result.
 //!
 //! * [`descriptor`], [`task`], [`protocol`] — the data plane,
-//! * [`services`] — client / edge / cloud logic, transport-independent,
-//! * [`shared_edge`] — the edge service behind shared references (sharded
-//!   caches) for the multi-threaded live stack,
+//! * [`services`] — client / edge / cloud logic, transport-independent
+//!   (one `&self` edge service over the sharded exact cache and the
+//!   snapshot descriptor cache, shared by the simulator and live stack),
 //! * [`compute`] — per-tier cost models,
 //! * [`config`] — the sim/live shared configuration core and the typed
 //!   builders for [`simrun::SimConfig`] / [`netrun::NetConfig`],
@@ -49,7 +49,6 @@ pub mod privacy;
 pub mod protocol;
 pub mod qoe;
 pub mod services;
-pub mod shared_edge;
 pub mod simrun;
 pub mod task;
 pub mod telemetry;
@@ -72,7 +71,6 @@ pub use qoe::{reduction_percent, Path, QoeReport, Record};
 pub use services::{
     ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeReply, EdgeService, PreparedRequest,
 };
-pub use shared_edge::SharedEdgeService;
 pub use simrun::{compare, run, run_instrumented, run_traced, Mode, SimConfig};
 pub use task::{RecognitionResult, TaskRequest, TaskResult, ANNOTATION_BYTES};
 pub use telemetry::{path_label, record_decision};

@@ -41,14 +41,13 @@
 //!   ([`ShardedSingleFlight`]); waiting threads block on a condvar until
 //!   the leader lands the result in the cache.
 //!
-//! The edge's caches are *sharded* ([`SharedEdgeService`], backed by
-//! [`coic_cache::sharded`]): each connection thread's cache hit takes one
-//! shard's read lock instead of a service-wide mutex, and large payload
-//! clones happen outside any lock. [`NetConfig::cache_shards`] sets the
-//! shard count. The simulator keeps the single-threaded
-//! [`crate::services::EdgeService`] — sharding changes lock granularity
-//! and stats plumbing only, never hit/miss decisions, which is what the
-//! sim-vs-live determinism tests check.
+//! The edge serves from the same [`EdgeService`] the simulator drives,
+//! shared across connection threads behind an `Arc`: an exact-cache hit
+//! takes one shard's read lock ([`coic_cache::sharded`]) instead of a
+//! service-wide mutex, large payload clones happen outside any lock, and
+//! recognition lookups walk an immutable snapshot lock-free.
+//! [`NetConfig::cache_shards`] sets the shard count (the simulator uses
+//! one shard; the count moves eviction, never a hit/miss rule).
 //!
 //! Every transition is counted in [`RobustnessStats`], surfaced through
 //! [`NetClient::robustness`] and [`EdgeHandle::robustness`]; per-request
@@ -67,8 +66,9 @@ use crate::engine::{
 };
 use crate::protocol::Msg;
 use crate::qoe::QoeReport;
-use crate::services::{ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeReply};
-use crate::shared_edge::SharedEdgeService;
+use crate::services::{
+    ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeReply, EdgeService,
+};
 use crate::task::TaskResult;
 use crate::telemetry::{path_label, record_decision};
 use coic_cache::{Digest, Metrics};
@@ -265,7 +265,7 @@ pub struct EdgeHandle {
     cluster: Arc<Mutex<Option<LiveCluster>>>,
     stats: RobustnessStats,
     gate: Arc<UpstreamGate>,
-    service: Arc<SharedEdgeService>,
+    service: Arc<EdgeService>,
     admission: Option<Arc<LiveAdmission>>,
     server: FrameServer,
 }
@@ -426,9 +426,15 @@ enum LiveAdmit {
 /// The live edge's admission gate: the same sans-IO [`OverloadControl`]
 /// the simulator drives, here behind a mutex with queued connection
 /// threads parked on a condvar. A release that grants a slot (or an age
-/// expiry that sheds) moves the waiter's req_id into the `ready` / `shed`
+/// expiry that sheds) moves the waiter's ticket into the `ready` / `shed`
 /// set and wakes everyone; each woken thread answers its own client, so
 /// shed replies never block behind service.
+///
+/// Waiters are keyed by a per-edge ticket, not by `req_id`: every client
+/// numbers its requests from 1, so two queued connections routinely share
+/// a `req_id`, and two verdicts landing in a set under one key would
+/// collapse into one — leaving the other waiter parked forever (and, for
+/// a grant, its service slot counted in flight and never released).
 struct LiveAdmission {
     inner: StdMutex<LiveAdmissionInner>,
     cv: Condvar,
@@ -439,9 +445,11 @@ struct LiveAdmission {
 
 struct LiveAdmissionInner {
     ctl: OverloadControl,
-    /// Queued req_ids granted a service slot by some release.
+    /// The id the next offered query carries through the controller.
+    next_ticket: u64,
+    /// Queued tickets granted a service slot by some release.
     ready: std::collections::BTreeSet<u64>,
-    /// Queued req_ids shed (aged out or evicted) while waiting.
+    /// Queued tickets shed (aged out or evicted) while waiting.
     shed: std::collections::BTreeSet<u64>,
 }
 
@@ -455,6 +463,7 @@ impl LiveAdmission {
         LiveAdmission {
             inner: StdMutex::new(LiveAdmissionInner {
                 ctl,
+                next_ticket: 0,
                 ready: std::collections::BTreeSet::new(),
                 shed: std::collections::BTreeSet::new(),
             }),
@@ -510,8 +519,10 @@ impl LiveAdmission {
     fn admit(&self, req_id: u64) -> LiveAdmit {
         let now = self.clock.now_ns();
         let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let ticket = g.next_ticket;
+        g.next_ticket += 1;
         // lint: allow(release-admission-slots, the slot escapes as a LiveAdmit whose every variant path ends in release or note_shed — the contract serve/shed below uphold)
-        let decision = g.ctl.offer(req_id, now);
+        let decision = g.ctl.offer(ticket, now);
         self.note_transition(decision.transition, now);
         for victim in decision.shed {
             g.shed.insert(victim);
@@ -534,7 +545,7 @@ impl LiveAdmission {
                 LiveAdmit::Shed { retry_after_ms }
             }
             Verdict::Queued => loop {
-                if g.ready.remove(&req_id) {
+                if g.ready.remove(&ticket) {
                     let cached_only = g.ctl.state() == BrownoutState::Degraded;
                     drop(g);
                     let granted = self.clock.now_ns();
@@ -544,7 +555,7 @@ impl LiveAdmission {
                         offered_at: now,
                     };
                 }
-                if g.shed.remove(&req_id) {
+                if g.shed.remove(&ticket) {
                     let retry_after_ms = g.ctl.retry_after_ms();
                     drop(g);
                     self.shed_event(req_id, retry_after_ms, "queue", self.clock.now_ns());
@@ -650,7 +661,7 @@ fn guarded_cloud_call(
 /// Trace an `index.rebuild` event when an insert's self-fold rebuilt the
 /// recognition snapshot (`folded` journal entries baked into the new
 /// generation).
-fn trace_rebuild(net: &NetConfig, service: &SharedEdgeService, folded: usize, now_ns: u64) {
+fn trace_rebuild(net: &NetConfig, service: &EdgeService, folded: usize, now_ns: u64) {
     if folded == 0 {
         return;
     }
@@ -684,7 +695,7 @@ pub fn spawn_edge_with(
     bind: Option<SocketAddr>,
 ) -> std::io::Result<EdgeHandle> {
     let shards = net.cache_shards.max(1);
-    let service = Arc::new(SharedEdgeService::new(cfg, shards));
+    let service = Arc::new(EdgeService::new(cfg, shards));
     let service_in_handle = service.clone();
     // Descriptors of recognition misses awaiting their `Upload`. Keyed by
     // (connection, request): every client numbers its requests from 1, so
@@ -1984,5 +1995,68 @@ mod tests {
         let snap = edge.robustness().snapshot();
         assert!(snap.breaker_trips >= 1);
         assert_eq!(snap.unavailable_replies, 3);
+    }
+
+    #[test]
+    fn queued_waiters_sharing_a_req_id_each_get_their_grant() {
+        // Every client numbers its requests from 1, so two connections
+        // queued behind a full gate routinely carry the same req_id. Both
+        // grants land before either waiter runs (the releases below are
+        // back to back; a woken waiter needs far longer to reacquire the
+        // gate than the second release needs to take it). Keyed by req_id,
+        // the two grants collapsed into one `ready` entry: one waiter was
+        // served, the other parked forever with its slot counted in flight.
+        let admission = Arc::new(LiveAdmission::new(
+            OverloadControl::new(
+                AdmissionConfig {
+                    max_queue_age: Duration::from_secs(60),
+                    ..AdmissionConfig::fixed(2)
+                },
+                None,
+            ),
+            WallClock::new(),
+            RobustnessStats::default(),
+            Telemetry::disabled(),
+        ));
+        let hold = |req_id| match admission.admit(req_id) {
+            LiveAdmit::Serve { offered_at, .. } => offered_at,
+            LiveAdmit::Shed { .. } => panic!("a free slot must serve"),
+        };
+        let holders = [hold(1), hold(2)];
+        let (tx, rx) = std::sync::mpsc::channel();
+        for _ in 0..2 {
+            let (admission, tx) = (admission.clone(), tx.clone());
+            std::thread::spawn(move || {
+                let served = match admission.admit(7) {
+                    LiveAdmit::Serve { offered_at, .. } => {
+                        admission.release(offered_at);
+                        true
+                    }
+                    LiveAdmit::Shed { .. } => false,
+                };
+                let _ = tx.send(served);
+            });
+        }
+        // (queue depth, in flight) as the controller sees them.
+        let gate = || {
+            let g = admission.inner.lock().unwrap();
+            let ctl = g.ctl.admission();
+            (ctl.queue_depth(), ctl.inflight())
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gate().0 < 2 {
+            assert!(Instant::now() < deadline, "waiters never queued");
+            std::thread::yield_now();
+        }
+        for offered_at in holders {
+            admission.release(offered_at);
+        }
+        for _ in 0..2 {
+            let served = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a queued waiter never got its verdict");
+            assert!(served, "a granted waiter must be served");
+        }
+        assert_eq!(gate(), (0, 0));
     }
 }

@@ -3,15 +3,18 @@
 //! [`ClientLogic`], [`EdgeService`] and [`CloudService`] contain all
 //! decision logic; the simulation driver ([`crate::simrun`]) and the real
 //! TCP deployment ([`crate::netrun`]) are thin shells that move their
-//! messages and charge time.
+//! messages and charge time. There is one of each: the simulator and the
+//! live edge construct the same [`EdgeService`] over the same cache stack,
+//! so a figure the simulator prints comes from the code that serves
+//! sockets.
 
 use crate::compute::ComputeConfig;
 use crate::content::{ModelLibrary, PanoLibrary};
 use crate::descriptor::FeatureDescriptor;
 use crate::task::{RecognitionResult, TaskRequest, TaskResult};
 use coic_cache::{
-    ApproxCache, ApproxLookup, Digest, ExactCache, IndexKind, Lookup, Metrics, PolicyKind,
-    TinyLfuConfig, TouchStats,
+    Digest, IndexKind, IndexTelemetry, Lookup, Metrics, PolicyKind, ShardedExactCache,
+    SnapshotApproxCache, TinyLfuConfig, DEFAULT_REBUILD_BATCH,
 };
 use coic_obs::MetricsRegistry;
 use coic_vision::{ObjectClass, PrototypeClassifier, SceneGenerator, SimNet, ViewParams};
@@ -68,26 +71,48 @@ pub enum EdgeReply {
     Forward(TaskRequest),
 }
 
-/// The edge cache service.
+/// The edge cache service — the one implementation both the simulator
+/// and the live TCP edge serve from. Every method takes `&self`, so the
+/// live edge shares it across connection threads without a service-wide
+/// lock:
+///
+/// * recognition descriptors go through the snapshot/journal cache
+///   ([`SnapshotApproxCache`]) — lookups walk an immutable `Arc`-swapped
+///   snapshot lock-free, inserts journal (and are visible immediately),
+///   and [`EdgeService::maintain`] folds rebuilds at points the driver
+///   chooses;
+/// * exact digests go through [`ShardedExactCache`], where a hit
+///   share-locks one shard and payload clones happen outside any lock.
+///
+/// The exact cache's capacity is split evenly across shards, so the shard
+/// count changes which entries get evicted. The simulator therefore
+/// builds the service with one shard, which makes exactly the decisions
+/// of a bare `ExactCache` (`coic-cache`'s `tests/equiv.rs`); the live
+/// edge passes [`crate::netrun::NetConfig::cache_shards`].
 pub struct EdgeService {
-    recog: ApproxCache<RecognitionResult>,
-    exact: ExactCache<TaskResult>,
+    recog: SnapshotApproxCache<RecognitionResult>,
+    exact: ShardedExactCache<TaskResult>,
 }
 
 impl EdgeService {
-    /// Create the service.
-    pub fn new(cfg: &EdgeConfig) -> Self {
+    /// Create the service with `shards` lock shards for the exact cache
+    /// (the snapshot recognition cache is unsharded by design — see
+    /// [`coic_cache::sharded`]).
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero.
+    pub fn new(cfg: &EdgeConfig, shards: usize) -> Self {
         EdgeService {
-            recog: ApproxCache::new(
+            recog: SnapshotApproxCache::new(
                 cfg.recog_cache_bytes,
-                cfg.policy,
                 cfg.threshold,
-                cfg.index,
+                cfg.index.ann_family(),
                 cfg.embedding_dim,
+                DEFAULT_REBUILD_BATCH,
             ),
             exact: {
                 let ttl_ns = cfg.exact_ttl_ms.map(|ms| ms * 1_000_000);
-                let c = ExactCache::new(cfg.exact_cache_bytes, cfg.policy, ttl_ns);
+                let c = ShardedExactCache::new(cfg.exact_cache_bytes, cfg.policy, ttl_ns, shards);
                 match cfg.admission {
                     Some(a) => c.with_admission(a),
                     None => c,
@@ -99,25 +124,19 @@ impl EdgeService {
     /// Look a descriptor up in the matching cache, reporting *why* it hit
     /// (exact digest match vs within-threshold descriptor match) rather
     /// than a bare bool/`Option` pair. This is the typed entry point
-    /// [`EdgeService::handle_query`] and the telemetry layer share.
-    pub fn lookup(&mut self, descriptor: &FeatureDescriptor, now_ns: u64) -> Lookup<TaskResult> {
+    /// [`EdgeService::handle_query`] and the telemetry layer share (the
+    /// trace records `kind_str()` and the approx distance).
+    pub fn lookup(&self, descriptor: &FeatureDescriptor, now_ns: u64) -> Lookup<TaskResult> {
         match descriptor {
-            FeatureDescriptor::Dnn(v) => match self.recog.lookup(v, now_ns) {
-                ApproxLookup::Hit { id, distance } => {
-                    let r = *self
-                        .recog
-                        .value(id)
-                        .expect("hit id must resolve to a value");
-                    Lookup::ApproxHit {
-                        value: TaskResult::Recognition(r),
-                        distance,
-                    }
-                }
-                ApproxLookup::Miss { .. } => Lookup::Miss,
-            },
+            FeatureDescriptor::Dnn(v) => self
+                .recog
+                .lookup(v, now_ns)
+                .map(|r| TaskResult::Recognition(*r)),
             FeatureDescriptor::ModelHash(d) | FeatureDescriptor::PanoramaHash(d) => {
+                // The Arc clone happens under the shard read lock; the
+                // payload deep clone happens here, after release.
                 match self.exact.lookup(d, now_ns) {
-                    Some(result) => Lookup::ExactHit(result.clone()),
+                    Some(result) => Lookup::ExactHit(TaskResult::clone(&result)),
                     None => Lookup::Miss,
                 }
             }
@@ -126,7 +145,7 @@ impl EdgeService {
 
     /// Handle a descriptor query (the core of Figure 1's edge box).
     pub fn handle_query(
-        &mut self,
+        &self,
         descriptor: &FeatureDescriptor,
         hint: Option<&TaskRequest>,
         now_ns: u64,
@@ -140,17 +159,29 @@ impl EdgeService {
         }
     }
 
-    /// Insert a freshly computed result under its descriptor.
-    pub fn insert(&mut self, descriptor: &FeatureDescriptor, result: &TaskResult, now_ns: u64) {
+    /// Insert a freshly computed result under its descriptor. Returns how
+    /// many journal entries a recognition insert folded when it tripped
+    /// the snapshot cache's self-fold (zero otherwise) — the live edge
+    /// uses this to trace `index.rebuild` events.
+    ///
+    /// # Panics
+    /// Panics when the descriptor and result kinds disagree.
+    pub fn insert(
+        &self,
+        descriptor: &FeatureDescriptor,
+        result: &TaskResult,
+        now_ns: u64,
+    ) -> usize {
         match (descriptor, result) {
             (FeatureDescriptor::Dnn(v), TaskResult::Recognition(r)) => {
                 // Charge the descriptor plus the annotation payload.
                 let size = v.byte_size() + result.byte_size();
-                self.recog.insert(v.clone(), *r, size, now_ns);
+                self.recog.insert(v.clone(), *r, size, now_ns)
             }
             (FeatureDescriptor::ModelHash(d) | FeatureDescriptor::PanoramaHash(d), result) => {
                 self.exact
                     .insert(*d, result.clone(), result.byte_size(), now_ns);
+                0
             }
             (d, r) => panic!(
                 "descriptor kind {} does not match result kind {}",
@@ -160,43 +191,57 @@ impl EdgeService {
         }
     }
 
-    /// Fold any journaled recognition-index maintenance (batch rebuilds
-    /// for the ANN-backed [`IndexKind`]s; a no-op for the incremental
-    /// indexes). The simulation tick drives this between request batches
-    /// so rebuild cost lands at deterministic points. Returns how many
-    /// journaled mutations were folded.
-    pub fn maintain(&mut self) -> usize {
-        self.recog.maintain()
+    /// Fold the recognition cache's journal into a fresh snapshot (see
+    /// [`SnapshotApproxCache::maintain`]; inserts also self-fold at the
+    /// rebuild batch). Drivers call this where they want rebuild cost to
+    /// land — the end of a run or measurement window — rather than
+    /// mid-lookup. Returns how many journal entries were folded.
+    pub fn maintain(&self, now_ns: u64) -> usize {
+        self.recog.maintain(now_ns)
     }
 
-    /// Does the exact cache currently hold this digest? (No stats or
-    /// recency side effects — used by the prefetcher to avoid refetching.)
-    pub fn exact_contains(&self, digest: &Digest) -> bool {
-        self.exact.peek(digest).is_some()
+    /// Does the exact cache currently hold this digest, unexpired at
+    /// `now_ns`? (No stats or recency side effects — used by the
+    /// prefetcher to avoid refetching.)
+    pub fn exact_contains(&self, digest: &Digest, now_ns: u64) -> bool {
+        self.exact.contains(digest, now_ns)
     }
 
-    /// Direct exact-cache lookup by digest (the peer-query entry point:
-    /// a cooperating edge asks "do you hold this content?").
-    pub fn exact_lookup(&mut self, digest: &Digest, now_ns: u64) -> Option<TaskResult> {
-        self.exact.lookup(digest, now_ns).cloned()
+    /// Direct exact-cache lookup by digest (peer queries and single-flight
+    /// re-checks: "do you hold this content?"). The payload clone runs
+    /// outside the shard lock.
+    pub fn exact_lookup(&self, digest: &Digest, now_ns: u64) -> Option<TaskResult> {
+        self.exact.lookup_owned(digest, now_ns)
     }
 
-    /// Recognition cache metrics (the unsharded cache replays recency
-    /// inline, so the touch counters are structurally zero).
+    /// Recognition cache metrics.
     pub fn recog_metrics(&self) -> Metrics {
-        Metrics::from_parts(*self.recog.stats(), TouchStats::default())
+        self.recog.metrics()
     }
 
-    /// Exact cache metrics.
+    /// Exact cache metrics, merged across shards.
     pub fn exact_metrics(&self) -> Metrics {
-        Metrics::from_parts(*self.exact.stats(), TouchStats::default())
+        self.exact.metrics()
     }
 
     /// Publish both caches' metrics into the shared registry under
-    /// `cache.recog.*` and `cache.exact.*`.
+    /// `cache.recog.*` and `cache.exact.*`, plus the recognition index
+    /// hot-path telemetry under `index.*`.
     pub fn publish_metrics(&self, reg: &MetricsRegistry) {
         self.recog_metrics().publish(reg, "cache.recog");
         self.exact_metrics().publish(reg, "cache.exact");
+        self.index_telemetry().publish(reg);
+    }
+
+    /// Snapshot of the recognition index hot-path telemetry (probe
+    /// counts, rebuilds, journal depth, snapshot age).
+    pub fn index_telemetry(&self) -> IndexTelemetry {
+        self.recog.index_telemetry()
+    }
+
+    /// The recognition index family's label (`mp-lsh`, `hnsw`, `linear`).
+    pub fn index_family(&self) -> &'static str {
+        self.recog.family_label()
     }
 
     /// Combined hit ratio over both caches.
@@ -210,6 +255,17 @@ impl EdgeService {
         } else {
             hits as f64 / total as f64
         }
+    }
+
+    /// Shard count of the exact cache.
+    pub fn shard_count(&self) -> usize {
+        self.exact.shard_count()
+    }
+
+    /// Which exact-cache shard serves this digest (telemetry label only —
+    /// the lookup itself routes internally).
+    pub fn exact_shard_of(&self, digest: &Digest) -> usize {
+        self.exact.shard_of_key(digest)
     }
 }
 
@@ -416,7 +472,7 @@ mod tests {
             models.clone(),
             panos.clone(),
         );
-        let edge = EdgeService::new(&EdgeConfig::default());
+        let edge = EdgeService::new(&EdgeConfig::default(), 4);
         let classes: Vec<_> = (0..10).map(ObjectClass).collect();
         let gen = SceneGenerator::new(64);
         let cloud = CloudService::new(&classes, &gen, compute, models, panos, 7);
@@ -434,7 +490,7 @@ mod tests {
 
     #[test]
     fn recognition_miss_then_hit_flow() {
-        let (client, mut edge, cloud) = setup();
+        let (client, edge, cloud) = setup();
         // First request: miss, upload, cloud executes, edge caches.
         let p1 = client.prepare(&recog_req(3, 100));
         match edge.handle_query(&p1.descriptor, None, 0) {
@@ -458,7 +514,7 @@ mod tests {
 
     #[test]
     fn typed_lookup_reports_hit_kind() {
-        let (client, mut edge, cloud) = setup();
+        let (client, edge, cloud) = setup();
         let p = client.prepare(&recog_req(4, 77));
         assert_eq!(edge.lookup(&p.descriptor, 0), Lookup::Miss);
         let (r, _) = cloud.execute(&p.task);
@@ -490,7 +546,7 @@ mod tests {
         // The statistical property Fig 2a depends on: most re-observations
         // of a cached object from a jittered viewpoint land within the
         // threshold.
-        let (client, mut edge, cloud) = setup();
+        let (client, edge, cloud) = setup();
         let p1 = client.prepare(&recog_req(5, 1000));
         let (r1, _) = cloud.execute(&p1.task);
         edge.insert(&p1.descriptor, &r1, 0);
@@ -507,7 +563,7 @@ mod tests {
 
     #[test]
     fn different_object_does_not_hit() {
-        let (client, mut edge, cloud) = setup();
+        let (client, edge, cloud) = setup();
         let p1 = client.prepare(&recog_req(1, 5));
         let (r1, _) = cloud.execute(&p1.task);
         edge.insert(&p1.descriptor, &r1, 0);
@@ -520,7 +576,7 @@ mod tests {
 
     #[test]
     fn render_load_flow_hits_exactly() {
-        let (client, mut edge, cloud) = setup();
+        let (client, edge, cloud) = setup();
         let req = Request {
             user: UserId(0),
             zone: ZoneId(0),
@@ -531,6 +587,8 @@ mod tests {
             },
         };
         let p = client.prepare(&req);
+        let digest = descriptor_digest(&p.descriptor).unwrap();
+        assert!(!edge.exact_contains(&digest, 0));
         // Miss with hint → forward.
         let fwd = match edge.handle_query(&p.descriptor, Some(&p.task), 0) {
             EdgeReply::Forward(t) => t,
@@ -551,11 +609,14 @@ mod tests {
             other => panic!("expected Hit, got {other:?}"),
         }
         assert_eq!(edge.exact_metrics().hits, 1);
+        // The peer-query entry points see the same entry.
+        assert!(edge.exact_contains(&digest, 1));
+        assert_eq!(edge.exact_lookup(&digest, 2), Some(result));
     }
 
     #[test]
     fn panorama_flow() {
-        let (client, mut edge, cloud) = setup();
+        let (client, edge, cloud) = setup();
         let req = Request {
             user: UserId(1),
             zone: ZoneId(0),
@@ -587,10 +648,13 @@ mod tests {
             models.clone(),
             panos.clone(),
         );
-        let mut edge = EdgeService::new(&EdgeConfig {
-            exact_ttl_ms: Some(100),
-            ..EdgeConfig::default()
-        });
+        let edge = EdgeService::new(
+            &EdgeConfig {
+                exact_ttl_ms: Some(100),
+                ..EdgeConfig::default()
+            },
+            1,
+        );
         let classes = vec![ObjectClass(0)];
         let gen = SceneGenerator::new(64);
         let cloud = CloudService::new(&classes, &gen, compute, models, panos, 7);
@@ -616,12 +680,16 @@ mod tests {
             edge.handle_query(&p.descriptor, Some(&p.task), 150_000_000),
             EdgeReply::Forward(_)
         ));
+        assert!(!edge.exact_contains(&descriptor_digest(&p.descriptor).unwrap(), 150_000_000));
+        // The read path only reports the stale entry absent; the next
+        // write replays the queued hit, finds it expired and drops it.
+        edge.insert(&p.descriptor, &result, 150_000_000);
         assert_eq!(edge.exact_metrics().expired, 1);
     }
 
     #[test]
     fn hit_ratio_combines_caches() {
-        let (client, mut edge, cloud) = setup();
+        let (client, edge, cloud) = setup();
         let p = client.prepare(&recog_req(0, 1));
         let _ = edge.handle_query(&p.descriptor, None, 0); // miss
         let (r, _) = cloud.execute(&p.task);
@@ -632,9 +700,73 @@ mod tests {
     }
 
     #[test]
+    fn exact_shard_labels_stay_in_range() {
+        let (_, edge, _) = setup();
+        assert_eq!(edge.shard_count(), 4);
+        for tag in 0..32u8 {
+            assert!(edge.exact_shard_of(&Digest::of(&[tag])) < edge.shard_count());
+        }
+    }
+
+    #[test]
+    fn maintain_folds_recognition_journal_and_publishes_telemetry() {
+        let (_, edge, _) = setup();
+        let r = TaskResult::Recognition(RecognitionResult {
+            label: 1,
+            distance: 0.0,
+        });
+        for i in 0..5u64 {
+            let mut raw = vec![0.0f32; 32];
+            raw[(i as usize) % 32] = 1.0;
+            let d = FeatureDescriptor::Dnn(coic_vision::FeatureVec::new(raw));
+            edge.insert(&d, &r, i);
+        }
+        let t = edge.index_telemetry();
+        assert_eq!(t.journal_depth, 5);
+        assert_eq!(edge.maintain(10), 5);
+        let t = edge.index_telemetry();
+        assert_eq!((t.journal_depth, t.rebuilds, t.snapshot_len), (0, 1, 5));
+        let reg = MetricsRegistry::new();
+        edge.publish_metrics(&reg);
+        assert_eq!(reg.counter("index.rebuild"), 1);
+        assert_eq!(reg.gauge("index.snapshot_len"), 5);
+        assert!(!edge.index_family().is_empty());
+    }
+
+    #[test]
+    fn concurrent_queries_share_one_service() {
+        let (_, edge, _) = setup();
+        let digest = Digest::of(b"pano 1");
+        edge.insert(
+            &FeatureDescriptor::PanoramaHash(digest),
+            &TaskResult::Panorama(bytes::Bytes::from(vec![1u8; 64])),
+            0,
+        );
+        let hits = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        matches!(
+                            edge.handle_query(&FeatureDescriptor::PanoramaHash(digest), None, 1),
+                            EdgeReply::Hit(_)
+                        )
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("query thread"))
+                .filter(|&hit| hit)
+                .count()
+        });
+        assert_eq!(hits, 8);
+        assert_eq!(edge.exact_metrics().hits, 8);
+    }
+
+    #[test]
     #[should_panic(expected = "does not match result kind")]
     fn mismatched_insert_panics() {
-        let (_, mut edge, _) = setup();
+        let (_, edge, _) = setup();
         let d = FeatureDescriptor::Dnn(coic_vision::FeatureVec::new(vec![0.0; 32]));
         let r = TaskResult::Model(bytes::Bytes::new());
         edge.insert(&d, &r, 0);

@@ -258,6 +258,13 @@ fn wire_len(msg: &Msg, cfg: &SimConfig) -> u64 {
     }
 }
 
+/// Exact-cache shards per simulated edge. The cache splits its byte
+/// budget evenly across shards, so the count changes what gets evicted;
+/// one shard is the bare cache the paper describes, which every figure
+/// and canonical report assumes. (The live edge shards for lock
+/// granularity — `NetConfig::cache_shards`.)
+const SIM_CACHE_SHARDS: usize = 1;
+
 const TOKEN_ISSUE: u64 = 1 << 62;
 const TOKEN_PREP: u64 = 1 << 61;
 const TOKEN_TIMEOUT: u64 = 1 << 60;
@@ -569,7 +576,7 @@ struct EdgeNode {
     cfg: SimConfig,
     /// Shared handle so the driver can publish cache metrics after the
     /// run (the simulator owns the boxed node until it is dropped).
-    service: Rc<RefCell<EdgeService>>,
+    service: Rc<EdgeService>,
     /// Executes recognition locally when `exec_tier == Edge`.
     executor: Arc<CloudService>,
     cloud: NodeId,
@@ -675,7 +682,7 @@ impl EdgeNode {
                 continue;
             }
             if let Some(digest) = self.known_frames.get(&f) {
-                if self.service.borrow().exact_contains(digest) {
+                if self.service.exact_contains(digest, ctx.now().as_nanos()) {
                     continue; // already cached
                 }
             }
@@ -928,7 +935,7 @@ impl EdgeNode {
             .registry()
             .observe("cluster.peer_latency_ns", now.saturating_sub(started_ns));
         if keep {
-            self.service.borrow_mut().insert(&descriptor, &result, now);
+            self.service.insert(&descriptor, &result, now);
         }
         for (waiter, waiter_req) in self.flights.complete(&digest) {
             let msg = Msg::PeerResult {
@@ -1136,7 +1143,7 @@ impl EdgeNode {
         // The typed lookup drives both the reply and the trace: the
         // event records *why* the cache answered (exact vs approx
         // vs miss) — the field the ad-hoc stats never captured.
-        let outcome = self.service.borrow_mut().lookup(&descriptor, now);
+        let outcome = self.service.lookup(&descriptor, now);
         self.tel.event(
             now,
             "edge.lookup",
@@ -1345,7 +1352,7 @@ impl Node<Msg> for EdgeNode {
                         .pending_cloud
                         .remove(&req_id)
                         .expect("upload for unknown request");
-                    self.service.borrow_mut().insert(&descriptor, &result, now);
+                    self.service.insert(&descriptor, &result, now);
                     self.delay_send(ctx, cost_ns, client, Msg::Result { req_id, result });
                     return;
                 }
@@ -1382,11 +1389,8 @@ impl Node<Msg> for EdgeNode {
                     if let TaskResult::Panorama(bytes) = &result {
                         let digest = coic_cache::Digest::of(bytes);
                         self.known_frames.insert(frame_id, digest);
-                        self.service.borrow_mut().insert(
-                            &FeatureDescriptor::PanoramaHash(digest),
-                            &result,
-                            now,
-                        );
+                        self.service
+                            .insert(&FeatureDescriptor::PanoramaHash(digest), &result, now);
                     }
                     self.prefetching.remove(&frame_id);
                     return;
@@ -1420,7 +1424,7 @@ impl Node<Msg> for EdgeNode {
                     }
                 }
                 if keep {
-                    self.service.borrow_mut().insert(&descriptor, &result, now);
+                    self.service.insert(&descriptor, &result, now);
                 }
                 if let Some((owner, digest)) = push {
                     self.cluster_event(now, "decision.peer_replicate", req_id, owner);
@@ -1470,7 +1474,7 @@ impl Node<Msg> for EdgeNode {
                 self.delay_send(ctx, cost_ns, client, Msg::BaselineReply { req_id, result });
             }
             Msg::PeerQuery { req_id, digest } => {
-                let result = self.service.borrow_mut().exact_lookup(&digest, now);
+                let result = self.service.exact_lookup(&digest, now);
                 // Hot-entry failover replication: enough peer demand on an
                 // entry this edge keeps answering pushes a copy to the
                 // digest's ring successor, so the content survives this
@@ -1520,11 +1524,8 @@ impl Node<Msg> for EdgeNode {
                 // Install under the content hash; the exact store is
                 // keyed by digest, so the descriptor kind does not
                 // matter.
-                self.service.borrow_mut().insert(
-                    &FeatureDescriptor::ModelHash(digest),
-                    &result,
-                    now,
-                );
+                self.service
+                    .insert(&FeatureDescriptor::ModelHash(digest), &result, now);
             }
             Msg::PeerReply { req_id, result } => {
                 if self.pending_cluster.contains_key(&req_id) {
@@ -1541,7 +1542,7 @@ impl Node<Msg> for EdgeNode {
                         let client = wait.client;
                         let descriptor = wait.descriptor.clone();
                         let done = wait.outstanding == 0;
-                        self.service.borrow_mut().insert(&descriptor, &result, now);
+                        self.service.insert(&descriptor, &result, now);
                         if let Some(digest) = crate::services::descriptor_digest(&descriptor) {
                             for (waiter, waiter_req) in self.flights.complete(&digest) {
                                 let msg = Msg::PeerResult {
@@ -1825,7 +1826,7 @@ pub fn run_instrumented(
             }),
         );
     }
-    let mut edge_services: Vec<Rc<RefCell<EdgeService>>> = Vec::new();
+    let mut edge_services: Vec<Rc<EdgeService>> = Vec::new();
     let mut cluster_stats: Vec<ClusterStats> = Vec::new();
     for (ei, &eid) in edge_ids.iter().enumerate() {
         let peers: Vec<NodeId> = edge_ids.iter().copied().filter(|&p| p != eid).collect();
@@ -1847,7 +1848,7 @@ pub fn run_instrumented(
         let stats = RobustnessStats::default();
         robustness.push(stats.clone());
         let gate = UpstreamGate::new(3, Duration::from_millis(300), stats.clone());
-        let service = Rc::new(RefCell::new(EdgeService::new(&cfg.edge)));
+        let service = Rc::new(EdgeService::new(&cfg.edge, SIM_CACHE_SHARDS));
         edge_services.push(service.clone());
         sim.bind(
             eid,
@@ -1942,12 +1943,13 @@ pub fn run_instrumented(
     // cache counters, robustness counters, engine counters, the QoE report
     // itself — lands in the shared registry, from which each deprecated
     // facade view is derivable.
+    let end_ns = sim.now().as_nanos();
     for svc in &edge_services {
         // Flush any partial index journal so the published snapshot
         // telemetry reflects the whole run (inserts self-fold at the
         // rebuild batch; this folds the tail deterministically).
-        svc.borrow_mut().maintain();
-        svc.borrow().publish_metrics(tel.registry());
+        svc.maintain(end_ns);
+        svc.publish_metrics(tel.registry());
     }
     for s in &robustness {
         s.snapshot().publish(tel.registry());

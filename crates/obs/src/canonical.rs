@@ -1,8 +1,8 @@
 //! The shared canonical-snapshot writer.
 //!
 //! Every byte-stable text export in the workspace — `coic sim
-//! --canonical`, the metrics snapshot, `coic bench --metrics-out` — is
-//! emitted through this one writer so they share a single format: lines
+//! --canonical`, the `--metrics-out` snapshot — is emitted through this
+//! one writer so they share a single format: lines
 //! of space-separated tokens, where a token is either a bare word
 //! ([`CanonicalWriter::word`]) or a `key=value` pair
 //! ([`CanonicalWriter::field`]). Keys are emitted in the order the caller

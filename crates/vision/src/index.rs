@@ -1,14 +1,12 @@
 //! Nearest-neighbour indexes over feature vectors.
 //!
 //! The edge cache must answer "is any cached descriptor within threshold of
-//! this query?" — [`LinearIndex`] answers exactly, [`LshIndex`] answers
-//! approximately but sublinearly (random-hyperplane LSH), which matters when
-//! an edge accumulates many thousands of cached results.
+//! this query?" — [`LinearIndex`] answers exactly; the sublinear
+//! approximate families (multi-probe LSH, HNSW) live in `coic-cache`'s
+//! `ann` module and plug in through the same [`NnIndex`] trait.
 
-use crate::distance::{l2, Metric};
+use crate::distance::Metric;
 use crate::features::FeatureVec;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 
 /// A nearest-neighbour index keyed by caller-chosen u64 ids.
@@ -78,159 +76,9 @@ impl NnIndex for LinearIndex {
     }
 }
 
-/// Random-hyperplane locality-sensitive hashing index (cosine-family).
-///
-/// `tables` independent hash tables, each hashing a vector to a `bits`-bit
-/// signature via signed random projections. Lookup collects candidates from
-/// the query's bucket in every table and scans them exactly; if no bucket
-/// has candidates it falls back to a full scan so the index never returns a
-/// worse answer than "exact but slow".
-pub struct LshIndex {
-    dim: usize,
-    bits: usize,
-    /// planes[t] holds `bits` hyperplane normals, each of length `dim`.
-    planes: Vec<Vec<Vec<f32>>>,
-    buckets: Vec<HashMap<u64, Vec<u64>>>,
-    items: HashMap<u64, FeatureVec>,
-}
-
-impl LshIndex {
-    /// Create an index for `dim`-dimensional vectors with `tables`
-    /// independent tables of `bits`-bit signatures, seeded deterministically.
-    pub fn new(dim: usize, tables: usize, bits: usize, seed: u64) -> Self {
-        assert!(
-            dim > 0 && tables > 0 && bits > 0,
-            "LSH parameters must be positive"
-        );
-        assert!(bits <= 63, "at most 63 bits per signature");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let planes = (0..tables)
-            .map(|_| {
-                (0..bits)
-                    .map(|_| {
-                        (0..dim)
-                            .map(|_| rng.random::<f32>() * 2.0 - 1.0)
-                            .collect::<Vec<f32>>()
-                    })
-                    .collect()
-            })
-            .collect();
-        LshIndex {
-            dim,
-            bits,
-            planes,
-            buckets: vec![HashMap::new(); tables],
-            items: HashMap::new(),
-        }
-    }
-
-    fn signature(&self, table: usize, v: &FeatureVec) -> u64 {
-        let mut sig = 0u64;
-        for (b, plane) in self.planes[table].iter().enumerate() {
-            let s: f32 = plane.iter().zip(v.as_slice()).map(|(p, x)| p * x).sum();
-            if s >= 0.0 {
-                sig |= 1 << b;
-            }
-        }
-        sig
-    }
-
-    /// Number of tables.
-    pub fn tables(&self) -> usize {
-        self.planes.len()
-    }
-
-    /// Bits per signature.
-    pub fn bits(&self) -> usize {
-        self.bits
-    }
-}
-
-impl NnIndex for LshIndex {
-    fn insert(&mut self, id: u64, v: FeatureVec) {
-        assert_eq!(v.dim(), self.dim, "vector dim mismatch");
-        if self.items.contains_key(&id) {
-            self.remove(id);
-        }
-        for t in 0..self.planes.len() {
-            let sig = self.signature(t, &v);
-            self.buckets[t].entry(sig).or_default().push(id);
-        }
-        self.items.insert(id, v);
-    }
-
-    fn remove(&mut self, id: u64) -> bool {
-        let Some(v) = self.items.remove(&id) else {
-            return false;
-        };
-        for t in 0..self.planes.len() {
-            let sig = self.signature(t, &v);
-            if let Some(bucket) = self.buckets[t].get_mut(&sig) {
-                bucket.retain(|&x| x != id);
-                if bucket.is_empty() {
-                    self.buckets[t].remove(&sig);
-                }
-            }
-        }
-        true
-    }
-
-    fn nearest(&self, q: &FeatureVec) -> Option<(u64, f32)> {
-        if self.items.is_empty() {
-            return None;
-        }
-        assert_eq!(q.dim(), self.dim, "query dim mismatch");
-        let mut candidates: Vec<u64> = Vec::new();
-        for t in 0..self.planes.len() {
-            let sig = self.signature(t, q);
-            if let Some(bucket) = self.buckets[t].get(&sig) {
-                candidates.extend_from_slice(bucket);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let scan: Box<dyn Iterator<Item = u64>> = if candidates.is_empty() {
-            // Conservative fallback: exact scan rather than a false miss.
-            let mut ids: Vec<_> = self.items.keys().copied().collect();
-            ids.sort_unstable();
-            Box::new(ids.into_iter())
-        } else {
-            Box::new(candidates.into_iter())
-        };
-        let mut best: Option<(u64, f32)> = None;
-        for id in scan {
-            let d = l2(q, &self.items[&id]);
-            if best.map(|(_, bd)| d < bd).unwrap_or(true) {
-                best = Some((id, d));
-            }
-        }
-        best
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngExt;
-
-    fn unit(rng: &mut StdRng, dim: usize) -> FeatureVec {
-        let v: Vec<f32> = (0..dim).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect();
-        FeatureVec::new(v).normalized()
-    }
-
-    /// Random unit vector near `center` (for clustered data).
-    fn near(rng: &mut StdRng, center: &FeatureVec, eps: f32) -> FeatureVec {
-        let v: Vec<f32> = center
-            .as_slice()
-            .iter()
-            .map(|&x| x + (rng.random::<f32>() * 2.0 - 1.0) * eps)
-            .collect();
-        FeatureVec::new(v).normalized()
-    }
 
     #[test]
     fn linear_finds_exact_nearest() {
@@ -260,89 +108,6 @@ mod tests {
         assert!(idx.remove(1));
         assert!(!idx.remove(1));
         assert!(idx.is_empty());
-    }
-
-    #[test]
-    fn lsh_exact_on_duplicates() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut idx = LshIndex::new(16, 4, 8, 42);
-        let mut vecs = Vec::new();
-        for id in 0..50u64 {
-            let v = unit(&mut rng, 16);
-            idx.insert(id, v.clone());
-            vecs.push(v);
-        }
-        // Querying with a stored vector must return it at distance ~0.
-        for (id, v) in vecs.iter().enumerate() {
-            let (got, d) = idx.nearest(v).unwrap();
-            assert_eq!(got, id as u64);
-            assert!(d < 1e-6);
-        }
-    }
-
-    #[test]
-    fn lsh_high_recall_on_clustered_data() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let dim = 32;
-        let mut lsh = LshIndex::new(dim, 8, 10, 7);
-        let mut lin = LinearIndex::new(Metric::L2);
-        let mut centers = Vec::new();
-        let mut next_id = 0u64;
-        for _ in 0..10 {
-            let c = unit(&mut rng, dim);
-            for _ in 0..20 {
-                let v = near(&mut rng, &c, 0.05);
-                lsh.insert(next_id, v.clone());
-                lin.insert(next_id, v);
-                next_id += 1;
-            }
-            centers.push(c);
-        }
-        // Query near each center; LSH must find something about as close
-        // as the exact answer in the vast majority of cases.
-        let mut good = 0;
-        let n = 100;
-        for _ in 0..n {
-            let c = &centers[rng.random_range(0..centers.len())];
-            let q = near(&mut rng, c, 0.05);
-            let (_, d_lsh) = lsh.nearest(&q).unwrap();
-            let (_, d_lin) = lin.nearest(&q).unwrap();
-            if d_lsh <= d_lin * 1.5 + 0.05 {
-                good += 1;
-            }
-        }
-        assert!(good >= 90, "LSH recall too low: {good}/{n}");
-    }
-
-    #[test]
-    fn lsh_remove_cleans_buckets() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut idx = LshIndex::new(8, 2, 4, 1);
-        let v = unit(&mut rng, 8);
-        idx.insert(7, v.clone());
-        assert!(idx.remove(7));
-        assert!(idx.is_empty());
-        assert_eq!(idx.nearest(&v), None);
-        assert!(!idx.remove(7));
-    }
-
-    #[test]
-    fn lsh_fallback_never_misses() {
-        // One stored vector, query orthogonal to it: buckets likely differ,
-        // the fallback full scan must still return the stored vector.
-        let mut idx = LshIndex::new(4, 1, 8, 2);
-        let stored = FeatureVec::new(vec![1.0, 0.0, 0.0, 0.0]);
-        idx.insert(1, stored);
-        let q = FeatureVec::new(vec![-1.0, 0.0, 0.0, 0.0]);
-        let (id, _) = idx.nearest(&q).unwrap();
-        assert_eq!(id, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "dim mismatch")]
-    fn lsh_dim_mismatch_panics() {
-        let mut idx = LshIndex::new(4, 1, 4, 0);
-        idx.insert(0, FeatureVec::new(vec![0.0; 5]));
     }
 
     #[test]

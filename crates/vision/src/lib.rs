@@ -12,7 +12,7 @@
 //! * [`hog`] — alternative extractors (HOG-style gradients, raw pooling)
 //!   behind one [`hog::Extractor`] trait for the descriptor ablation,
 //! * [`distance`] — the metrics the cache threshold is measured in,
-//! * [`index`] — exact and LSH nearest-neighbour indexes for edge lookup,
+//! * [`index`] — the nearest-neighbour index trait and its exact linear scan,
 //! * [`kmeans`] — unsupervised clustering (prototype discovery, threshold
 //!   estimation from within-cluster spread),
 //! * [`classify`] — the cloud-side recognition model (nearest centroid),
@@ -40,6 +40,6 @@ pub use eval::ConfusionMatrix;
 pub use features::{FeatureVec, SimNet, SimNetConfig};
 pub use hog::{Extractor, HogExtractor, PoolExtractor};
 pub use image::Image;
-pub use index::{LinearIndex, LshIndex, NnIndex};
+pub use index::{LinearIndex, NnIndex};
 pub use kmeans::KMeans;
 pub use scene::{gaussian, ObjectClass, SceneGenerator, ViewParams};

@@ -46,7 +46,7 @@ fn main() {
         models.clone(),
         panos.clone(),
     );
-    let mut edge = EdgeService::new(&EdgeConfig::default());
+    let edge = EdgeService::new(&EdgeConfig::default(), 1);
     let cloud = CloudService::new(&classes, &gen, compute, models, panos, 42);
 
     println!("AR annotation walkthrough — landmark class 3, three sightings\n");

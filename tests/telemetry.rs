@@ -7,7 +7,7 @@
 //!    snapshots (timestamps are virtual, storage is ordered, nothing
 //!    reads a wall clock).
 //! 2. **Facade fidelity** — every legacy stats struct (`QoeReport`'s
-//!    counter view, `CacheStats`/`TouchStats` via `cache::Metrics`,
+//!    counter view, the cache counters via `cache::Metrics`,
 //!    `RobustnessSnapshot`, `SimStats`) is derivable from the registry a
 //!    run publishes into, on a workload that mixes exact hits, approx
 //!    hits, misses, and injected faults.
@@ -136,18 +136,14 @@ fn legacy_stats_facades_are_derivable_from_the_registry() {
     assert!(report.completed > 0 && report.edge_hits > 0);
     assert!(report.retries > 0, "fault schedule must force retries");
 
-    // Cache metrics: both caches were exercised (exact + approx paths),
-    // and the legacy CacheStats facade is a projection of the registry
-    // view. The sim edge's repeated frames/viewpoints guarantee hits.
+    // Cache metrics: both caches were exercised (exact + approx paths).
+    // The sim edge's repeated frames/viewpoints guarantee hits.
     let exact = coic::cache::Metrics::from_registry(reg, "cache.exact");
     let recog = coic::cache::Metrics::from_registry(reg, "cache.recog");
     assert!(exact.hits > 0 && exact.misses > 0, "{exact:?}");
     assert!(recog.hits > 0 && recog.misses > 0, "{recog:?}");
-    assert_eq!(exact.cache_stats().hits, reg.counter("cache.exact.hits"));
-    assert_eq!(
-        recog.cache_stats().misses,
-        reg.counter("cache.recog.misses")
-    );
+    assert_eq!(exact.hits, reg.counter("cache.exact.hits"));
+    assert_eq!(recog.misses, reg.counter("cache.recog.misses"));
 
     // Robustness: the snapshot summed over every client and edge comes
     // back out of `robustness.*`, and re-publishing it roundtrips.
