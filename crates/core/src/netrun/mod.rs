@@ -36,7 +36,10 @@
 //!   periodically probes the edge to rejoin the cooperative path;
 //! * the edge's own cloud leg sits behind an [`UpstreamGate`] (circuit
 //!   breaker + stats), so a dead cloud makes the edge answer `Unavailable`
-//!   fast instead of stalling every connection thread;
+//!   fast instead of stalling every connection thread; its calls reuse a
+//!   small constant-bounded set of idle cloud connections (each client
+//!   connection gets back the one it used last; drained on any failure;
+//!   a stale one is retried once on a fresh connect);
 //! * concurrent identical misses coalesce into one upstream fetch
 //!   ([`ShardedSingleFlight`]); waiting threads block on a condvar until
 //!   the leader lands the result in the cache.
@@ -44,8 +47,10 @@
 //! The edge serves from the same [`EdgeService`] the simulator drives,
 //! shared across connection threads behind an `Arc`: an exact-cache hit
 //! takes one shard's read lock ([`coic_cache::sharded`]) instead of a
-//! service-wide mutex, large payload clones happen outside any lock, and
-//! recognition lookups walk an immutable snapshot lock-free.
+//! service-wide mutex, payloads are shared buffers (a cached model is a
+//! slice of the frame it arrived in, and is written to the client's socket
+//! from that same buffer — [`Msg::decode_frame`], [`Msg::encode_parts`]),
+//! and recognition lookups walk an immutable snapshot lock-free.
 //! [`NetConfig::cache_shards`] sets the shard count (the simulator uses
 //! one shard; the count moves eviction, never a hit/miss rule).
 //!
@@ -175,8 +180,8 @@ pub fn spawn_cloud(
     let service = Arc::new(CloudService::new(
         classes, &gen, compute, models, panos, seed,
     ));
-    let server = FrameServer::spawn("127.0.0.1:0", move |frame| {
-        let msg = Msg::decode(&frame).ok()?;
+    let server = FrameServer::spawn_conn("127.0.0.1:0", move |_conn, frame| {
+        let msg = Msg::decode_frame(frame).ok()?;
         let reply = match msg {
             Msg::Forward { req_id, task } => {
                 let (result, _cost) = service.execute(&task);
@@ -188,7 +193,8 @@ pub fn spawn_cloud(
             }
             _ => return None,
         };
-        Some(reply.encode().to_vec())
+        // The library's buffer goes to the socket as it is.
+        Some(reply.encode_parts())
     })?;
     Ok(CloudHandle {
         addr: server.local_addr(),
@@ -222,6 +228,14 @@ fn cluster_token(members: &[SocketAddr], auth_token: u64) -> u64 {
     coic_cache::fnv1a64(&buf) ^ auth_token
 }
 
+/// Send `msg` as one frame. A result blob it carries is written from its own
+/// buffer — cache entry, library entry or receive buffer — not copied into
+/// the message first.
+fn send_msg(conn: &mut FrameConn, msg: &Msg) -> Result<(), FrameError> {
+    let (head, body) = msg.encode_parts();
+    conn.send_parts(&head, &body)
+}
+
 /// Best-effort replication push: connect, send [`Msg::Replicate`], await
 /// the ack under the edge-call deadline. Any failure is dropped —
 /// replication is an optimization, never a correctness dependency.
@@ -238,18 +252,13 @@ fn replicate_to(
     };
     let _ = conn.set_read_deadline(Some(net.edge_call_deadline));
     let _ = conn.set_write_deadline(Some(net.edge_call_deadline));
-    if conn
-        .send(
-            &Msg::Replicate {
-                req_id,
-                token,
-                digest,
-                result,
-            }
-            .encode(),
-        )
-        .is_err()
-    {
+    let push = Msg::Replicate {
+        req_id,
+        token,
+        digest,
+        result,
+    };
+    if send_msg(&mut conn, &push).is_err() {
         return;
     }
     let _ = conn.recv(); // ReplicateAck, best effort
@@ -265,6 +274,7 @@ pub struct EdgeHandle {
     cluster: Arc<Mutex<Option<LiveCluster>>>,
     stats: RobustnessStats,
     gate: Arc<UpstreamGate>,
+    cloud_conns: Arc<CloudConns>,
     service: Arc<EdgeService>,
     admission: Option<Arc<LiveAdmission>>,
     server: FrameServer,
@@ -379,10 +389,17 @@ impl EdgeHandle {
         self.service.shard_count()
     }
 
-    /// Stop the edge: no new connections, live ones severed. Idempotent;
-    /// also runs on drop.
+    /// Stop the edge: no new connections, live ones severed, idle cloud
+    /// connections closed. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.server.shutdown();
+        self.cloud_conns.close();
+    }
+}
+
+impl Drop for EdgeHandle {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -619,41 +636,139 @@ impl LiveAdmission {
     }
 }
 
+/// How many idle cloud connections one edge keeps for reuse. A miss takes
+/// one (or connects), and returns it after a clean exchange; a constant,
+/// because each idle connection holds a thread at the cloud.
+const CLOUD_IDLE_MAX: usize = 4;
+
+/// One edge's idle connections to its cloud. A connection is owned by one
+/// call at a time (taken out, used for one request/reply, put back), so
+/// replies cannot cross. `None` once the edge has shut down: connections
+/// returned by calls still in flight are closed instead of parked.
+///
+/// Each idle connection remembers the client connection whose miss parked
+/// it, and that client's next miss gets it back. Which connection a miss
+/// runs on therefore does not depend on how the parking of concurrent
+/// misses happened to interleave: a client's requests keep crossing the
+/// same three threads (its own, its edge connection's, one cloud
+/// connection's), which the scheduler can keep on one processor; a cloud
+/// thread that changes clients is woken across processors (DESIGN.md §17).
+struct CloudConns {
+    cloud_addr: SocketAddr,
+    idle: Mutex<Option<Vec<(u64, FrameConn)>>>,
+}
+
+impl CloudConns {
+    fn new(cloud_addr: SocketAddr) -> CloudConns {
+        CloudConns {
+            cloud_addr,
+            idle: Mutex::new(Some(Vec::with_capacity(CLOUD_IDLE_MAX))),
+        }
+    }
+
+    /// The connection client connection `owner` parked, or else the most
+    /// recently parked one, if any.
+    fn take(&self, owner: u64) -> Option<FrameConn> {
+        let mut idle = self.idle.lock();
+        let idle = idle.as_mut()?;
+        let own = idle.iter().rposition(|(parked_by, _)| *parked_by == owner);
+        let (_, conn) = idle.remove(own.or(idle.len().checked_sub(1))?);
+        Some(conn)
+    }
+
+    /// Park `conn` for `owner` after a clean exchange (dropped when the
+    /// set is full or the edge has shut down).
+    fn put(&self, owner: u64, conn: FrameConn) {
+        if let Some(idle) = self.idle.lock().as_mut() {
+            if idle.len() < CLOUD_IDLE_MAX {
+                idle.push((owner, conn));
+            }
+        }
+    }
+
+    /// Close every idle connection: the cloud just failed a call or the
+    /// breaker is refusing it, so none of them can be trusted.
+    fn drain(&self) {
+        if let Some(idle) = self.idle.lock().as_mut() {
+            idle.clear();
+        }
+    }
+
+    /// Close every idle connection and park no more.
+    fn close(&self) {
+        *self.idle.lock() = None;
+    }
+
+    #[cfg(test)]
+    fn idle_len(&self) -> usize {
+        self.idle.lock().as_ref().map_or(0, Vec::len)
+    }
+}
+
+/// One request/reply over an open cloud connection.
+fn cloud_exchange(cloud: &mut FrameConn, msg: &Msg) -> Result<TaskResult, FaultError> {
+    send_msg(cloud, msg).map_err(|e| e.fault())?;
+    let resp = cloud.recv().map_err(|e| e.fault())?;
+    match Msg::decode_frame(resp) {
+        Ok(Msg::CloudReply { result, .. }) => Ok(result),
+        _ => Err(FaultError::Corrupt),
+    }
+}
+
 /// Call the cloud through the upstream gate. Returns `None` when the gate
 /// is open or the call fails (the gate records the outcome and mirrors
 /// breaker transitions into the shared stats).
+///
+/// The call runs on an idle connection from `conns` when there is one (the
+/// one `client_conn` parked, for choice) and connects otherwise. A reused
+/// connection may have died while parked (the cloud restarted), which says
+/// nothing about the cloud now: unless it failed by timing out, the call is
+/// retried once on a fresh connection before anything is reported to the
+/// gate. Any failure drains `conns`.
 fn guarded_cloud_call(
-    cloud_addr: SocketAddr,
     msg: &Msg,
     net: &NetConfig,
     gate: &UpstreamGate,
+    conns: &CloudConns,
+    client_conn: u64,
     clock: &WallClock,
     stats: &RobustnessStats,
 ) -> Option<TaskResult> {
     if !gate.preflight(clock.now_ns()) {
+        conns.drain();
         return None;
     }
-    let result = (|| {
-        let mut cloud = FrameConn::connect_timeout(&cloud_addr, net.connect_timeout).ok()?;
+    let connect = || {
+        let cloud = FrameConn::connect_timeout(&conns.cloud_addr, net.connect_timeout).ok()?;
         cloud.set_read_deadline(Some(net.edge_call_deadline)).ok()?;
         cloud
             .set_write_deadline(Some(net.edge_call_deadline))
             .ok()?;
-        cloud.send(&msg.encode()).ok()?;
-        let resp = match cloud.recv() {
-            Ok(r) => r,
-            Err(e) => {
-                if e.fault() == FaultError::Timeout {
+        Some(cloud)
+    };
+    let mut parked = conns.take(client_conn);
+    let result = loop {
+        let reused = parked.is_some();
+        let Some(mut cloud) = parked.take().or_else(connect) else {
+            break None;
+        };
+        match cloud_exchange(&mut cloud, msg) {
+            Ok(result) => {
+                conns.put(client_conn, cloud);
+                break Some(result);
+            }
+            Err(fault) if reused && fault != FaultError::Timeout => {}
+            Err(fault) => {
+                if fault == FaultError::Timeout {
                     stats.count_timeout();
                 }
-                return None;
+                break None;
             }
-        };
-        match Msg::decode(&resp).ok()? {
-            Msg::CloudReply { result, .. } => Some(result),
-            _ => None,
         }
-    })();
+    };
+    if result.is_none() {
+        conns.drain();
+    }
     gate.report(result.is_some(), clock.now_ns());
     result
 }
@@ -718,7 +833,9 @@ pub fn spawn_edge_with(
     // never contend on one flight mutex.
     let flights: Arc<ShardedSingleFlight<Digest, Arc<FlightWaiter>>> =
         Arc::new(ShardedSingleFlight::new(shards));
+    let cloud_conns = Arc::new(CloudConns::new(cloud_addr));
     let (stats_h, gate_h, flights_h) = (stats.clone(), gate.clone(), flights.clone());
+    let conns_h = cloud_conns.clone();
     let clock = WallClock::new();
     let admission: Option<Arc<LiveAdmission>> = net.admission.clone().map(|a| {
         Arc::new(LiveAdmission::new(
@@ -732,7 +849,8 @@ pub fn spawn_edge_with(
     let bind = bind.unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 0)));
     let server = FrameServer::spawn_conn(bind, move |conn_id, frame| {
         let peers = &peers_in_handler;
-        let msg = Msg::decode(&frame).ok()?;
+        // A blob in the message (`Replicate`) stays a slice of `frame`.
+        let msg = Msg::decode_frame(frame).ok()?;
         let now = clock.now_ns();
         let reply = match msg {
             Msg::Query {
@@ -749,8 +867,7 @@ pub fn spawn_edge_with(
                                 req_id,
                                 retry_after_ms,
                             }
-                            .encode()
-                            .to_vec(),
+                            .encode_parts(),
                         );
                     }
                     Some(LiveAdmit::Serve {
@@ -796,8 +913,7 @@ pub fn spawn_edge_with(
                                 req_id,
                                 retry_after_ms,
                             }
-                            .encode()
-                            .to_vec(),
+                            .encode_parts(),
                         );
                     }
                     None => match &hint {
@@ -830,10 +946,10 @@ pub fn spawn_edge_with(
                                         .map_err(|_| ())?;
                                     peer.set_write_deadline(Some(net.edge_call_deadline))
                                         .map_err(|_| ())?;
-                                    peer.send(&Msg::PeerQuery { req_id, digest }.encode())
+                                    send_msg(&mut peer, &Msg::PeerQuery { req_id, digest })
                                         .map_err(|_| ())?;
                                     let resp = peer.recv().map_err(|_| ())?;
-                                    match Msg::decode(&resp) {
+                                    match Msg::decode_frame(resp) {
                                         Ok(Msg::PeerReply { result, .. }) => Ok(result),
                                         _ => Err(()),
                                     }
@@ -975,10 +1091,11 @@ pub fn spawn_edge_with(
                                 vec![("req", Value::from(req_id))],
                             );
                             guarded_cloud_call(
-                                cloud_addr,
                                 &Msg::Forward { req_id, task },
                                 &net,
                                 &gate_h,
+                                &conns_h,
+                                conn_id,
                                 &clock,
                                 &stats_h,
                             )
@@ -1210,10 +1327,11 @@ pub fn spawn_edge_with(
                     vec![("req", Value::from(req_id))],
                 );
                 match guarded_cloud_call(
-                    cloud_addr,
                     &Msg::Forward { req_id, task },
                     &net,
                     &gate_h,
+                    &conns_h,
+                    conn_id,
                     &clock,
                     &stats_h,
                 ) {
@@ -1235,7 +1353,8 @@ pub fn spawn_edge_with(
             }
             _ => return None,
         };
-        Some(reply.encode().to_vec())
+        // A cached result reaches the socket from the cache's own buffer.
+        Some(reply.encode_parts())
     })?;
     Ok(EdgeHandle {
         addr: server.local_addr(),
@@ -1243,6 +1362,7 @@ pub fn spawn_edge_with(
         cluster,
         stats,
         gate,
+        cloud_conns,
         service: service_in_handle,
         admission,
         server,
@@ -1429,7 +1549,7 @@ impl NetClient {
             // request loop over a connection that vanished.
             return self.engine.on_transport_failure(req_id);
         };
-        if let Err(e) = conn.send(&query.encode()) {
+        if let Err(e) = send_msg(conn, &query) {
             self.on_io_error(&e);
             self.conn = None;
             return self.engine.on_transport_failure(req_id);
@@ -1452,7 +1572,8 @@ impl NetClient {
                 return self.engine.on_transport_failure(req_id);
             }
         };
-        let msg = match Msg::decode(&frame) {
+        // The result handed to the caller is a slice of this frame.
+        let msg = match Msg::decode_frame(frame) {
             Ok(m) => m,
             Err(_) => {
                 self.conn = None;
@@ -1497,7 +1618,7 @@ impl NetClient {
         let Some(conn) = self.conn.as_mut() else {
             return self.engine.on_transport_failure(req_id);
         };
-        if let Err(e) = conn.send(&upload.encode()) {
+        if let Err(e) = send_msg(conn, &upload) {
             self.on_io_error(&e);
             self.conn = None;
             return self.engine.on_transport_failure(req_id);
@@ -1522,15 +1643,13 @@ impl NetClient {
             let mut cloud = FrameConn::connect_timeout(&addr, self.net.connect_timeout)?;
             cloud.set_read_deadline(Some(self.net.request_deadline))?;
             cloud.set_write_deadline(Some(self.net.request_deadline))?;
-            cloud.send(
-                &Msg::BaselineRequest {
-                    req_id,
-                    task: prepared.task.clone(),
-                }
-                .encode(),
-            )?;
+            let request = Msg::BaselineRequest {
+                req_id,
+                task: prepared.task.clone(),
+            };
+            send_msg(&mut cloud, &request)?;
             let resp = cloud.recv()?;
-            match Msg::decode(&resp) {
+            match Msg::decode_frame(resp) {
                 Ok(Msg::BaselineReply { result, .. }) => Ok(result),
                 _ => Err(FrameError::Closed),
             }
@@ -1995,6 +2114,276 @@ mod tests {
         let snap = edge.robustness().snapshot();
         assert!(snap.breaker_trips >= 1);
         assert_eq!(snap.unavailable_replies, 3);
+    }
+
+    #[test]
+    fn parts_send_puts_the_same_bytes_on_the_wire_as_the_copying_codec() {
+        // Old and new binaries interoperate: for every message shape, what
+        // a raw socket reads after `send_msg` is `encode_frame(encode())`.
+        use std::io::Read;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let samples = crate::protocol::tests::samples();
+        let expect: Vec<Vec<u8>> = samples
+            .iter()
+            .map(|m| coic_netsim::rt::encode_frame(&m.encode()).unwrap())
+            .collect();
+        let reader = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            for want in expect {
+                let mut got = vec![0u8; want.len()];
+                s.read_exact(&mut got).unwrap();
+                assert_eq!(got, want);
+            }
+        });
+        let mut conn = FrameConn::connect(addr).unwrap();
+        for msg in &samples {
+            send_msg(&mut conn, msg).unwrap();
+        }
+        reader.join().unwrap();
+    }
+
+    /// A scripted cloud: answers every `Forward` with a small panorama,
+    /// after running `before_reply(connection id, frames seen so far)`.
+    fn fake_cloud(
+        bind: SocketAddr,
+        before_reply: impl Fn(u64, usize) + Send + Sync + 'static,
+    ) -> FrameServer {
+        let seen = std::sync::atomic::AtomicUsize::new(0);
+        FrameServer::spawn_conn(bind, move |conn, frame| {
+            let Ok(Msg::Forward { req_id, .. }) = Msg::decode_frame(frame) else {
+                return None;
+            };
+            before_reply(conn, seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst));
+            let result = TaskResult::Panorama(bytes::Bytes::from(vec![req_id as u8; 2000]));
+            Some(Msg::CloudReply { req_id, result }.encode_parts())
+        })
+        .unwrap()
+    }
+
+    fn loopback() -> SocketAddr {
+        SocketAddr::from(([127, 0, 0, 1], 0))
+    }
+
+    /// A raw framed connection to `edge` that cannot hang the test.
+    fn raw_client(edge: SocketAddr) -> FrameConn {
+        let conn = FrameConn::connect(edge).unwrap();
+        conn.set_read_deadline(Some(Duration::from_secs(5)))
+            .unwrap();
+        conn
+    }
+
+    /// One panorama miss for `frame_id` over `conn`; the edge's reply.
+    fn pano_miss(conn: &mut FrameConn, frame_id: u64) -> Msg {
+        let query = Msg::Query {
+            req_id: frame_id,
+            descriptor: FeatureDescriptor::PanoramaHash(Digest::of(&frame_id.to_le_bytes())),
+            hint: Some(crate::task::TaskRequest::Panorama { frame_id }),
+        };
+        send_msg(conn, &query).unwrap();
+        Msg::decode_frame(conn.recv().unwrap()).unwrap()
+    }
+
+    /// An edge in front of `cloud_addr` whose breaker trips on the first
+    /// reported failure, so "no trip" means "nothing was reported".
+    fn edge_with_hair_trigger(cloud_addr: SocketAddr, call_deadline: Duration) -> EdgeHandle {
+        let net = NetConfig {
+            edge_call_deadline: call_deadline,
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::from_secs(30),
+            ..NetConfig::default()
+        };
+        spawn_edge_with(cloud_addr, &EdgeConfig::default(), net, None).unwrap()
+    }
+
+    #[test]
+    fn cloud_restart_between_misses_is_served_on_a_fresh_connection() {
+        let cloud = fake_cloud(loopback(), |_, _| {});
+        let cloud_addr = cloud.local_addr();
+        let edge = edge_with_hair_trigger(cloud_addr, Duration::from_secs(3));
+        let mut client = raw_client(edge.addr());
+        assert!(matches!(pano_miss(&mut client, 1), Msg::Result { .. }));
+        assert_eq!(edge.cloud_conns.idle_len(), 1, "connection not parked");
+
+        // The cloud dies with the parked connection and comes back on the
+        // same address: the stale connection is the edge's problem, not
+        // the client's, and not evidence against the cloud.
+        drop(cloud);
+        let _cloud = fake_cloud(cloud_addr, |_, _| {});
+        assert!(matches!(pano_miss(&mut client, 2), Msg::Result { .. }));
+        let snap = edge.robustness().snapshot();
+        assert_eq!(snap.unavailable_replies, 0);
+        assert_eq!(
+            snap.breaker_trips, 0,
+            "a stale-connection failure was reported"
+        );
+        assert_eq!(edge.breaker_state(), BreakerState::Closed);
+        assert_eq!(
+            edge.cloud_conns.idle_len(),
+            1,
+            "fresh connection not parked"
+        );
+    }
+
+    #[test]
+    fn reused_connection_that_times_out_is_not_retried() {
+        // Second frame overall stalls past the edge-call deadline.
+        let conns_seen = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
+        let seen = conns_seen.clone();
+        let cloud = fake_cloud(loopback(), move |conn, nth| {
+            seen.lock().insert(conn);
+            if nth == 1 {
+                std::thread::sleep(Duration::from_millis(400));
+            }
+        });
+        let edge = edge_with_hair_trigger(cloud.local_addr(), Duration::from_millis(100));
+        let mut client = raw_client(edge.addr());
+        assert!(matches!(pano_miss(&mut client, 1), Msg::Result { .. }));
+        assert!(matches!(pano_miss(&mut client, 2), Msg::Unavailable { .. }));
+        let snap = edge.robustness().snapshot();
+        assert_eq!(snap.timeouts, 1);
+        assert_eq!(snap.breaker_trips, 1, "the timeout is the cloud's failure");
+        assert_eq!(conns_seen.lock().len(), 1, "a timed-out call reconnected");
+        assert_eq!(
+            edge.cloud_conns.idle_len(),
+            0,
+            "desynchronized connection kept"
+        );
+    }
+
+    #[test]
+    fn idle_set_is_bounded_and_empties_when_the_cloud_fails() {
+        // More misses than the bound overlap at the cloud, so that many
+        // connections are open at once; only CLOUD_IDLE_MAX may be parked.
+        const CALLS: usize = CLOUD_IDLE_MAX + 2;
+        let barrier = Arc::new(std::sync::Barrier::new(CALLS));
+        let cloud = fake_cloud(loopback(), move |_, nth| {
+            if nth < CALLS {
+                barrier.wait();
+            }
+        });
+        let edge = edge_with_hair_trigger(cloud.local_addr(), Duration::from_secs(3));
+        let addr = edge.addr();
+        let clients: Vec<_> = (0..CALLS as u64)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let mut client = raw_client(addr);
+                    assert!(matches!(
+                        pano_miss(&mut client, 100 + i),
+                        Msg::Result { .. }
+                    ));
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        assert_eq!(edge.cloud_conns.idle_len(), CLOUD_IDLE_MAX);
+
+        // The cloud goes away for good: the stale connection fails, the
+        // fresh connect fails, the call is reported, the breaker opens —
+        // and nothing stays parked, then or while the gate refuses.
+        drop(cloud);
+        let mut client = raw_client(addr);
+        assert!(matches!(pano_miss(&mut client, 1), Msg::Unavailable { .. }));
+        assert_eq!(edge.breaker_state(), BreakerState::Open);
+        assert_eq!(edge.cloud_conns.idle_len(), 0);
+        assert!(matches!(pano_miss(&mut client, 2), Msg::Unavailable { .. }));
+        assert_eq!(edge.cloud_conns.idle_len(), 0);
+    }
+
+    #[test]
+    fn a_client_connection_gets_its_own_cloud_connection_back() {
+        // Two clients miss at once, so two cloud connections exist; from
+        // then on they take turns. Whoever parked last, each client's miss
+        // must run on the connection that client parked — handing out the
+        // most recently parked one would put every miss below on the same
+        // cloud connection.
+        let barrier = std::sync::Barrier::new(2);
+        let served_by = Arc::new(Mutex::new(Vec::new()));
+        let log = served_by.clone();
+        let cloud = fake_cloud(loopback(), move |conn, nth| {
+            if nth < 2 {
+                barrier.wait();
+            }
+            log.lock().push(conn);
+        });
+        let edge = edge_with_hair_trigger(cloud.local_addr(), Duration::from_secs(3));
+        let (mut a, mut b) = (raw_client(edge.addr()), raw_client(edge.addr()));
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(matches!(pano_miss(&mut a, 1), Msg::Result { .. })));
+            s.spawn(|| assert!(matches!(pano_miss(&mut b, 2), Msg::Result { .. })));
+        });
+        assert_eq!(edge.cloud_conns.idle_len(), 2);
+        for round in 0..3 {
+            assert!(matches!(
+                pano_miss(&mut b, 10 + 2 * round),
+                Msg::Result { .. }
+            ));
+            assert!(matches!(
+                pano_miss(&mut a, 11 + 2 * round),
+                Msg::Result { .. }
+            ));
+        }
+        let served: Vec<u64> = served_by.lock().clone();
+        let turns = |first: usize| -> std::collections::BTreeSet<u64> {
+            served.iter().skip(first).step_by(2).copied().collect()
+        };
+        let (b_conns, a_conns) = (turns(2), turns(3));
+        assert_eq!(a_conns.len(), 1, "a's misses moved: {served:?}");
+        assert_eq!(b_conns.len(), 1, "b's misses moved: {served:?}");
+        assert_ne!(a_conns, b_conns, "{served:?}");
+        assert_eq!(edge.cloud_conns.idle_len(), 2);
+
+        // A client that has parked nothing takes what is there rather than
+        // connecting.
+        let mut c = raw_client(edge.addr());
+        assert!(matches!(pano_miss(&mut c, 99), Msg::Result { .. }));
+        let last = served_by.lock().last().copied();
+        assert!(last.is_some_and(|conn| a_conns.contains(&conn) || b_conns.contains(&conn)));
+        assert_eq!(edge.cloud_conns.idle_len(), 2);
+    }
+
+    #[test]
+    fn edge_shutdown_closes_idle_cloud_connections() {
+        // A hand-rolled cloud, so the test can see its connection thread
+        // exit: it serves one connection until the peer closes it.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let cloud_addr = listener.local_addr().unwrap();
+        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+        let cloud = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = FrameConn::new(stream).unwrap();
+            while let Ok(frame) = conn.recv() {
+                let Ok(Msg::Forward { req_id, .. }) = Msg::decode_frame(frame) else {
+                    break;
+                };
+                let result = TaskResult::Panorama(bytes::Bytes::from(vec![7u8; 100]));
+                if send_msg(&mut conn, &Msg::CloudReply { req_id, result }).is_err() {
+                    break;
+                }
+            }
+            let _ = closed_tx.send(());
+        });
+        let mut edge = edge_with_hair_trigger(cloud_addr, Duration::from_secs(3));
+        let mut client = raw_client(edge.addr());
+        assert!(matches!(pano_miss(&mut client, 1), Msg::Result { .. }));
+        assert_eq!(edge.cloud_conns.idle_len(), 1);
+        assert!(
+            closed_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "cloud connection closed while parked"
+        );
+
+        edge.shutdown();
+        closed_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown left the idle cloud connection open");
+        cloud.join().unwrap();
+        // A call still in flight when the edge shut down parks nothing.
+        let anywhere = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let late = FrameConn::connect(anywhere.local_addr().unwrap()).unwrap();
+        edge.cloud_conns.put(0, late);
+        assert_eq!(edge.cloud_conns.idle_len(), 0);
     }
 
     #[test]

@@ -6,11 +6,20 @@
 //!
 //! Encoding: `magic(1) | version(1) | tag(1) | req_id(8 LE) | payload`.
 //! All integers little-endian. Every decode validates magic, version, tag
-//! and length so a corrupt or mismatched peer fails loudly.
+//! and length — and that nothing follows the message — so a corrupt or
+//! mismatched peer fails loudly.
+//!
+//! Buffer ownership: a model or panorama blob is always the *last* field
+//! of the message that carries it. [`Msg::encode_parts`] therefore returns
+//! the few bytes before the blob plus the blob itself, sharing its buffer
+//! (the transport writes both with one vectored send), and
+//! [`Msg::decode_frame`] returns the blob as a slice of the received frame.
+//! [`Msg::encode`] and [`Msg::decode`] are the same codec with one copy
+//! each, for callers that hold plain byte slices.
 
 use crate::descriptor::FeatureDescriptor;
 use crate::task::{RecognitionResult, TaskRequest, TaskResult};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use coic_cache::Digest;
 use coic_vision::{FeatureVec, Image};
 
@@ -179,6 +188,10 @@ pub enum ProtoError {
     BadTag(u8),
     /// A length field exceeded sanity limits.
     TooLarge(u64),
+    /// This many bytes followed a complete message. Rejected because a
+    /// blob decoded by [`Msg::decode_frame`] keeps its whole frame alive:
+    /// an accepted tail would be memory the cache pins but never accounts.
+    Trailing(usize),
 }
 
 impl std::fmt::Display for ProtoError {
@@ -189,6 +202,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::BadVersion(v) => write!(f, "unsupported version {v}"),
             ProtoError::BadTag(t) => write!(f, "unknown tag {t}"),
             ProtoError::TooLarge(n) => write!(f, "length {n} exceeds limit"),
+            ProtoError::Trailing(n) => write!(f, "{n} bytes after the message"),
         }
     }
 }
@@ -205,7 +219,7 @@ fn need(buf: &impl Buf, n: usize) -> Result<(), ProtoError> {
     }
 }
 
-fn put_descriptor(buf: &mut BytesMut, d: &FeatureDescriptor) {
+fn put_descriptor(buf: &mut Vec<u8>, d: &FeatureDescriptor) {
     match d {
         FeatureDescriptor::Dnn(v) => {
             buf.put_u8(0);
@@ -225,7 +239,7 @@ fn put_descriptor(buf: &mut BytesMut, d: &FeatureDescriptor) {
     }
 }
 
-fn get_descriptor(buf: &mut &[u8]) -> Result<FeatureDescriptor, ProtoError> {
+fn get_descriptor(buf: &mut impl Buf) -> Result<FeatureDescriptor, ProtoError> {
     need(buf, 1)?;
     match buf.get_u8() {
         0 => {
@@ -256,7 +270,7 @@ fn get_descriptor(buf: &mut &[u8]) -> Result<FeatureDescriptor, ProtoError> {
     }
 }
 
-fn put_task(buf: &mut BytesMut, t: &TaskRequest) {
+fn put_task(buf: &mut Vec<u8>, t: &TaskRequest) {
     match t {
         TaskRequest::Recognition { image } => {
             buf.put_u8(0);
@@ -279,7 +293,7 @@ fn put_task(buf: &mut BytesMut, t: &TaskRequest) {
     }
 }
 
-fn get_task(buf: &mut &[u8]) -> Result<TaskRequest, ProtoError> {
+fn get_task(buf: &mut impl Buf) -> Result<TaskRequest, ProtoError> {
     need(buf, 1)?;
     match buf.get_u8() {
         0 => {
@@ -314,27 +328,30 @@ fn get_task(buf: &mut &[u8]) -> Result<TaskRequest, ProtoError> {
     }
 }
 
-fn put_result(buf: &mut BytesMut, r: &TaskResult) {
+/// Write a result up to, but not including, its blob, which is returned:
+/// the caller appends it or sends it alongside.
+fn put_result<'a>(buf: &mut Vec<u8>, r: &'a TaskResult) -> Option<&'a Bytes> {
     match r {
         TaskResult::Recognition(rr) => {
             buf.put_u8(0);
             buf.put_u32_le(rr.label);
             buf.put_f32_le(rr.distance);
+            None
         }
         TaskResult::Model(b) => {
             buf.put_u8(1);
             buf.put_u32_le(b.len() as u32);
-            buf.put_slice(b);
+            Some(b)
         }
         TaskResult::Panorama(b) => {
             buf.put_u8(2);
             buf.put_u32_le(b.len() as u32);
-            buf.put_slice(b);
+            Some(b)
         }
     }
 }
 
-fn get_result(buf: &mut &[u8]) -> Result<TaskResult, ProtoError> {
+fn get_result(buf: &mut impl Buf) -> Result<TaskResult, ProtoError> {
     need(buf, 1)?;
     match buf.get_u8() {
         0 => {
@@ -351,8 +368,8 @@ fn get_result(buf: &mut &[u8]) -> Result<TaskResult, ProtoError> {
                 return Err(ProtoError::TooLarge(n));
             }
             need(buf, n as usize)?;
-            let b = Bytes::copy_from_slice(&buf[..n as usize]);
-            buf.advance(n as usize);
+            // A copy out of a byte slice, a shared slice out of a `Bytes`.
+            let b = buf.copy_to_bytes(n as usize);
             Ok(if t == 1 {
                 TaskResult::Model(b)
             } else {
@@ -407,9 +424,29 @@ impl Msg {
         }
     }
 
-    /// Serialize to wire bytes.
+    /// Serialize to wire bytes (one copy of any blob; the buffer is exactly
+    /// the message, so freezing it pins no slack).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut out = Vec::with_capacity(self.encoded_len() as usize);
+        if let Some(blob) = self.encode_head(&mut out) {
+            out.extend_from_slice(blob);
+        }
+        Bytes::from(out)
+    }
+
+    /// Serialize without copying a result blob: the wire bytes are
+    /// `head ‖ body`, where `body` shares the blob's buffer (and is empty
+    /// for messages that carry none). Hand both to
+    /// `FrameConn::send_parts` or return them from a `FrameServer` handler.
+    pub fn encode_parts(&self) -> (Vec<u8>, Bytes) {
+        let mut head = Vec::with_capacity(64);
+        let body = self.encode_head(&mut head).cloned().unwrap_or_default();
+        (head, body)
+    }
+
+    /// Write everything that precedes the message's trailing blob, and
+    /// return that blob (every result-carrying variant has it last).
+    fn encode_head<'a>(&'a self, buf: &mut Vec<u8>) -> Option<&'a Bytes> {
         buf.put_u8(MAGIC);
         buf.put_u8(VERSION);
         buf.put_u8(self.tag());
@@ -418,30 +455,40 @@ impl Msg {
             Msg::Query {
                 descriptor, hint, ..
             } => {
-                put_descriptor(&mut buf, descriptor);
+                put_descriptor(buf, descriptor);
                 match hint {
                     Some(task) => {
                         buf.put_u8(1);
-                        put_task(&mut buf, task);
+                        put_task(buf, task);
                     }
                     None => buf.put_u8(0),
                 }
+                None
             }
             Msg::Hit { result, .. }
             | Msg::CloudReply { result, .. }
             | Msg::Result { result, .. }
             | Msg::BaselineReply { result, .. }
-            | Msg::PeerResult { result, .. } => put_result(&mut buf, result),
-            Msg::PeerQuery { digest, .. } => buf.put_slice(digest.as_bytes()),
+            | Msg::PeerResult { result, .. } => put_result(buf, result),
+            Msg::PeerQuery { digest, .. } => {
+                buf.put_slice(digest.as_bytes());
+                None
+            }
             Msg::PeerReply { result, .. } => match result {
                 Some(r) => {
                     buf.put_u8(1);
-                    put_result(&mut buf, r);
+                    put_result(buf, r)
                 }
-                None => buf.put_u8(0),
+                None => {
+                    buf.put_u8(0);
+                    None
+                }
             },
-            Msg::NeedPayload { .. } | Msg::Unavailable { .. } | Msg::ReplicateAck { .. } => {}
-            Msg::Overloaded { retry_after_ms, .. } => buf.put_u32_le(*retry_after_ms),
+            Msg::NeedPayload { .. } | Msg::Unavailable { .. } | Msg::ReplicateAck { .. } => None,
+            Msg::Overloaded { retry_after_ms, .. } => {
+                buf.put_u32_le(*retry_after_ms);
+                None
+            }
             Msg::Replicate {
                 token,
                 digest,
@@ -450,13 +497,15 @@ impl Msg {
             } => {
                 buf.put_u64_le(*token);
                 buf.put_slice(digest.as_bytes());
-                put_result(&mut buf, result);
+                put_result(buf, result)
             }
             Msg::Upload { task, .. }
             | Msg::Forward { task, .. }
-            | Msg::BaselineRequest { task, .. } => put_task(&mut buf, task),
+            | Msg::BaselineRequest { task, .. } => {
+                put_task(buf, task);
+                None
+            }
         }
-        buf.freeze()
     }
 
     /// Length of [`Msg::encode`] without materializing the buffer — what
@@ -521,9 +570,19 @@ impl Msg {
         11 + payload
     }
 
-    /// Parse wire bytes.
+    /// Parse wire bytes; a result blob is copied out of `data`.
     pub fn decode(data: &[u8]) -> Result<Msg, ProtoError> {
-        let mut buf = data;
+        Msg::decode_buf(data)
+    }
+
+    /// Parse a received frame; a result blob is a slice of `frame`, which
+    /// it keeps alive (blob plus at most 64 bytes of message framing —
+    /// trailing bytes are rejected, so never more).
+    pub fn decode_frame(frame: Bytes) -> Result<Msg, ProtoError> {
+        Msg::decode_buf(frame)
+    }
+
+    fn decode_buf(mut buf: impl Buf) -> Result<Msg, ProtoError> {
         need(&buf, 11)?;
         let magic = buf.get_u8();
         if magic != MAGIC {
@@ -624,15 +683,21 @@ impl Msg {
             15 => Msg::ReplicateAck { req_id },
             t => return Err(ProtoError::BadTag(t)),
         };
-        Ok(msg)
+        match buf.remaining() {
+            0 => Ok(msg),
+            n => Err(ProtoError::Trailing(n)),
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use bytes::BytesMut;
 
-    fn samples() -> Vec<Msg> {
+    /// One message of every variant (and every optional shape), with
+    /// `req_id`s 1, 2, 3, … in order.
+    pub(crate) fn samples() -> Vec<Msg> {
         vec![
             Msg::Query {
                 req_id: 1,
@@ -759,6 +824,65 @@ mod tests {
                     Err(_) => {}
                     Ok(m) => panic!("decoded {m:?} from {keep}/{} bytes", bytes.len()),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_rejected_by_both_entry_points() {
+        for msg in samples() {
+            let mut bytes = msg.encode().to_vec();
+            bytes.push(0);
+            assert_eq!(Msg::decode(&bytes), Err(ProtoError::Trailing(1)), "{msg:?}");
+            bytes.extend_from_slice(&[0xAB; 999]);
+            assert_eq!(
+                Msg::decode_frame(Bytes::from(bytes)),
+                Err(ProtoError::Trailing(1000)),
+                "{msg:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parts_and_frame_codec_agree_with_the_copying_one() {
+        for msg in samples() {
+            let (head, body) = msg.encode_parts();
+            let wire = msg.encode();
+            assert_eq!([&head[..], &body[..]].concat(), wire, "{msg:?}");
+            let from_frame = Msg::decode_frame(wire.clone()).unwrap();
+            assert_eq!(from_frame, Msg::decode(&wire).unwrap());
+            assert_eq!(from_frame, msg);
+            // A decoded blob is a view into the frame, not a copy of it;
+            // an encoded body is the message's own blob.
+            let blob_of = |m: &Msg| match m {
+                Msg::Hit { result, .. }
+                | Msg::CloudReply { result, .. }
+                | Msg::Result { result, .. }
+                | Msg::BaselineReply { result, .. }
+                | Msg::PeerResult { result, .. }
+                | Msg::Replicate { result, .. }
+                | Msg::PeerReply {
+                    result: Some(result),
+                    ..
+                } => match result {
+                    TaskResult::Model(b) | TaskResult::Panorama(b) => Some(b.clone()),
+                    TaskResult::Recognition(_) => None,
+                },
+                _ => None,
+            };
+            match (blob_of(&msg), blob_of(&from_frame)) {
+                (Some(sent), Some(got)) => {
+                    assert_eq!(body.as_ptr(), sent.as_ptr(), "encode_parts copied {msg:?}");
+                    let frame = wire.as_ptr_range();
+                    let blob = got.as_ptr_range();
+                    assert!(
+                        frame.start <= blob.start && blob.end == frame.end,
+                        "decode_frame copied {msg:?}"
+                    );
+                    assert!(head.len() <= 64, "head of {msg:?} is {} B", head.len());
+                }
+                (None, None) => assert!(body.is_empty()),
+                other => panic!("blob mismatch for {msg:?}: {other:?}"),
             }
         }
     }

@@ -1,9 +1,14 @@
 //! Minimal in-tree replacement for the `bytes` crate (see shims/README.md).
 //!
-//! [`Bytes`] is a cheaply clonable immutable buffer (`Arc<[u8]>` plus a
+//! [`Bytes`] is a cheaply clonable immutable buffer (`Arc<Vec<u8>>` plus a
 //! view range), [`BytesMut`] a growable builder that freezes into one, and
 //! [`Buf`]/[`BufMut`] the little-endian cursor traits the protocol codecs
 //! use.
+//!
+//! Ownership: `Bytes::from(Vec<u8>)` and [`BytesMut::freeze`] take the
+//! vector's allocation as it is — no copy, and its capacity stays pinned
+//! for as long as any clone or [`Bytes::slice`] of it lives. Builders that
+//! freeze should therefore reserve what they need rather than a guess.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,7 +22,7 @@ use std::sync::Arc;
 /// Cheaply clonable immutable byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -26,19 +31,15 @@ impl Bytes {
     /// An empty buffer.
     pub fn new() -> Bytes {
         Bytes {
-            data: Arc::from(&[][..]),
+            data: Arc::new(Vec::new()),
             start: 0,
             end: 0,
         }
     }
 
-    /// Copy `data` into a new buffer.
+    /// Copy `data` into a new buffer of exactly its length.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes {
-            data: Arc::from(data),
-            start: 0,
-            end: data.len(),
-        }
+        Bytes::from(data.to_vec())
     }
 
     /// Wrap a static slice (copies under the shim; the real crate borrows).
@@ -114,10 +115,11 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Take ownership of `v`'s allocation (no copy; spare capacity is kept).
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -384,6 +386,12 @@ impl Buf for Bytes {
         assert!(n <= self.len(), "advance past end");
         self.start += n;
     }
+    /// Zero-copy, as upstream: the result shares this buffer's allocation.
+    fn copy_to_bytes(&mut self, n: usize) -> Bytes {
+        let b = self.slice(..n);
+        self.start += n;
+        b
+    }
 }
 
 /// Write cursor for building buffers.
@@ -460,6 +468,39 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.slice(1..4), Bytes::from(vec![2, 3, 4]));
         assert_eq!(&a[..2], &[1, 2]);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_take_the_allocation_and_slices_share_it() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "Bytes::from(Vec) copied");
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.put_slice(&[1u8; 100]);
+        let ptr = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), ptr, "freeze() copied");
+
+        let s = frozen.slice(10..60);
+        assert_eq!(s.as_ptr(), frozen[10..].as_ptr(), "slice() copied");
+        let mut cur = frozen.clone();
+        cur.advance(10);
+        let taken = cur.copy_to_bytes(50);
+        assert_eq!(taken.as_ptr(), s.as_ptr(), "copy_to_bytes on Bytes copied");
+        assert_eq!(cur.len(), 40);
+    }
+
+    #[test]
+    fn copies_are_exact_capacity() {
+        let mut big = Vec::with_capacity(1 << 16);
+        big.extend_from_slice(&[9u8; 100]);
+        let b = Bytes::from(big);
+        assert_eq!(b.data.capacity(), 1 << 16, "from(Vec) keeps the allocation");
+        assert_eq!(b.to_vec().capacity(), 100);
+        assert_eq!(Bytes::copy_from_slice(&b).data.capacity(), 100);
+        assert_eq!(b.slice(..10).to_vec().capacity(), 10);
     }
 
     #[test]

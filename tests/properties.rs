@@ -5,7 +5,9 @@ use coic::cache::{
     ApproxCache, ApproxLookup, CountMinSketch, Digest, ExactCache, IndexKind, PolicyKind, Store,
     TinyLfuConfig,
 };
-use coic::core::{FeatureDescriptor, Msg, RecognitionResult, RetryPolicy, TaskRequest, TaskResult};
+use coic::core::{
+    FeatureDescriptor, Msg, ProtoError, RecognitionResult, RetryPolicy, TaskRequest, TaskResult,
+};
 use coic::netsim::{Link, LinkParams, SimDuration, SimTime, TxOutcome};
 use coic::render::{decode as cmf_decode, encode as cmf_encode, Mesh, Vertex};
 use coic::vision::{distance, FeatureVec, Image};
@@ -319,6 +321,25 @@ proptest! {
         if cut < bytes.len() {
             prop_assert!(Msg::decode(&bytes[..cut]).is_err());
         }
+    }
+
+    /// A message decodes from exactly its own bytes — by copy and by
+    /// slicing the frame alike — and never with anything appended: a blob
+    /// sliced out of a frame keeps the whole frame alive, so an accepted
+    /// tail would be memory the cache pins without accounting for it.
+    #[test]
+    fn protocol_trailing_bytes_always_rejected(
+        msg in arb_msg(),
+        tail in prop::collection::vec(any::<u8>(), 1..40),
+    ) {
+        let mut bytes = msg.encode().to_vec();
+        prop_assert_eq!(Msg::decode_frame(bytes::Bytes::from(bytes.clone())).unwrap(), msg);
+        bytes.extend_from_slice(&tail);
+        prop_assert_eq!(Msg::decode(&bytes), Err(ProtoError::Trailing(tail.len())));
+        prop_assert_eq!(
+            Msg::decode_frame(bytes::Bytes::from(bytes)),
+            Err(ProtoError::Trailing(tail.len()))
+        );
     }
 
     /// Flipping any single bit of a valid frame never panics the decoder;
