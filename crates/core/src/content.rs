@@ -10,6 +10,42 @@ use coic_cache::Digest;
 use coic_render::{encode, procgen, Mat4, Panorama, Scene, Vec3};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::{Arc, OnceLock};
+
+/// One key's content: empty until its first touch has generated it.
+type Cell = Arc<OnceLock<(Bytes, Digest)>>;
+
+/// Content generated at most once per key. The map's lock is held only to
+/// find or insert a key's cell; generating and hashing run outside it, so a
+/// first touch waits only for another first touch of the *same* key.
+struct GenerateOnce<K> {
+    entries: Mutex<HashMap<K, Cell>>,
+}
+
+impl<K: Hash + Eq> GenerateOnce<K> {
+    fn new() -> Self {
+        GenerateOnce {
+            entries: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn get(&self, key: K, generate: impl FnOnce() -> Bytes) -> (Bytes, Digest) {
+        let cell = Arc::clone(self.entries.lock().entry(key).or_default());
+        cell.get_or_init(|| {
+            let bytes = generate();
+            let digest = Digest::of(&bytes);
+            (bytes, digest)
+        })
+        .clone()
+    }
+
+    /// Keys whose content has been generated (not those still generating).
+    fn generated(&self) -> usize {
+        let entries = self.entries.lock();
+        entries.values().filter(|cell| cell.get().is_some()).count()
+    }
+}
 
 /// Lazily generated, process-wide library of CMF model bytes.
 ///
@@ -17,7 +53,7 @@ use std::collections::HashMap;
 /// sharing a library (or even two distinct libraries) agrees on content
 /// and digest.
 pub struct ModelLibrary {
-    entries: Mutex<HashMap<(u64, u64), (Bytes, Digest)>>,
+    entries: GenerateOnce<(u64, u64)>,
 }
 
 impl Default for ModelLibrary {
@@ -30,22 +66,15 @@ impl ModelLibrary {
     /// Create an empty library.
     pub fn new() -> Self {
         ModelLibrary {
-            entries: Mutex::new(HashMap::new()),
+            entries: GenerateOnce::new(),
         }
     }
 
     /// CMF bytes and digest for a model, generating on first use.
     pub fn get(&self, model_id: u64, size_bytes: u64) -> (Bytes, Digest) {
-        let mut entries = self.entries.lock();
-        entries
-            .entry((model_id, size_bytes))
-            .or_insert_with(|| {
-                let mesh = procgen::model_of_size(size_bytes, model_id);
-                let bytes = encode(&mesh);
-                let digest = Digest::of(&bytes);
-                (bytes, digest)
-            })
-            .clone()
+        self.entries.get((model_id, size_bytes), || {
+            encode(&procgen::model_of_size(size_bytes, model_id))
+        })
     }
 
     /// Just the digest (what the client's manifest would hold).
@@ -55,12 +84,12 @@ impl ModelLibrary {
 
     /// Number of generated models.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.generated()
     }
 
     /// True when nothing was generated yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.len() == 0
     }
 }
 
@@ -104,7 +133,7 @@ fn frame_scene(frame_id: u64) -> Scene {
 pub struct PanoLibrary {
     height: u32,
     source: PanoSource,
-    entries: Mutex<HashMap<u64, (Bytes, Digest)>>,
+    entries: GenerateOnce<u64>,
 }
 
 impl PanoLibrary {
@@ -119,7 +148,7 @@ impl PanoLibrary {
         PanoLibrary {
             height,
             source,
-            entries: Mutex::new(HashMap::new()),
+            entries: GenerateOnce::new(),
         }
     }
 
@@ -130,24 +159,18 @@ impl PanoLibrary {
 
     /// Panorama bytes and digest for a frame, generating on first use.
     pub fn get(&self, frame_id: u64) -> (Bytes, Digest) {
-        let mut entries = self.entries.lock();
-        entries
-            .entry(frame_id)
-            .or_insert_with(|| {
-                let pano = match self.source {
-                    PanoSource::Procedural => Panorama::synthesize(frame_id, self.height),
-                    PanoSource::Scene { face_size } => coic_render::render_equirect(
-                        &frame_scene(frame_id),
-                        Vec3::new(0.0, 0.3, 0.0),
-                        self.height,
-                        face_size,
-                    ),
-                };
-                let bytes = Bytes::copy_from_slice(pano.bytes());
-                let digest = Digest::of(&bytes);
-                (bytes, digest)
-            })
-            .clone()
+        self.entries.get(frame_id, || {
+            let pano = match self.source {
+                PanoSource::Procedural => Panorama::synthesize(frame_id, self.height),
+                PanoSource::Scene { face_size } => coic_render::render_equirect(
+                    &frame_scene(frame_id),
+                    Vec3::new(0.0, 0.3, 0.0),
+                    self.height,
+                    face_size,
+                ),
+            };
+            Bytes::copy_from_slice(pano.bytes())
+        })
     }
 
     /// Just the digest.
@@ -160,6 +183,11 @@ impl PanoLibrary {
 mod tests {
     use super::*;
     use coic_render::load_cmf;
+
+    const PANO_64_FRAME_0_SHA256: &str =
+        "2635ebd16a9a3746a21a9842da4cb86bdc20ba2fd7cd4e0fdaa5d4153f19a38f";
+    const MODEL_1_100KB_SHA256: &str =
+        "af05a95313e09336af403379b80899fb2e45818a406a545cae8b1b2e5f3f9e47";
 
     #[test]
     fn two_libraries_agree_on_content() {
@@ -197,6 +225,94 @@ mod tests {
         let (b, _) = lib.get(5, 50_000);
         assert_eq!(lib.len(), 1);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn racing_first_touches_of_one_id_share_one_generation() {
+        let lib = ModelLibrary::new();
+        let start = std::sync::Barrier::new(8);
+        let got: Vec<(Bytes, Digest)> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        lib.get(5, 50_000)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        // Clones of one `Bytes` share its buffer; a second generation would
+        // have allocated another.
+        assert!(got
+            .iter()
+            .all(|(bytes, _)| bytes.as_ptr() == got[0].0.as_ptr()));
+        assert_eq!(lib.len(), 1);
+    }
+
+    #[test]
+    fn a_first_touch_does_not_hold_the_library_lock_while_generating() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let once = GenerateOnce::<u64>::new();
+        let (started_tx, started_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        std::thread::scope(|s| {
+            // Key 1's generation cannot finish until key 2's has: with the
+            // lock held across generation this times out instead.
+            let once = &once;
+            let slow = s.spawn(move || {
+                once.get(1, || {
+                    started_tx.send(()).unwrap();
+                    let released = release_rx.recv_timeout(Duration::from_secs(20)).is_ok();
+                    Bytes::copy_from_slice(if released { b"one" } else { b"timed out" })
+                })
+            });
+            started_rx.recv().unwrap();
+            let (two, _) = once.get(2, || Bytes::copy_from_slice(b"two"));
+            assert_eq!(&two[..], b"two");
+            // Key 1 is still generating: it has a cell but is not counted.
+            assert_eq!(once.generated(), 1);
+            release_tx.send(()).unwrap();
+            assert_eq!(&slow.join().unwrap().0[..], b"one");
+        });
+        assert_eq!(once.generated(), 2);
+    }
+
+    #[test]
+    fn distinct_first_touches_all_complete() {
+        let models = ModelLibrary::new();
+        let panos = PanoLibrary::new(64);
+        let start = std::sync::Barrier::new(6);
+        std::thread::scope(|s| {
+            for id in 0..6u64 {
+                let (models, panos, start) = (&models, &panos, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let (bytes, digest) = models.get(id, 20_000);
+                    assert_eq!(digest, Digest::of(&bytes));
+                    let (bytes, digest) = panos.get(id);
+                    assert_eq!(digest, Digest::of(&bytes));
+                });
+            }
+        });
+        assert_eq!(models.len(), 6);
+        assert_eq!(panos.digest(3), PanoLibrary::new(64).digest(3));
+    }
+
+    /// Content is addressed by hash across nodes and runs, and every golden
+    /// under `bench/golden/` and every benchmark ledger hashes these bytes:
+    /// drift in either generator fails here, not 100 s into a golden diff.
+    #[test]
+    fn content_digests_are_pinned() {
+        assert_eq!(
+            PanoLibrary::new(64).digest(0).to_hex(),
+            PANO_64_FRAME_0_SHA256
+        );
+        assert_eq!(
+            ModelLibrary::new().digest(1, 100_000).to_hex(),
+            MODEL_1_100KB_SHA256
+        );
     }
 
     #[test]

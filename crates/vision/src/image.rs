@@ -49,15 +49,22 @@ impl Image {
         }
     }
 
-    /// Create an image by evaluating `f(x, y)` for every pixel.
+    /// Create an image by evaluating `f(x, y)` for every pixel, in row-major
+    /// order (a stateful `f` may rely on it).
+    ///
+    /// # Panics
+    /// Panics if either dimension is zero.
     pub fn from_fn(width: u32, height: u32, mut f: impl FnMut(u32, u32) -> u8) -> Self {
-        let mut img = Image::new(width, height, 0);
+        assert!(width > 0 && height > 0, "image dimensions must be positive");
+        let mut pixels = Vec::with_capacity((width * height) as usize);
         for y in 0..height {
-            for x in 0..width {
-                img.set(x, y, f(x, y));
-            }
+            pixels.extend((0..width).map(|x| f(x, y)));
         }
-        img
+        Image {
+            width,
+            height,
+            pixels,
+        }
     }
 
     /// Width in pixels.
