@@ -5,6 +5,7 @@
 //! know the hash of "the avatar model for player 7" without downloading
 //! it, exactly as a real app knows asset hashes from its manifest.
 
+use crate::task::{Held, TaskResult};
 use bytes::Bytes;
 use coic_cache::Digest;
 use coic_render::{encode, procgen, Mat4, Panorama, Scene, Vec3};
@@ -13,8 +14,11 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
-/// One key's content: empty until its first touch has generated it.
-type Cell = Arc<OnceLock<(Bytes, Digest)>>;
+/// One key's content: empty until its first touch has generated it. The
+/// content is [`Held`] as the result a cloud answers with, so whatever
+/// sends it keeps the blob's checksum with the entry (filled by the first
+/// send, never by a reader of bytes or digest).
+type Cell = Arc<OnceLock<(Arc<Held>, Digest)>>;
 
 /// Content generated at most once per key. The map's lock is held only to
 /// find or insert a key's cell; generating and hashing run outside it, so a
@@ -30,12 +34,18 @@ impl<K: Hash + Eq> GenerateOnce<K> {
         }
     }
 
-    fn get(&self, key: K, generate: impl FnOnce() -> Bytes) -> (Bytes, Digest) {
+    /// The key's content as the result `wrap` makes of the generated bytes.
+    fn get(
+        &self,
+        key: K,
+        wrap: fn(Bytes) -> TaskResult,
+        generate: impl FnOnce() -> Bytes,
+    ) -> (Arc<Held>, Digest) {
         let cell = Arc::clone(self.entries.lock().entry(key).or_default());
         cell.get_or_init(|| {
             let bytes = generate();
             let digest = Digest::of(&bytes);
-            (bytes, digest)
+            (Arc::new(Held::new(wrap(bytes))), digest)
         })
         .clone()
     }
@@ -45,6 +55,11 @@ impl<K: Hash + Eq> GenerateOnce<K> {
         let entries = self.entries.lock();
         entries.values().filter(|cell| cell.get().is_some()).count()
     }
+}
+
+/// The bytes of a library entry.
+fn blob_of(held: &Held) -> Bytes {
+    held.result().blob().cloned().unwrap_or_default()
 }
 
 /// Lazily generated, process-wide library of CMF model bytes.
@@ -72,14 +87,22 @@ impl ModelLibrary {
 
     /// CMF bytes and digest for a model, generating on first use.
     pub fn get(&self, model_id: u64, size_bytes: u64) -> (Bytes, Digest) {
-        self.entries.get((model_id, size_bytes), || {
-            encode(&procgen::model_of_size(size_bytes, model_id))
-        })
+        let (held, digest) = self.held(model_id, size_bytes);
+        (blob_of(&held), digest)
+    }
+
+    /// The library's own entry for a model — a [`TaskResult::Model`] over
+    /// the bytes [`ModelLibrary::get`] returns — generating on first use.
+    pub fn held(&self, model_id: u64, size_bytes: u64) -> (Arc<Held>, Digest) {
+        self.entries
+            .get((model_id, size_bytes), TaskResult::Model, || {
+                encode(&procgen::model_of_size(size_bytes, model_id))
+            })
     }
 
     /// Just the digest (what the client's manifest would hold).
     pub fn digest(&self, model_id: u64, size_bytes: u64) -> Digest {
-        self.get(model_id, size_bytes).1
+        self.held(model_id, size_bytes).1
     }
 
     /// Number of generated models.
@@ -159,7 +182,15 @@ impl PanoLibrary {
 
     /// Panorama bytes and digest for a frame, generating on first use.
     pub fn get(&self, frame_id: u64) -> (Bytes, Digest) {
-        self.entries.get(frame_id, || {
+        let (held, digest) = self.held(frame_id);
+        (blob_of(&held), digest)
+    }
+
+    /// The library's own entry for a frame — a [`TaskResult::Panorama`]
+    /// over the bytes [`PanoLibrary::get`] returns — generating on first
+    /// use.
+    pub fn held(&self, frame_id: u64) -> (Arc<Held>, Digest) {
+        self.entries.get(frame_id, TaskResult::Panorama, || {
             let pano = match self.source {
                 PanoSource::Procedural => Panorama::synthesize(frame_id, self.height),
                 PanoSource::Scene { face_size } => coic_render::render_equirect(
@@ -175,7 +206,7 @@ impl PanoLibrary {
 
     /// Just the digest.
     pub fn digest(&self, frame_id: u64) -> Digest {
-        self.get(frame_id).1
+        self.held(frame_id).1
     }
 }
 
@@ -251,6 +282,26 @@ mod tests {
     }
 
     #[test]
+    fn a_library_entry_is_summed_by_its_first_sender_and_by_no_reader() {
+        let lib = ModelLibrary::new();
+        let (bytes, digest) = lib.get(5, 50_000);
+        assert_eq!(lib.digest(5, 50_000), digest);
+        let (held, _) = lib.held(5, 50_000);
+        assert!(
+            !held.is_summed(),
+            "reading bytes or digest summed the entry"
+        );
+        let blob = held.blob().expect("a model has a blob");
+        assert!(
+            blob.is_buffer(&bytes),
+            "the entry and `get` share one buffer"
+        );
+        // Whoever asks next finds the same entry, summed.
+        assert!(lib.held(5, 50_000).0.is_summed());
+        assert_eq!(lib.len(), 1);
+    }
+
+    #[test]
     fn a_first_touch_does_not_hold_the_library_lock_while_generating() {
         use std::sync::mpsc::channel;
         use std::time::Duration;
@@ -262,19 +313,19 @@ mod tests {
             // lock held across generation this times out instead.
             let once = &once;
             let slow = s.spawn(move || {
-                once.get(1, || {
+                once.get(1, TaskResult::Model, || {
                     started_tx.send(()).unwrap();
                     let released = release_rx.recv_timeout(Duration::from_secs(20)).is_ok();
                     Bytes::copy_from_slice(if released { b"one" } else { b"timed out" })
                 })
             });
             started_rx.recv().unwrap();
-            let (two, _) = once.get(2, || Bytes::copy_from_slice(b"two"));
-            assert_eq!(&two[..], b"two");
+            let (two, _) = once.get(2, TaskResult::Model, || Bytes::copy_from_slice(b"two"));
+            assert_eq!(&blob_of(&two)[..], b"two");
             // Key 1 is still generating: it has a cell but is not counted.
             assert_eq!(once.generated(), 1);
             release_tx.send(()).unwrap();
-            assert_eq!(&slow.join().unwrap().0[..], b"one");
+            assert_eq!(&blob_of(&slow.join().unwrap().0)[..], b"one");
         });
         assert_eq!(once.generated(), 2);
     }

@@ -72,5 +72,5 @@ pub use services::{
     ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeReply, EdgeService, PreparedRequest,
 };
 pub use simrun::{compare, run, run_instrumented, run_traced, Mode, SimConfig};
-pub use task::{RecognitionResult, TaskRequest, TaskResult, ANNOTATION_BYTES};
+pub use task::{Held, RecognitionResult, TaskRequest, TaskResult, ANNOTATION_BYTES};
 pub use telemetry::{path_label, record_decision};

@@ -49,7 +49,11 @@
 //! takes one shard's read lock ([`coic_cache::sharded`]) instead of a
 //! service-wide mutex, payloads are shared buffers (a cached model is a
 //! slice of the frame it arrived in, and is written to the client's socket
-//! from that same buffer — [`Msg::decode_frame`], [`Msg::encode_parts`]),
+//! from that same buffer — [`Msg::decode_frame`], [`Msg::encode_parts`])
+//! that are summed once: an entry keeps its blob's checksum, derived from
+//! the verified frame the blob arrived in, and a reply's frame checksum is
+//! folded from it ([`Held`], DESIGN.md §3.1) — a hit reads no cached byte,
+//! a miss reads each once, to verify it —
 //! and recognition lookups walk an immutable snapshot lock-free.
 //! [`NetConfig::cache_shards`] sets the shard count (the simulator uses
 //! one shard; the count moves eviction, never a hit/miss rule).
@@ -71,18 +75,17 @@ use crate::engine::{
 };
 use crate::protocol::Msg;
 use crate::qoe::QoeReport;
-use crate::services::{
-    ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeReply, EdgeService,
-};
-use crate::task::TaskResult;
+use crate::services::{ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeService};
+use crate::task::{Held, TaskResult};
 use crate::telemetry::{path_label, record_decision};
 use coic_cache::{Digest, Metrics};
-use coic_netsim::rt::{FaultError, FrameConn, FrameError, FrameServer};
+use coic_netsim::rt::{FaultError, FrameConn, FrameError, FrameServer, Summed};
 use coic_obs::{MetricsRegistry, Recorder, Telemetry, Value};
 use coic_vision::{ObjectClass, SceneGenerator};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
@@ -180,22 +183,27 @@ pub fn spawn_cloud(
     let service = Arc::new(CloudService::new(
         classes, &gen, compute, models, panos, seed,
     ));
-    let server = FrameServer::spawn_conn("127.0.0.1:0", move |_conn, frame| {
-        let msg = Msg::decode_frame(frame).ok()?;
-        let reply = match msg {
-            Msg::Forward { req_id, task } => {
-                let (result, _cost) = service.execute(&task);
-                Msg::CloudReply { req_id, result }
-            }
-            Msg::BaselineRequest { req_id, task } => {
-                let (result, _cost) = service.execute(&task);
-                Msg::BaselineReply { req_id, result }
-            }
-            _ => return None,
-        };
-        // The library's buffer goes to the socket as it is.
-        Some(reply.encode_parts())
-    })?;
+    let server = FrameServer::spawn_conn(
+        "127.0.0.1:0",
+        move |_conn, frame| {
+            let msg = Msg::decode_frame(frame).ok()?;
+            let answer = match msg {
+                Msg::Forward { req_id, task } => {
+                    let (held, _cost) = service.execute_held(&task);
+                    Answer::held(held, |result| Msg::CloudReply { req_id, result })
+                }
+                Msg::BaselineRequest { req_id, task } => {
+                    let (held, _cost) = service.execute_held(&task);
+                    Answer::held(held, |result| Msg::BaselineReply { req_id, result })
+                }
+                _ => return None,
+            };
+            // The library's buffer goes to the socket as it is, under the
+            // sum the library entry keeps from its first send.
+            Some(answer.frame_parts(None))
+        },
+        |_conn| {},
+    )?;
     Ok(CloudHandle {
         addr: server.local_addr(),
         _server: server,
@@ -228,12 +236,135 @@ fn cluster_token(members: &[SocketAddr], auth_token: u64) -> u64 {
     coic_cache::fnv1a64(&buf) ^ auth_token
 }
 
-/// Send `msg` as one frame. A result blob it carries is written from its own
-/// buffer — cache entry, library entry or receive buffer — not copied into
-/// the message first.
-fn send_msg(conn: &mut FrameConn, msg: &Msg) -> Result<(), FrameError> {
+/// `msg` as the head and body of one frame. A result blob it carries goes
+/// out from its own buffer — cache entry, library entry or receive buffer —
+/// not copied into the message first; and when `held` is the holder of that
+/// result, under the sum kept with it (computed here if this is the
+/// holder's first send) rather than one computed per frame. `counters`
+/// record which of the two happened to a blob.
+fn frame_parts(
+    msg: &Msg,
+    held: Option<&Held>,
+    counters: Option<&EdgeCounters>,
+) -> (Vec<u8>, Summed) {
     let (head, body) = msg.encode_parts();
-    conn.send_parts(&head, &body)
+    let known = held.is_some_and(Held::is_summed);
+    // The sum goes with the buffer it was computed from, never with a
+    // message that merely should contain that buffer.
+    let (body, reused) = match held.and_then(Held::blob) {
+        Some(blob) if blob.is_buffer(&body) => (blob.clone(), known),
+        _ => (Summed::of(body), false),
+    };
+    if let (Some(c), false) = (counters, body.bytes().is_empty()) {
+        let counter = if reused {
+            &c.blob_sum_reused
+        } else {
+            &c.blob_summed_on_send
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+    (head, body)
+}
+
+/// Send `msg` as one frame ([`frame_parts`]).
+fn send_msg(conn: &mut FrameConn, msg: &Msg, held: Option<&Held>) -> Result<(), FrameError> {
+    let (head, body) = frame_parts(msg, held, None);
+    conn.send_summed(&head, &body)
+}
+
+/// What a server handler answers with: the message, and the holder of the
+/// result in it when this node keeps that result for reuse.
+struct Answer {
+    msg: Msg,
+    held: Option<Arc<Held>>,
+}
+
+impl Answer {
+    /// Answer with `held`'s result, wrapped into a message by `wrap`.
+    fn held(held: Arc<Held>, wrap: impl FnOnce(TaskResult) -> Msg) -> Answer {
+        Answer {
+            msg: wrap(held.result().clone()),
+            held: Some(held),
+        }
+    }
+
+    fn frame_parts(&self, counters: Option<&EdgeCounters>) -> (Vec<u8>, Summed) {
+        frame_parts(&self.msg, self.held.as_deref(), counters)
+    }
+}
+
+impl From<Msg> for Answer {
+    fn from(msg: Msg) -> Answer {
+        Answer { msg, held: None }
+    }
+}
+
+/// Pull-based counters of one live edge ([`EdgeHandle::publish_metrics`]).
+#[derive(Default)]
+struct EdgeCounters {
+    /// Reply blobs sent under a sum their holder already had: no pass.
+    blob_sum_reused: AtomicU64,
+    /// Reply blobs summed for the send (a holder's first, or no holder).
+    blob_summed_on_send: AtomicU64,
+    /// Connections closed for parking more than
+    /// [`PENDING_PER_CONN_MAX`] descriptors.
+    pending_overflow: AtomicU64,
+}
+
+/// How many recognition misses one connection may have waiting for their
+/// `Upload` at once. A client that pipelines has as many as it has
+/// recognition queries in flight; far beyond any of those, and small enough
+/// that a connection which never uploads pins at most ~150 kB.
+pub const PENDING_PER_CONN_MAX: usize = 1024;
+
+/// Descriptors of recognition misses awaiting their `Upload`, by
+/// connection, then request: every client numbers its requests from 1, so
+/// `req_id` alone would let two clients swap descriptors — one upload
+/// cached under the other's descriptor, the other connection dropped. A
+/// connection's descriptors go when it does ([`PendingUploads::forget`]).
+struct PendingUploads {
+    by_conn: Mutex<HashMap<u64, HashMap<u64, FeatureDescriptor>>>,
+}
+
+impl PendingUploads {
+    fn new() -> PendingUploads {
+        PendingUploads {
+            by_conn: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Park `descriptor` until `conn` uploads request `req_id`. `false`,
+    /// parking nothing, when `conn` already has its fill.
+    fn park(&self, conn: u64, req_id: u64, descriptor: FeatureDescriptor) -> bool {
+        let mut by_conn = self.by_conn.lock();
+        let parked = by_conn.entry(conn).or_default();
+        if parked.len() >= PENDING_PER_CONN_MAX && !parked.contains_key(&req_id) {
+            return false;
+        }
+        parked.insert(req_id, descriptor);
+        true
+    }
+
+    /// The descriptor `conn` queried request `req_id` with, if it is parked.
+    fn take(&self, conn: u64, req_id: u64) -> Option<FeatureDescriptor> {
+        let mut by_conn = self.by_conn.lock();
+        let parked = by_conn.get_mut(&conn)?;
+        let descriptor = parked.remove(&req_id);
+        if parked.is_empty() {
+            by_conn.remove(&conn);
+        }
+        descriptor
+    }
+
+    /// `conn` is gone: nothing will upload what it parked.
+    fn forget(&self, conn: u64) {
+        self.by_conn.lock().remove(&conn);
+    }
+
+    /// Descriptors parked right now, over all connections.
+    fn len(&self) -> usize {
+        self.by_conn.lock().values().map(HashMap::len).sum()
+    }
 }
 
 /// Best-effort replication push: connect, send [`Msg::Replicate`], await
@@ -244,7 +375,7 @@ fn replicate_to(
     req_id: u64,
     token: u64,
     digest: Digest,
-    result: TaskResult,
+    held: &Held,
     net: &NetConfig,
 ) {
     let Ok(mut conn) = FrameConn::connect_timeout(&addr, net.connect_timeout) else {
@@ -256,9 +387,9 @@ fn replicate_to(
         req_id,
         token,
         digest,
-        result,
+        result: held.result().clone(),
     };
-    if send_msg(&mut conn, &push).is_err() {
+    if send_msg(&mut conn, &push, Some(held)).is_err() {
         return;
     }
     let _ = conn.recv(); // ReplicateAck, best effort
@@ -277,6 +408,8 @@ pub struct EdgeHandle {
     cloud_conns: Arc<CloudConns>,
     service: Arc<EdgeService>,
     admission: Option<Arc<LiveAdmission>>,
+    counters: Arc<EdgeCounters>,
+    pending: Arc<PendingUploads>,
     server: FrameServer,
 }
 
@@ -355,11 +488,29 @@ impl EdgeHandle {
         self.service.exact_metrics()
     }
 
-    /// Publish this edge's cache metrics (`cache.recog.*`, `cache.exact.*`)
-    /// and robustness counters (`robustness.*`) into `reg`.
+    /// Publish this edge's cache metrics (`cache.recog.*`, `cache.exact.*`),
+    /// robustness counters (`robustness.*`) and reply-path counters into
+    /// `reg`: how many reply blobs went out under a checksum their cache
+    /// entry already carried, how many were summed for the send, how many
+    /// descriptors are parked awaiting an `Upload` right now, and how many
+    /// connections were closed for parking too many.
     pub fn publish_metrics(&self, reg: &MetricsRegistry) {
         self.service.publish_metrics(reg);
         self.stats.snapshot().publish(reg);
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        reg.counter_add(
+            "edge.blob_sum_reused",
+            count(&self.counters.blob_sum_reused),
+        );
+        reg.counter_add(
+            "edge.blob_summed_on_send",
+            count(&self.counters.blob_summed_on_send),
+        );
+        reg.counter_add(
+            "edge.pending_overflow",
+            count(&self.counters.pending_overflow),
+        );
+        reg.gauge_set("edge.pending_uploads", self.pending.len() as i64);
         if let Some(snap) = self.cluster_stats() {
             snap.publish(reg);
         }
@@ -705,12 +856,15 @@ impl CloudConns {
     }
 }
 
-/// One request/reply over an open cloud connection.
-fn cloud_exchange(cloud: &mut FrameConn, msg: &Msg) -> Result<TaskResult, FaultError> {
-    send_msg(cloud, msg).map_err(|e| e.fault())?;
-    let resp = cloud.recv().map_err(|e| e.fault())?;
-    match Msg::decode_frame(resp) {
-        Ok(Msg::CloudReply { result, .. }) => Ok(result),
+/// One request/reply over an open cloud connection. The result comes back
+/// held with the sum of its blob, which is what the frame's verified sum
+/// leaves once the bytes before the blob are taken off: the edge sends the
+/// blob on, and caches it, without reading it a second time.
+fn cloud_exchange(cloud: &mut FrameConn, msg: &Msg) -> Result<Held, FaultError> {
+    send_msg(cloud, msg, None).map_err(|e| e.fault())?;
+    let frame = cloud.recv_summed().map_err(|e| e.fault())?;
+    match Msg::decode_frame(frame.bytes().clone()) {
+        Ok(Msg::CloudReply { result, .. }) => Ok(Held::from_frame(result, &frame)),
         _ => Err(FaultError::Corrupt),
     }
 }
@@ -733,7 +887,7 @@ fn guarded_cloud_call(
     client_conn: u64,
     clock: &WallClock,
     stats: &RobustnessStats,
-) -> Option<TaskResult> {
+) -> Option<Held> {
     if !gate.preflight(clock.now_ns()) {
         conns.drain();
         return None;
@@ -812,11 +966,10 @@ pub fn spawn_edge_with(
     let shards = net.cache_shards.max(1);
     let service = Arc::new(EdgeService::new(cfg, shards));
     let service_in_handle = service.clone();
-    // Descriptors of recognition misses awaiting their `Upload`. Keyed by
-    // (connection, request): every client numbers its requests from 1, so
-    // `req_id` alone would let two clients swap descriptors — one upload
-    // cached under the other's descriptor, the other connection dropped.
-    let pending = Arc::new(Mutex::new(HashMap::new()));
+    let pending = Arc::new(PendingUploads::new());
+    let (pending_on_close, pending_in_handle) = (pending.clone(), pending.clone());
+    let counters = Arc::new(EdgeCounters::default());
+    let (counters_h, counters_on_send) = (counters.clone(), counters.clone());
     let peers: Arc<Mutex<Vec<SocketAddr>>> = Arc::new(Mutex::new(Vec::new()));
     let peers_in_handler = peers.clone();
     let cluster: Arc<Mutex<Option<LiveCluster>>> = Arc::new(Mutex::new(None));
@@ -847,12 +1000,12 @@ pub fn spawn_edge_with(
     });
     let admission_h = admission.clone();
     let bind = bind.unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 0)));
-    let server = FrameServer::spawn_conn(bind, move |conn_id, frame| {
+    let handle = move |conn_id: u64, frame: bytes::Bytes| -> Option<Answer> {
         let peers = &peers_in_handler;
         // A blob in the message (`Replicate`) stays a slice of `frame`.
         let msg = Msg::decode_frame(frame).ok()?;
         let now = clock.now_ns();
-        let reply = match msg {
+        let answer: Answer = match msg {
             Msg::Query {
                 req_id,
                 descriptor,
@@ -867,7 +1020,7 @@ pub fn spawn_edge_with(
                                 req_id,
                                 retry_after_ms,
                             }
-                            .encode_parts(),
+                            .into(),
                         );
                     }
                     Some(LiveAdmit::Serve {
@@ -876,6 +1029,12 @@ pub fn spawn_edge_with(
                     }) => Some((cached_only, offered_at)),
                     None => None,
                 };
+                // Every way out of this arm from here on returns the slot.
+                let release_slot = || {
+                    if let (Some((_, offered_at)), Some(a)) = (ticket, admission_h.as_ref()) {
+                        a.release(offered_at);
+                    }
+                };
                 // Queue time may have passed while waiting for the slot.
                 let now = clock.now_ns();
                 // One typed lookup serves both the reply decision and the
@@ -883,7 +1042,7 @@ pub fn spawn_edge_with(
                 // approx vs miss) plus the path dimension — the lock
                 // shard for digests, the lock-free snapshot index family
                 // for descriptors.
-                let outcome = service.lookup(&descriptor, now);
+                let outcome = service.lookup_held(&descriptor, now);
                 let mut fields = vec![
                     ("req", Value::from(req_id)),
                     ("kind", Value::from(outcome.kind_str())),
@@ -898,36 +1057,36 @@ pub fn spawn_edge_with(
                     }
                 }
                 net.telemetry.event(now, "edge.lookup", fields);
-                let decision = match outcome.into_value() {
-                    Some(result) => EdgeReply::Hit(result),
-                    None if ticket.is_some_and(|(cached_only, _)| cached_only) => {
+                let hit =
+                    |held: Arc<Held>| Answer::held(held, |result| Msg::Hit { req_id, result });
+                let answer: Answer = match (outcome.into_value(), hint) {
+                    (Some(held), _) => hit(held),
+                    (None, _) if ticket.is_some_and(|(cached_only, _)| cached_only) => {
                         // Degraded brownout: only cache hits are served;
                         // the miss is shed and the slot returned.
                         let retry_after_ms =
                             admission_h.as_ref().map_or(0, |a| a.shed_miss(req_id));
-                        if let (Some((_, offered_at)), Some(a)) = (ticket, admission_h.as_ref()) {
-                            a.release(offered_at);
-                        }
+                        release_slot();
                         return Some(
                             Msg::Overloaded {
                                 req_id,
                                 retry_after_ms,
                             }
-                            .encode_parts(),
+                            .into(),
                         );
                     }
-                    None => match &hint {
-                        Some(task) => EdgeReply::Forward(task.clone()),
-                        None => EdgeReply::NeedPayload,
-                    },
-                };
-                let reply = match decision {
-                    EdgeReply::Hit(result) => Msg::Hit { req_id, result },
-                    EdgeReply::NeedPayload => {
-                        pending.lock().insert((conn_id, req_id), descriptor);
-                        Msg::NeedPayload { req_id }
+                    (None, None) => {
+                        if !pending.park(conn_id, req_id, descriptor) {
+                            // Far more unanswered `NeedPayload`s than any
+                            // client keeps in flight: hang up (which also
+                            // drops what the connection has parked).
+                            counters_h.pending_overflow.fetch_add(1, Ordering::Relaxed);
+                            release_slot();
+                            return None;
+                        }
+                        Msg::NeedPayload { req_id }.into()
                     }
-                    EdgeReply::Forward(task) => {
+                    (None, Some(task)) => {
                         let digest = crate::services::descriptor_digest(&descriptor);
                         let fetch = |task: crate::task::TaskRequest| {
                             // Cooperative lookup: ask peer edges before
@@ -938,7 +1097,7 @@ pub fn spawn_edge_with(
                                 // back (a content miss still proves the
                                 // peer alive), Err on connect/deadline
                                 // failure.
-                                let probe = |addr: SocketAddr| -> Result<Option<TaskResult>, ()> {
+                                let probe = |addr: SocketAddr| -> Result<Option<Held>, ()> {
                                     let mut peer =
                                         FrameConn::connect_timeout(&addr, net.connect_timeout)
                                             .map_err(|_| ())?;
@@ -946,11 +1105,13 @@ pub fn spawn_edge_with(
                                         .map_err(|_| ())?;
                                     peer.set_write_deadline(Some(net.edge_call_deadline))
                                         .map_err(|_| ())?;
-                                    send_msg(&mut peer, &Msg::PeerQuery { req_id, digest })
+                                    send_msg(&mut peer, &Msg::PeerQuery { req_id, digest }, None)
                                         .map_err(|_| ())?;
-                                    let resp = peer.recv().map_err(|_| ())?;
-                                    match Msg::decode_frame(resp) {
-                                        Ok(Msg::PeerReply { result, .. }) => Ok(result),
+                                    let frame = peer.recv_summed().map_err(|_| ())?;
+                                    match Msg::decode_frame(frame.bytes().clone()) {
+                                        Ok(Msg::PeerReply { result, .. }) => {
+                                            Ok(result.map(|r| Held::from_frame(r, &frame)))
+                                        }
                                         _ => Err(()),
                                     }
                                 };
@@ -1082,8 +1243,8 @@ pub fn spawn_edge_with(
                                 }
                                 None
                             });
-                            if let Some(result) = peer_hit {
-                                return Some((result, true));
+                            if let Some(held) = peer_hit {
+                                return Some((Arc::new(held), true));
                             }
                             net.telemetry.event(
                                 clock.now_ns(),
@@ -1099,19 +1260,37 @@ pub fn spawn_edge_with(
                                 &clock,
                                 &stats_h,
                             )
-                            .map(|r| (r, false))
+                            .map(|held| (Arc::new(held), false))
+                        };
+                        // The fetched result goes to the client from the
+                        // receive buffer it was verified in, under the sum
+                        // derived there: the edge reads the blob once.
+                        let fetched_answer = |held: Arc<Held>, from_peer: bool| {
+                            Answer::held(held, |result| match from_peer {
+                                true => Msg::PeerResult { req_id, result },
+                                false => Msg::Result { req_id, result },
+                            })
+                        };
+                        let unavailable = || -> Answer {
+                            stats_h.count_unavailable();
+                            net.telemetry.event(
+                                clock.now_ns(),
+                                "edge.unavailable",
+                                vec![("req", Value::from(req_id))],
+                            );
+                            Msg::Unavailable { req_id }.into()
                         };
                         match digest {
                             Some(d) => loop {
                                 let now = clock.now_ns();
-                                if let Some(result) = service.exact_lookup(&d, now) {
-                                    break Msg::Hit { req_id, result };
+                                if let Some(held) = service.exact_lookup_held(&d, now) {
+                                    break hit(held);
                                 }
                                 let waiter = Arc::new(FlightWaiter::default());
                                 match flights_h.claim(d, waiter.clone()) {
                                     FlightClaim::Leader => {
                                         let fetched = fetch(task);
-                                        if let Some((result, from_peer)) = &fetched {
+                                        if let Some((held, from_peer)) = &fetched {
                                             // Partition placement: under
                                             // the cluster a non-owner
                                             // pushes cloud fetches to the
@@ -1149,8 +1328,11 @@ pub fn spawn_edge_with(
                                                 }
                                             };
                                             if keep {
-                                                let folded =
-                                                    service.insert(&descriptor, result, now);
+                                                let folded = service.insert_held(
+                                                    &descriptor,
+                                                    Held::clone(held),
+                                                    now,
+                                                );
                                                 trace_rebuild(
                                                     &net,
                                                     &service,
@@ -1167,33 +1349,17 @@ pub fn spawn_edge_with(
                                                         ("peer", Value::from(owner as u64)),
                                                     ],
                                                 );
-                                                replicate_to(
-                                                    addr,
-                                                    req_id,
-                                                    token,
-                                                    d,
-                                                    result.clone(),
-                                                    &net,
-                                                );
+                                                replicate_to(addr, req_id, token, d, held, &net);
                                             }
                                         }
                                         for w in flights_h.complete(&d) {
                                             w.notify();
                                         }
                                         break match fetched {
-                                            Some((result, true)) => {
-                                                Msg::PeerResult { req_id, result }
+                                            Some((held, from_peer)) => {
+                                                fetched_answer(held, from_peer)
                                             }
-                                            Some((result, false)) => Msg::Result { req_id, result },
-                                            None => {
-                                                stats_h.count_unavailable();
-                                                net.telemetry.event(
-                                                    clock.now_ns(),
-                                                    "edge.unavailable",
-                                                    vec![("req", Value::from(req_id))],
-                                                );
-                                                Msg::Unavailable { req_id }
-                                            }
+                                            None => unavailable(),
                                         };
                                     }
                                     FlightClaim::Queued => {
@@ -1203,13 +1369,7 @@ pub fn spawn_edge_with(
                                             vec![("req", Value::from(req_id))],
                                         );
                                         if !waiter.wait(net.edge_call_deadline) {
-                                            stats_h.count_unavailable();
-                                            net.telemetry.event(
-                                                clock.now_ns(),
-                                                "edge.unavailable",
-                                                vec![("req", Value::from(req_id))],
-                                            );
-                                            break Msg::Unavailable { req_id };
+                                            break unavailable();
                                         }
                                         // Leader finished: loop to re-check
                                         // the cache (and lead ourselves if
@@ -1218,25 +1378,13 @@ pub fn spawn_edge_with(
                                 }
                             },
                             None => match fetch(task) {
-                                Some((result, true)) => {
-                                    let folded = service.insert(&descriptor, &result, now);
+                                Some((held, from_peer)) => {
+                                    let folded =
+                                        service.insert_held(&descriptor, Held::clone(&held), now);
                                     trace_rebuild(&net, &service, folded, clock.now_ns());
-                                    Msg::PeerResult { req_id, result }
+                                    fetched_answer(held, from_peer)
                                 }
-                                Some((result, false)) => {
-                                    let folded = service.insert(&descriptor, &result, now);
-                                    trace_rebuild(&net, &service, folded, clock.now_ns());
-                                    Msg::Result { req_id, result }
-                                }
-                                None => {
-                                    stats_h.count_unavailable();
-                                    net.telemetry.event(
-                                        clock.now_ns(),
-                                        "edge.unavailable",
-                                        vec![("req", Value::from(req_id))],
-                                    );
-                                    Msg::Unavailable { req_id }
-                                }
+                                None => unavailable(),
                             },
                         }
                     }
@@ -1244,17 +1392,15 @@ pub fn spawn_edge_with(
                 // Local service done: return the slot (upstream waits,
                 // if any, are part of the observed sojourn on purpose —
                 // a slow cloud is edge overload from the client's view).
-                if let (Some((_, offered_at)), Some(a)) = (ticket, admission_h.as_ref()) {
-                    a.release(offered_at);
-                }
-                reply
+                release_slot();
+                answer
             }
             Msg::PeerQuery { req_id, digest } => {
-                let result = service.exact_lookup(&digest, now);
+                let held = service.exact_lookup_held(&digest, now);
                 // Hot-entry failover replication: enough peer demand on an
                 // owned entry pushes a copy to the digest's ring successor
                 // so the content survives this edge dying.
-                if let Some(result) = &result {
+                if let Some(held) = &held {
                     let push = {
                         let mut g = cluster_h.lock();
                         g.as_mut().and_then(|c| {
@@ -1286,15 +1432,19 @@ pub fn spawn_edge_with(
                         // would read as a breaker failure whenever a hot
                         // crossing coincides with a probe.
                         let push_net = net.clone();
-                        let push_result = result.clone();
+                        let push_held = held.clone();
                         let _ = std::thread::Builder::new()
                             .name("coic-replicate".into())
                             .spawn(move || {
-                                replicate_to(addr, req_id, token, digest, push_result, &push_net);
+                                replicate_to(addr, req_id, token, digest, &push_held, &push_net);
                             });
                     }
                 }
-                Msg::PeerReply { req_id, result }
+                let result = held.as_ref().map(|held| held.result().clone());
+                Answer {
+                    msg: Msg::PeerReply { req_id, result },
+                    held,
+                }
             }
             Msg::Replicate {
                 req_id,
@@ -1317,10 +1467,10 @@ pub fn spawn_edge_with(
                 // digest-keyed; the descriptor kind does not matter).
                 let folded = service.insert(&FeatureDescriptor::ModelHash(digest), &result, now);
                 trace_rebuild(&net, &service, folded, clock.now_ns());
-                Msg::ReplicateAck { req_id }
+                Msg::ReplicateAck { req_id }.into()
             }
             Msg::Upload { req_id, task } => {
-                let descriptor = pending.lock().remove(&(conn_id, req_id))?;
+                let descriptor = pending.take(conn_id, req_id)?;
                 net.telemetry.event(
                     clock.now_ns(),
                     "cloud.forward",
@@ -1335,10 +1485,10 @@ pub fn spawn_edge_with(
                     &clock,
                     &stats_h,
                 ) {
-                    Some(result) => {
-                        let folded = service.insert(&descriptor, &result, now);
+                    Some(held) => {
+                        let folded = service.insert_held(&descriptor, held.clone(), now);
                         trace_rebuild(&net, &service, folded, clock.now_ns());
-                        Msg::Result { req_id, result }
+                        Answer::held(Arc::new(held), |result| Msg::Result { req_id, result })
                     }
                     None => {
                         stats_h.count_unavailable();
@@ -1347,15 +1497,24 @@ pub fn spawn_edge_with(
                             "edge.unavailable",
                             vec![("req", Value::from(req_id))],
                         );
-                        Msg::Unavailable { req_id }
+                        Msg::Unavailable { req_id }.into()
                     }
                 }
             }
             _ => return None,
         };
-        // A cached result reaches the socket from the cache's own buffer.
-        Some(reply.encode_parts())
-    })?;
+        Some(answer)
+    };
+    // A cached result reaches the socket from the cache's own buffer, under
+    // the checksum its entry carries. When a connection ends — however it
+    // ends — what it parked is dropped: nobody is left to upload it.
+    let server = FrameServer::spawn_conn(
+        bind,
+        move |conn_id, frame| {
+            handle(conn_id, frame).map(|answer| answer.frame_parts(Some(&counters_on_send)))
+        },
+        move |conn_id| pending_on_close.forget(conn_id),
+    )?;
     Ok(EdgeHandle {
         addr: server.local_addr(),
         peers,
@@ -1365,6 +1524,8 @@ pub fn spawn_edge_with(
         cloud_conns,
         service: service_in_handle,
         admission,
+        counters,
+        pending: pending_in_handle,
         server,
     })
 }
@@ -1549,7 +1710,7 @@ impl NetClient {
             // request loop over a connection that vanished.
             return self.engine.on_transport_failure(req_id);
         };
-        if let Err(e) = send_msg(conn, &query) {
+        if let Err(e) = send_msg(conn, &query, None) {
             self.on_io_error(&e);
             self.conn = None;
             return self.engine.on_transport_failure(req_id);
@@ -1618,7 +1779,7 @@ impl NetClient {
         let Some(conn) = self.conn.as_mut() else {
             return self.engine.on_transport_failure(req_id);
         };
-        if let Err(e) = send_msg(conn, &upload) {
+        if let Err(e) = send_msg(conn, &upload, None) {
             self.on_io_error(&e);
             self.conn = None;
             return self.engine.on_transport_failure(req_id);
@@ -1647,7 +1808,7 @@ impl NetClient {
                 req_id,
                 task: prepared.task.clone(),
             };
-            send_msg(&mut cloud, &request)?;
+            send_msg(&mut cloud, &request, None)?;
             let resp = cloud.recv()?;
             match Msg::decode_frame(resp) {
                 Ok(Msg::BaselineReply { result, .. }) => Ok(result),
@@ -2116,11 +2277,28 @@ mod tests {
         assert_eq!(snap.unavailable_replies, 3);
     }
 
+    /// The result a message carries, if it carries one.
+    fn result_of(msg: &Msg) -> Option<&TaskResult> {
+        match msg {
+            Msg::Hit { result, .. }
+            | Msg::CloudReply { result, .. }
+            | Msg::Result { result, .. }
+            | Msg::BaselineReply { result, .. }
+            | Msg::PeerResult { result, .. }
+            | Msg::Replicate { result, .. } => Some(result),
+            Msg::PeerReply { result, .. } => result.as_ref(),
+            _ => None,
+        }
+    }
+
     #[test]
     fn parts_send_puts_the_same_bytes_on_the_wire_as_the_copying_codec() {
         // Old and new binaries interoperate: for every message shape, what
-        // a raw socket reads after `send_msg` is `encode_frame(encode())`.
+        // a raw socket reads after `send_msg` is `encode_frame(encode())` —
+        // whether the blob is summed for the send, summed by its holder's
+        // first send, or sent under the sum the holder already had.
         use std::io::Read;
+        const SENDS: usize = 3;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let samples = crate::protocol::tests::samples();
@@ -2131,16 +2309,60 @@ mod tests {
         let reader = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
             for want in expect {
-                let mut got = vec![0u8; want.len()];
-                s.read_exact(&mut got).unwrap();
-                assert_eq!(got, want);
+                for _ in 0..SENDS {
+                    let mut got = vec![0u8; want.len()];
+                    s.read_exact(&mut got).unwrap();
+                    assert_eq!(got, want);
+                }
             }
         });
         let mut conn = FrameConn::connect(addr).unwrap();
         for msg in &samples {
-            send_msg(&mut conn, msg).unwrap();
+            send_msg(&mut conn, msg, None).unwrap();
+            let held = result_of(msg).map(|result| Held::new(result.clone()));
+            send_msg(&mut conn, msg, held.as_ref()).unwrap();
+            let has_blob = result_of(msg).is_some_and(|r| r.blob().is_some());
+            assert_eq!(held.as_ref().is_some_and(Held::is_summed), has_blob);
+            send_msg(&mut conn, msg, held.as_ref()).unwrap();
         }
         reader.join().unwrap();
+    }
+
+    #[test]
+    fn a_holder_of_another_result_lends_its_sum_to_no_message() {
+        // The sum goes with the buffer, not with whatever message is being
+        // sent while a holder is in hand: a holder of other bytes (even
+        // equal bytes in another buffer) is ignored and the body is summed.
+        use coic_netsim::rt::Sum;
+        let blob = bytes::Bytes::from(vec![3u8; 3000]);
+        let msg = Msg::Hit {
+            req_id: 1,
+            result: TaskResult::Model(blob.clone()),
+        };
+        let counters = EdgeCounters::default();
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        for stranger in [vec![4u8; 3000], vec![3u8; 3000], vec![3u8; 10]] {
+            let other = Held::new(TaskResult::Model(bytes::Bytes::from(stranger)));
+            other.blob();
+            let (_, body) = frame_parts(&msg, Some(&other), Some(&counters));
+            assert!(body.is_buffer(&blob));
+            assert_eq!(body.sum(), Sum::of(&blob));
+        }
+        assert_eq!(count(&counters.blob_sum_reused), 0);
+        assert_eq!(count(&counters.blob_summed_on_send), 3);
+        // Its own holder does lend it — from the second send on for free.
+        let own = Held::new(TaskResult::Model(blob.clone()));
+        for reused in [0, 1, 2] {
+            let (_, body) = frame_parts(&msg, Some(&own), Some(&counters));
+            assert!(body.is_buffer(&blob));
+            assert_eq!(body.sum(), Sum::of(&blob));
+            assert_eq!(count(&counters.blob_sum_reused), reused);
+            assert_eq!(count(&counters.blob_summed_on_send), 4);
+        }
+        // A reply without a blob is neither.
+        frame_parts(&Msg::NeedPayload { req_id: 2 }, None, Some(&counters));
+        assert_eq!(count(&counters.blob_sum_reused), 2);
+        assert_eq!(count(&counters.blob_summed_on_send), 4);
     }
 
     /// A scripted cloud: answers every `Forward` with a small panorama,
@@ -2150,14 +2372,18 @@ mod tests {
         before_reply: impl Fn(u64, usize) + Send + Sync + 'static,
     ) -> FrameServer {
         let seen = std::sync::atomic::AtomicUsize::new(0);
-        FrameServer::spawn_conn(bind, move |conn, frame| {
-            let Ok(Msg::Forward { req_id, .. }) = Msg::decode_frame(frame) else {
-                return None;
-            };
-            before_reply(conn, seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst));
-            let result = TaskResult::Panorama(bytes::Bytes::from(vec![req_id as u8; 2000]));
-            Some(Msg::CloudReply { req_id, result }.encode_parts())
-        })
+        FrameServer::spawn_conn(
+            bind,
+            move |conn, frame| {
+                let Ok(Msg::Forward { req_id, .. }) = Msg::decode_frame(frame) else {
+                    return None;
+                };
+                before_reply(conn, seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst));
+                let result = TaskResult::Panorama(bytes::Bytes::from(vec![req_id as u8; 2000]));
+                Some(frame_parts(&Msg::CloudReply { req_id, result }, None, None))
+            },
+            |_conn| {},
+        )
         .unwrap()
     }
 
@@ -2180,7 +2406,7 @@ mod tests {
             descriptor: FeatureDescriptor::PanoramaHash(Digest::of(&frame_id.to_le_bytes())),
             hint: Some(crate::task::TaskRequest::Panorama { frame_id }),
         };
-        send_msg(conn, &query).unwrap();
+        send_msg(conn, &query, None).unwrap();
         Msg::decode_frame(conn.recv().unwrap()).unwrap()
     }
 
@@ -2194,6 +2420,35 @@ mod tests {
             ..NetConfig::default()
         };
         spawn_edge_with(cloud_addr, &EdgeConfig::default(), net, None).unwrap()
+    }
+
+    #[test]
+    fn an_entry_that_arrives_unsummed_is_summed_by_its_first_hit_only() {
+        // `EdgeService::insert` — what a replication push and the simulator
+        // use — stores no sum. The hit path hands out the cache's own entry,
+        // so what the first reply computes the second finds.
+        let cloud = fake_cloud(loopback(), |_, _| {});
+        let edge = edge_with_hair_trigger(cloud.local_addr(), Duration::from_secs(3));
+        let pano = bytes::Bytes::from(vec![0xA5u8; 50_000]);
+        let descriptor = FeatureDescriptor::PanoramaHash(Digest::of(&pano));
+        edge.service
+            .insert(&descriptor, &TaskResult::Panorama(pano.clone()), 0);
+        let mut conn = raw_client(edge.addr());
+        for (req_id, reused) in [(1, 0), (2, 1), (3, 2)] {
+            let query = Msg::Query {
+                req_id,
+                descriptor: descriptor.clone(),
+                hint: None,
+            };
+            send_msg(&mut conn, &query, None).unwrap();
+            match Msg::decode_frame(conn.recv().unwrap()).unwrap() {
+                Msg::Hit { result, .. } => assert_eq!(result, TaskResult::Panorama(pano.clone())),
+                other => panic!("expected Hit, got {other:?}"),
+            }
+            let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            assert_eq!(count(&edge.counters.blob_sum_reused), reused);
+            assert_eq!(count(&edge.counters.blob_summed_on_send), 1);
+        }
     }
 
     #[test]
@@ -2359,7 +2614,7 @@ mod tests {
                     break;
                 };
                 let result = TaskResult::Panorama(bytes::Bytes::from(vec![7u8; 100]));
-                if send_msg(&mut conn, &Msg::CloudReply { req_id, result }).is_err() {
+                if send_msg(&mut conn, &Msg::CloudReply { req_id, result }, None).is_err() {
                     break;
                 }
             }

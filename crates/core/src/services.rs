@@ -11,7 +11,7 @@
 use crate::compute::ComputeConfig;
 use crate::content::{ModelLibrary, PanoLibrary};
 use crate::descriptor::FeatureDescriptor;
-use crate::task::{RecognitionResult, TaskRequest, TaskResult};
+use crate::task::{Held, RecognitionResult, TaskRequest, TaskResult};
 use coic_cache::{
     Digest, IndexKind, IndexTelemetry, Lookup, Metrics, PolicyKind, ShardedExactCache,
     SnapshotApproxCache, TinyLfuConfig, DEFAULT_REBUILD_BATCH,
@@ -82,7 +82,11 @@ pub enum EdgeReply {
 ///   and [`EdgeService::maintain`] folds rebuilds at points the driver
 ///   chooses;
 /// * exact digests go through [`ShardedExactCache`], where a hit
-///   share-locks one shard and payload clones happen outside any lock.
+///   share-locks one shard and payload clones happen outside any lock. An
+///   entry is a [`Held`] result: the live edge reads entries as they are
+///   held ([`EdgeService::lookup_held`]) so a reply can reuse the blob
+///   checksum kept with the entry; the simulator reads plain results and
+///   never causes one to be computed.
 ///
 /// The exact cache's capacity is split evenly across shards, so the shard
 /// count changes which entries get evicted. The simulator therefore
@@ -91,7 +95,7 @@ pub enum EdgeReply {
 /// edge passes [`crate::netrun::NetConfig::cache_shards`].
 pub struct EdgeService {
     recog: SnapshotApproxCache<RecognitionResult>,
-    exact: ShardedExactCache<TaskResult>,
+    exact: ShardedExactCache<Held>,
 }
 
 impl EdgeService {
@@ -127,16 +131,37 @@ impl EdgeService {
     /// [`EdgeService::handle_query`] and the telemetry layer share (the
     /// trace records `kind_str()` and the approx distance).
     pub fn lookup(&self, descriptor: &FeatureDescriptor, now_ns: u64) -> Lookup<TaskResult> {
+        // The Arc clone happens under the shard read lock; the payload
+        // clone happens here, after release.
+        self.lookup_as(descriptor, now_ns, TaskResult::Recognition, |held| {
+            held.result().clone()
+        })
+    }
+
+    /// [`EdgeService::lookup`] returning the cache's own entry rather than
+    /// a copy of the result in it, so that what the sender learns about the
+    /// entry (its blob's checksum) stays with the entry.
+    pub fn lookup_held(&self, descriptor: &FeatureDescriptor, now_ns: u64) -> Lookup<Arc<Held>> {
+        self.lookup_as(
+            descriptor,
+            now_ns,
+            |r| Arc::new(Held::new(TaskResult::Recognition(r))),
+            |held| held,
+        )
+    }
+
+    fn lookup_as<T>(
+        &self,
+        descriptor: &FeatureDescriptor,
+        now_ns: u64,
+        recognized: impl FnOnce(RecognitionResult) -> T,
+        held: impl FnOnce(Arc<Held>) -> T,
+    ) -> Lookup<T> {
         match descriptor {
-            FeatureDescriptor::Dnn(v) => self
-                .recog
-                .lookup(v, now_ns)
-                .map(|r| TaskResult::Recognition(*r)),
+            FeatureDescriptor::Dnn(v) => self.recog.lookup(v, now_ns).map(|r| recognized(*r)),
             FeatureDescriptor::ModelHash(d) | FeatureDescriptor::PanoramaHash(d) => {
-                // The Arc clone happens under the shard read lock; the
-                // payload deep clone happens here, after release.
                 match self.exact.lookup(d, now_ns) {
-                    Some(result) => Lookup::ExactHit(TaskResult::clone(&result)),
+                    Some(entry) => Lookup::ExactHit(held(entry)),
                     None => Lookup::Miss,
                 }
             }
@@ -172,15 +197,26 @@ impl EdgeService {
         result: &TaskResult,
         now_ns: u64,
     ) -> usize {
-        match (descriptor, result) {
-            (FeatureDescriptor::Dnn(v), TaskResult::Recognition(r)) => {
+        self.insert_held(descriptor, Held::new(result.clone()), now_ns)
+    }
+
+    /// [`EdgeService::insert`] for a result that arrives already held: an
+    /// exact entry keeps the blob checksum `held` carries (a result decoded
+    /// from a verified frame has one — [`Held::from_frame`]). The entry is
+    /// charged the result's size, as ever.
+    ///
+    /// # Panics
+    /// Panics when the descriptor and result kinds disagree.
+    pub fn insert_held(&self, descriptor: &FeatureDescriptor, held: Held, now_ns: u64) -> usize {
+        match (descriptor, held.result()) {
+            (FeatureDescriptor::Dnn(v), result @ TaskResult::Recognition(r)) => {
                 // Charge the descriptor plus the annotation payload.
                 let size = v.byte_size() + result.byte_size();
                 self.recog.insert(v.clone(), *r, size, now_ns)
             }
             (FeatureDescriptor::ModelHash(d) | FeatureDescriptor::PanoramaHash(d), result) => {
-                self.exact
-                    .insert(*d, result.clone(), result.byte_size(), now_ns);
+                let size = result.byte_size();
+                self.exact.insert(*d, held, size, now_ns);
                 0
             }
             (d, r) => panic!(
@@ -211,7 +247,13 @@ impl EdgeService {
     /// re-checks: "do you hold this content?"). The payload clone runs
     /// outside the shard lock.
     pub fn exact_lookup(&self, digest: &Digest, now_ns: u64) -> Option<TaskResult> {
-        self.exact.lookup_owned(digest, now_ns)
+        self.exact_lookup_held(digest, now_ns)
+            .map(|held| held.result().clone())
+    }
+
+    /// [`EdgeService::exact_lookup`] returning the cache's own entry.
+    pub fn exact_lookup_held(&self, digest: &Digest, now_ns: u64) -> Option<Arc<Held>> {
+        self.exact.lookup(digest, now_ns)
     }
 
     /// Recognition cache metrics.
@@ -304,29 +346,38 @@ impl CloudService {
 
     /// Execute a task, returning the result and its virtual compute cost.
     pub fn execute(&self, task: &TaskRequest) -> (TaskResult, u64) {
+        let (held, cost) = self.execute_held(task);
+        (held.result().clone(), cost)
+    }
+
+    /// [`CloudService::execute`] returning a model or panorama as the
+    /// content library holds it — the entry itself, so a server that sends
+    /// it leaves the blob's checksum with the library for the next send.
+    pub fn execute_held(&self, task: &TaskRequest) -> (Arc<Held>, u64) {
         match task {
             TaskRequest::Recognition { image } => {
                 let embedding = self.net.extract(image);
                 let (label, distance) = self.classifier.predict(&embedding);
-                (
-                    TaskResult::Recognition(RecognitionResult {
-                        label: label.0,
-                        distance,
-                    }),
-                    self.compute.cloud_infer_ns(),
-                )
+                let result = TaskResult::Recognition(RecognitionResult {
+                    label: label.0,
+                    distance,
+                });
+                (Arc::new(Held::new(result)), self.compute.cloud_infer_ns())
             }
             TaskRequest::RenderLoad {
                 model_id,
                 size_bytes,
             } => {
-                let (bytes, _) = self.models.get(*model_id, *size_bytes);
-                let cost = self.compute.load_cloud.full_load_ns(bytes.len() as u64);
-                (TaskResult::Model(bytes), cost)
+                let (held, _) = self.models.held(*model_id, *size_bytes);
+                let cost = self
+                    .compute
+                    .load_cloud
+                    .full_load_ns(held.result().byte_size());
+                (held, cost)
             }
             TaskRequest::Panorama { frame_id } => {
-                let (bytes, _) = self.panos.get(*frame_id);
-                (TaskResult::Panorama(bytes), self.compute.pano_render_ns)
+                let (held, _) = self.panos.held(*frame_id);
+                (held, self.compute.pano_render_ns)
             }
         }
     }

@@ -5,7 +5,10 @@
 //! tests. Connection handling is thread-per-connection with std
 //! channels — appropriate for the handful of nodes in a CoIC deployment and
 //! free of async-runtime dependencies (the guides recommend plain blocking
-//! IO when you are not multiplexing thousands of connections).
+//! IO when you are not multiplexing thousands of connections). A server's
+//! connection thread looks for its peer's next frame for a few tens of
+//! microseconds before it sleeps (`POLL_BEFORE_SLEEP`, `PollPace`): a
+//! closed-loop peer answers faster than a sleeping thread is woken.
 //!
 //! Wire format: `u32` big-endian payload length, `u32` big-endian CRC-32
 //! (IEEE) of the payload, then the payload. Frames larger than
@@ -13,6 +16,15 @@
 //! malicious peer cannot trigger unbounded allocation, and the receive
 //! path allocates incrementally so a lying length prefix cannot reserve
 //! more memory than the peer actually transmits.
+//!
+//! A sender that holds a buffer for reuse — a cache entry, a library entry —
+//! need not sum it again for every frame that carries it: CRC-32 is linear
+//! over GF(2), so a frame's checksum folds from the sums of its parts
+//! ([`Sum`], [`Summed`], [`FrameConn::send_summed`]), and the sum of a blob
+//! sliced out of a received frame falls out of the sum the receiver has
+//! just verified ([`FrameConn::recv_summed`], [`Summed::tail`]). The wire
+//! bytes are the same either way and every receiver still checks all of
+//! them.
 //!
 //! Fault tolerance: connections support read/write deadlines
 //! ([`FrameConn::set_read_deadline`]), every error classifies into the
@@ -28,7 +40,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on a single frame's payload (256 MiB) — larger than any CoIC
 /// message (the biggest are multi-megabyte 3D models) but small enough to
@@ -41,6 +53,49 @@ const RECV_CHUNK: usize = 64 * 1024;
 
 /// Frame header: length (4) + CRC-32 (4).
 const HDR_LEN: usize = 8;
+
+/// How long a [`FrameServer`] connection thread looks for its peer's next
+/// frame before it sleeps in `read` ([`FrameConn::poll_readable`]). Putting
+/// a sleeping thread back on a processor costs more than serving a cached
+/// hit (20 – 35 µs against 14 µs on the reference sandbox, whose idle
+/// processors halt), and a peer in a closed loop sends again within a few
+/// microseconds. A poll longer than the wake-up it saves is a loss, so the
+/// budget is about one wake-up plus a prompt peer's turnaround. DESIGN.md
+/// §17 has the measurements.
+const POLL_BEFORE_SLEEP: Duration = Duration::from_micros(50);
+
+/// Which frames a connection thread polls for. After `n` polls in a row
+/// that found nothing it takes its next `2^n` frames the plain way, `n`
+/// capped at [`PollPace::BACKOFF_MAX`]: a peer that thinks for longer than
+/// the budget costs its thread one vain poll per 1 024 frames, a peer that
+/// turns prompt is found out by the next poll, and a prompt peer that
+/// stalls once sits out two frames.
+#[derive(Default)]
+struct PollPace {
+    vain: u32,
+    sit_out: u32,
+}
+
+impl PollPace {
+    const BACKOFF_MAX: u32 = 10;
+
+    /// Whether to poll before the next frame.
+    fn due(&mut self) -> bool {
+        let due = self.sit_out == 0;
+        self.sit_out = self.sit_out.saturating_sub(1);
+        due
+    }
+
+    /// What the poll that was due found.
+    fn found(&mut self, something: bool) {
+        if something {
+            self.vain = 0;
+        } else {
+            self.vain = (self.vain + 1).min(Self::BACKOFF_MAX);
+            self.sit_out = 1 << self.vain;
+        }
+    }
+}
 
 // --- CRC-32 (IEEE 802.3), slice-by-16 ------------------------------------
 
@@ -141,6 +196,195 @@ impl Crc32 {
 /// CRC-32 (IEEE) of `data`, as carried in the frame header.
 pub fn crc32(data: &[u8]) -> u32 {
     Crc32::new().update(data).finish()
+}
+
+// --- composable sums ----------------------------------------------------
+
+/// The CRC-32 polynomial, bit-reflected like the tables: bit 31 is the
+/// coefficient of x⁰, bit 0 that of x³¹.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// The polynomial 1 in that representation.
+const GF_ONE: u32 = 0x8000_0000;
+
+/// `a · b` in GF(2)[x] modulo the CRC polynomial: 32 shift-and-add steps,
+/// branch-free (≈ 20 – 25 ns on the reference sandbox).
+const fn gf_mul(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut i = 0;
+    while i < 32 {
+        // Add b·xⁱ when a has xⁱ, then step b to b·xⁱ⁺¹.
+        p ^= b & 0u32.wrapping_sub((a >> (31 - i)) & 1);
+        b = (b >> 1) ^ (CRC_POLY & 0u32.wrapping_sub(b & 1));
+        i += 1;
+    }
+    p
+}
+
+/// `X2N[k]` is x^(2^k). The polynomial is primitive, so x has order
+/// 2³² − 1 and x^(2^(k+32)) = x^(2^k): indices are taken modulo 32.
+const fn x2n_table() -> [u32; 32] {
+    let mut t = [0u32; 32];
+    t[0] = GF_ONE >> 1;
+    let mut k = 1;
+    while k < 32 {
+        t[k] = gf_mul(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+}
+
+static X2N: [u32; 32] = x2n_table();
+
+/// x^(8·len): what appending `len` bytes multiplies a running CRC by. One
+/// table entry per set bit of `len`, folded with one multiply each.
+fn x_pow_bytes(len: u64) -> u32 {
+    let mut p = GF_ONE;
+    let (mut n, mut k) = (len, 3);
+    while n != 0 {
+        if n & 1 != 0 {
+            p = if p == GF_ONE {
+                X2N[k & 31]
+            } else {
+                gf_mul(X2N[k & 31], p)
+            };
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// The CRC-32 of a run of bytes in a form that composes: the checksum, the
+/// run's length, and the operator x^(8·len) that appending the run applies
+/// to whatever was summed before it. Since
+/// `crc(a ‖ b) = crc(a)·x^(8·|b|) ⊕ crc(b)`, the sum of a concatenation is
+/// one multiply away from the sums of its parts ([`Sum::then`]), and the sum
+/// of a tail is one multiply away from the sums of the whole and of the
+/// head ([`Sum::without_prefix`]) — no pass over bytes already summed.
+///
+/// A `Sum` says nothing about *which* bytes it is the sum of. Keep it
+/// beside them: [`Summed`] is the pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sum {
+    crc: u32,
+    shift: u32,
+    len: u64,
+}
+
+impl Default for Sum {
+    /// The sum of no bytes: the identity of [`Sum::then`] on both sides.
+    fn default() -> Sum {
+        Sum {
+            crc: 0,
+            shift: GF_ONE,
+            len: 0,
+        }
+    }
+}
+
+impl Sum {
+    /// Sum `bytes` (the one pass over them).
+    pub fn of(bytes: &[u8]) -> Sum {
+        Sum::known(crc32(bytes), bytes.len() as u64)
+    }
+
+    /// The sum of `len` bytes whose checksum something has already
+    /// computed or verified.
+    fn known(crc: u32, len: u64) -> Sum {
+        Sum {
+            crc,
+            shift: x_pow_bytes(len),
+            len,
+        }
+    }
+
+    /// The sum of these bytes followed by `next`'s:
+    /// `Sum::of(a).then(Sum::of(b)) == Sum::of(a ‖ b)`.
+    pub fn then(self, next: Sum) -> Sum {
+        Sum {
+            crc: gf_mul(self.crc, next.shift) ^ next.crc,
+            shift: gf_mul(self.shift, next.shift),
+            len: self.len + next.len,
+        }
+    }
+
+    /// The sum of what follows `head` in these bytes:
+    /// `Sum::of(a ‖ b).without_prefix(Sum::of(a)) == Sum::of(b)`.
+    ///
+    /// # Panics
+    /// Panics when `head` is longer than `self` (it is not a prefix).
+    pub fn without_prefix(self, head: Sum) -> Sum {
+        let len = self
+            .len
+            .checked_sub(head.len)
+            .expect("a prefix is no longer than the whole");
+        let shift = x_pow_bytes(len);
+        Sum {
+            crc: self.crc ^ gf_mul(head.crc, shift),
+            shift,
+            len,
+        }
+    }
+
+    /// The CRC-32 (IEEE) of the summed bytes, as [`crc32`] computes it.
+    pub fn crc(self) -> u32 {
+        self.crc
+    }
+}
+
+/// A shared buffer and the [`Sum`] of exactly its bytes. The only ways to
+/// make one are to sum the buffer ([`Summed::of`]), to receive it as a
+/// verified frame ([`FrameConn::recv_summed`]) or to slice it off the end
+/// of one of those ([`Summed::tail`]) — so wherever the pair travels, the
+/// sum is that of the bytes beside it. (A sum remembered apart from its
+/// buffer, say in a table keyed by the buffer's address, outlives the
+/// buffer and is then served for whatever is allocated there next.)
+#[derive(Debug, Clone, Default)]
+pub struct Summed {
+    bytes: Bytes,
+    sum: Sum,
+}
+
+impl Summed {
+    /// Sum `bytes` (the one pass over them).
+    pub fn of(bytes: Bytes) -> Summed {
+        let sum = Sum::of(&bytes);
+        Summed { bytes, sum }
+    }
+
+    /// The buffer.
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+
+    /// The sum of the buffer's bytes.
+    pub fn sum(&self) -> Sum {
+        self.sum
+    }
+
+    /// Is `other` this very buffer — the same bytes at the same address?
+    /// Both are alive here, so equal views are equal contents without
+    /// comparing them.
+    pub fn is_buffer(&self, other: &Bytes) -> bool {
+        self.bytes.as_ptr() == other.as_ptr() && self.bytes.len() == other.len()
+    }
+
+    /// `tail` paired with its sum, derived from this buffer's by a pass
+    /// over the bytes *before* the tail only — what a blob sliced out of a
+    /// received frame needs, where those are a few bytes of message
+    /// framing. `None` unless `tail` is the end of this very buffer.
+    pub fn tail(&self, tail: &Bytes) -> Option<Summed> {
+        let at = self.bytes.len().checked_sub(tail.len())?;
+        let (head, rest) = self.bytes.split_at(at);
+        if rest.as_ptr() != tail.as_ptr() {
+            return None;
+        }
+        Some(Summed {
+            bytes: tail.clone(),
+            sum: self.sum.without_prefix(Sum::of(head)),
+        })
+    }
 }
 
 // --- error taxonomy ----------------------------------------------------
@@ -290,16 +534,34 @@ impl FrameConn {
     }
 
     /// Send one frame whose payload is `head ‖ body`, without joining the
-    /// two: the checksum streams over both and a single vectored write puts
-    /// header, head and body on the socket. This is how a cached blob
-    /// reaches the wire uncopied — `head` is the few bytes of message
-    /// framing, `body` the shared buffer.
+    /// two: a single vectored write puts header, head and body on the
+    /// socket. This is how a cached blob reaches the wire uncopied — `head`
+    /// is the few bytes of message framing, `body` the shared buffer.
     pub fn send_parts(&mut self, head: &[u8], body: &[u8]) -> Result<(), FrameError> {
+        self.send_with(head, body, Sum::of(body))
+    }
+
+    /// [`FrameConn::send_parts`] for a body whose sum is already known:
+    /// the frame's checksum is the head's sum folded with it, so the body
+    /// is not read before the kernel copies it. Debug builds sum it anyway
+    /// and assert the pair agrees.
+    pub fn send_summed(&mut self, head: &[u8], body: &Summed) -> Result<(), FrameError> {
+        debug_assert_eq!(
+            body.sum,
+            Sum::of(&body.bytes),
+            "a buffer travelled with another buffer's sum"
+        );
+        self.send_with(head, &body.bytes, body.sum)
+    }
+
+    /// The one send: every frame's checksum is `Sum::of(head)` folded with
+    /// the body's sum, whoever computed that.
+    fn send_with(&mut self, head: &[u8], body: &[u8], body_sum: Sum) -> Result<(), FrameError> {
         let len = head.len() + body.len();
         if len > MAX_FRAME as usize {
             return Err(FrameError::Oversized(len.min(u32::MAX as usize) as u32));
         }
-        let crc = Crc32::new().update(head).update(body).finish();
+        let crc = Sum::of(head).then(body_sum).crc();
         write_frame(&mut self.stream, len as u32, crc, head, body)?;
         Ok(())
     }
@@ -310,6 +572,21 @@ impl FrameConn {
     /// buffer is the receive buffer itself (no copy) and holds no capacity
     /// beyond the frame.
     pub fn recv(&mut self) -> Result<Bytes, FrameError> {
+        self.recv_verified().map(|(frame, _crc)| frame)
+    }
+
+    /// [`FrameConn::recv`], keeping the sum the check has just established
+    /// beside the frame: a blob sliced out of it gets its own sum by
+    /// [`Summed::tail`], and whoever sends that blob on need not read it
+    /// again.
+    pub fn recv_summed(&mut self) -> Result<Summed, FrameError> {
+        let (bytes, crc) = self.recv_verified()?;
+        let sum = Sum::known(crc, bytes.len() as u64);
+        Ok(Summed { bytes, sum })
+    }
+
+    /// One frame and its checksum, which the bytes have been found to match.
+    fn recv_verified(&mut self) -> Result<(Bytes, u32), FrameError> {
         let (len, expected) = match read_header(&mut self.stream) {
             Ok(h) => h,
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(FrameError::Closed),
@@ -323,7 +600,33 @@ impl FrameConn {
         if actual != expected {
             return Err(FrameError::Corrupt { expected, actual });
         }
-        Ok(Bytes::from(buf))
+        Ok((Bytes::from(buf), actual))
+    }
+
+    /// Wait up to `budget` for the first byte of the next frame without
+    /// sleeping: a non-blocking one-byte `peek`, giving the processor to
+    /// whoever else can run between looks (the peer, when it shares this
+    /// one). `false` when the budget ran out with nothing to read; an
+    /// error or the end of the stream is something to read, and the
+    /// caller's `recv` finds out which. The socket is blocking again on
+    /// return, so sends never see `WouldBlock`.
+    fn poll_readable(&self, budget: Duration) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let begun = Instant::now();
+        let mut byte = [0u8; 1];
+        let mut found = true;
+        while matches!(self.stream.peek(&mut byte), Err(e) if e.kind() == io::ErrorKind::WouldBlock)
+        {
+            if begun.elapsed() >= budget {
+                found = false;
+                break;
+            }
+            std::thread::yield_now();
+        }
+        let _ = self.stream.set_nonblocking(false);
+        found
     }
 
     /// Local socket address.
@@ -341,7 +644,7 @@ impl FrameConn {
 
 /// Put one frame on `w`: header (`len`, `crc`), then `head`, then `body`,
 /// in a single vectored write (looping on short writes and `Interrupted`).
-/// Every sender goes through here — [`FrameConn::send_parts`], and
+/// Every sender goes through here — [`FrameConn`]'s one send, and
 /// [`FaultProxy`], which passes a checksum it did not compute so that it
 /// can forward corrupted payloads.
 fn write_frame<W: Write>(
@@ -575,26 +878,33 @@ impl FrameServer {
         A: ToSocketAddrs,
         F: Fn(Bytes) -> Option<Vec<u8>> + Send + Sync + 'static,
     {
-        Self::spawn_conn(addr, move |_conn, frame| {
-            handler(frame).map(|reply| (reply, Bytes::new()))
-        })
+        Self::spawn_conn(
+            addr,
+            move |_conn, frame| handler(frame).map(|reply| (reply, Summed::default())),
+            |_conn| {},
+        )
     }
 
     /// [`FrameServer::spawn`] for handlers that keep state across the
     /// frames of one connection and answer with shared buffers: `handler`
     /// additionally receives the id of the connection the frame arrived on
     /// (ids are unique for the lifetime of the server and never reused),
-    /// and its reply is a small owned head plus a shared body — the frame
-    /// sent is `head ‖ body` ([`FrameConn::send_parts`]), so a cached
-    /// `Bytes` goes out without being copied.
-    pub fn spawn_conn<A, F>(addr: A, handler: F) -> io::Result<FrameServer>
+    /// and its reply is a small owned head plus a shared body with its sum
+    /// — the frame sent is `head ‖ body` ([`FrameConn::send_summed`]), so
+    /// a cached `Bytes` goes out without being copied or summed again.
+    /// `closed` runs on the connection's thread once no further frame of
+    /// that connection will reach `handler` (the peer went away, a send
+    /// failed, the handler returned `None`, or the server shut down): the
+    /// place to drop whatever the handler kept under that id.
+    pub fn spawn_conn<A, F, C>(addr: A, handler: F, closed: C) -> io::Result<FrameServer>
     where
         A: ToSocketAddrs,
-        F: Fn(u64, Bytes) -> Option<(Vec<u8>, Bytes)> + Send + Sync + 'static,
+        F: Fn(u64, Bytes) -> Option<(Vec<u8>, Summed)> + Send + Sync + 'static,
+        C: Fn(u64) + Send + Sync + 'static,
     {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let handler = Arc::new(handler);
+        let handler = Arc::new((handler, closed));
         let shared = ListenerShared::new();
         let shared2 = shared.clone();
         let accept_thread = std::thread::Builder::new()
@@ -613,11 +923,17 @@ impl FrameServer {
                     let _ = std::thread::Builder::new()
                         .name("coic-frame-conn".into())
                         .spawn(move || {
+                            let (handler, closed) = &*h;
                             if let Ok(mut fc) = FrameConn::new(stream) {
-                                while let Ok(frame) = fc.recv() {
-                                    match h(id, frame) {
+                                let mut pace = PollPace::default();
+                                loop {
+                                    if pace.due() {
+                                        pace.found(fc.poll_readable(POLL_BEFORE_SLEEP));
+                                    }
+                                    let Ok(frame) = fc.recv() else { break };
+                                    match handler(id, frame) {
                                         Some((head, body)) => {
-                                            if fc.send_parts(&head, &body).is_err() {
+                                            if fc.send_summed(&head, &body).is_err() {
                                                 break;
                                             }
                                         }
@@ -625,6 +941,7 @@ impl FrameServer {
                                     }
                                 }
                             }
+                            closed(id);
                             sh.deregister(id);
                         });
                 }
@@ -1068,9 +1385,11 @@ mod tests {
     #[test]
     fn spawn_conn_ids_are_stable_per_connection_and_distinct_across() {
         // Head: the connection id. Body: the request frame, shared.
-        let server = FrameServer::spawn_conn("127.0.0.1:0", |conn, frame| {
-            Some((conn.to_be_bytes().to_vec(), frame))
-        })
+        let server = FrameServer::spawn_conn(
+            "127.0.0.1:0",
+            |conn, frame| Some((conn.to_be_bytes().to_vec(), Summed::of(frame))),
+            |_conn| {},
+        )
         .unwrap();
         let mut a = FrameConn::connect(server.local_addr()).unwrap();
         let mut b = FrameConn::connect(server.local_addr()).unwrap();
@@ -1082,6 +1401,125 @@ mod tests {
         assert_eq!(a1, a2);
         assert_ne!(a1, b1);
         assert_eq!(&a1[8..], b"who am i", "reply is head ‖ body");
+    }
+
+    #[test]
+    fn spawn_conn_reports_each_connection_closed_once_after_its_last_frame() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        let frames = Arc::new(AtomicU64::new(0));
+        let seen = frames.clone();
+        let server = FrameServer::spawn_conn(
+            "127.0.0.1:0",
+            move |_conn, frame| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                // "bye" makes the handler hang up; anything else echoes.
+                (&frame[..] != b"bye").then(|| (Vec::new(), Summed::of(frame)))
+            },
+            move |conn| tx.lock().unwrap().send(conn).unwrap(),
+        )
+        .unwrap();
+        let wait = || rx.recv_timeout(Duration::from_secs(5)).expect("no close");
+        // The peer goes away.
+        let mut a = FrameConn::connect(server.local_addr()).unwrap();
+        a.send(b"one").unwrap();
+        a.recv().unwrap();
+        assert!(rx.try_recv().is_err(), "closed while still open");
+        drop(a);
+        let first = wait();
+        assert_eq!(frames.load(Ordering::SeqCst), 1);
+        // The handler hangs up.
+        let mut b = FrameConn::connect(server.local_addr()).unwrap();
+        b.send(b"bye").unwrap();
+        let second = wait();
+        assert_ne!(first, second);
+        // The server shuts down under an open connection.
+        let mut c = FrameConn::connect(server.local_addr()).unwrap();
+        c.send(b"two").unwrap();
+        c.recv().unwrap();
+        drop(server);
+        let third = wait();
+        assert!(third != first && third != second);
+        assert!(rx.try_recv().is_err(), "a connection closed twice");
+    }
+
+    #[test]
+    fn polling_for_the_next_frame_ends_on_data_hangup_or_budget_and_leaves_the_socket_blocking() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = FrameConn::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = FrameConn::new(listener.accept().unwrap().0).unwrap();
+        let long = Duration::from_secs(5);
+        // Nothing arrives: the poll lasts its budget. The frame that comes
+        // later is then waited for — a socket left non-blocking would fail
+        // this `recv` at once.
+        let begun = Instant::now();
+        assert!(!conn.poll_readable(Duration::from_millis(20)));
+        assert!(begun.elapsed() >= Duration::from_millis(20));
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            peer.send(b"late").unwrap();
+            peer
+        });
+        assert_eq!(&conn.recv().unwrap()[..], b"late");
+        let mut peer = sender.join().unwrap();
+        // A frame that arrives during the poll ends it.
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            peer.send(b"prompt").unwrap();
+            peer
+        });
+        assert!(conn.poll_readable(long));
+        assert_eq!(&conn.recv().unwrap()[..], b"prompt");
+        // So does the peer hanging up, and `recv` says which it was.
+        drop(sender.join().unwrap());
+        assert!(conn.poll_readable(long));
+        assert!(matches!(conn.recv(), Err(FrameError::Closed)));
+    }
+
+    #[test]
+    fn a_connection_thread_that_polls_still_blocks_on_large_replies_and_slow_peers() {
+        let server = FrameServer::spawn("127.0.0.1:0", |f| Some(f.to_vec())).unwrap();
+        let mut conn = FrameConn::connect(server.local_addr()).unwrap();
+        let mut echo = |payload: &[u8]| {
+            conn.send(payload).unwrap();
+            assert_eq!(&conn.recv().unwrap()[..], payload);
+        };
+        // A closed loop: the thread's polls find the next frame.
+        for i in 0..200u8 {
+            echo(&[i]);
+        }
+        // Its reply to a frame far larger than a socket buffer has to block
+        // on the peer reading it, poll or no poll.
+        echo(&vec![0x5au8; 3 * 1024 * 1024]);
+        echo(b"after");
+        // Pauses outlast the poll: the thread sleeps, is woken, and backs off.
+        for _ in 0..4 {
+            std::thread::sleep(Duration::from_millis(2));
+            echo(b"woken");
+        }
+        echo(b"and prompt again");
+    }
+
+    #[test]
+    fn vain_polls_double_the_frames_sat_out_and_a_find_resets_them() {
+        // Frames taken the plain way until the next poll is due.
+        fn sat_out(pace: &mut PollPace) -> u32 {
+            let mut frames = 0;
+            while !pace.due() {
+                frames += 1;
+            }
+            frames
+        }
+        let mut pace = PollPace::default();
+        assert!(pace.due(), "a new connection polls for its first frame");
+        for n in 1..=12u32 {
+            pace.found(false);
+            assert_eq!(sat_out(&mut pace), 1 << n.min(PollPace::BACKOFF_MAX));
+        }
+        pace.found(true);
+        assert!(pace.due(), "a prompt peer is polled for every time");
+        pace.found(false);
+        assert_eq!(sat_out(&mut pace), 2, "one stall after a find starts over");
     }
 
     #[test]
@@ -1277,23 +1715,98 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parts_send_puts_the_encode_frame_image_on_the_wire() {
+    /// A raw listener that hands back the first `n` bytes it is sent.
+    fn capture(n: usize) -> (SocketAddr, JoinHandle<Vec<u8>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let head = b"eleven-byte".to_vec();
-        let body = vec![0xC3u8; 300_000];
-        let expect = encode_frame(&[&head[..], &body[..]].concat()).unwrap();
-        let n = expect.len();
         let reader = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
             let mut got = vec![0u8; n];
             s.read_exact(&mut got).unwrap();
             got
         });
+        (addr, reader)
+    }
+
+    #[test]
+    fn parts_and_summed_sends_put_the_encode_frame_image_on_the_wire() {
+        let head = b"eleven-byte".to_vec();
+        let body = Summed::of(Bytes::from(vec![0xC3u8; 300_000]));
+        let expect = encode_frame(&[&head[..], &body.bytes()[..]].concat()).unwrap();
+        let (addr, reader) = capture(2 * expect.len());
         let mut conn = FrameConn::connect(addr).unwrap();
-        conn.send_parts(&head, &body).unwrap();
-        assert_eq!(reader.join().unwrap(), expect);
+        conn.send_parts(&head, body.bytes()).unwrap();
+        conn.send_summed(&head, &body).unwrap();
+        assert_eq!(reader.join().unwrap(), [&expect[..], &expect[..]].concat());
+    }
+
+    #[test]
+    fn a_received_frames_tail_carries_the_sum_of_exactly_its_bytes() {
+        let server = FrameServer::spawn("127.0.0.1:0", |f| Some(f.to_vec())).unwrap();
+        let mut conn = FrameConn::connect(server.local_addr()).unwrap();
+        let payload: Vec<u8> = (0..70_000u32).map(|i| ((i * 31) >> 3) as u8).collect();
+        conn.send(&payload).unwrap();
+        let frame = conn.recv_summed().unwrap();
+        assert_eq!(&frame.bytes()[..], &payload[..]);
+        assert_eq!(frame.sum(), Sum::of(&payload));
+        for at in [0, 1, 16, 17, 69_999, 70_000] {
+            let blob = frame.bytes().slice(at..);
+            let tail = frame.tail(&blob).expect("a slice to the end is a tail");
+            assert!(tail.is_buffer(&blob));
+            assert_eq!(tail.sum(), Sum::of(&payload[at..]), "tail from {at}");
+        }
+        // Not the end of the frame, or not this frame at all: no sum.
+        assert!(frame.tail(&frame.bytes().slice(5..100)).is_none());
+        let copy = Bytes::from(payload[17..].to_vec());
+        assert!(frame.tail(&copy).is_none());
+        assert!(!frame.is_buffer(&Bytes::from(payload.clone())));
+        let longer = Bytes::from(vec![0u8; 70_001]);
+        assert!(frame.tail(&longer).is_none());
+    }
+
+    /// Two same-sized blobs, and the first paired with the second's sum —
+    /// what the type's constructors cannot produce, built field by field.
+    fn mispaired() -> (Vec<u8>, Summed) {
+        let blob = Bytes::from(vec![0x11u8; 4096]);
+        let other = Sum::of(&[0x22u8; 4096]);
+        (
+            b"head".to_vec(),
+            Summed {
+                bytes: blob,
+                sum: other,
+            },
+        )
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "another buffer's sum")]
+    fn summed_send_refuses_a_buffer_paired_with_another_buffers_sum() {
+        let (addr, _reader) = capture(1);
+        let mut conn = FrameConn::connect(addr).unwrap();
+        let (head, body) = mispaired();
+        let _ = conn.send_summed(&head, &body);
+    }
+
+    #[test]
+    fn a_wrong_sum_that_reaches_the_wire_is_rejected_by_the_receiver() {
+        // Past the debug assertion (as a release build would be), the frame
+        // carries a checksum that is not its payload's: the receiver, which
+        // sums every byte it is given, reports Corrupt and yields nothing.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sender = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = FrameConn::new(stream).unwrap();
+            let (head, body) = mispaired();
+            conn.send_with(&head, body.bytes(), body.sum()).unwrap();
+        });
+        let mut conn = FrameConn::connect(addr).unwrap();
+        match conn.recv_summed() {
+            Err(e @ FrameError::Corrupt { .. }) => assert_eq!(e.fault(), FaultError::Corrupt),
+            other => panic!("expected corrupt, got {other:?}"),
+        }
+        sender.join().unwrap();
     }
 
     #[test]
@@ -1453,6 +1966,111 @@ mod tests {
         }
     }
 
+    /// Deterministic filler that is neither constant nor periodic in 256.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9u32;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 11) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sum_known_vector_and_identity() {
+        let s = Sum::of(b"123456789");
+        assert_eq!((s.crc(), s.len), (0xCBF4_3926, 9));
+        let empty = Sum::of(b"");
+        assert_eq!(empty, Sum::default());
+        assert_eq!((empty.crc(), empty.len), (0, 0));
+        // Empty operands on either side, and on both.
+        assert_eq!(s.then(empty), s);
+        assert_eq!(empty.then(s), s);
+        assert_eq!(empty.then(empty), empty);
+        assert_eq!(s.without_prefix(empty), s);
+        assert_eq!(s.without_prefix(s), empty);
+        assert_eq!(empty.without_prefix(empty), empty);
+    }
+
+    #[test]
+    #[should_panic(expected = "a prefix is no longer than the whole")]
+    fn without_prefix_rejects_a_head_longer_than_the_whole() {
+        let _ = Sum::of(b"ab").without_prefix(Sum::of(b"abc"));
+    }
+
+    #[test]
+    fn gf_multiply_is_the_ring_the_tables_live_in() {
+        // x⁸ steps the register exactly as the bytewise table does, and the
+        // multiply is commutative with GF_ONE as its identity.
+        for c in [1u32, 0x8000_0000, 0xDEAD_BEEF, 0xFFFF_FFFF, 0x0001_0000] {
+            let stepped = CRC_TABLES[0][(c & 0xFF) as usize] ^ (c >> 8);
+            assert_eq!(gf_mul(c, X2N[3]), stepped, "{c:#x}·x⁸");
+            assert_eq!(gf_mul(X2N[3], c), stepped);
+            assert_eq!(gf_mul(c, GF_ONE), c);
+        }
+        // x has order 2³² − 1, which is what lets X2N wrap at 32.
+        assert_eq!(gf_mul(X2N[31], X2N[31]), X2N[0]);
+        assert_eq!(x_pow_bytes(0), GF_ONE);
+        assert_eq!(x_pow_bytes(1), X2N[3]);
+        assert_eq!(x_pow_bytes(3), gf_mul(X2N[3], X2N[4]));
+    }
+
+    #[test]
+    fn then_equals_the_one_shot_sum_at_every_split_of_4_kib() {
+        let data = noise(4096);
+        let whole = Sum::of(&data);
+        assert_eq!(whole.crc(), crc32_bytewise(&data));
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            let (sa, sb) = (Sum::of(a), Sum::of(b));
+            assert_eq!(sa.then(sb), whole, "cut {cut}");
+            assert_eq!(whole.without_prefix(sa), sb, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn then_holds_at_lengths_straddling_every_power_of_two_up_to_2_mib() {
+        let data = noise((2 << 20) + 1);
+        let head = &data[..37];
+        let sh = Sum::of(head);
+        for k in 0..=21u32 {
+            for len in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+                let body = &data[37..37 + len.min(data.len() - 37)];
+                let sb = Sum::of(body);
+                let whole = Crc32::new().update(head).update(body).finish();
+                let folded = sh.then(sb);
+                assert_eq!(folded.crc(), whole, "body of {} bytes", body.len());
+                assert_eq!(folded.len, (head.len() + body.len()) as u64);
+                assert_eq!(
+                    folded.without_prefix(sh),
+                    sb,
+                    "body of {} bytes",
+                    body.len()
+                );
+                // And with the long run first.
+                assert_eq!(
+                    sb.then(sh).crc(),
+                    Crc32::new().update(body).update(head).finish(),
+                    "head of {} bytes",
+                    body.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn then_is_associative() {
+        let data = noise(3000);
+        let (a, rest) = data.split_at(700);
+        let (b, c) = rest.split_at(1);
+        let (sa, sb, sc) = (Sum::of(a), Sum::of(b), Sum::of(c));
+        assert_eq!(sa.then(sb).then(sc), sa.then(sb.then(sc)));
+        assert_eq!(sa.then(sb).then(sc), Sum::of(&data));
+    }
+
     proptest::proptest! {
         #[test]
         fn crc32_matches_reference_on_random_input(
@@ -1461,6 +2079,22 @@ mod tests {
         ) {
             let s = data.get(offset..).unwrap_or_default();
             proptest::prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        }
+
+        #[test]
+        fn sums_compose_over_random_triples(
+            a in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3000),
+            b in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3000),
+            c in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3000),
+        ) {
+            let (sa, sb, sc) = (Sum::of(&a), Sum::of(&b), Sum::of(&c));
+            let all = [&a[..], &b[..], &c[..]].concat();
+            let whole = sa.then(sb).then(sc);
+            proptest::prop_assert_eq!(whole.crc(), crc32_bytewise(&all));
+            proptest::prop_assert_eq!(whole, Sum::of(&all));
+            proptest::prop_assert_eq!(whole, sa.then(sb.then(sc)));
+            proptest::prop_assert_eq!(whole.without_prefix(sa), sb.then(sc));
+            proptest::prop_assert_eq!(whole.without_prefix(sa.then(sb)), sc);
         }
     }
 

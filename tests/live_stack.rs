@@ -839,6 +839,189 @@ fn same_req_id_on_two_connections_keeps_pending_uploads_apart() {
     assert_eq!(label(exchange(&mut conn_b, query(&b)), "B"), 4);
 }
 
+/// What the edge says about its reply path and its parked descriptors.
+struct EdgeCounts {
+    /// Reply blobs sent under a sum the cache entry already carried.
+    sums_reused: u64,
+    /// Reply blobs summed for the send.
+    summed_on_send: u64,
+    /// Descriptors parked awaiting an `Upload` right now.
+    parked: i64,
+    /// Connections closed for parking too many.
+    overflows: u64,
+}
+
+fn edge_counts(s: &Stack) -> EdgeCounts {
+    let reg = coic::obs::MetricsRegistry::new();
+    s.edge.publish_metrics(&reg);
+    EdgeCounts {
+        sums_reused: reg.counter("edge.blob_sum_reused"),
+        summed_on_send: reg.counter("edge.blob_summed_on_send"),
+        parked: reg.gauge("edge.pending_uploads"),
+        overflows: reg.counter("edge.pending_overflow"),
+    }
+}
+
+/// The edge reads a cached byte once — to verify the frame it arrived in —
+/// however often it sends it: the miss reply goes out under the sum derived
+/// from that verified frame, every hit under the sum the entry keeps, and
+/// the client (whose `recv` sums every byte against the frame header, and
+/// which compares the payload with the library's) accepts all of them.
+#[test]
+fn a_warmed_hit_makes_no_pass_over_the_blob_and_a_miss_makes_one() {
+    use coic::core::{Msg, TaskRequest, TaskResult};
+    let s = stack();
+    let (model_id, size_bytes) = (9, 300_000);
+    let (bytes, digest) = s.models.get(model_id, size_bytes);
+    assert!(
+        !s.models.held(model_id, size_bytes).0.is_summed(),
+        "reading a library entry summed it"
+    );
+    let mut conn = raw_conn(&s);
+    let mut ask = |req_id| {
+        let query = Msg::Query {
+            req_id,
+            descriptor: coic::core::FeatureDescriptor::ModelHash(digest),
+            hint: Some(TaskRequest::RenderLoad {
+                model_id,
+                size_bytes,
+            }),
+        };
+        exchange(&mut conn, query)
+    };
+    match ask(1) {
+        Ok(Msg::Result { result, .. }) => assert_eq!(result, TaskResult::Model(bytes.clone())),
+        other => panic!("expected Result, got {other:?}"),
+    }
+    // The cloud summed its entry for its first send of it (and keeps the
+    // sum); the edge's one pass was the verifying receive.
+    assert!(s.models.held(model_id, size_bytes).0.is_summed());
+    let c = edge_counts(&s);
+    assert_eq!((c.sums_reused, c.summed_on_send), (1, 0), "miss reply");
+    for req_id in 2..6 {
+        match ask(req_id) {
+            Ok(Msg::Hit { result, .. }) => assert_eq!(result, TaskResult::Model(bytes.clone())),
+            other => panic!("expected Hit, got {other:?}"),
+        }
+        let c = edge_counts(&s);
+        assert_eq!(
+            (c.sums_reused, c.summed_on_send),
+            (req_id, 0),
+            "hit {req_id}"
+        );
+    }
+    // A second edge missing on the same model is served from the same
+    // library entry: the cloud does not sum it again (a `OnceLock`), and
+    // that edge too answers without a pass of its own.
+    let other = spawn_edge(s._cloud.addr(), &EdgeConfig::default()).unwrap();
+    let mut c2 = NetClient::connect(
+        other.addr(),
+        ClientConfig::default(),
+        s.compute,
+        s.models.clone(),
+        s.panos.clone(),
+    )
+    .unwrap();
+    let out = c2
+        .execute(&req(RequestKind::RenderLoad {
+            model_id,
+            size_bytes,
+        }))
+        .unwrap();
+    assert_eq!(out.path, Path::CloudMiss);
+    assert_eq!(out.result, TaskResult::Model(bytes));
+    let reg = coic::obs::MetricsRegistry::new();
+    other.publish_metrics(&reg);
+    assert_eq!(reg.counter("edge.blob_sum_reused"), 1);
+    assert_eq!(reg.counter("edge.blob_summed_on_send"), 0);
+}
+
+/// A recognition query nothing in the cache answers: the edge parks its
+/// descriptor and asks for the frame.
+fn hintless_query(req_id: u64) -> coic::core::Msg {
+    let dim = EdgeConfig::default().embedding_dim;
+    let mut v = vec![0.0f32; dim];
+    v[req_id as usize % dim] = 1.0;
+    coic::core::Msg::Query {
+        req_id,
+        descriptor: coic::core::FeatureDescriptor::Dnn(coic::vision::FeatureVec::new(v)),
+        hint: None,
+    }
+}
+
+/// Poll until `done()`: a connection's end is noticed by its own thread at
+/// the edge, not by the test's.
+fn eventually(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// ROADMAP item 1's half-closed leak: a descriptor parked for a connection
+/// that dies between `NeedPayload` and `Upload` used to stay parked for the
+/// life of the edge.
+#[test]
+fn a_connection_that_dies_before_uploading_leaves_nothing_parked() {
+    use coic::core::Msg;
+    let s = stack();
+    let (mut dying, mut living) = (raw_conn(&s), raw_conn(&s));
+    for conn in [&mut dying, &mut living] {
+        for req_id in 1..=3 {
+            assert_eq!(
+                exchange(conn, hintless_query(req_id)),
+                Ok(Msg::NeedPayload { req_id })
+            );
+        }
+    }
+    assert_eq!(edge_counts(&s).parked, 6);
+    drop(dying);
+    eventually(
+        "the dead connection's descriptors were never reaped",
+        || edge_counts(&s).parked == 3,
+    );
+    // The survivor's are untouched, and go when it does.
+    drop(living);
+    eventually("descriptors outlived every connection", || {
+        edge_counts(&s).parked == 0
+    });
+    assert_eq!(edge_counts(&s).overflows, 0);
+}
+
+/// …and a live connection could park without limit.
+#[test]
+fn a_connection_cannot_park_descriptors_without_limit() {
+    use coic::core::Msg;
+    const CAP: u64 = coic::core::netrun::PENDING_PER_CONN_MAX as u64;
+    let s = stack();
+    let mut flood = raw_conn(&s);
+    let mut answered = 0;
+    for req_id in 1..=CAP + 50 {
+        match exchange(&mut flood, hintless_query(req_id)) {
+            Ok(reply) => {
+                assert_eq!(reply, Msg::NeedPayload { req_id });
+                answered += 1;
+                assert!(edge_counts(&s).parked <= CAP as i64);
+            }
+            Err(_) => break,
+        }
+    }
+    assert_eq!(answered, CAP, "the cap is where it says");
+    // Past it the edge hung up, counted it, and dropped the lot.
+    eventually("the flooding connection's descriptors stayed", || {
+        edge_counts(&s).parked == 0
+    });
+    assert_eq!(edge_counts(&s).overflows, 1);
+    // Asking again for a request already parked is not one more, and the
+    // edge still serves.
+    let mut patient = raw_conn(&s);
+    for _ in 0..3 {
+        assert!(exchange(&mut patient, hintless_query(7)).is_ok());
+    }
+    assert_eq!(edge_counts(&s).parked, 1);
+}
+
 /// 256 concurrently open connections, each pipelining two exact-task
 /// queries (every connection reusing request ids 1 and 2): every reply
 /// arrives under the read deadline, in order, and the FNV fold of the
