@@ -37,7 +37,9 @@ fn cluster(fanout: u32, replicate: u32) -> Option<ClusterConfig> {
     })
 }
 
-fn row(edges: u32, label: &str, t: &[Request], cfg: Option<ClusterConfig>) {
+/// One table row. Rows clone `base`, so all twelve serve one generation of
+/// the 24 models (SimConfig::content).
+fn row(base: &SimConfig, edges: u32, label: &str, t: &[Request], cfg: Option<ClusterConfig>) {
     let mut report = run(
         t,
         &SimConfig {
@@ -45,7 +47,7 @@ fn row(edges: u32, label: &str, t: &[Request], cfg: Option<ClusterConfig>) {
             num_edges: edges,
             cluster: cfg,
             seed: 5,
-            ..SimConfig::default()
+            ..base.clone()
         },
     );
     println!(
@@ -68,12 +70,13 @@ fn main() {
         "edges", "config", "hits%", "local", "peer", "mean-lat", "p99-lat", "WAN MB"
     );
     coic_bench::rule(74);
+    let base = SimConfig::default();
     for edges in [4u32, 8, 16] {
         let t = trace(edges, 5);
-        row(edges, "isolated", &t, cluster(0, 2));
-        row(edges, "k=1 r=2", &t, cluster(1, 2));
-        row(edges, "k=3 r=2", &t, cluster(3, 2));
-        row(edges, "k=1 r=0", &t, cluster(1, 0));
+        row(&base, edges, "isolated", &t, cluster(0, 2));
+        row(&base, edges, "k=1 r=2", &t, cluster(1, 2));
+        row(&base, edges, "k=3 r=2", &t, cluster(3, 2));
+        row(&base, edges, "k=1 r=0", &t, cluster(1, 0));
     }
     coic_bench::rule(74);
     println!("Isolated edges decay with scale (each re-fetches the shared head from");

@@ -32,6 +32,9 @@ fn main() {
         "edges", "peers?", "local%", "peer%", "cloud%", "mean-lat", "WAN MB"
     );
     coic_bench::rule(70);
+    // Rows clone one config, so the 12 avatars are generated once
+    // (SimConfig::content).
+    let base = SimConfig::default();
     for edges in [1u32, 2, 4, 8] {
         let t = trace(edges, 41);
         for peer_lookup in [false, true] {
@@ -42,7 +45,7 @@ fn main() {
                 num_clients: 4 * edges,
                 num_edges: edges,
                 peer_lookup,
-                ..SimConfig::default()
+                ..base.clone()
             };
             let report = run(&t, &cfg);
             let n = report.completed as f64;

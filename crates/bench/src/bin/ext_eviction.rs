@@ -22,10 +22,13 @@ fn main() {
     print!(" {:>9}", "LRU+TLFU");
     println!();
     coic_bench::rule(70);
+    // Every cell replays the same 24 models: one config, cloned per cell,
+    // so they are generated once (SimConfig::content).
+    let base = base_config();
     for cache_mb in [16u64, 32, 64, 128] {
         print!("{:>7} MB |", cache_mb);
         for kind in PolicyKind::ALL {
-            let mut cfg = base_config();
+            let mut cfg = base.clone();
             cfg.num_clients = 8;
             cfg.edge.policy = kind;
             cfg.edge.exact_cache_bytes = cache_mb * 1024 * 1024;
@@ -33,7 +36,7 @@ fn main() {
             print!(" {:>7.1}%", report.hit_ratio() * 100.0);
         }
         // LRU guarded by a TinyLFU admission filter.
-        let mut cfg = base_config();
+        let mut cfg = base.clone();
         cfg.num_clients = 8;
         cfg.edge.policy = PolicyKind::Lru;
         cfg.edge.exact_cache_bytes = cache_mb * 1024 * 1024;

@@ -58,12 +58,8 @@ impl HashRing {
         for e in 0..edges {
             for v in 0..vnodes {
                 // 0x2f separator: (e=1,v=2) must differ from (e=12,v=..).
-                let key: Vec<u8> = e
-                    .to_le_bytes()
-                    .into_iter()
-                    .chain([0x2f])
-                    .chain(v.to_le_bytes())
-                    .collect();
+                let ([e0, e1, e2, e3], [v0, v1, v2, v3]) = (e.to_le_bytes(), v.to_le_bytes());
+                let key = [e0, e1, e2, e3, 0x2f, v0, v1, v2, v3];
                 // First writer wins on the (astronomically unlikely) point
                 // collision so the ring stays identical on every edge.
                 points.entry(mix(fnv1a64(&key))).or_insert(e);
@@ -137,6 +133,29 @@ mod tests {
         for d in digests(500) {
             assert_eq!(a.owner(&d), b.owner(&d));
             assert_eq!(a.walk(&d), b.walk(&d));
+        }
+    }
+
+    /// The ring is an agreement between processes — every edge derives it
+    /// alone and all must derive the same one, across versions — so its
+    /// placement is pinned: the failover order of
+    /// `Digest::of(&i.to_le_bytes())`, `i` in `0..8`, on a (16, 16) ring.
+    #[test]
+    fn placement_is_pinned() {
+        const WALK_PREFIXES: [[EdgeId; 4]; 8] = [
+            [3, 15, 12, 6],
+            [8, 6, 9, 10],
+            [6, 15, 4, 0],
+            [0, 12, 5, 1],
+            [12, 5, 1, 2],
+            [14, 5, 1, 6],
+            [9, 4, 1, 3],
+            [1, 12, 5, 15],
+        ];
+        let ring = HashRing::new(16, 16);
+        for (d, want) in digests(8).zip(WALK_PREFIXES) {
+            assert_eq!(ring.owner(&d), want[0]);
+            assert_eq!(ring.walk(&d)[..4], want);
         }
     }
 

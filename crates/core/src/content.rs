@@ -62,7 +62,7 @@ fn blob_of(held: &Held) -> Bytes {
     held.result().blob().cloned().unwrap_or_default()
 }
 
-/// Lazily generated, process-wide library of CMF model bytes.
+/// Lazily generated library of CMF model bytes.
 ///
 /// Generation is deterministic in `(model_id, size_bytes)`, so every node
 /// sharing a library (or even two distinct libraries) agrees on content
@@ -207,6 +207,36 @@ impl PanoLibrary {
     /// Just the digest.
     pub fn digest(&self, frame_id: u64) -> Digest {
         self.held(frame_id).1
+    }
+}
+
+/// The content a configured experiment serves: one model library, and one
+/// panorama library per frame height (a frame's bytes are a function of
+/// `(frame_id, height)`, so a library is never asked for another height's
+/// frames). A [`SimConfig`](crate::simrun::SimConfig) owns one; clones of
+/// the config share it, so a sweep over one config generates and hashes each
+/// model once, not once per run; it is freed with the last clone. Generation
+/// is deterministic in the ids, so a shared universe and a fresh one serve
+/// identical bytes.
+#[derive(Clone, Default)]
+pub struct ContentUniverse {
+    models: Arc<ModelLibrary>,
+    panos: Arc<Mutex<HashMap<u32, Arc<PanoLibrary>>>>,
+}
+
+impl ContentUniverse {
+    /// The model library.
+    pub fn models(&self) -> Arc<ModelLibrary> {
+        Arc::clone(&self.models)
+    }
+
+    /// The (procedural) panorama library for frames `height` pixels high.
+    pub fn panos(&self, height: u32) -> Arc<PanoLibrary> {
+        let mut panos = self.panos.lock();
+        let library = panos
+            .entry(height)
+            .or_insert_with(|| Arc::new(PanoLibrary::new(height)));
+        Arc::clone(library)
     }
 }
 

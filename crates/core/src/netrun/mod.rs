@@ -644,11 +644,9 @@ impl LiveAdmission {
 
     fn note_transition(&self, transition: Option<BrownoutState>, now: u64) {
         if let Some(state) = transition {
-            self.tel.event(
-                now,
-                "edge.brownout_state",
-                vec![("state", Value::from(state.as_str()))],
-            );
+            self.tel.event_with(now, "edge.brownout_state", || {
+                vec![("state", Value::from(state.as_str()))]
+            });
             self.tel
                 .registry()
                 .gauge_set("edge.brownout_state", state.as_gauge() as i64);
@@ -657,27 +655,23 @@ impl LiveAdmission {
 
     fn admitted_event(&self, req_id: u64, queued: bool, now: u64) {
         self.stats.count_admitted();
-        self.tel.event(
-            now,
-            "edge.admitted",
+        self.tel.event_with(now, "edge.admitted", || {
             vec![
                 ("req", Value::from(req_id)),
                 ("queued", Value::from(queued)),
-            ],
-        );
+            ]
+        });
     }
 
     fn shed_event(&self, req_id: u64, retry_after_ms: u32, reason: &'static str, now: u64) {
         self.stats.count_shed();
-        self.tel.event(
-            now,
-            "edge.shed",
+        self.tel.event_with(now, "edge.shed", || {
             vec![
                 ("req", Value::from(req_id)),
                 ("reason", Value::from(reason)),
                 ("retry_after_ms", Value::from(retry_after_ms)),
-            ],
-        );
+            ]
+        });
     }
 
     /// Admit one query, blocking this connection thread while the query
@@ -934,17 +928,15 @@ fn trace_rebuild(net: &NetConfig, service: &EdgeService, folded: usize, now_ns: 
     if folded == 0 {
         return;
     }
-    let t = service.index_telemetry();
-    net.telemetry.event(
-        now_ns,
-        "index.rebuild",
+    net.telemetry.event_with(now_ns, "index.rebuild", || {
+        let t = service.index_telemetry();
         vec![
             ("folded", Value::from(folded)),
             ("index", Value::from(service.index_family())),
             ("snapshot_len", Value::from(t.snapshot_len)),
             ("rebuilds", Value::from(t.rebuilds)),
-        ],
-    );
+        ]
+    });
 }
 
 /// Start an edge server on an ephemeral loopback port with default
@@ -1043,20 +1035,22 @@ pub fn spawn_edge_with(
                 // shard for digests, the lock-free snapshot index family
                 // for descriptors.
                 let outcome = service.lookup_held(&descriptor, now);
-                let mut fields = vec![
-                    ("req", Value::from(req_id)),
-                    ("kind", Value::from(outcome.kind_str())),
-                    ("hit", Value::from(outcome.is_hit())),
-                ];
-                match &descriptor {
-                    FeatureDescriptor::Dnn(_) => {
-                        fields.push(("index", Value::from(service.index_family())));
-                    }
-                    FeatureDescriptor::ModelHash(d) | FeatureDescriptor::PanoramaHash(d) => {
-                        fields.push(("shard", Value::from(service.exact_shard_of(d))));
-                    }
-                }
-                net.telemetry.event(now, "edge.lookup", fields);
+                net.telemetry.event_with(now, "edge.lookup", || {
+                    vec![
+                        ("req", Value::from(req_id)),
+                        ("kind", Value::from(outcome.kind_str())),
+                        ("hit", Value::from(outcome.is_hit())),
+                        match &descriptor {
+                            FeatureDescriptor::Dnn(_) => {
+                                ("index", Value::from(service.index_family()))
+                            }
+                            FeatureDescriptor::ModelHash(d)
+                            | FeatureDescriptor::PanoramaHash(d) => {
+                                ("shard", Value::from(service.exact_shard_of(d)))
+                            }
+                        },
+                    ]
+                });
                 let hit =
                     |held: Arc<Held>| Answer::held(held, |result| Msg::Hit { req_id, result });
                 let answer: Answer = match (outcome.into_value(), hint) {
@@ -1142,10 +1136,10 @@ pub fn spawn_edge_with(
                                 if let Some((targets, failover, cstats)) = planned {
                                     if failover {
                                         if let Some(&(peer, _)) = targets.first() {
-                                            net.telemetry.event(
+                                            net.telemetry.event_with(
                                                 clock.now_ns(),
                                                 "decision.peer_failover",
-                                                peer_field(peer),
+                                                || peer_field(peer),
                                             );
                                         }
                                     }
@@ -1158,10 +1152,10 @@ pub fn spawn_edge_with(
                                         // resolves early sends fewer
                                         // probes than it planned.
                                         cstats.count_probe();
-                                        net.telemetry.event(
+                                        net.telemetry.event_with(
                                             clock.now_ns(),
                                             "decision.peer_probe",
-                                            peer_field(peer),
+                                            || peer_field(peer),
                                         );
                                         let outcome = probe(addr);
                                         let now = clock.now_ns();
@@ -1194,24 +1188,26 @@ pub fn spawn_edge_with(
                                             }
                                         }
                                         if let Some((me, from, to)) = transition {
-                                            net.telemetry.event(
+                                            net.telemetry.event_with(
                                                 now,
                                                 "cluster.peer_state",
-                                                vec![
-                                                    ("edge", Value::from(me as u64)),
-                                                    ("req", Value::from(req_id)),
-                                                    ("peer", Value::from(peer as u64)),
-                                                    ("from", Value::from(from.as_str())),
-                                                    ("to", Value::from(to.as_str())),
-                                                ],
+                                                || {
+                                                    vec![
+                                                        ("edge", Value::from(me as u64)),
+                                                        ("req", Value::from(req_id)),
+                                                        ("peer", Value::from(peer as u64)),
+                                                        ("from", Value::from(from.as_str())),
+                                                        ("to", Value::from(to.as_str())),
+                                                    ]
+                                                },
                                             );
                                         }
                                         match outcome {
                                             Ok(Some(result)) => {
-                                                net.telemetry.event(
+                                                net.telemetry.event_with(
                                                     now,
                                                     "decision.peer_hit",
-                                                    peer_field(peer),
+                                                    || peer_field(peer),
                                                 );
                                                 net.telemetry.registry().observe(
                                                     "cluster.peer_latency_ns",
@@ -1219,15 +1215,15 @@ pub fn spawn_edge_with(
                                                 );
                                                 return Some(result);
                                             }
-                                            Ok(None) => net.telemetry.event(
+                                            Ok(None) => net.telemetry.event_with(
                                                 now,
                                                 "decision.peer_miss",
-                                                peer_field(peer),
+                                                || peer_field(peer),
                                             ),
-                                            Err(()) => net.telemetry.event(
+                                            Err(()) => net.telemetry.event_with(
                                                 now,
                                                 "decision.peer_timeout",
-                                                peer_field(peer),
+                                                || peer_field(peer),
                                             ),
                                         }
                                     }
@@ -1246,11 +1242,10 @@ pub fn spawn_edge_with(
                             if let Some(held) = peer_hit {
                                 return Some((Arc::new(held), true));
                             }
-                            net.telemetry.event(
-                                clock.now_ns(),
-                                "cloud.forward",
-                                vec![("req", Value::from(req_id))],
-                            );
+                            net.telemetry
+                                .event_with(clock.now_ns(), "cloud.forward", || {
+                                    vec![("req", Value::from(req_id))]
+                                });
                             guarded_cloud_call(
                                 &Msg::Forward { req_id, task },
                                 &net,
@@ -1273,11 +1268,10 @@ pub fn spawn_edge_with(
                         };
                         let unavailable = || -> Answer {
                             stats_h.count_unavailable();
-                            net.telemetry.event(
-                                clock.now_ns(),
-                                "edge.unavailable",
-                                vec![("req", Value::from(req_id))],
-                            );
+                            net.telemetry
+                                .event_with(clock.now_ns(), "edge.unavailable", || {
+                                    vec![("req", Value::from(req_id))]
+                                });
                             Msg::Unavailable { req_id }.into()
                         };
                         match digest {
@@ -1341,13 +1335,15 @@ pub fn spawn_edge_with(
                                                 );
                                             }
                                             if let Some((owner, addr, token)) = push {
-                                                net.telemetry.event(
+                                                net.telemetry.event_with(
                                                     clock.now_ns(),
                                                     "decision.peer_replicate",
-                                                    vec![
-                                                        ("req", Value::from(req_id)),
-                                                        ("peer", Value::from(owner as u64)),
-                                                    ],
+                                                    || {
+                                                        vec![
+                                                            ("req", Value::from(req_id)),
+                                                            ("peer", Value::from(owner as u64)),
+                                                        ]
+                                                    },
                                                 );
                                                 replicate_to(addr, req_id, token, d, held, &net);
                                             }
@@ -1363,11 +1359,9 @@ pub fn spawn_edge_with(
                                         };
                                     }
                                     FlightClaim::Queued => {
-                                        net.telemetry.event(
-                                            now,
-                                            "flight.queued",
-                                            vec![("req", Value::from(req_id))],
-                                        );
+                                        net.telemetry.event_with(now, "flight.queued", || {
+                                            vec![("req", Value::from(req_id))]
+                                        });
                                         if !waiter.wait(net.edge_call_deadline) {
                                             break unavailable();
                                         }
@@ -1417,14 +1411,13 @@ pub fn spawn_edge_with(
                         })
                     };
                     if let Some((succ, addr, token)) = push {
-                        net.telemetry.event(
-                            clock.now_ns(),
-                            "decision.peer_replicate",
-                            vec![
-                                ("req", Value::from(req_id)),
-                                ("peer", Value::from(succ as u64)),
-                            ],
-                        );
+                        net.telemetry
+                            .event_with(clock.now_ns(), "decision.peer_replicate", || {
+                                vec![
+                                    ("req", Value::from(req_id)),
+                                    ("peer", Value::from(succ as u64)),
+                                ]
+                            });
                         // Detached: the probing edge is waiting on this
                         // reply under its own edge-call deadline, so the
                         // push (connect + ack round trip) must never ride
@@ -1471,11 +1464,10 @@ pub fn spawn_edge_with(
             }
             Msg::Upload { req_id, task } => {
                 let descriptor = pending.take(conn_id, req_id)?;
-                net.telemetry.event(
-                    clock.now_ns(),
-                    "cloud.forward",
-                    vec![("req", Value::from(req_id))],
-                );
+                net.telemetry
+                    .event_with(clock.now_ns(), "cloud.forward", || {
+                        vec![("req", Value::from(req_id))]
+                    });
                 match guarded_cloud_call(
                     &Msg::Forward { req_id, task },
                     &net,
@@ -1492,11 +1484,10 @@ pub fn spawn_edge_with(
                     }
                     None => {
                         stats_h.count_unavailable();
-                        net.telemetry.event(
-                            clock.now_ns(),
-                            "edge.unavailable",
-                            vec![("req", Value::from(req_id))],
-                        );
+                        net.telemetry
+                            .event_with(clock.now_ns(), "edge.unavailable", || {
+                                vec![("req", Value::from(req_id))]
+                            });
                         Msg::Unavailable { req_id }.into()
                     }
                 }
@@ -1843,15 +1834,13 @@ impl NetClient {
         // client field mirrors the simulator's span shape; a live handle
         // drives one client, so it is always zero.
         let seq = req_id - 1;
-        self.tel.span_enter(
-            issued_ns,
-            "request",
+        self.tel.span_enter_with(issued_ns, "request", || {
             vec![
                 ("client", Value::from(0u64)),
                 ("seq", Value::from(seq)),
                 ("kind", Value::from(prepared.task.kind())),
-            ],
-        );
+            ]
+        });
         let outcome = self.drive(req_id, issued_ns, &prepared);
         let new = self
             .engine
@@ -1867,26 +1856,23 @@ impl NetClient {
             Ok(out) => {
                 let elapsed_ns = out.elapsed.as_nanos() as u64;
                 self.tel.observe("qoe.latency_ns", elapsed_ns);
-                self.tel.span_exit(
-                    issued_ns + elapsed_ns,
-                    "request",
-                    vec![
-                        ("client", Value::from(0u64)),
-                        ("seq", Value::from(seq)),
-                        ("path", Value::from(path_label(out.path))),
-                    ],
-                );
+                self.tel
+                    .span_exit_with(issued_ns + elapsed_ns, "request", || {
+                        vec![
+                            ("client", Value::from(0u64)),
+                            ("seq", Value::from(seq)),
+                            ("path", Value::from(path_label(out.path))),
+                        ]
+                    });
             }
             Err(_) => {
-                self.tel.span_exit(
-                    now,
-                    "request",
+                self.tel.span_exit_with(now, "request", || {
                     vec![
                         ("client", Value::from(0u64)),
                         ("seq", Value::from(seq)),
                         ("path", Value::from("failed")),
-                    ],
-                );
+                    ]
+                });
             }
         }
         outcome

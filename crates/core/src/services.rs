@@ -323,7 +323,8 @@ pub struct CloudService {
 
 impl CloudService {
     /// Train the cloud's recognition model over `classes` and wire up the
-    /// content libraries.
+    /// content libraries. With no classes nothing is trained, and the
+    /// service executes everything but recognition.
     pub fn new(
         classes: &[ObjectClass],
         gen: &SceneGenerator,
@@ -353,9 +354,18 @@ impl CloudService {
     /// [`CloudService::execute`] returning a model or panorama as the
     /// content library holds it — the entry itself, so a server that sends
     /// it leaves the blob's checksum with the library for the next send.
+    ///
+    /// # Panics
+    /// Panics on a recognition task if the service was trained on no
+    /// classes: it has no label to answer with, and a made-up one would be
+    /// a wrong result, not an error.
     pub fn execute_held(&self, task: &TaskRequest) -> (Arc<Held>, u64) {
         match task {
             TaskRequest::Recognition { image } => {
+                assert!(
+                    self.classifier.num_classes() > 0,
+                    "recognition task reached a cloud service trained on no classes"
+                );
                 let embedding = self.net.extract(image);
                 let (label, distance) = self.classifier.predict(&embedding);
                 let result = TaskResult::Recognition(RecognitionResult {
@@ -706,9 +716,9 @@ mod tests {
             },
             1,
         );
-        let classes = vec![ObjectClass(0)];
+        // No recognition here, so a cloud trained on nothing serves it.
         let gen = SceneGenerator::new(64);
-        let cloud = CloudService::new(&classes, &gen, compute, models, panos, 7);
+        let cloud = CloudService::new(&[], &gen, compute, models, panos, 7);
         let req = Request {
             user: UserId(0),
             zone: ZoneId(0),
@@ -736,6 +746,21 @@ mod tests {
         // write replays the queued hit, finds it expired and drops it.
         edge.insert(&p.descriptor, &result, 150_000_000);
         assert_eq!(edge.exact_metrics().expired, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "trained on no classes")]
+    fn recognition_on_an_untrained_cloud_is_an_error_not_a_label() {
+        let (client, _, _) = setup();
+        let untrained = CloudService::new(
+            &[],
+            &SceneGenerator::new(64),
+            ComputeConfig::default(),
+            Arc::new(ModelLibrary::new()),
+            Arc::new(PanoLibrary::new(64)),
+            7,
+        );
+        untrained.execute(&client.prepare(&recog_req(0, 1)).task);
     }
 
     #[test]

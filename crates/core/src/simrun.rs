@@ -8,7 +8,7 @@
 
 use crate::cluster::{ClusterConfig, ClusterState, ClusterStats, EdgeId};
 use crate::compute::ComputeConfig;
-use crate::content::{ModelLibrary, PanoLibrary};
+use crate::content::ContentUniverse;
 use crate::descriptor::FeatureDescriptor;
 use crate::engine::{
     AdmissionConfig, BreakerState, BrownoutConfig, BrownoutState, ClientEngine, Clock, Decision,
@@ -164,6 +164,13 @@ pub struct SimConfig {
     pub closed_loop: bool,
     /// RNG seed.
     pub seed: u64,
+    /// The models and panoramas runs under this config serve — not a
+    /// setting: nothing reads a value from it, and generation is a pure
+    /// function of the ids, so which universe a run uses never shows in its
+    /// report. `Default` / the builder make a fresh one; clones (and
+    /// struct-updates of a clone) share it, so a sweep generates each model
+    /// once, and the content is freed with the last clone.
+    pub content: ContentUniverse,
 }
 
 impl Default for SimConfig {
@@ -204,6 +211,7 @@ impl Default for SimConfig {
             queue_limit_bytes: 1 << 30, // 1 GiB
             closed_loop: true,
             seed: 1,
+            content: ContentUniverse::default(),
         }
     }
 }
@@ -448,28 +456,24 @@ impl ClientNode {
                 Effect::Complete { record, .. } => {
                     self.tel
                         .observe("qoe.latency_ns", record.completed_ns - record.issued_ns);
-                    self.tel.span_exit(
-                        record.completed_ns,
-                        "request",
+                    self.tel.span_exit_with(record.completed_ns, "request", || {
                         vec![
                             ("client", Value::from(self.client_idx)),
                             ("seq", Value::from(record.req_id & TOKEN_MASK)),
                             ("path", Value::from(path_label(record.path))),
-                        ],
-                    );
+                        ]
+                    });
                     self.records.borrow_mut().push(record);
                     self.advance_closed_loop(ctx, (record.req_id & TOKEN_MASK) as usize);
                 }
                 Effect::GiveUp { req_id } => {
-                    self.tel.span_exit(
-                        self.clock.now_ns(),
-                        "request",
+                    self.tel.span_exit_with(self.clock.now_ns(), "request", || {
                         vec![
                             ("client", Value::from(self.client_idx)),
                             ("seq", Value::from(req_id & TOKEN_MASK)),
                             ("path", Value::from("failed")),
-                        ],
-                    );
+                        ]
+                    });
                     *self.failures.borrow_mut() += 1;
                     self.advance_closed_loop(ctx, (req_id & TOKEN_MASK) as usize);
                 }
@@ -509,15 +513,13 @@ impl Node<Msg> for ClientNode {
             let prep_ns = prepared.prep_ns;
             let kind = prepared.task.kind();
             self.prepared[idx] = Some(prepared);
-            self.tel.span_enter(
-                issued_ns,
-                "request",
+            self.tel.span_enter_with(issued_ns, "request", || {
                 vec![
                     ("client", Value::from(self.client_idx)),
                     ("seq", Value::from(idx as u64)),
                     ("kind", Value::from(kind)),
-                ],
-            );
+                ]
+            });
             let effects = self.engine.begin(req_id, kind, issued_ns, prep_ns);
             self.apply(ctx, effects);
         } else if token & TOKEN_SHAPED != 0 {
@@ -717,14 +719,13 @@ impl EdgeNode {
         req_id: u64,
     ) {
         self.stats.count_unavailable();
-        self.tel.event(
-            ctx.now().as_nanos(),
-            "edge.unavailable",
-            vec![
-                ("edge", Value::from(self.edge_idx)),
-                ("req", Value::from(req_id)),
-            ],
-        );
+        self.tel
+            .event_with(ctx.now().as_nanos(), "edge.unavailable", || {
+                vec![
+                    ("edge", Value::from(self.edge_idx)),
+                    ("req", Value::from(req_id)),
+                ]
+            });
         let mut victims = vec![(client, req_id)];
         if let Some(digest) = crate::services::descriptor_digest(descriptor) {
             victims.extend(self.flights.complete(&digest));
@@ -751,15 +752,13 @@ impl EdgeNode {
     /// One `decision.peer_*` trace event, tagged with this edge, the
     /// request, and the peer involved.
     fn cluster_event(&mut self, now: u64, name: &'static str, req_id: u64, peer: EdgeId) {
-        self.tel.event(
-            now,
-            name,
+        self.tel.event_with(now, name, || {
             vec![
                 ("edge", Value::from(self.edge_idx)),
                 ("req", Value::from(req_id)),
                 ("peer", Value::from(peer as u64)),
-            ],
-        );
+            ]
+        });
     }
 
     /// Emit `cluster.peer_state` when a probe outcome moved a peer's
@@ -776,17 +775,15 @@ impl EdgeNode {
         let Some((from, to)) = transition else {
             return;
         };
-        self.tel.event(
-            now,
-            "cluster.peer_state",
+        self.tel.event_with(now, "cluster.peer_state", || {
             vec![
                 ("edge", Value::from(self.edge_idx)),
                 ("req", Value::from(req_id)),
                 ("peer", Value::from(peer as u64)),
                 ("from", Value::from(from.as_str())),
                 ("to", Value::from(to.as_str())),
-            ],
-        );
+            ]
+        });
     }
 
     /// One-shot `edge.down` marker, emitted the first time the dead edge
@@ -795,8 +792,9 @@ impl EdgeNode {
     fn note_down(&mut self, now: u64) {
         if !self.down_noted {
             self.down_noted = true;
-            self.tel
-                .event(now, "edge.down", vec![("edge", Value::from(self.edge_idx))]);
+            self.tel.event_with(now, "edge.down", || {
+                vec![("edge", Value::from(self.edge_idx))]
+            });
         }
     }
 
@@ -810,14 +808,12 @@ impl EdgeNode {
         }
         self.pending_cloud
             .insert(req_id, (wait.client, wait.descriptor));
-        self.tel.event(
-            now,
-            "cloud.forward",
+        self.tel.event_with(now, "cloud.forward", || {
             vec![
                 ("edge", Value::from(self.edge_idx)),
                 ("req", Value::from(req_id)),
-            ],
-        );
+            ]
+        });
         let msg = Msg::Forward {
             req_id,
             task: wait.task,
@@ -961,16 +957,14 @@ impl EdgeNode {
         reason: &'static str,
     ) {
         self.stats.count_shed();
-        self.tel.event(
-            ctx.now().as_nanos(),
-            "edge.shed",
+        self.tel.event_with(ctx.now().as_nanos(), "edge.shed", || {
             vec![
                 ("edge", Value::from(self.edge_idx)),
                 ("req", Value::from(req_id)),
                 ("reason", Value::from(reason)),
                 ("retry_after_ms", Value::from(retry_after_ms)),
-            ],
-        );
+            ]
+        });
         let msg = Msg::Overloaded {
             req_id,
             retry_after_ms,
@@ -995,14 +989,12 @@ impl EdgeNode {
     /// Record a brownout transition: one trace event per change plus the
     /// state gauge.
     fn note_brownout(&mut self, now: u64, state: BrownoutState) {
-        self.tel.event(
-            now,
-            "edge.brownout_state",
+        self.tel.event_with(now, "edge.brownout_state", || {
             vec![
                 ("edge", Value::from(self.edge_idx)),
                 ("state", Value::from(state.as_str())),
-            ],
-        );
+            ]
+        });
         self.tel
             .registry()
             .gauge_set("edge.brownout_state", state.as_gauge() as i64);
@@ -1070,15 +1062,13 @@ impl EdgeNode {
     ) {
         let now = ctx.now().as_nanos();
         self.stats.count_admitted();
-        self.tel.event(
-            now,
-            "edge.admitted",
+        self.tel.event_with(now, "edge.admitted", || {
             vec![
                 ("edge", Value::from(self.edge_idx)),
                 ("req", Value::from(req_id)),
                 ("queued", Value::from(queued)),
-            ],
-        );
+            ]
+        });
         let cached_only = self
             .overload
             .as_ref()
@@ -1144,16 +1134,14 @@ impl EdgeNode {
         // event records *why* the cache answered (exact vs approx
         // vs miss) — the field the ad-hoc stats never captured.
         let outcome = self.service.lookup(&descriptor, now);
-        self.tel.event(
-            now,
-            "edge.lookup",
+        self.tel.event_with(now, "edge.lookup", || {
             vec![
                 ("edge", Value::from(self.edge_idx)),
                 ("req", Value::from(req_id)),
                 ("kind", Value::from(outcome.kind_str())),
                 ("hit", Value::from(outcome.is_hit())),
-            ],
-        );
+            ]
+        });
         let reply = match outcome.into_value() {
             Some(result) => EdgeReply::Hit(result),
             None if cached_only => {
@@ -1189,14 +1177,12 @@ impl EdgeNode {
                     // the leader itself is answered via
                     // pending_cloud/pending_peer, not the table.
                     if let FlightClaim::Queued = self.flights.claim(digest, (from, req_id)) {
-                        self.tel.event(
-                            now,
-                            "flight.queued",
+                        self.tel.event_with(now, "flight.queued", || {
                             vec![
                                 ("edge", Value::from(self.edge_idx)),
                                 ("req", Value::from(req_id)),
-                            ],
-                        );
+                            ]
+                        });
                         return;
                     }
                     // Cooperative cluster tier: probe at most
@@ -1288,14 +1274,12 @@ impl EdgeNode {
                     return;
                 }
                 self.pending_cloud.insert(req_id, (from, descriptor));
-                self.tel.event(
-                    now,
-                    "cloud.forward",
+                self.tel.event_with(now, "cloud.forward", || {
                     vec![
                         ("edge", Value::from(self.edge_idx)),
                         ("req", Value::from(req_id)),
-                    ],
-                );
+                    ]
+                });
                 self.delay_send(ctx, service_ns, self.cloud, Msg::Forward { req_id, task });
             }
         }
@@ -1367,14 +1351,12 @@ impl Node<Msg> for EdgeNode {
                     }
                     return;
                 }
-                self.tel.event(
-                    now,
-                    "cloud.forward",
+                self.tel.event_with(now, "cloud.forward", || {
                     vec![
                         ("edge", Value::from(self.edge_idx)),
                         ("req", Value::from(req_id)),
-                    ],
-                );
+                    ]
+                });
                 let msg = Msg::Forward { req_id, task };
                 let bytes = wire_len(&msg, &self.cfg);
                 ctx.send(self.cloud, bytes, msg);
@@ -1699,11 +1681,13 @@ pub fn run_instrumented(
     assert!(!trace.is_empty(), "empty trace");
     assert!(cfg.num_clients > 0, "need at least one client");
 
-    // Shared content universe.
-    let models = Arc::new(ModelLibrary::new());
-    let panos = Arc::new(PanoLibrary::new(cfg.pano_height));
+    // The config's content universe: what an earlier run under this config
+    // (or a clone of it) generated is served again, not regenerated.
+    let models = cfg.content.models();
+    let panos = cfg.content.panos(cfg.pano_height);
 
-    // Distinct recognition classes in the trace train the cloud model.
+    // Distinct recognition classes in the trace train the cloud model; a
+    // trace with none trains nothing.
     let mut classes: Vec<ObjectClass> = trace
         .iter()
         .filter_map(|r| match r.kind {
@@ -1713,9 +1697,6 @@ pub fn run_instrumented(
         .collect();
     classes.sort_unstable();
     classes.dedup();
-    if classes.is_empty() {
-        classes.push(ObjectClass(0)); // classifier must be non-empty
-    }
 
     let gen = SceneGenerator::new(cfg.client.image_side);
     let client_logic = Arc::new(ClientLogic::new(
@@ -2026,6 +2007,91 @@ mod tests {
             num_clients: 4,
             ..SimConfig::default()
         }
+    }
+
+    /// The CI `cluster-smoke` shape: 32 users in 16 zones ask 16 edges for
+    /// 24 Zipf-1.1 models, ring probes of fan-out 3, hot replication at 2.
+    fn cluster_scenario() -> (Vec<Request>, SimConfig) {
+        let trace = coic_workload::ArenaMultiplayer {
+            population: Population::round_robin(32, 16),
+            models: (0..24).map(|i| (i, 20 * 1024)).collect(),
+            zipf_s: 1.1,
+            rate_per_sec: 20.0,
+            total_requests: 400,
+        }
+        .generate(5);
+        let cfg = SimConfig::builder()
+            .num_clients(32)
+            .num_edges(16)
+            .seed(5)
+            .cluster(ClusterConfig {
+                peer_fanout: 3,
+                replicate_hot: 2,
+                ..ClusterConfig::default()
+            })
+            .build();
+        (trace, cfg)
+    }
+
+    #[test]
+    fn runs_off_one_config_generate_each_model_once_and_replay_a_fresh_one() {
+        let (trace, shared) = cluster_scenario();
+        let distinct: std::collections::BTreeSet<u64> = trace
+            .iter()
+            .filter_map(|r| match r.kind {
+                RequestKind::RenderLoad { model_id, .. } => Some(model_id),
+                _ => None,
+            })
+            .collect();
+        let outcome = |cfg: &SimConfig| {
+            let (mut report, decisions) = run_traced(&trace, cfg);
+            (report.canonical(), decisions)
+        };
+        let first = outcome(&shared);
+        assert_eq!(shared.content.models().len(), distinct.len());
+        // The second run — off a clone, as a sweep would — finds every model.
+        let second = outcome(&shared.clone());
+        assert_eq!(shared.content.models().len(), distinct.len());
+        let (_, fresh_cfg) = cluster_scenario();
+        let fresh = outcome(&fresh_cfg);
+        assert_eq!(fresh_cfg.content.models().len(), distinct.len());
+        assert_eq!(first, fresh, "a first run and a fresh config diverged");
+        assert_eq!(second, fresh, "served-again content changed the run");
+    }
+
+    #[test]
+    fn a_pano_height_update_of_a_shared_config_serves_the_new_height() {
+        let trace: Vec<Request> = (0..6u64)
+            .map(|i| Request {
+                user: UserId(0),
+                zone: ZoneId(0),
+                at_ns: i * 100_000_000,
+                kind: RequestKind::Panorama { frame_id: i % 3 },
+            })
+            .collect();
+        let low = SimConfig {
+            pano_height: 32,
+            ..SimConfig::default()
+        };
+        let mut low_report = run(&trace, &low);
+        // Shares `low`'s content universe, where frames 0..3 exist 32 high.
+        let high = SimConfig {
+            pano_height: 64,
+            ..low.clone()
+        };
+        let mut high_report = run(&trace, &high);
+        let mut fresh_report = run(
+            &trace,
+            &SimConfig {
+                pano_height: 64,
+                ..SimConfig::default()
+            },
+        );
+        assert_eq!(high_report.canonical(), fresh_report.canonical());
+        assert_ne!(high_report.canonical(), low_report.canonical());
+        assert!(high_report.access_bytes > 3 * low_report.access_bytes);
+        assert_eq!(high.content.panos(64).get(0).0.len(), 128 * 64);
+        assert_eq!(low.content.panos(32).get(0).0.len(), 64 * 32);
     }
 
     #[test]

@@ -30,29 +30,35 @@ pub fn record_decision(rec: &impl Recorder, at_ns: u64, client: u64, decision: &
     };
     match *decision {
         Decision::Attempt { seq, attempt } => {
-            rec.event(at_ns, "decision.attempt", with_attempt(seq, attempt));
+            rec.event_with(at_ns, "decision.attempt", || with_attempt(seq, attempt));
         }
         Decision::AttemptFailed { seq, attempt } => {
-            rec.event(at_ns, "decision.attempt_failed", with_attempt(seq, attempt));
+            rec.event_with(at_ns, "decision.attempt_failed", || {
+                with_attempt(seq, attempt)
+            });
         }
         Decision::Retry { seq, attempt } => {
-            rec.event(at_ns, "decision.retry", with_attempt(seq, attempt));
+            rec.event_with(at_ns, "decision.retry", || with_attempt(seq, attempt));
         }
-        Decision::Upload { seq } => rec.event(at_ns, "decision.upload", base(seq)),
-        Decision::Unavailable { seq } => rec.event(at_ns, "decision.unavailable", base(seq)),
-        Decision::Degrade { seq } => rec.event(at_ns, "decision.degrade", base(seq)),
-        Decision::Probe { seq } => rec.event(at_ns, "decision.probe", base(seq)),
-        Decision::Rejoin { seq } => rec.event(at_ns, "decision.rejoin", base(seq)),
+        Decision::Upload { seq } => rec.event_with(at_ns, "decision.upload", || base(seq)),
+        Decision::Unavailable { seq } => {
+            rec.event_with(at_ns, "decision.unavailable", || base(seq))
+        }
+        Decision::Degrade { seq } => rec.event_with(at_ns, "decision.degrade", || base(seq)),
+        Decision::Probe { seq } => rec.event_with(at_ns, "decision.probe", || base(seq)),
+        Decision::Rejoin { seq } => rec.event_with(at_ns, "decision.rejoin", || base(seq)),
         Decision::OriginAttempt { seq, attempt } => {
-            rec.event(at_ns, "decision.origin_attempt", with_attempt(seq, attempt));
+            rec.event_with(at_ns, "decision.origin_attempt", || {
+                with_attempt(seq, attempt)
+            });
         }
-        Decision::Complete { seq, path } => {
+        Decision::Complete { seq, path } => rec.event_with(at_ns, "decision.complete", || {
             let mut f = base(seq);
             f.push(("path", Value::from(path_label(path))));
-            rec.event(at_ns, "decision.complete", f);
-        }
-        Decision::Overloaded { seq } => rec.event(at_ns, "decision.overloaded", base(seq)),
-        Decision::Fail { seq } => rec.event(at_ns, "decision.fail", base(seq)),
+            f
+        }),
+        Decision::Overloaded { seq } => rec.event_with(at_ns, "decision.overloaded", || base(seq)),
+        Decision::Fail { seq } => rec.event_with(at_ns, "decision.fail", || base(seq)),
     }
 }
 

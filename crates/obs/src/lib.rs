@@ -33,4 +33,4 @@ pub mod trace;
 pub use canonical::CanonicalWriter;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::{NullRecorder, Recorder, Telemetry};
-pub use trace::{TraceEvent, TraceKind, TraceLog, Value};
+pub use trace::{Fields, TraceEvent, TraceKind, TraceLog, Value};

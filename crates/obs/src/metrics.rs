@@ -118,6 +118,25 @@ struct RegistryInner {
     hists: BTreeMap<String, Histogram>,
 }
 
+/// Apply `update` to the value stored under `name`, which `first` makes on
+/// first use. The key is looked up by `&str`, once; only a first use
+/// allocates its `String`.
+fn upsert<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    first: impl FnOnce() -> V,
+    update: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(v) => update(v),
+        None => {
+            let mut v = first();
+            update(&mut v);
+            map.insert(name.to_string(), v);
+        }
+    }
+}
+
 /// A clonable, thread-safe metrics registry. Clones share storage, so a
 /// handle can be passed to every layer of the stack and merged snapshots
 /// read from any of them.
@@ -144,7 +163,7 @@ impl MetricsRegistry {
 
     /// Add `delta` to a named counter (created at zero on first use).
     pub fn counter_add(&self, name: &str, delta: u64) {
-        self.with(|i| *i.counters.entry(name.to_string()).or_insert(0) += delta);
+        self.with(|i| upsert(&mut i.counters, name, || 0, |c| *c += delta));
     }
 
     /// Current value of a counter (zero when never written).
@@ -154,9 +173,7 @@ impl MetricsRegistry {
 
     /// Set a named gauge.
     pub fn gauge_set(&self, name: &str, value: i64) {
-        self.with(|i| {
-            i.gauges.insert(name.to_string(), value);
-        });
+        self.with(|i| upsert(&mut i.gauges, name, || value, |g| *g = value));
     }
 
     /// Current value of a gauge (zero when never set).
@@ -174,10 +191,12 @@ impl MetricsRegistry {
     /// given bounds on first use (later calls reuse the existing bounds).
     pub fn observe_with(&self, name: &str, value: u64, bounds: &[u64]) {
         self.with(|i| {
-            i.hists
-                .entry(name.to_string())
-                .or_insert_with(|| Histogram::new(bounds))
-                .observe(value)
+            upsert(
+                &mut i.hists,
+                name,
+                || Histogram::new(bounds),
+                |h| h.observe(value),
+            );
         });
     }
 

@@ -3,8 +3,9 @@
 //! A trace is an append-only sequence of [`TraceEvent`]s. Timestamps are
 //! caller-provided virtual-or-wall nanoseconds (this crate never reads a
 //! clock), names and field keys are `&'static str` so the hot path
-//! allocates only the field vector, and the JSONL export is deterministic:
-//! events in recorded order, fields in caller order.
+//! allocates only the field vector — which a disabled log never lets the
+//! caller build ([`TraceLog::push_with`]) — and the JSONL export is
+//! deterministic: events in recorded order, fields in caller order.
 
 use std::sync::{Arc, Mutex};
 
@@ -64,6 +65,9 @@ impl From<&str> for Value {
     }
 }
 
+/// The typed fields of one record, in caller order.
+pub type Fields = Vec<(&'static str, Value)>;
+
 /// What kind of trace record this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
@@ -95,7 +99,7 @@ pub struct TraceEvent {
     /// Record name, e.g. `request` or `edge.lookup`.
     pub name: &'static str,
     /// Typed fields, in caller order.
-    pub fields: Vec<(&'static str, Value)>,
+    pub fields: Fields,
 }
 
 /// An append-only, clonable trace buffer. A disabled log drops every
@@ -120,23 +124,31 @@ impl TraceLog {
         TraceLog::default()
     }
 
-    /// Does this log record anything? Callers can use this to skip
-    /// building field vectors on hot paths.
+    /// Does this log record anything?
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Append a record (no-op when disabled).
-    pub fn push(
+    /// Append a record whose fields are already built (see
+    /// [`TraceLog::push_with`]).
+    pub fn push(&self, at_ns: u64, kind: TraceKind, name: &'static str, fields: Fields) {
+        self.push_with(at_ns, kind, name, || fields);
+    }
+
+    /// Append a record, building its fields only if the log records: a
+    /// disabled log never calls `fields`, an enabled one calls it exactly
+    /// once, before taking the lock.
+    pub fn push_with(
         &self,
         at_ns: u64,
         kind: TraceKind,
         name: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        fields: impl FnOnce() -> Fields,
     ) {
         if !self.enabled {
             return;
         }
+        let fields = fields();
         let mut guard = match self.events.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),

@@ -3,7 +3,8 @@
 # `crates/bench/src/bin/{fig2a,fig2b,ext_*}` release binary and diff its
 # stdout against the committed golden in `bench/golden/<name>.txt`. The
 # binaries are seeded simulator runs, so any difference is a behaviour
-# change (EXPERIMENTS.md quotes these tables). ≈ 100 s on a 2-vCPU box.
+# change (EXPERIMENTS.md quotes these tables). ≈ 25 s on a 2-vCPU box once
+# built.
 #
 # Usage: scripts/experiments.sh [--bless]
 #   --bless   overwrite the goldens with the current output

@@ -36,7 +36,7 @@ fn cfg(edges: u32, clients: u32, cluster: Option<ClusterConfig>) -> SimConfig {
 
 /// Two seeded 16-edge cluster runs are byte-identical in all three
 /// deterministic artifacts: the canonical QoE report, the JSONL decision
-/// trace, and the canonical metrics snapshot.
+/// trace, and the canonical metrics snapshot — and all three are pinned.
 #[test]
 fn sixteen_edge_cluster_run_is_deterministic() {
     let trace = arena_trace(32, 16, 400, 5);
@@ -59,6 +59,13 @@ fn sixteen_edge_cluster_run_is_deterministic() {
     assert_eq!(r1, r2, "canonical reports diverged");
     assert_eq!(t1, t2, "JSONL traces diverged");
     assert_eq!(m1, m2, "metrics snapshots diverged");
+    // And identical to what the eager trace sites wrote, before records
+    // were built lazily (FNV-1a 64 of each artifact, recorded at PR 23).
+    let fnv = |s: &str| coic::cache::fnv1a64(s.as_bytes());
+    assert_eq!(fnv(&r1), 0x7ce2_eff9_506a_51ad, "canonical report changed");
+    assert_eq!(t1.lines().count(), 3420);
+    assert_eq!(fnv(&t1), 0x6c25_3a46_25bd_9888, "JSONL trace changed");
+    assert_eq!(fnv(&m1), 0x361a_f4a7_1856_323f, "metrics snapshot changed");
     assert!(
         t1.contains("decision.peer_probe"),
         "cluster path never probed a peer"
