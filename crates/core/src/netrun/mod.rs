@@ -798,10 +798,18 @@ const CLOUD_IDLE_MAX: usize = 4;
 /// same three threads (its own, its edge connection's, one cloud
 /// connection's), which the scheduler can keep on one processor; a cloud
 /// thread that changes clients is woken across processors (DESIGN.md §17).
+/// When a client connection closes, its idle connection is released
+/// (owner `None`) and goes to the next client connection that has none of
+/// its own — typically the same client reconnecting — before any live
+/// client's connection does.
 struct CloudConns {
     cloud_addr: SocketAddr,
-    idle: Mutex<Option<Vec<(u64, FrameConn)>>>,
+    idle: Mutex<Option<Vec<Parked>>>,
 }
+
+/// An idle cloud connection and the client connection it is kept for
+/// (`None`: released).
+type Parked = (Option<u64>, FrameConn);
 
 impl CloudConns {
     fn new(cloud_addr: SocketAddr) -> CloudConns {
@@ -812,13 +820,16 @@ impl CloudConns {
     }
 
     /// The connection client connection `owner` parked, or else the most
-    /// recently parked one, if any.
+    /// recently released one, or else the most recently parked one, if any.
     fn take(&self, owner: u64) -> Option<FrameConn> {
         let mut idle = self.idle.lock();
         let idle = idle.as_mut()?;
-        let own = idle.iter().rposition(|(parked_by, _)| *parked_by == owner);
-        let (_, conn) = idle.remove(own.or(idle.len().checked_sub(1))?);
-        Some(conn)
+        let at = idle
+            .iter()
+            .rposition(|(parked_by, _)| *parked_by == Some(owner))
+            .or_else(|| idle.iter().rposition(|(parked_by, _)| parked_by.is_none()))
+            .or(idle.len().checked_sub(1))?;
+        Some(idle.remove(at).1)
     }
 
     /// Park `conn` for `owner` after a clean exchange (dropped when the
@@ -826,7 +837,21 @@ impl CloudConns {
     fn put(&self, owner: u64, conn: FrameConn) {
         if let Some(idle) = self.idle.lock().as_mut() {
             if idle.len() < CLOUD_IDLE_MAX {
-                idle.push((owner, conn));
+                idle.push((Some(owner), conn));
+            }
+        }
+    }
+
+    /// Client connection `owner` has closed: release what it parked, as
+    /// the most recently released connection.
+    fn release(&self, owner: u64) {
+        if let Some(idle) = self.idle.lock().as_mut() {
+            if let Some(at) = idle
+                .iter()
+                .position(|(parked_by, _)| *parked_by == Some(owner))
+            {
+                let (_, conn) = idle.remove(at);
+                idle.push((None, conn));
             }
         }
     }
@@ -847,6 +872,13 @@ impl CloudConns {
     #[cfg(test)]
     fn idle_len(&self) -> usize {
         self.idle.lock().as_ref().map_or(0, Vec::len)
+    }
+
+    #[cfg(test)]
+    fn released_len(&self) -> usize {
+        self.idle.lock().as_ref().map_or(0, |idle| {
+            idle.iter().filter(|(owner, _)| owner.is_none()).count()
+        })
     }
 }
 
@@ -1498,13 +1530,18 @@ pub fn spawn_edge_with(
     };
     // A cached result reaches the socket from the cache's own buffer, under
     // the checksum its entry carries. When a connection ends — however it
-    // ends — what it parked is dropped: nobody is left to upload it.
+    // ends — what it parked is dropped: nobody is left to upload it; and its
+    // idle cloud connection is released to the next connection that has none.
+    let conns_on_close = cloud_conns.clone();
     let server = FrameServer::spawn_conn(
         bind,
         move |conn_id, frame| {
             handle(conn_id, frame).map(|answer| answer.frame_parts(Some(&counters_on_send)))
         },
-        move |conn_id| pending_on_close.forget(conn_id),
+        move |conn_id| {
+            pending_on_close.forget(conn_id);
+            conns_on_close.release(conn_id);
+        },
     )?;
     Ok(EdgeHandle {
         addr: server.local_addr(),
@@ -1549,6 +1586,26 @@ pub struct NetClient {
     stats: RobustnessStats,
     tel: Telemetry,
     decisions_seen: usize,
+}
+
+/// How long a dropped [`NetClient`] waits for the edge to close the
+/// connection it hung up on. On loopback the edge is done in a few tens of
+/// microseconds; an edge still busy with an abandoned request is left to
+/// finish on its own.
+const HANG_UP_WAIT: Duration = Duration::from_millis(50);
+
+/// A dropped client hangs up and waits for the edge to close: by the time
+/// the drop returns, the edge has let go of everything it kept for the
+/// connection — descriptors awaiting an upload, the idle cloud connection
+/// its misses ran on — so a client that reconnects finds that cloud
+/// connection released for its new connection, not still held for the old
+/// one (DESIGN.md §17).
+impl Drop for NetClient {
+    fn drop(&mut self) {
+        if let Some(conn) = self.conn.take() {
+            conn.hang_up(HANG_UP_WAIT);
+        }
+    }
 }
 
 impl NetClient {
@@ -2583,6 +2640,77 @@ mod tests {
         let last = served_by.lock().last().copied();
         assert!(last.is_some_and(|conn| a_conns.contains(&conn) || b_conns.contains(&conn)));
         assert_eq!(edge.cloud_conns.idle_len(), 2);
+    }
+
+    #[test]
+    fn a_client_that_hangs_up_leaves_its_cloud_connection_to_the_next_newcomer() {
+        // Two clients, two cloud connections. When `a` hangs up, its
+        // connection is released, and a client connection with none of its
+        // own gets that one even though `b` parked since — handing out the
+        // most recently parked would take `b`'s, and `b`'s next miss would
+        // then take another's in turn.
+        let barrier = std::sync::Barrier::new(2);
+        let served_by = Arc::new(Mutex::new(Vec::new()));
+        let log = served_by.clone();
+        let cloud = fake_cloud(loopback(), move |conn, nth| {
+            if nth < 2 {
+                barrier.wait();
+            }
+            log.lock().push(conn);
+        });
+        let edge = edge_with_hair_trigger(cloud.local_addr(), Duration::from_secs(3));
+        let (mut a, mut b) = (raw_client(edge.addr()), raw_client(edge.addr()));
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(matches!(pano_miss(&mut a, 1), Msg::Result { .. })));
+            s.spawn(|| assert!(matches!(pano_miss(&mut b, 2), Msg::Result { .. })));
+        });
+        let last = || served_by.lock().last().copied();
+        assert!(matches!(pano_miss(&mut a, 3), Msg::Result { .. }));
+        let a_cloud = last();
+        assert!(matches!(pano_miss(&mut b, 4), Msg::Result { .. }));
+        let b_cloud = last();
+        assert_ne!(a_cloud, b_cloud);
+
+        // Released before the edge closed the connection, so no waiting.
+        a.hang_up(Duration::from_secs(5));
+        assert_eq!(edge.cloud_conns.released_len(), 1);
+        assert!(matches!(pano_miss(&mut b, 5), Msg::Result { .. }));
+        assert_eq!(last(), b_cloud);
+        let mut c = raw_client(edge.addr());
+        for frame_id in [6, 7] {
+            assert!(matches!(pano_miss(&mut c, frame_id), Msg::Result { .. }));
+            assert_eq!(last(), a_cloud, "frame {frame_id}");
+        }
+        assert!(matches!(pano_miss(&mut b, 8), Msg::Result { .. }));
+        assert_eq!(last(), b_cloud);
+        assert_eq!(edge.cloud_conns.released_len(), 0);
+    }
+
+    #[test]
+    fn a_dropped_client_returns_only_once_the_edge_has_let_go() {
+        // An edge slow to let go of a closed connection: the drop waits
+        // for it instead of leaving it to happen after.
+        let let_go = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = let_go.clone();
+        let edge = FrameServer::spawn_conn(
+            loopback(),
+            |_, _| None,
+            move |_| {
+                std::thread::sleep(Duration::from_millis(10));
+                flag.store(true, Ordering::SeqCst);
+            },
+        )
+        .unwrap();
+        let client = NetClient::connect(
+            edge.local_addr(),
+            ClientConfig::default(),
+            ComputeConfig::default(),
+            Arc::new(ModelLibrary::new()),
+            Arc::new(PanoLibrary::new(64)),
+        )
+        .unwrap();
+        drop(client);
+        assert!(let_go.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -97,12 +97,28 @@ impl PollPace {
     }
 }
 
-// --- CRC-32 (IEEE 802.3), slice-by-16 ------------------------------------
+// --- CRC-32 (IEEE 802.3), slice-by-16 on interleaved chains --------------
 
 /// Bytes consumed per step of the kernel: one table per byte of the step.
 /// Chosen by measurement on the reference sandbox at 8 KB / 100 kB / 1 MB:
-/// bytewise 0.40 GB/s, slice-by-8 1.6 GB/s, slice-by-16 2.1 GB/s.
+/// bytewise 0.40 GB/s, slice-by-8 1.6 GB/s, slice-by-16 2.1 GB/s on one
+/// chain; with [`CRC_CHAINS`] chains slice-by-16 still leads (DESIGN.md
+/// §3.1 has the grid).
 const CRC_SLICES: usize = 16;
+
+/// Independent sums a long [`Crc32::update`] runs side by side, one over
+/// each of as many equal runs of its input. A step cannot start before the
+/// previous step's sum is known, so one chain leaves the processor waiting
+/// on lookups; chains that do not depend on each other fill that wait.
+/// Measured over 2 – 4 chains × 8 or 16 tables: four chains of slice-by-16
+/// run at 4.7 – 5.2 GB/s from 8 KB to 1 MB, three at 4.4 – 4.9, two at
+/// 3.7 – 3.8, one at 2.0 (DESIGN.md §3.1).
+const CRC_CHAINS: usize = 4;
+
+/// The shortest input split over [`CRC_CHAINS`] chains. Joining the chains
+/// costs an operator and `CRC_CHAINS − 1` multiplies, 60 – 130 ns, which
+/// the overlap only wins back from about 512 bytes on.
+const CRC_INTERLEAVE_MIN: usize = 512;
 
 /// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is the
 /// CRC of byte `b` followed by `k` zero bytes, which is what lets one step
@@ -159,29 +175,38 @@ impl Crc32 {
     }
 
     /// Fold `data` into the sum.
+    ///
+    /// From [`CRC_INTERLEAVE_MIN`] bytes on, the longest prefix that splits
+    /// into [`CRC_CHAINS`] equal runs of whole steps is summed one chain
+    /// per run, all in one loop. The first chain continues this sum and
+    /// the others start from zero, so, as the register of `a ‖ b` is the
+    /// register of `a` times x^(8·|b|) plus that of `b` from zero, the
+    /// chains join as `c = c·x^(8·run) ⊕ cₖ` — [`Sum::then`]'s operator.
+    /// What is left, under `CRC_CHAINS` steps and a partial one, goes
+    /// through the same step on one chain.
     pub fn update(mut self, data: &[u8]) -> Crc32 {
-        let t = &CRC_TABLES;
-        let mut c = self.0;
-        let mut steps = data.chunks_exact(CRC_SLICES);
-        for step in &mut steps {
-            let mut acc = 0u32;
-            // The running sum only enters the first word; the other three
-            // are looked up independently, so the CPU overlaps all sixteen.
-            for (w, word) in step.chunks_exact(4).enumerate() {
-                let mut x = u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
-                if w == 0 {
-                    x ^= c;
+        let (steps, tail) = data.as_chunks::<CRC_SLICES>();
+        let mut rest = steps;
+        if data.len() >= CRC_INTERLEAVE_MIN {
+            let run = steps.len() / CRC_CHAINS;
+            let (runs, after) = steps.split_at(CRC_CHAINS * run);
+            let lanes: [_; CRC_CHAINS] = std::array::from_fn(|k| &runs[k * run..][..run]);
+            let mut sums = [0u32; CRC_CHAINS];
+            sums[0] = self.0;
+            for i in 0..run {
+                for (c, lane) in sums.iter_mut().zip(&lanes) {
+                    *c = crc_step(*c, &lane[i]);
                 }
-                let top = CRC_SLICES - 1 - 4 * w;
-                acc ^= t[top][(x & 0xFF) as usize]
-                    ^ t[top - 1][((x >> 8) & 0xFF) as usize]
-                    ^ t[top - 2][((x >> 16) & 0xFF) as usize]
-                    ^ t[top - 3][(x >> 24) as usize];
             }
-            c = acc;
+            let shift = x_pow_bytes((run * CRC_SLICES) as u64);
+            self.0 = sums[1..]
+                .iter()
+                .fold(sums[0], |c, &next| gf_mul(c, shift) ^ next);
+            rest = after;
         }
-        for &b in steps.remainder() {
-            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut c = rest.iter().fold(self.0, crc_step);
+        for &b in tail {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.0 = c;
         self
@@ -191,6 +216,27 @@ impl Crc32 {
     pub fn finish(self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
+}
+
+/// Fold one step of input into the register `c`: the kernel, on one chain
+/// or on several. The register only enters the first word; the other
+/// three are looked up independently, so the CPU overlaps all sixteen.
+#[inline(always)]
+fn crc_step(c: u32, step: &[u8; CRC_SLICES]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut acc = 0u32;
+    for (w, word) in step.as_chunks::<4>().0.iter().enumerate() {
+        let mut x = u32::from_le_bytes(*word);
+        if w == 0 {
+            x ^= c;
+        }
+        let top = CRC_SLICES - 1 - 4 * w;
+        acc ^= t[top][(x & 0xFF) as usize]
+            ^ t[top - 1][((x >> 8) & 0xFF) as usize]
+            ^ t[top - 2][((x >> 16) & 0xFF) as usize]
+            ^ t[top - 3][(x >> 24) as usize];
+    }
+    acc
 }
 
 /// CRC-32 (IEEE) of `data`, as carried in the frame header.
@@ -526,6 +572,27 @@ impl FrameConn {
     /// [`FrameConn::recv`].
     pub fn shutdown(&self) {
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Close the connection as a peer that is done with it: stop sending,
+    /// then wait — at most `wait` — for the other side to close too,
+    /// discarding whatever still arrives. A [`FrameServer`] closes its side
+    /// only after its `closed` callback has run, so once this returns
+    /// without the wait running out, whatever the server kept for the
+    /// connection has been let go.
+    pub fn hang_up(self, wait: Duration) {
+        if self.stream.shutdown(Shutdown::Write).is_err()
+            || self.stream.set_read_timeout(Some(wait)).is_err()
+        {
+            return;
+        }
+        let deadline = Instant::now() + wait;
+        let mut sink = [0u8; 512];
+        while let Ok(1..) = (&self.stream).read(&mut sink) {
+            if Instant::now() >= deadline {
+                break;
+            }
+        }
     }
 
     /// Send one frame.
@@ -895,7 +962,9 @@ impl FrameServer {
     /// `closed` runs on the connection's thread once no further frame of
     /// that connection will reach `handler` (the peer went away, a send
     /// failed, the handler returned `None`, or the server shut down): the
-    /// place to drop whatever the handler kept under that id.
+    /// place to drop whatever the handler kept under that id. The socket is
+    /// closed after `closed` returns, so a peer that waits for the close
+    /// ([`FrameConn::hang_up`]) knows the handler's state for it is gone.
     pub fn spawn_conn<A, F, C>(addr: A, handler: F, closed: C) -> io::Result<FrameServer>
     where
         A: ToSocketAddrs,
@@ -924,7 +993,8 @@ impl FrameServer {
                         .name("coic-frame-conn".into())
                         .spawn(move || {
                             let (handler, closed) = &*h;
-                            if let Ok(mut fc) = FrameConn::new(stream) {
+                            let mut framed = FrameConn::new(stream).ok();
+                            if let Some(fc) = framed.as_mut() {
                                 let mut pace = PollPace::default();
                                 loop {
                                     if pace.due() {
@@ -943,6 +1013,9 @@ impl FrameServer {
                             }
                             closed(id);
                             sh.deregister(id);
+                            // Only now does the peer see the close: one that
+                            // hung up finds everything kept for it let go.
+                            drop(framed);
                         });
                 }
             })?;
@@ -1444,6 +1517,37 @@ mod tests {
     }
 
     #[test]
+    fn hang_up_returns_once_the_server_has_let_go_or_the_wait_runs_out() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        let server = FrameServer::spawn_conn(
+            "127.0.0.1:0",
+            |_conn, frame| Some((Vec::new(), Summed::of(frame))),
+            move |conn| tx.lock().unwrap().send(conn).unwrap(),
+        )
+        .unwrap();
+        // Frames still on their way to the peer do not stop the close.
+        let mut conn = FrameConn::connect(server.local_addr()).unwrap();
+        conn.send(b"one").unwrap();
+        conn.recv().unwrap();
+        conn.send(b"unread").unwrap();
+        conn.hang_up(Duration::from_secs(5));
+        assert!(
+            rx.try_recv().is_ok(),
+            "hang_up returned before `closed` ran"
+        );
+        // A peer that never closes is given `wait` and no more.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let conn = FrameConn::connect(listener.local_addr().unwrap()).unwrap();
+        let _held = listener.accept().unwrap();
+        let begun = Instant::now();
+        conn.hang_up(Duration::from_millis(30));
+        let waited = begun.elapsed();
+        assert!(waited >= Duration::from_millis(30), "{waited:?}");
+        assert!(waited < Duration::from_secs(2), "{waited:?}");
+    }
+
+    #[test]
     fn polling_for_the_next_frame_ends_on_data_hangup_or_budget_and_leaves_the_socket_blocking() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut peer = FrameConn::connect(listener.local_addr().unwrap()).unwrap();
@@ -1670,6 +1774,55 @@ mod tests {
             );
             assert_eq!(crc, crc32(&buf));
         }
+    }
+
+    /// Hands out `data` in reads of 1 – 7 bytes, cycling.
+    struct Fragments<'a> {
+        data: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Fragments<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = out.len().min(1 + self.calls % 7).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_arriving_in_1_to_7_byte_fragments_is_summed_whole() {
+        let payload = noise(200_000);
+        let expected = crc32_bytewise(&payload);
+        let wire = encode_frame(&payload).unwrap();
+        let mut src = Fragments {
+            data: &wire,
+            calls: 0,
+        };
+        let (len, crc) = read_header(&mut src).unwrap();
+        assert_eq!((len as usize, crc), (payload.len(), expected));
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_body(&mut src, len as usize, &mut buf).unwrap(),
+            expected
+        );
+        assert_eq!(buf, payload);
+        // The sans-IO decoder, fed the same fragments.
+        let mut src = Fragments {
+            data: &wire,
+            calls: 0,
+        };
+        let mut dec = FrameDecoder::new();
+        let mut frames = Vec::new();
+        let mut piece = [0u8; 7];
+        while let Ok(n @ 1..) = src.read(&mut piece) {
+            dec.push(&piece[..n]);
+            frames.extend(dec.next_frame().unwrap());
+        }
+        assert_eq!(frames.len(), 1);
+        assert_eq!(&frames[0][..], &payload[..]);
     }
 
     /// Accepts 1–7 bytes per call (only ever from the first non-empty
@@ -1940,12 +2093,27 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_reference_at_every_short_length_and_offset() {
-        let data: Vec<u8> = (0..64 + CRC_SLICES as u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
+    fn crc32_matches_reference_at_every_length_to_1_kib_and_offset() {
+        // Both sides of CRC_INTERLEAVE_MIN, every remainder the chains can
+        // leave, at every alignment of a step.
+        let data = noise(1024 + CRC_SLICES);
         for offset in 0..CRC_SLICES {
-            for len in 0..=64 {
+            for len in 0..=1024 {
+                let s = &data[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_reference_around_every_whole_split_and_at_chunk_sizes() {
+        // A whole number of steps per chain, one byte short of it and one
+        // over, then the receive chunk and a 1 MiB reply.
+        let per_split = CRC_CHAINS * CRC_SLICES;
+        let data = noise((1 << 20) + 37 + 1);
+        let lens = (1..=128).flat_map(|k| [per_split * k - 1, per_split * k, per_split * k + 1]);
+        for len in lens.chain([RECV_CHUNK - 1, RECV_CHUNK, RECV_CHUNK + 1, (1 << 20) + 37]) {
+            for offset in [0, 1] {
                 let s = &data[offset..offset + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
             }
@@ -1954,15 +2122,20 @@ mod tests {
 
     #[test]
     fn crc32_streaming_equals_one_shot_at_every_split() {
-        let data: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
-        let whole = crc32(&data);
-        for cut in 0..=data.len() {
-            let (a, b) = data.split_at(cut);
-            assert_eq!(
-                Crc32::new().update(a).update(b).finish(),
-                whole,
-                "cut {cut}"
-            );
+        // Over 4 KiB each side of a cut is interleaved, plain, or empty.
+        let short: Vec<u8> = (0..100u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for data in [short, noise(4096)] {
+            let whole = crc32_bytewise(&data);
+            assert_eq!(crc32(&data), whole);
+            for cut in 0..=data.len() {
+                let (a, b) = data.split_at(cut);
+                assert_eq!(
+                    Crc32::new().update(a).update(b).finish(),
+                    whole,
+                    "{} bytes, cut {cut}",
+                    data.len()
+                );
+            }
         }
     }
 
@@ -2074,7 +2247,7 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn crc32_matches_reference_on_random_input(
-            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..5000),
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..70_000),
             offset in 0usize..16,
         ) {
             let s = data.get(offset..).unwrap_or_default();
@@ -2095,6 +2268,47 @@ mod tests {
             proptest::prop_assert_eq!(whole, sa.then(sb.then(sc)));
             proptest::prop_assert_eq!(whole.without_prefix(sa), sb.then(sc));
             proptest::prop_assert_eq!(whole.without_prefix(sa.then(sb)), sc);
+        }
+    }
+
+    #[test]
+    #[ignore = "long kernel soak; run with --release -- --ignored"]
+    fn soak_crc32_one_shot_and_streamed_match_the_reference() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let data = noise((2 << 20) + CRC_SLICES);
+        let mut rng = StdRng::seed_from_u64(25);
+        for case in 0..5_000 {
+            // Half the lengths uniform up to 2 MiB, half log-uniform, so
+            // that short inputs and the interleave threshold come up too.
+            let len = if rng.random_bool(0.5) {
+                rng.random_range(0..=2usize << 20)
+            } else {
+                let bits = rng.random_range(0..=21u32);
+                rng.random_range(0..=1usize << bits)
+            };
+            let offset = rng.random_range(0..CRC_SLICES);
+            let s = &data[offset..offset + len];
+            let expected = crc32_bytewise(s);
+            assert_eq!(
+                crc32(s),
+                expected,
+                "case {case}: offset {offset}, len {len}"
+            );
+            let mut cuts: Vec<usize> = (0..rng.random_range(1..=8usize))
+                .map(|_| rng.random_range(0..=len))
+                .collect();
+            cuts.sort_unstable();
+            let (mut crc, mut at) = (Crc32::new(), 0);
+            for &cut in &cuts {
+                crc = crc.update(&s[at..cut]);
+                at = cut;
+            }
+            assert_eq!(
+                crc.update(&s[at..]).finish(),
+                expected,
+                "case {case}: offset {offset}, len {len}, cuts {cuts:?}"
+            );
         }
     }
 
