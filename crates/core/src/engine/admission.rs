@@ -230,6 +230,12 @@ impl AdmissionController {
         out
     }
 
+    /// Take a queued request out of the queue without serving or shedding
+    /// it (its requester went away).
+    pub(crate) fn withdraw(&mut self, id: u64) {
+        self.queue.retain(|&(queued, _)| queued != id);
+    }
+
     /// Record a shed that happened outside the queue (e.g. a brownout
     /// refusal before `offer`, or a degraded-mode cache miss).
     pub fn note_shed(&mut self) {

@@ -264,6 +264,12 @@ impl OverloadControl {
         (shed, transition)
     }
 
+    /// Take a queued request out of the queue (see
+    /// [`AdmissionController::withdraw`]).
+    pub(crate) fn withdraw(&mut self, id: u64) {
+        self.admission.withdraw(id);
+    }
+
     fn observe(&mut self, now_ns: u64) -> Option<BrownoutState> {
         let pressure = self.admission.pressure();
         self.ladder

@@ -2,10 +2,9 @@
 //!
 //! The first miss on a key becomes the *leader* and drives the upstream
 //! fetch; concurrent misses on the same key are *queued* as waiters and
-//! share the leader's answer. One table serves both drivers: the simulated
-//! edge queues `(NodeId, req_id)` pairs and answers them on `CloudReply`;
-//! the live edge queues condvar-style signals that block connection
-//! threads until the leader completes.
+//! share the leader's answer. [`super::EdgeEngine`] queues `(connection,
+//! request)` pairs and answers them with the leader's result; the sharded
+//! table stays for callers that coalesce across threads without one lock.
 
 use super::sync::Mutex;
 use std::collections::HashMap;
@@ -61,6 +60,20 @@ impl<K: Eq + Hash + Clone, W> SingleFlight<K, W> {
     pub fn is_inflight(&self, key: &K) -> bool {
         self.inflight.contains_key(key)
     }
+
+    /// Drop every queued waiter `keep` rejects, leaving the flights (and
+    /// their leaders) in place.
+    pub(crate) fn retain_waiters(&mut self, mut keep: impl FnMut(&W) -> bool) {
+        for waiters in self.inflight.values_mut() {
+            waiters.retain(&mut keep);
+        }
+    }
+
+    /// Queued waiters over all flights.
+    #[cfg(test)]
+    pub(crate) fn waiting(&self) -> usize {
+        self.inflight.values().map(Vec::len).sum()
+    }
 }
 
 impl<K: Eq + Hash + Clone, W> Default for SingleFlight<K, W> {
@@ -104,9 +117,10 @@ impl Hasher for Fnv1a64 {
 }
 
 /// A [`SingleFlight`] table split across independently locked shards, so
-/// misses on *different* content never contend on one flight mutex. Used
-/// by the live edge alongside the sharded caches: coalescing only has to
-/// hold for misses on the *same* key, and same key ⇒ same shard.
+/// misses on *different* content never contend on one flight mutex — for
+/// callers that coalesce across threads without one lock (the edge engine
+/// runs a plain table under its own). Coalescing only has to hold for
+/// misses on the *same* key, and same key ⇒ same shard.
 pub struct ShardedSingleFlight<K, W> {
     shards: Vec<Mutex<SingleFlight<K, W>>>,
     hasher: FnvBuildHasher,

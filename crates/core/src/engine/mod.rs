@@ -1,25 +1,27 @@
-//! The sans-IO orchestration engine shared by the simulator and the live
-//! TCP stack.
+//! The sans-IO orchestration engines shared by the simulator and the live
+//! TCP stack: [`ClientEngine`] for a client's requests, [`EdgeEngine`] for
+//! the edge box.
 //!
 //! Everything that *decides* — retry budgets, backoff, deadline expiry,
-//! degrade-to-origin, edge re-probing, miss coalescing, circuit breaking —
-//! lives here as clock-agnostic state machines. Everything that *does* —
-//! sockets, virtual links, timers, sleeps — lives in the drivers
+//! degrade-to-origin, edge re-probing; admission, lookup, miss coalescing,
+//! ring probes, cloud fallback, placement, circuit breaking — lives here as
+//! clock-agnostic state machines. Everything that *does* — sockets, virtual
+//! links, timers, sleeps, cache inserts — lives in the drivers
 //! ([`crate::simrun`] and [`crate::netrun`]), which translate engine
-//! [`Effect`]s into IO and feed IO outcomes back as events.
+//! effects into IO and feed IO outcomes back as events.
 //!
 //! The split buys three things:
 //!
-//! 1. **No duplicated policy.** `RetryPolicy` consumption, the
-//!    degrade/re-probe ladder, and breaker transitions exist once, in this
-//!    module, instead of once per stack.
-//! 2. **Determinism.** Under a virtual clock ([`SimClock`]) the engine is a
-//!    pure function of its event sequence; the same seeded workload and
-//!    [`FaultSchedule`] traverse byte-identical [`Decision`] traces in the
-//!    simulator and the live loopback stack.
+//! 1. **No duplicated policy.** Each decision exists once, in this module,
+//!    instead of once per stack.
+//! 2. **Determinism.** Under a virtual clock the engines are pure
+//!    functions of their event sequences; the same seeded workload and
+//!    [`FaultSchedule`] traverse byte-identical client [`Decision`] traces
+//!    and edge decisions in the simulator and the live loopback stack.
 //! 3. **Testability.** State-machine invariants (terminal states are
-//!    quiet, armed timers are fired or superseded) are checked directly,
-//!    without sockets or sleeps.
+//!    quiet, armed timers are fired or superseded, a closed connection
+//!    leaves nothing behind) are checked directly, without sockets or
+//!    sleeps.
 //!
 //! ```text
 //!   driver events                    engine                   effects
@@ -31,6 +33,8 @@
 //!     failure           │   ↑ probe ok                  │ ──▶ ProbeEdge
 //!   on_probe_result──▶  └──────────────────────────────┘ ──▶ Complete/GiveUp
 //! ```
+//!
+//! The edge engine's events and effects are charted in [`edge`].
 
 pub mod admission;
 pub mod breaker;
@@ -49,7 +53,9 @@ pub use breaker::{BreakerState, CircuitBreaker};
 pub use brownout::{BrownoutConfig, BrownoutLadder, BrownoutState, OverloadControl, Verdict};
 pub use client::{ClientEngine, Decision, Effect, EngineConfig, ReplyKind, TimerKind};
 pub use clock::{Clock, SimClock, WallClock};
-pub use edge::UpstreamGate;
+pub use edge::{
+    Answer, Charge, ConnId, Deadline, EdgeEffect, EdgeEngine, EdgeTimer, Slot, PENDING_PER_CONN_MAX,
+};
 pub use fault::FaultSchedule;
 pub use flight::{FlightClaim, ShardedSingleFlight, SingleFlight};
 pub use retry::RetryPolicy;

@@ -61,15 +61,15 @@ pub use content::{ModelLibrary, PanoLibrary, PanoSource};
 pub use descriptor::FeatureDescriptor;
 pub use engine::{
     AdmissionConfig, AdmissionController, BreakerState, BrownoutConfig, BrownoutState,
-    CircuitBreaker, ClientEngine, Clock, Decision, Effect, EngineConfig, FaultSchedule,
-    OverloadControl, ReplyKind, RetryPolicy, RobustnessSnapshot, RobustnessStats, SimClock,
-    TimerKind, UpstreamGate, WallClock,
+    CircuitBreaker, ClientEngine, Clock, Decision, EdgeEffect, EdgeEngine, Effect, EngineConfig,
+    FaultSchedule, OverloadControl, ReplyKind, RetryPolicy, RobustnessSnapshot, RobustnessStats,
+    SimClock, TimerKind, WallClock,
 };
 pub use layercache::{LayerCache, LayerOutcome};
 pub use protocol::{Msg, ProtoError};
 pub use qoe::{reduction_percent, Path, QoeReport, Record};
 pub use services::{
-    ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeReply, EdgeService, PreparedRequest,
+    ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeService, PreparedRequest,
 };
 pub use simrun::{compare, run, run_instrumented, run_traced, Mode, SimConfig};
 pub use task::{Held, RecognitionResult, TaskRequest, TaskResult, ANNOTATION_BYTES};

@@ -4,24 +4,26 @@
 //! clients on an access link to one edge, one WAN link to the cloud — and
 //! replays a workload trace through either the **origin** baseline (full
 //! offload, no cache) or **CoIC** (descriptor query → edge cache →
-//! forward-on-miss). Every run is deterministic in its seed.
+//! forward-on-miss). Every run is deterministic in its seed. Clients and
+//! edges decide nothing themselves: each node realises the effects of the
+//! sans-IO [`ClientEngine`] or [`EdgeEngine`] the live stack runs too.
 
-use crate::cluster::{ClusterConfig, ClusterState, ClusterStats, EdgeId};
+use crate::cluster::{ClusterConfig, ClusterState, ClusterStats};
 use crate::compute::ComputeConfig;
 use crate::content::ContentUniverse;
 use crate::descriptor::FeatureDescriptor;
 use crate::engine::{
-    AdmissionConfig, BreakerState, BrownoutConfig, BrownoutState, ClientEngine, Clock, Decision,
-    Effect, EngineConfig, FaultSchedule, FlightClaim, OverloadControl, ReplyKind, RetryPolicy,
-    RobustnessStats, SimClock, SingleFlight, TimerKind, UpstreamGate, Verdict,
+    AdmissionConfig, BrownoutConfig, Charge, CircuitBreaker, ClientEngine, Clock, Decision,
+    EdgeEffect, EdgeEngine, EdgeTimer, Effect, EngineConfig, FaultSchedule, OverloadControl,
+    ReplyKind, RetryPolicy, RobustnessStats, SimClock, Slot, TimerKind,
 };
 use crate::protocol::Msg;
 use crate::qoe::{QoeReport, Record};
 use crate::services::{
-    recognition_correct, ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeReply,
-    EdgeService, PreparedRequest,
+    recognition_correct, ClientConfig, ClientLogic, CloudService, EdgeConfig, EdgeService,
+    PreparedRequest,
 };
-use crate::task::{TaskRequest, TaskResult, ANNOTATION_BYTES};
+use crate::task::{Held, TaskRequest, TaskResult, ANNOTATION_BYTES};
 use crate::telemetry::{path_label, record_decision};
 use coic_netsim::{Ctx, LinkParams, Node, NodeId, SimDuration, Simulator, Topology};
 use coic_obs::{Recorder, Telemetry, Value};
@@ -405,6 +407,20 @@ impl ClientNode {
         self.shaped_send(ctx, false, bytes, msg);
     }
 
+    /// Close the request's span at `at_ns`, taken by `path`, and issue the
+    /// next one of a closed loop.
+    fn end_request(&mut self, ctx: &mut Ctx<'_, Msg>, at_ns: u64, req_id: u64, path: &str) {
+        let seq = req_id & TOKEN_MASK;
+        self.tel.span_exit_with(at_ns, "request", || {
+            vec![
+                ("client", Value::from(self.client_idx)),
+                ("seq", Value::from(seq)),
+                ("path", Value::from(path)),
+            ]
+        });
+        self.advance_closed_loop(ctx, seq as usize);
+    }
+
     /// Realize engine effects on the virtual network. Feedback events
     /// (probe results) loop through the engine inside the same pass.
     fn apply(&mut self, ctx: &mut Ctx<'_, Msg>, effects: Vec<Effect>) {
@@ -456,26 +472,13 @@ impl ClientNode {
                 Effect::Complete { record, .. } => {
                     self.tel
                         .observe("qoe.latency_ns", record.completed_ns - record.issued_ns);
-                    self.tel.span_exit_with(record.completed_ns, "request", || {
-                        vec![
-                            ("client", Value::from(self.client_idx)),
-                            ("seq", Value::from(record.req_id & TOKEN_MASK)),
-                            ("path", Value::from(path_label(record.path))),
-                        ]
-                    });
+                    let path = path_label(record.path);
+                    self.end_request(ctx, record.completed_ns, record.req_id, path);
                     self.records.borrow_mut().push(record);
-                    self.advance_closed_loop(ctx, (record.req_id & TOKEN_MASK) as usize);
                 }
                 Effect::GiveUp { req_id } => {
-                    self.tel.span_exit_with(self.clock.now_ns(), "request", || {
-                        vec![
-                            ("client", Value::from(self.client_idx)),
-                            ("seq", Value::from(req_id & TOKEN_MASK)),
-                            ("path", Value::from("failed")),
-                        ]
-                    });
                     *self.failures.borrow_mut() += 1;
-                    self.advance_closed_loop(ctx, (req_id & TOKEN_MASK) as usize);
+                    self.end_request(ctx, self.clock.now_ns(), req_id, "failed");
                 }
             }
         }
@@ -574,56 +577,28 @@ impl Node<Msg> for ClientNode {
     }
 }
 
+/// The simulated edge: realises [`EdgeEngine`] effects over the virtual
+/// network — links, timers and the edge's local service time — and models
+/// what only the simulator has: sequential-stream prefetching, recognition
+/// run on the edge box ([`ExecTier::Edge`]) and the crash schedule. Every
+/// decision is the engine's, the same one the live edge realises.
 struct EdgeNode {
     cfg: SimConfig,
-    /// Shared handle so the driver can publish cache metrics after the
-    /// run (the simulator owns the boxed node until it is dropped).
-    service: Rc<EdgeService>,
+    engine: EdgeEngine<NodeId>,
+    /// The cache the engine decides over: the node realises its inserts
+    /// (the prefetcher and the edge tier use it directly), and the driver
+    /// publishes its metrics after the run.
+    service: Arc<EdgeService>,
     /// Executes recognition locally when `exec_tier == Edge`.
     executor: Arc<CloudService>,
     cloud: NodeId,
-    /// Replies being delayed by the cache-lookup cost: token → (dest, msg).
-    pending_replies: HashMap<u64, (NodeId, Msg)>,
-    /// In-flight cloud executions: req_id → (client, descriptor).
-    pending_cloud: HashMap<u64, (NodeId, FeatureDescriptor)>,
-    /// Miss coalescing for exact (hash-keyed) tasks, via the engine's
-    /// single-flight table: the first miss leads the fetch (peer or cloud);
-    /// later misses on the same digest queue as waiters and share its
-    /// answer, so a burst of co-watching viewers costs one WAN fetch, not
-    /// N. The live edge uses the same table with condvar waiters.
-    flights: SingleFlight<coic_cache::Digest, (NodeId, u64)>,
-    /// Circuit breaker guarding the upstream (edge→cloud) leg, shared with
-    /// the live edge. The simulated WAN reports every reply as a success,
-    /// so the breaker stays closed here; it exists so both drivers route
-    /// client-blocking upstream sends through the identical preflight /
-    /// report funnel.
-    gate: UpstreamGate,
-    /// Robustness counters the gate mirrors its transitions into.
-    stats: RobustnessStats,
-    /// Overload control (admission + brownout), present when the run was
-    /// configured with [`SimConfig::admission`]. `None` preserves the
-    /// classic serve-on-arrival behavior bit for bit.
-    overload: Option<OverloadControl>,
-    /// Queries admitted to the bounded queue, waiting for a service slot:
-    /// req_id → held query.
-    queued_work: HashMap<u64, QueuedQuery>,
-    /// Service-completion timers for admitted queries: token → the time
-    /// the query was first offered (its sojourn feeds the AIMD limiter).
-    in_service: HashMap<u64, u64>,
-    /// Cooperating peer edges (empty in single-edge runs).
-    peers: Vec<NodeId>,
-    /// Outstanding peer queries: req_id → wait state.
-    pending_peer: HashMap<u64, PeerWait>,
-    /// Cooperative cluster policy (ring + breakers + hot trackers), when
-    /// the run was configured with [`SimConfig::cluster`].
-    cluster: Option<ClusterState>,
-    /// Cluster [`EdgeId`] → simulator node, indexed by edge id (includes
-    /// this edge itself at `edge_idx`).
-    edge_nodes: Vec<NodeId>,
-    /// Outstanding cluster probe rounds: req_id → wait state.
-    pending_cluster: HashMap<u64, ClusterWait>,
-    /// Armed probe deadlines: timer token → (req_id, probed peer).
-    probe_timeouts: HashMap<u64, (u64, EdgeId)>,
+    /// The engine's effect buffer, reused across events.
+    fx: Vec<EdgeEffect<NodeId>>,
+    /// Sends held back by the edge's local processing time: token → (dest,
+    /// msg).
+    delayed: HashMap<u64, (NodeId, Msg)>,
+    /// Admission slots in service, returned when their token fires.
+    slots: HashMap<u64, Slot>,
     /// When set, the edge is dead from this virtual instant on: every
     /// message and timer is silently dropped (a crashed process).
     down_at_ns: Option<u64>,
@@ -646,34 +621,9 @@ struct EdgeNode {
 /// req_ids keep bit 63 clear because node indexes fit in 32 bits).
 const PREFETCH_REQ: u64 = 1 << 63;
 
-struct PeerWait {
-    client: NodeId,
-    descriptor: FeatureDescriptor,
-    task: TaskRequest,
-    outstanding: usize,
-    satisfied: bool,
-}
-
-/// One cluster probe round: the bounded fan-out a miss sent along the
-/// ring, waiting for replies (or per-probe deadlines) before the cloud.
-struct ClusterWait {
-    client: NodeId,
-    descriptor: FeatureDescriptor,
-    task: TaskRequest,
-    /// Peers still owing a reply; a reply (or timeout) removes its peer,
-    /// and the empty set resolves the round.
-    outstanding: Vec<EdgeId>,
-    satisfied: bool,
-    started_ns: u64,
-}
-
-/// A query waiting in the admission queue for a service slot.
-struct QueuedQuery {
-    client: NodeId,
-    descriptor: FeatureDescriptor,
-    hint: Option<TaskRequest>,
-    offered_at: u64,
-}
+/// Engine probe deadlines ride in timer tokens with this bit set; the
+/// node's own tokens count up from zero.
+const ENGINE_TIMER: u64 = 1 << 62;
 
 impl EdgeNode {
     /// Proactively fetch the frames that follow `frame_id` in the stream.
@@ -704,37 +654,8 @@ impl EdgeNode {
     fn delay_send(&mut self, ctx: &mut Ctx<'_, Msg>, after_ns: u64, dest: NodeId, msg: Msg) {
         let token = self.next_token;
         self.next_token += 1;
-        self.pending_replies.insert(token, (dest, msg));
+        self.delayed.insert(token, (dest, msg));
         ctx.set_timer(SimDuration::from_nanos(after_ns), token);
-    }
-
-    /// Refuse a request whose upstream leg the breaker gate rejected:
-    /// answer the leader and every coalesced waiter with `Unavailable` so
-    /// their engines can degrade to the origin path.
-    fn refuse(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        descriptor: &FeatureDescriptor,
-        client: NodeId,
-        req_id: u64,
-    ) {
-        self.stats.count_unavailable();
-        self.tel
-            .event_with(ctx.now().as_nanos(), "edge.unavailable", || {
-                vec![
-                    ("edge", Value::from(self.edge_idx)),
-                    ("req", Value::from(req_id)),
-                ]
-            });
-        let mut victims = vec![(client, req_id)];
-        if let Some(digest) = crate::services::descriptor_digest(descriptor) {
-            victims.extend(self.flights.complete(&digest));
-        }
-        for (dest, waiter_req) in victims {
-            let msg = Msg::Unavailable { req_id: waiter_req };
-            let bytes = wire_len(&msg, &self.cfg);
-            ctx.send(dest, bytes, msg);
-        }
     }
 
     /// The edge's local processing time for one query: the cache-lookup
@@ -744,46 +665,119 @@ impl EdgeNode {
         self.cfg.compute.lookup_ns + self.cfg.faults.edge_slow_ns(req_id & TOKEN_MASK)
     }
 
+    /// The local time `charge` stands for (`None`: leaves at once).
+    fn charge_ns(&self, charge: Charge, req_id: u64) -> Option<u64> {
+        match charge {
+            Charge::Free => None,
+            Charge::Service => Some(self.service_ns(req_id)),
+            Charge::Lookup => Some(self.cfg.compute.lookup_ns),
+        }
+    }
+
+    fn send(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        charge: Charge,
+        req_id: u64,
+        dest: NodeId,
+        msg: Msg,
+    ) {
+        match self.charge_ns(charge, req_id) {
+            Some(after_ns) => self.delay_send(ctx, after_ns, dest, msg),
+            None => {
+                let bytes = wire_len(&msg, &self.cfg);
+                ctx.send(dest, bytes, msg);
+            }
+        }
+    }
+
+    /// Realise what the engine decided: a connection is the node a message
+    /// came from, so a reply goes back to it.
+    fn realise(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let now = ctx.now().as_nanos();
+        let mut fx = std::mem::take(&mut self.fx);
+        for effect in fx.drain(..) {
+            match effect {
+                EdgeEffect::Reply {
+                    conn,
+                    req,
+                    answer,
+                    charge,
+                } => self.send(ctx, charge, req, NodeId(conn as usize), answer.msg),
+                EdgeEffect::Forward {
+                    req, task, charge, ..
+                } => {
+                    let msg = Msg::Forward { req_id: req, task };
+                    self.send(ctx, charge, req, self.cloud, msg);
+                }
+                EdgeEffect::Probe {
+                    req,
+                    to,
+                    digest,
+                    deadline,
+                    charge,
+                    ..
+                } => {
+                    let msg = Msg::PeerQuery {
+                        req_id: req,
+                        digest,
+                    };
+                    self.send(ctx, charge, req, to, msg);
+                    if let Some(d) = deadline {
+                        let after_ns = self.charge_ns(charge, req).unwrap_or(0) + d.after_ns;
+                        ctx.set_timer(SimDuration::from_nanos(after_ns), ENGINE_TIMER | d.token);
+                    }
+                }
+                EdgeEffect::Replicate {
+                    to,
+                    req,
+                    token,
+                    digest,
+                    held,
+                } => {
+                    let msg = Msg::Replicate {
+                        req_id: req,
+                        token,
+                        digest,
+                        result: held.result().clone(),
+                    };
+                    self.send(ctx, Charge::Free, req, to, msg);
+                }
+                EdgeEffect::Insert {
+                    descriptor,
+                    held,
+                    landing,
+                } => {
+                    self.service.insert(&descriptor, held, now);
+                    if let Some(digest) = landing {
+                        self.engine.on_inserted(&digest);
+                    }
+                }
+                EdgeEffect::Serving { req, slot, .. } => {
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    self.slots.insert(token, slot);
+                    ctx.set_timer(SimDuration::from_nanos(self.service_ns(req)), token);
+                }
+                // An event-driven node waits for nothing, and the simulated
+                // links are no connections to hang up.
+                EdgeEffect::Wait { .. } | EdgeEffect::Close { .. } => {}
+            }
+        }
+        self.fx = fx;
+    }
+
+    /// What recognition costs on the edge box's slower silicon.
+    fn edge_dnn_ns(&self) -> u64 {
+        self.cfg
+            .compute
+            .edge
+            .time_ns(self.cfg.compute.full_dnn_macs)
+    }
+
     /// Is the edge dead (per the kill schedule) at virtual time `now`?
     fn is_down(&self, now: u64) -> bool {
         self.down_at_ns.is_some_and(|t| now >= t)
-    }
-
-    /// One `decision.peer_*` trace event, tagged with this edge, the
-    /// request, and the peer involved.
-    fn cluster_event(&mut self, now: u64, name: &'static str, req_id: u64, peer: EdgeId) {
-        self.tel.event_with(now, name, || {
-            vec![
-                ("edge", Value::from(self.edge_idx)),
-                ("req", Value::from(req_id)),
-                ("peer", Value::from(peer as u64)),
-            ]
-        });
-    }
-
-    /// Emit `cluster.peer_state` when a probe outcome moved a peer's
-    /// breaker (trip, rejoin, half-open re-trip). The trace verifier
-    /// checks these transitions against the breaker's legal state
-    /// machine and ties the ring-rebuild counter to them.
-    fn peer_state_event(
-        &mut self,
-        now: u64,
-        req_id: u64,
-        peer: EdgeId,
-        transition: Option<(BreakerState, BreakerState)>,
-    ) {
-        let Some((from, to)) = transition else {
-            return;
-        };
-        self.tel.event_with(now, "cluster.peer_state", || {
-            vec![
-                ("edge", Value::from(self.edge_idx)),
-                ("req", Value::from(req_id)),
-                ("peer", Value::from(peer as u64)),
-                ("from", Value::from(from.as_str())),
-                ("to", Value::from(to.as_str())),
-            ]
-        });
     }
 
     /// One-shot `edge.down` marker, emitted the first time the dead edge
@@ -797,493 +791,6 @@ impl EdgeNode {
             });
         }
     }
-
-    /// A cluster probe round exhausted its fan-out without a hit: forward
-    /// to the cloud through the breaker gate, exactly like a direct miss.
-    fn cluster_cloud_fallback(&mut self, ctx: &mut Ctx<'_, Msg>, req_id: u64, wait: ClusterWait) {
-        let now = ctx.now().as_nanos();
-        if !self.gate.preflight(now) {
-            self.refuse(ctx, &wait.descriptor, wait.client, req_id);
-            return;
-        }
-        self.pending_cloud
-            .insert(req_id, (wait.client, wait.descriptor));
-        self.tel.event_with(now, "cloud.forward", || {
-            vec![
-                ("edge", Value::from(self.edge_idx)),
-                ("req", Value::from(req_id)),
-            ]
-        });
-        let msg = Msg::Forward {
-            req_id,
-            task: wait.task,
-        };
-        let bytes = wire_len(&msg, &self.cfg);
-        ctx.send(self.cloud, bytes, msg);
-    }
-
-    /// A probe deadline fired. If the peer still owes its reply, count the
-    /// timeout against its breaker and, when the round is drained, resolve
-    /// it (cloud fallback unless a hit already satisfied it). A deadline
-    /// whose reply arrived first finds the peer gone and does nothing.
-    fn probe_timed_out(&mut self, ctx: &mut Ctx<'_, Msg>, req_id: u64, peer: EdgeId) {
-        let now = ctx.now().as_nanos();
-        let Some(wait) = self.pending_cluster.get_mut(&req_id) else {
-            return; // round already resolved
-        };
-        let Some(pos) = wait.outstanding.iter().position(|&p| p == peer) else {
-            return; // this probe already answered
-        };
-        wait.outstanding.remove(pos);
-        let drained = wait.outstanding.is_empty();
-        let cl = self.cluster.as_mut().expect("cluster wait without cluster");
-        let transition = cl.record_probe(peer, false, now);
-        cl.stats().count_peer_timeout();
-        self.cluster_event(now, "decision.peer_timeout", req_id, peer);
-        self.peer_state_event(now, req_id, peer, transition);
-        if drained {
-            let wait = self
-                .pending_cluster
-                .remove(&req_id)
-                .expect("wait checked above");
-            if !wait.satisfied {
-                self.cluster_cloud_fallback(ctx, req_id, wait);
-            }
-        }
-    }
-
-    /// A peer answered a cluster probe: feed its breaker, serve the client
-    /// on the first hit (keeping a local replica only when this edge owns
-    /// the digest or its own demand made it hot), and fall back to the
-    /// cloud when the whole round drained empty.
-    fn cluster_peer_reply(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        req_id: u64,
-        result: Option<TaskResult>,
-    ) {
-        let now = ctx.now().as_nanos();
-        let peer = self
-            .edge_nodes
-            .iter()
-            .position(|&n| n == from)
-            .expect("peer reply from outside the cluster") as EdgeId;
-        let Some(wait) = self.pending_cluster.get_mut(&req_id) else {
-            return; // round already resolved
-        };
-        let Some(pos) = wait.outstanding.iter().position(|&p| p == peer) else {
-            return; // reply landed after its own deadline already fired
-        };
-        wait.outstanding.remove(pos);
-        let drained = wait.outstanding.is_empty();
-        let fresh_hit = result.is_some() && !wait.satisfied;
-        if fresh_hit {
-            wait.satisfied = true;
-        }
-        let client = wait.client;
-        let descriptor = wait.descriptor.clone();
-        let was_satisfied = wait.satisfied;
-        let started_ns = wait.started_ns;
-        if drained {
-            let wait = self
-                .pending_cluster
-                .remove(&req_id)
-                .expect("wait checked above");
-            if !was_satisfied {
-                // Every probe missed (reply in hand means the peer is
-                // healthy — record before falling back).
-                let cl = self.cluster.as_mut().expect("cluster wait");
-                let transition = cl.record_probe(peer, true, now);
-                cl.stats().count_peer_miss();
-                self.cluster_event(now, "decision.peer_miss", req_id, peer);
-                self.peer_state_event(now, req_id, peer, transition);
-                self.cluster_cloud_fallback(ctx, req_id, wait);
-                return;
-            }
-        }
-        let transition = self
-            .cluster
-            .as_mut()
-            .expect("cluster wait")
-            .record_probe(peer, true, now);
-        self.peer_state_event(now, req_id, peer, transition);
-        let cl = self.cluster.as_mut().expect("cluster wait");
-        let Some(result) = result else {
-            if !was_satisfied {
-                cl.stats().count_peer_miss();
-                self.cluster_event(now, "decision.peer_miss", req_id, peer);
-            }
-            return;
-        };
-        if !fresh_hit {
-            return; // late duplicate hit; client already answered
-        }
-        cl.stats().count_peer_hit();
-        let digest =
-            crate::services::descriptor_digest(&descriptor).expect("cluster wait implies digest");
-        let keep = cl.is_owner(&digest) || cl.is_locally_hot(&digest);
-        if keep && !cl.is_owner(&digest) {
-            cl.stats().count_replica_keep();
-        }
-        self.cluster_event(now, "decision.peer_hit", req_id, peer);
-        self.tel
-            .registry()
-            .observe("cluster.peer_latency_ns", now.saturating_sub(started_ns));
-        if keep {
-            self.service.insert(&descriptor, &result, now);
-        }
-        for (waiter, waiter_req) in self.flights.complete(&digest) {
-            let msg = Msg::PeerResult {
-                req_id: waiter_req,
-                result: result.clone(),
-            };
-            let bytes = wire_len(&msg, &self.cfg);
-            ctx.send(waiter, bytes, msg);
-        }
-        let msg = Msg::PeerResult { req_id, result };
-        let bytes = wire_len(&msg, &self.cfg);
-        ctx.send(client, bytes, msg);
-    }
-
-    /// Shed one request: reply `Msg::Overloaded` with the retry-after
-    /// hint and record the event.
-    fn send_overloaded(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        dest: NodeId,
-        req_id: u64,
-        retry_after_ms: u32,
-        reason: &'static str,
-    ) {
-        self.stats.count_shed();
-        self.tel.event_with(ctx.now().as_nanos(), "edge.shed", || {
-            vec![
-                ("edge", Value::from(self.edge_idx)),
-                ("req", Value::from(req_id)),
-                ("reason", Value::from(reason)),
-                ("retry_after_ms", Value::from(retry_after_ms)),
-            ]
-        });
-        let msg = Msg::Overloaded {
-            req_id,
-            retry_after_ms,
-        };
-        let bytes = wire_len(&msg, &self.cfg);
-        ctx.send(dest, bytes, msg);
-    }
-
-    /// Shed a request the admission controller dropped from its queue.
-    fn shed_queued(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        req_id: u64,
-        retry_after_ms: u32,
-        reason: &'static str,
-    ) {
-        if let Some(q) = self.queued_work.remove(&req_id) {
-            self.send_overloaded(ctx, q.client, req_id, retry_after_ms, reason);
-        }
-    }
-
-    /// Record a brownout transition: one trace event per change plus the
-    /// state gauge.
-    fn note_brownout(&mut self, now: u64, state: BrownoutState) {
-        self.tel.event_with(now, "edge.brownout_state", || {
-            vec![
-                ("edge", Value::from(self.edge_idx)),
-                ("state", Value::from(state.as_str())),
-            ]
-        });
-        self.tel
-            .registry()
-            .gauge_set("edge.brownout_state", state.as_gauge() as i64);
-    }
-
-    /// Admission-controlled entry for a query: offer it to the overload
-    /// controller and realize the verdict (serve now, hold in the queue,
-    /// or shed), plus any queue sheds and brownout transition the offer
-    /// triggered.
-    fn offer_query(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        req_id: u64,
-        descriptor: FeatureDescriptor,
-        hint: Option<TaskRequest>,
-    ) {
-        let now = ctx.now().as_nanos();
-        let Some(ctl) = self.overload.as_mut() else {
-            return;
-        };
-        // lint: allow(release-admission-slots, Serve routes through start_service whose finish_service releases the slot; Shed/queue paths call note_shed)
-        let decision = ctl.offer(req_id, now);
-        let retry_after = ctl.retry_after_ms();
-        if let Some(state) = decision.transition {
-            self.note_brownout(now, state);
-        }
-        for victim in decision.shed {
-            self.shed_queued(ctx, victim, retry_after, "queue");
-        }
-        match decision.verdict {
-            Verdict::Serve | Verdict::ServeCachedOnly => {
-                self.start_service(ctx, from, req_id, descriptor, hint, now, false);
-            }
-            Verdict::Queued => {
-                self.queued_work.insert(
-                    req_id,
-                    QueuedQuery {
-                        client: from,
-                        descriptor,
-                        hint,
-                        offered_at: now,
-                    },
-                );
-            }
-            Verdict::Shed { retry_after_ms } => {
-                self.send_overloaded(ctx, from, req_id, retry_after_ms, "refused");
-            }
-        }
-    }
-
-    /// Begin service of an admitted query: arm the completion timer that
-    /// will return the slot to the controller, then run the ordinary
-    /// lookup/reply/forward path (cache-hits-only while Degraded).
-    #[allow(clippy::too_many_arguments)]
-    fn start_service(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        client: NodeId,
-        req_id: u64,
-        descriptor: FeatureDescriptor,
-        hint: Option<TaskRequest>,
-        offered_at: u64,
-        queued: bool,
-    ) {
-        let now = ctx.now().as_nanos();
-        self.stats.count_admitted();
-        self.tel.event_with(now, "edge.admitted", || {
-            vec![
-                ("edge", Value::from(self.edge_idx)),
-                ("req", Value::from(req_id)),
-                ("queued", Value::from(queued)),
-            ]
-        });
-        let cached_only = self
-            .overload
-            .as_ref()
-            .is_some_and(|c| c.state() == BrownoutState::Degraded);
-        let service_ns = self.service_ns(req_id);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.in_service.insert(token, offered_at);
-        ctx.set_timer(SimDuration::from_nanos(service_ns), token);
-        self.serve_query(
-            ctx,
-            client,
-            req_id,
-            descriptor,
-            hint,
-            service_ns,
-            cached_only,
-        );
-    }
-
-    /// A service slot came free: feed the observed sojourn to the AIMD
-    /// limiter, shed aged-out waiters, and start the queued queries the
-    /// new limit admits.
-    fn finish_service(&mut self, ctx: &mut Ctx<'_, Msg>, offered_at: u64) {
-        let now = ctx.now().as_nanos();
-        let Some(ctl) = self.overload.as_mut() else {
-            return;
-        };
-        let (drain, transition) = ctl.release(now.saturating_sub(offered_at), now);
-        let retry_after = ctl.retry_after_ms();
-        if let Some(state) = transition {
-            self.note_brownout(now, state);
-        }
-        for victim in drain.shed {
-            self.shed_queued(ctx, victim, retry_after, "aged_out");
-        }
-        for id in drain.start {
-            let Some(q) = self.queued_work.remove(&id) else {
-                continue;
-            };
-            self.start_service(ctx, q.client, id, q.descriptor, q.hint, q.offered_at, true);
-        }
-    }
-
-    /// Serve one query: cache lookup, then reply / request payload /
-    /// forward upstream. `service_ns` is the edge's local processing
-    /// time charged before the reply (or forward) leaves. With
-    /// `cached_only` (the Degraded brownout rung) misses are shed
-    /// instead of spending recognition or upstream capacity.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_query(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        req_id: u64,
-        descriptor: FeatureDescriptor,
-        hint: Option<TaskRequest>,
-        service_ns: u64,
-        cached_only: bool,
-    ) {
-        let now = ctx.now().as_nanos();
-        // The typed lookup drives both the reply and the trace: the
-        // event records *why* the cache answered (exact vs approx
-        // vs miss) — the field the ad-hoc stats never captured.
-        let outcome = self.service.lookup(&descriptor, now);
-        self.tel.event_with(now, "edge.lookup", || {
-            vec![
-                ("edge", Value::from(self.edge_idx)),
-                ("req", Value::from(req_id)),
-                ("kind", Value::from(outcome.kind_str())),
-                ("hit", Value::from(outcome.is_hit())),
-            ]
-        });
-        let reply = match outcome.into_value() {
-            Some(result) => EdgeReply::Hit(result),
-            None if cached_only => {
-                // Degraded brownout: only cache hits are served; the
-                // slot is still returned through the service timer.
-                let retry_after_ms = match self.overload.as_mut() {
-                    Some(ctl) => {
-                        ctl.note_shed();
-                        ctl.retry_after_ms()
-                    }
-                    None => 0,
-                };
-                self.send_overloaded(ctx, from, req_id, retry_after_ms, "degraded_miss");
-                return;
-            }
-            None => match hint.as_ref() {
-                Some(task) => EdgeReply::Forward(task.clone()),
-                None => EdgeReply::NeedPayload,
-            },
-        };
-        match reply {
-            EdgeReply::Hit(result) => {
-                self.delay_send(ctx, service_ns, from, Msg::Hit { req_id, result });
-            }
-            EdgeReply::NeedPayload => {
-                self.pending_cloud.insert(req_id, (from, descriptor));
-                self.delay_send(ctx, service_ns, from, Msg::NeedPayload { req_id });
-            }
-            EdgeReply::Forward(task) => {
-                // Coalesce concurrent misses on the same content.
-                if let Some(digest) = crate::services::descriptor_digest(&descriptor) {
-                    // Waiters queue behind the leader's fetch; note
-                    // the leader itself is answered via
-                    // pending_cloud/pending_peer, not the table.
-                    if let FlightClaim::Queued = self.flights.claim(digest, (from, req_id)) {
-                        self.tel.event_with(now, "flight.queued", || {
-                            vec![
-                                ("edge", Value::from(self.edge_idx)),
-                                ("req", Value::from(req_id)),
-                            ]
-                        });
-                        return;
-                    }
-                    // Cooperative cluster tier: probe at most
-                    // `peer_fanout` peers along the ring from the
-                    // digest's owner, each under its own deadline,
-                    // before any cloud forward.
-                    if self.cluster.is_some() {
-                        let (plan, timeout_ms, stats) = {
-                            let cl = self.cluster.as_mut().expect("checked above");
-                            cl.note_local_request(&digest);
-                            (
-                                cl.plan(&digest, now),
-                                cl.config().peer_timeout_ms,
-                                cl.stats().clone(),
-                            )
-                        };
-                        if !plan.peers.is_empty() {
-                            if plan.failover {
-                                self.cluster_event(
-                                    now,
-                                    "decision.peer_failover",
-                                    req_id,
-                                    plan.peers[0],
-                                );
-                            }
-                            self.pending_cluster.insert(
-                                req_id,
-                                ClusterWait {
-                                    client: from,
-                                    descriptor,
-                                    task,
-                                    outstanding: plan.peers.clone(),
-                                    satisfied: false,
-                                    started_ns: now,
-                                },
-                            );
-                            // Each probe leaves after the service time and
-                            // has until `peer_timeout_ms` after that to
-                            // answer before its breaker hears a failure.
-                            let deadline_ns = service_ns + timeout_ms * 1_000_000;
-                            for &peer in &plan.peers {
-                                // Probes are counted here, at send time,
-                                // so the counter matches the probes (and
-                                // trace events) actually emitted.
-                                stats.count_probe();
-                                self.cluster_event(now, "decision.peer_probe", req_id, peer);
-                                let dest = self.edge_nodes[peer as usize];
-                                self.delay_send(
-                                    ctx,
-                                    service_ns,
-                                    dest,
-                                    Msg::PeerQuery { req_id, digest },
-                                );
-                                let token = self.next_token;
-                                self.next_token += 1;
-                                self.probe_timeouts.insert(token, (req_id, peer));
-                                ctx.set_timer(SimDuration::from_nanos(deadline_ns), token);
-                            }
-                            return;
-                        }
-                        // Empty plan (all peers dead or single edge):
-                        // fall through to the gated cloud forward.
-                    } else if self.cfg.peer_lookup && !self.peers.is_empty() {
-                        self.pending_peer.insert(
-                            req_id,
-                            PeerWait {
-                                client: from,
-                                descriptor,
-                                task,
-                                outstanding: self.peers.len(),
-                                satisfied: false,
-                            },
-                        );
-                        for peer in self.peers.clone() {
-                            self.delay_send(
-                                ctx,
-                                service_ns,
-                                peer,
-                                Msg::PeerQuery { req_id, digest },
-                            );
-                        }
-                        return;
-                    }
-                }
-                // The client-blocking upstream fetch goes through
-                // the breaker gate, exactly like the live edge.
-                if !self.gate.preflight(now) {
-                    self.refuse(ctx, &descriptor, from, req_id);
-                    return;
-                }
-                self.pending_cloud.insert(req_id, (from, descriptor));
-                self.tel.event_with(now, "cloud.forward", || {
-                    vec![
-                        ("edge", Value::from(self.edge_idx)),
-                        ("req", Value::from(req_id)),
-                    ]
-                });
-                self.delay_send(ctx, service_ns, self.cloud, Msg::Forward { req_id, task });
-            }
-        }
-    }
 }
 
 impl Node<Msg> for EdgeNode {
@@ -1293,6 +800,9 @@ impl Node<Msg> for EdgeNode {
             self.note_down(now);
             return; // dead edges answer nothing
         }
+        // The node a message came from is its connection; a cloud or peer
+        // reply belongs to the client whose node index tops its req_id.
+        let conn = from.0 as u64;
         match msg {
             Msg::Query {
                 req_id,
@@ -1308,132 +818,48 @@ impl Node<Msg> for EdgeNode {
                     ) = (&descriptor, hint.as_ref())
                     {
                         self.known_frames.insert(*frame_id, *d);
-                        let frame_id = *frame_id;
-                        self.maybe_prefetch(ctx, frame_id);
+                        self.maybe_prefetch(ctx, *frame_id);
                     }
                 }
-                if self.overload.is_some() {
-                    self.offer_query(ctx, from, req_id, descriptor, hint);
-                } else {
-                    // Classic serve-on-arrival path (no admission control).
-                    let service_ns = self.service_ns(req_id);
-                    self.serve_query(ctx, from, req_id, descriptor, hint, service_ns, false);
-                }
+                self.engine
+                    .on_query(conn, req_id, descriptor, hint, now, &mut self.fx);
+            }
+            Msg::Upload { req_id, task }
+                if self.cfg.exec_tier == ExecTier::Edge
+                    && matches!(task, TaskRequest::Recognition { .. }) =>
+            {
+                // Run the DNN here on the edge box: slower silicon than the
+                // cloud, but no WAN round trip.
+                let (result, _) = self.executor.execute(&task);
+                let cost_ns = self.edge_dnn_ns();
+                let descriptor = self
+                    .engine
+                    .take_parked(conn, req_id)
+                    .expect("upload for unknown request");
+                self.service
+                    .insert(&descriptor, Held::new(result.clone()), now);
+                self.delay_send(ctx, cost_ns, from, Msg::Result { req_id, result });
             }
             Msg::Upload { req_id, task } => {
-                if self.cfg.exec_tier == ExecTier::Edge
-                    && matches!(task, TaskRequest::Recognition { .. })
-                {
-                    // Run the DNN here on the edge box: slower silicon than
-                    // the cloud, but no WAN round trip.
-                    let (result, _) = self.executor.execute(&task);
-                    let cost_ns = self
-                        .cfg
-                        .compute
-                        .edge
-                        .time_ns(self.cfg.compute.full_dnn_macs);
-                    let (client, descriptor) = self
-                        .pending_cloud
-                        .remove(&req_id)
-                        .expect("upload for unknown request");
-                    self.service.insert(&descriptor, &result, now);
-                    self.delay_send(ctx, cost_ns, client, Msg::Result { req_id, result });
-                    return;
-                }
-                // Relay the full payload to the cloud — client-blocking, so
-                // it passes through the breaker gate like any upstream leg.
-                if !self.gate.preflight(now) {
-                    self.stats.count_unavailable();
-                    if let Some((client, _)) = self.pending_cloud.remove(&req_id) {
-                        let msg = Msg::Unavailable { req_id };
-                        let bytes = wire_len(&msg, &self.cfg);
-                        ctx.send(client, bytes, msg);
-                    }
-                    return;
-                }
-                self.tel.event_with(now, "cloud.forward", || {
-                    vec![
-                        ("edge", Value::from(self.edge_idx)),
-                        ("req", Value::from(req_id)),
-                    ]
-                });
-                let msg = Msg::Forward { req_id, task };
-                let bytes = wire_len(&msg, &self.cfg);
-                ctx.send(self.cloud, bytes, msg);
+                self.engine.on_upload(conn, req_id, task, now, &mut self.fx);
             }
             Msg::CloudReply { req_id, result } => {
-                // Every cloud reply is an upstream success signal for the
-                // breaker (the simulated WAN delivers or loses messages; it
-                // never returns errors, so the gate only ever sees wins).
-                self.gate.report(true, now);
                 if let Some(frame_id) = self.prefetch_inflight.remove(&req_id) {
                     // A prefetch came back: content-address it and cache it.
                     if let TaskResult::Panorama(bytes) = &result {
                         let digest = coic_cache::Digest::of(bytes);
                         self.known_frames.insert(frame_id, digest);
-                        self.service
-                            .insert(&FeatureDescriptor::PanoramaHash(digest), &result, now);
+                        let descriptor = FeatureDescriptor::PanoramaHash(digest);
+                        self.service.insert(&descriptor, Held::new(result), now);
                     }
                     self.prefetching.remove(&frame_id);
                     return;
                 }
-                // Retransmissions can produce duplicate cloud replies for a
-                // req_id whose state was already consumed; drop them.
-                let Some((client, descriptor)) = self.pending_cloud.remove(&req_id) else {
-                    return;
-                };
-                // Partition placement: under the cluster tier a non-owner
-                // does not cache the exact result it fetched — it pushes
-                // the copy to the digest's owner instead, so the entry
-                // lives where the ring says future probes will look. The
-                // fetching edge still keeps a replica once its own demand
-                // crossed the hot threshold.
-                let mut keep = true;
-                let mut push: Option<(EdgeId, coic_cache::Digest)> = None;
-                if let (Some(cl), Some(d)) = (
-                    self.cluster.as_mut(),
-                    crate::services::descriptor_digest(&descriptor),
-                ) {
-                    if !cl.is_owner(&d) {
-                        keep = cl.is_locally_hot(&d);
-                        if keep {
-                            cl.stats().count_replica_keep();
-                        }
-                        push = cl.placement_target(&d).map(|owner| {
-                            cl.stats().count_replication_copy();
-                            (owner, d)
-                        });
-                    }
-                }
-                if keep {
-                    self.service.insert(&descriptor, &result, now);
-                }
-                if let Some((owner, digest)) = push {
-                    self.cluster_event(now, "decision.peer_replicate", req_id, owner);
-                    let token = self.cluster.as_ref().map_or(0, |cl| cl.config().auth_token);
-                    let msg = Msg::Replicate {
-                        req_id,
-                        token,
-                        digest,
-                        result: result.clone(),
-                    };
-                    let bytes = wire_len(&msg, &self.cfg);
-                    ctx.send(self.edge_nodes[owner as usize], bytes, msg);
-                }
-                // Answer every coalesced waiter with the same result.
-                if let Some(digest) = crate::services::descriptor_digest(&descriptor) {
-                    for (waiter, waiter_req) in self.flights.complete(&digest) {
-                        let msg = Msg::Result {
-                            req_id: waiter_req,
-                            result: result.clone(),
-                        };
-                        let bytes = wire_len(&msg, &self.cfg);
-                        ctx.send(waiter, bytes, msg);
-                    }
-                }
-                let msg = Msg::Result { req_id, result };
-                let bytes = wire_len(&msg, &self.cfg);
-                ctx.send(client, bytes, msg);
+                // The simulated WAN delivers or loses messages; it never
+                // returns errors, so the breaker only ever hears successes.
+                let held = Some(Held::new(result));
+                self.engine
+                    .on_cloud_reply(req_id >> 32, req_id, held, now, &mut self.fx);
             }
             Msg::BaselineRequest { req_id, task } => {
                 // Origin baseline with edge execution: the edge box runs
@@ -1444,47 +870,17 @@ impl Node<Msg> for EdgeNode {
                     "edge received BaselineRequest in cloud-exec mode"
                 );
                 let (result, cloud_cost) = self.executor.execute(&task);
-                let cost_ns = if matches!(task, TaskRequest::Recognition { .. }) {
-                    self.cfg
-                        .compute
-                        .edge
-                        .time_ns(self.cfg.compute.full_dnn_macs)
-                } else {
-                    cloud_cost
+                let cost_ns = match task {
+                    TaskRequest::Recognition { .. } => self.edge_dnn_ns(),
+                    _ => cloud_cost,
                 };
                 let client = NodeId((req_id >> 32) as usize);
                 self.delay_send(ctx, cost_ns, client, Msg::BaselineReply { req_id, result });
+                return;
             }
             Msg::PeerQuery { req_id, digest } => {
-                let result = self.service.exact_lookup(&digest, now);
-                // Hot-entry failover replication: enough peer demand on an
-                // entry this edge keeps answering pushes a copy to the
-                // digest's ring successor, so the content survives this
-                // edge dying.
-                if result.is_some() {
-                    let push = self.cluster.as_mut().and_then(|cl| {
-                        if !cl.note_owner_request(&digest) {
-                            return None;
-                        }
-                        cl.successor_target(&digest).inspect(|_| {
-                            cl.stats().count_replication_copy();
-                        })
-                    });
-                    if let Some(succ) = push {
-                        self.cluster_event(now, "decision.peer_replicate", req_id, succ);
-                        let token = self.cluster.as_ref().map_or(0, |cl| cl.config().auth_token);
-                        let msg = Msg::Replicate {
-                            req_id,
-                            token,
-                            digest,
-                            result: result.clone().expect("checked is_some"),
-                        };
-                        let bytes = wire_len(&msg, &self.cfg);
-                        ctx.send(self.edge_nodes[succ as usize], bytes, msg);
-                    }
-                }
-                let lookup_ns = self.cfg.compute.lookup_ns;
-                self.delay_send(ctx, lookup_ns, from, Msg::PeerReply { req_id, result });
+                self.engine
+                    .on_peer_query(conn, req_id, digest, now, &mut self.fx);
             }
             Msg::Replicate {
                 token,
@@ -1492,110 +888,45 @@ impl Node<Msg> for EdgeNode {
                 result,
                 ..
             } => {
-                // Membership gate: install the pushed copy only when the
-                // sender presented this cluster's token — an edge outside
-                // the cluster (or with no cluster at all) must not be
-                // able to plant entries.
-                let member = self
-                    .cluster
-                    .as_ref()
-                    .is_some_and(|cl| cl.config().auth_token == token);
-                if !member {
-                    return;
-                }
-                // Install under the content hash; the exact store is
-                // keyed by digest, so the descriptor kind does not
-                // matter.
-                self.service
-                    .insert(&FeatureDescriptor::ModelHash(digest), &result, now);
+                self.engine
+                    .on_replicate(conn, token, digest, Held::new(result), &mut self.fx);
             }
             Msg::PeerReply { req_id, result } => {
-                if self.pending_cluster.contains_key(&req_id) {
-                    self.cluster_peer_reply(ctx, from, req_id, result);
-                    return;
-                }
-                let Some(wait) = self.pending_peer.get_mut(&req_id) else {
-                    return; // late reply after satisfaction and cleanup
-                };
-                wait.outstanding -= 1;
-                match result {
-                    Some(result) if !wait.satisfied => {
-                        wait.satisfied = true;
-                        let client = wait.client;
-                        let descriptor = wait.descriptor.clone();
-                        let done = wait.outstanding == 0;
-                        self.service.insert(&descriptor, &result, now);
-                        if let Some(digest) = crate::services::descriptor_digest(&descriptor) {
-                            for (waiter, waiter_req) in self.flights.complete(&digest) {
-                                let msg = Msg::PeerResult {
-                                    req_id: waiter_req,
-                                    result: result.clone(),
-                                };
-                                let bytes = wire_len(&msg, &self.cfg);
-                                ctx.send(waiter, bytes, msg);
-                            }
-                        }
-                        let msg = Msg::PeerResult { req_id, result };
-                        let bytes = wire_len(&msg, &self.cfg);
-                        ctx.send(client, bytes, msg);
-                        if done {
-                            self.pending_peer.remove(&req_id);
-                        }
-                    }
-                    _ => {
-                        if wait.outstanding == 0 {
-                            let wait = self.pending_peer.remove(&req_id).expect("wait exists");
-                            if wait.satisfied {
-                                return;
-                            }
-                            // Every peer missed: fall back to the cloud
-                            // (client-blocking, so breaker-gated).
-                            if !self.gate.preflight(now) {
-                                self.refuse(ctx, &wait.descriptor, wait.client, req_id);
-                                return;
-                            }
-                            self.pending_cloud
-                                .insert(req_id, (wait.client, wait.descriptor));
-                            let msg = Msg::Forward {
-                                req_id,
-                                task: wait.task,
-                            };
-                            let bytes = wire_len(&msg, &self.cfg);
-                            ctx.send(self.cloud, bytes, msg);
-                        }
-                    }
-                }
+                let result = result.map(Held::new);
+                self.engine
+                    .on_peer_reply(from, req_id >> 32, req_id, result, now, &mut self.fx);
             }
             other => panic!("edge received unexpected {other:?}"),
         }
+        self.realise(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
-        if self.is_down(ctx.now().as_nanos()) {
-            self.note_down(ctx.now().as_nanos());
+        let now = ctx.now().as_nanos();
+        if self.is_down(now) {
+            self.note_down(now);
             // Swallow the armed work so the maps do not leak.
-            self.in_service.remove(&token);
-            self.probe_timeouts.remove(&token);
-            self.pending_replies.remove(&token);
+            self.slots.remove(&token);
+            self.delayed.remove(&token);
             return;
         }
-        // Service-completion timers return their slot to the admission
-        // controller; probe deadlines feed the cluster breakers;
-        // everything else is a delayed reply.
-        if let Some(offered_at) = self.in_service.remove(&token) {
-            self.finish_service(ctx, offered_at);
+        // Probe deadlines go to the engine, service-completion timers
+        // return their slot to it; everything else is a delayed send.
+        if token & ENGINE_TIMER != 0 {
+            let timer = EdgeTimer::Probe(token & !ENGINE_TIMER);
+            self.engine.on_timer(timer, now, &mut self.fx);
+        } else if let Some(slot) = self.slots.remove(&token) {
+            self.engine.on_slot_free(slot, now, &mut self.fx);
+        } else {
+            let (dest, msg) = self
+                .delayed
+                .remove(&token)
+                .expect("timer for unknown delayed send");
+            let bytes = wire_len(&msg, &self.cfg);
+            ctx.send(dest, bytes, msg);
             return;
         }
-        if let Some((req_id, peer)) = self.probe_timeouts.remove(&token) {
-            self.probe_timed_out(ctx, req_id, peer);
-            return;
-        }
-        let (dest, msg) = self
-            .pending_replies
-            .remove(&token)
-            .expect("timer for unknown pending reply");
-        let bytes = wire_len(&msg, &self.cfg);
-        ctx.send(dest, bytes, msg);
+        self.realise(ctx);
     }
 }
 
@@ -1807,17 +1138,9 @@ pub fn run_instrumented(
             }),
         );
     }
-    let mut edge_services: Vec<Rc<EdgeService>> = Vec::new();
+    let mut edge_services: Vec<Arc<EdgeService>> = Vec::new();
     let mut cluster_stats: Vec<ClusterStats> = Vec::new();
     for (ei, &eid) in edge_ids.iter().enumerate() {
-        let peers: Vec<NodeId> = edge_ids.iter().copied().filter(|&p| p != eid).collect();
-        let cluster = cfg
-            .cluster
-            .as_ref()
-            .map(|c| ClusterState::new(ei as u32, cfg.num_edges, c.clone()));
-        if let Some(cl) = &cluster {
-            cluster_stats.push(cl.stats().clone());
-        }
         let down_at_ns = cfg
             .edge_down_ms
             .iter()
@@ -1828,33 +1151,35 @@ pub fn run_instrumented(
         // permissive here — it exists to keep one code path.
         let stats = RobustnessStats::default();
         robustness.push(stats.clone());
-        let gate = UpstreamGate::new(3, Duration::from_millis(300), stats.clone());
-        let service = Rc::new(EdgeService::new(&cfg.edge, SIM_CACHE_SHARDS));
+        let breaker = CircuitBreaker::new(3, Duration::from_millis(300));
+        let service = Arc::new(EdgeService::new(&cfg.edge, SIM_CACHE_SHARDS));
         edge_services.push(service.clone());
+        let overload = cfg
+            .admission
+            .clone()
+            .map(|a| OverloadControl::new(a, cfg.brownout.clone()));
+        let mut engine = EdgeEngine::new(service.clone(), breaker, stats, overload, tel.clone())
+            .with_label(ei as u64);
+        if let Some(c) = &cfg.cluster {
+            let cl = ClusterState::new(ei as u32, cfg.num_edges, c.clone());
+            cluster_stats.push(cl.stats().clone());
+            engine.join_cluster(cl, edge_ids.clone(), c.auth_token);
+        } else if cfg.peer_lookup {
+            for &peer in edge_ids.iter().filter(|&&p| p != eid) {
+                engine.add_peer(peer);
+            }
+        }
         sim.bind(
             eid,
             Box::new(EdgeNode {
                 cfg: cfg.clone(),
+                engine,
                 service,
                 executor: cloud_service.clone(),
                 cloud: cloud_id,
-                pending_replies: HashMap::new(),
-                pending_cloud: HashMap::new(),
-                flights: SingleFlight::new(),
-                gate,
-                stats,
-                overload: cfg
-                    .admission
-                    .clone()
-                    .map(|a| OverloadControl::new(a, cfg.brownout.clone())),
-                queued_work: HashMap::new(),
-                in_service: HashMap::new(),
-                peers,
-                pending_peer: HashMap::new(),
-                cluster,
-                edge_nodes: edge_ids.clone(),
-                pending_cluster: HashMap::new(),
-                probe_timeouts: HashMap::new(),
+                fx: Vec::new(),
+                delayed: HashMap::new(),
+                slots: HashMap::new(),
                 down_at_ns,
                 down_noted: false,
                 known_frames: HashMap::new(),
@@ -1969,7 +1294,6 @@ pub fn compare(trace: &[coic_workload::Request], cfg: &SimConfig) -> (QoeReport,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qoe::Path;
     use coic_workload::{
         Population, Request, RequestKind, SafeDrivingAr, UserId, ZoneId, ZoneModel,
     };
@@ -2130,9 +1454,6 @@ mod tests {
         // Two unique models; 16 requests; all but the first two of each
         // model can hit.
         assert!(report.edge_hits >= 10, "hits {}", report.edge_hits);
-        // Hits are much faster than misses.
-        let hit_misses: Vec<(f64, Path)> = Vec::new();
-        drop(hit_misses);
     }
 
     #[test]

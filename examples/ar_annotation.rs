@@ -13,8 +13,8 @@
 //! Run with: `cargo run --release --example ar_annotation`
 
 use coic::core::{
-    ClientConfig, ClientLogic, CloudService, ComputeConfig, EdgeConfig, EdgeReply, EdgeService,
-    ModelLibrary, PanoLibrary,
+    ClientConfig, ClientLogic, CloudService, ComputeConfig, EdgeConfig, EdgeService, Held,
+    ModelLibrary, PanoLibrary, TaskResult,
 };
 use coic::render::{procgen, Camera, Framebuffer, Mat4, Scene, Vec3};
 use coic::vision::{ObjectClass, SceneGenerator};
@@ -61,16 +61,18 @@ fn main() {
             },
         };
         let prepared = client.prepare(&req);
-        let label = match edge.handle_query(&prepared.descriptor, None, i as u64) {
-            EdgeReply::Hit(coic::core::TaskResult::Recognition(r)) => {
+        let cached = edge.lookup(&prepared.descriptor, i as u64).into_value();
+        let label = match cached.as_deref().map(Held::result) {
+            Some(TaskResult::Recognition(r)) => {
                 println!("sighting {i}: EDGE HIT  → label {}", r.label);
                 r.label
             }
-            EdgeReply::NeedPayload => {
+            Some(other) => panic!("unexpected cached result {other:?}"),
+            None => {
                 let (result, cost_ns) = cloud.execute(&prepared.task);
-                edge.insert(&prepared.descriptor, &result, i as u64);
+                edge.insert(&prepared.descriptor, Held::new(result.clone()), i as u64);
                 match result {
-                    coic::core::TaskResult::Recognition(r) => {
+                    TaskResult::Recognition(r) => {
                         println!(
                             "sighting {i}: MISS → cloud inference ({:.1} ms) → label {}",
                             cost_ns as f64 / 1e6,
@@ -81,7 +83,6 @@ fn main() {
                     _ => unreachable!("recognition task yields recognition result"),
                 }
             }
-            other => panic!("unexpected edge reply {other:?}"),
         };
 
         // Render the 3D annotation the AR app overlays for this label: a

@@ -1,15 +1,17 @@
-//! Determinism tests: the engine is the single decision-maker, so (a) the
-//! same seeded workload and fault schedule through the simulator twice
+//! Determinism tests: the engines are the single decision-makers, so (a)
+//! the same seeded workload and fault schedule through the simulator twice
 //! yields byte-identical QoE reports, and (b) the simulator and the live
 //! TCP stack traverse byte-identical decision traces — timestamps differ
-//! (virtual vs wall clock) but every hit/miss/retry/degrade choice agrees.
+//! (virtual vs wall clock) but every hit/miss/retry/degrade choice agrees,
+//! the client's and the edge's alike.
 
-use coic::core::netrun::{spawn_cloud, spawn_edge, NetClient, NetConfig};
-use coic::core::simrun::{run_traced, Mode, SimConfig};
+use coic::core::netrun::{spawn_cloud, spawn_edge_with, NetClient, NetConfig};
+use coic::core::simrun::{run_instrumented, run_traced, Mode, SimConfig};
 use coic::core::{
     ClientConfig, ComputeConfig, Decision, EdgeConfig, FaultSchedule, ModelLibrary, PanoLibrary,
     Path, QoeReport, RetryPolicy,
 };
+use coic::obs::Telemetry;
 use coic::vision::ObjectClass;
 use coic::workload::{Request, RequestKind, UserId, ZoneId};
 use std::sync::Arc;
@@ -100,16 +102,38 @@ fn sim_twice_is_byte_identical() {
     assert_eq!(traces_a, traces_b, "decision traces must agree");
 }
 
+/// The edge's decisions in a trace: each edge event's name with its `kind`
+/// and `hit` fields — no time, request or edge id, which differ between
+/// the drivers by construction.
+fn edge_decisions(tel: &Telemetry) -> Vec<String> {
+    let edge = ["edge.", "cloud.", "flight.", "cluster.", "decision.peer_"];
+    tel.trace()
+        .events()
+        .into_iter()
+        .filter(|e| edge.iter().any(|p| e.name.starts_with(p)))
+        .map(|e| {
+            let mut line = e.name.to_string();
+            for (key, value) in e.fields.iter().filter(|f| ["kind", "hit"].contains(&f.0)) {
+                line += &format!(" {key}={value:?}");
+            }
+            line
+        })
+        .collect()
+}
+
 /// Run the live loopback leg: same retry policy, same fault schedule as
-/// the simulator leg. Returns the client's decision trace and QoE report.
-fn live_leg() -> (Vec<Decision>, QoeReport) {
+/// the simulator leg. Returns the client's decision trace, its QoE report
+/// and the edge's decisions.
+fn live_leg() -> (Vec<Decision>, QoeReport, Vec<String>) {
     let trace = pano_trace();
     let models = Arc::new(ModelLibrary::new());
     let panos = Arc::new(PanoLibrary::new(64));
     let compute = ComputeConfig::default();
     let classes = vec![ObjectClass(0)];
     let cloud = spawn_cloud(&classes, 64, compute, models.clone(), panos.clone(), 7).unwrap();
-    let edge = spawn_edge(cloud.addr(), &EdgeConfig::default()).unwrap();
+    let tel = Telemetry::new();
+    let edge_net = NetConfig::builder().telemetry(tel.clone()).build();
+    let edge = spawn_edge_with(cloud.addr(), &EdgeConfig::default(), edge_net, None).unwrap();
     let net = NetConfig::builder()
         .retry(policy())
         .faults(faults())
@@ -130,13 +154,18 @@ fn live_leg() -> (Vec<Decision>, QoeReport) {
     }
     assert_eq!(live_paths, [Path::CloudMiss, Path::EdgeHit, Path::Baseline]);
     assert!(client.is_degraded(), "edge leg of seq 2 was exhausted");
-    (client.decisions().to_vec(), client.report())
+    (
+        client.decisions().to_vec(),
+        client.report(),
+        edge_decisions(&tel),
+    )
 }
 
 #[test]
 fn sim_and_live_traverse_identical_decision_traces() {
     // Simulator leg.
-    let (sim_report, sim_traces) = run_traced(&pano_trace(), &sim_config());
+    let tel = Telemetry::new();
+    let (sim_report, sim_traces) = run_instrumented(&pano_trace(), &sim_config(), &tel);
     assert_eq!(sim_report.completed, 3);
     assert_eq!(sim_traces.len(), 1);
     assert_eq!(sim_traces[0], expected_trace());
@@ -144,9 +173,22 @@ fn sim_and_live_traverse_identical_decision_traces() {
     // The tentpole claim: byte-identical decision sequences between the
     // simulator and the live TCP stack, including under the injected
     // fault schedule.
-    let (live_decisions, live_report) = live_leg();
+    let (live_decisions, live_report, live_edge) = live_leg();
     assert_eq!(live_decisions, expected_trace());
     assert_eq!(sim_traces[0], live_decisions);
+
+    // The edge decides through one engine in both stacks: the same lookups
+    // (a miss, then an exact hit) and the same cloud forward, in order.
+    let sim_edge = edge_decisions(&tel);
+    assert_eq!(
+        sim_edge,
+        [
+            r#"edge.lookup kind=Str("miss") hit=Bool(false)"#,
+            "cloud.forward",
+            r#"edge.lookup kind=Str("exact") hit=Bool(true)"#,
+        ]
+    );
+    assert_eq!(sim_edge, live_edge, "edge decisions diverged");
 
     // And both paths emit the same report type with agreeing structure
     // (latencies differ: virtual vs wall clock).
