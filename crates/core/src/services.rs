@@ -485,6 +485,38 @@ mod tests {
         }
     }
 
+    /// FNV-1a 64 of the camera frame `prepare` captures for class `c` (row)
+    /// under view seed `s` (column), at `ClientConfig::default()`.
+    #[rustfmt::skip]
+    const FRAME_FNV: [[u64; 4]; 8] = [
+        [0x9b6a9a84028aac31, 0xf567b92c9c0b46f5, 0x56b240f90cb29997, 0xf239373bd6e92482],
+        [0x10593ca5251984f9, 0xba76d9458438125f, 0x2ecfa893def4f86d, 0x8be46c22847a8b8e],
+        [0x2269d630751150d6, 0x5fcef73d96390539, 0xeaf96db8621a182a, 0xf2976ff55ecb6824],
+        [0x61391a6762bb69c7, 0x469b4d2035931da6, 0xfe71fec56bc3b906, 0xd20c492b9e9a92cb],
+        [0x292b5cd3aa227e0f, 0x2a3aeb86be71fd9a, 0x6dbd7365bdee9355, 0x4bb5c9cb4e3d30b5],
+        [0xdcffd83c220ed0b8, 0xa6584dfe08fe7456, 0xd47a406484ad2c0c, 0x0cd53067519c3379],
+        [0xfe579995ee349613, 0x6efacd1bdb0d2f2f, 0x1695b2219e88a12c, 0xc4b983c2e3d52b78],
+        [0x30138a705e5f119d, 0xe86ec127558a590f, 0x1831eada1da3cbc1, 0x31f5cfd9ea51ecc4],
+    ];
+
+    /// Every recognition request's bytes start at this frame, and every
+    /// golden and benchmark ledger hashes descriptors of it: a change that
+    /// moves a pixel fails here even if it also edits the scene tests'
+    /// per-pixel oracle.
+    #[test]
+    fn prepared_frames_are_pinned() {
+        let (client, _, _) = setup();
+        let hashes: Vec<[u64; 4]> = (0..8)
+            .map(|class| {
+                std::array::from_fn(|s| match client.prepare(&recog_req(class, s as u64)).task {
+                    TaskRequest::Recognition { image } => coic_cache::fnv1a64(image.pixels()),
+                    other => panic!("expected a recognition task, got {other:?}"),
+                })
+            })
+            .collect();
+        assert_eq!(hashes, FRAME_FNV);
+    }
+
     #[test]
     fn recognition_miss_then_hit_flow() {
         let (client, edge, cloud) = setup();

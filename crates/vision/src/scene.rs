@@ -117,11 +117,12 @@ impl Appearance {
 }
 
 /// Half-width of the band around a `.round()` boundary inside which
-/// [`SceneGenerator::observe`] does not trust its separable sum and
-/// recomputes the pixel through [`Appearance::eval`]. DESIGN.md §3.2 bounds
-/// the difference between the two below 1.3e-7 while the view stays inside
-/// [`MAX_PHASE`] and [`MAX_GAIN`]; a uniformly distributed fraction lands in
-/// the band 2e-6 of the time, about one pixel in 120 frames of 64 × 64.
+/// [`SceneGenerator::observe`] does not trust its separable sum and fast
+/// noise, and recomputes the pixel through [`Appearance::eval`] and
+/// [`box_muller`]. DESIGN.md §3.2 bounds the difference between the two
+/// below 1.3e-7 while the view stays inside [`MAX_PHASE`], [`MAX_GAIN`] and
+/// [`MAX_SIGMA`]; a uniformly distributed fraction lands in the band 2e-6 of
+/// the time, about one pixel in 120 frames of 64 × 64.
 const GUARD_EPS: f64 = 1e-6;
 
 /// Largest sinusoid argument (radians, over all pixels and waves, every
@@ -131,6 +132,20 @@ const MAX_PHASE: f64 = 4096.0;
 
 /// Largest |illumination| that bound assumes.
 const MAX_GAIN: f64 = 64.0;
+
+/// Largest noise σ that bound assumes. The fast and exact noise of a pixel
+/// differ by at most σ · √(−2 ln 1e-12) · ([`COS_2PI_ERR`] + 4 · 2⁻⁵³), which
+/// is below 2e-11 here; beyond four times the intensity range a frame is
+/// nothing but noise anyway.
+const MAX_SIGMA: f64 = 1024.0;
+
+/// Largest |[`cos_2pi`]`(u) − (τ·u).cos()|` over u in [0, 1) that the bound
+/// assumes; the kernel test holds the kernel to it (measured: 6.7e-16).
+const COS_2PI_ERR: f64 = 2e-15;
+
+// 7.44 > √(−2 ln 1e-12), the largest Box–Muller radius;
+// 2 · f64::EPSILON = 4 · 2⁻⁵³.
+const _: () = assert!(MAX_SIGMA * 7.44 * (COS_2PI_ERR + 2.0 * f64::EPSILON) < 2e-11);
 
 /// Generates observations of object classes.
 pub struct SceneGenerator {
@@ -166,9 +181,12 @@ impl SceneGenerator {
     /// pixel's (x, y), `a·nx + (b·ny + phase)`, so by angle addition its sine
     /// is `sin(a·nx)·cos(b·ny + phase) + cos(a·nx)·sin(b·ny + phase)`: one
     /// `sin_cos` per wave per column and per row, not one `sin` per wave per
-    /// pixel. That sum differs from `eval` in the last bits, so wherever it
-    /// lands within `eps` of a rounding boundary the pixel is recomputed
-    /// through `eval` itself; everywhere else both round to the same byte.
+    /// pixel. The noise is drawn a row at a time in [`gaussian`]'s order and
+    /// then shaped in one branch-free pass through [`cos_2pi`]. Both differ
+    /// from the definition in the last bits, so wherever a pixel lands
+    /// within `eps` of a rounding boundary it is recomputed through `eval`
+    /// and [`box_muller`] on the same uniforms; everywhere else both round to
+    /// the same byte.
     fn render(
         &self,
         class: ObjectClass,
@@ -197,7 +215,9 @@ impl SceneGenerator {
         let span = |c: &[f64]| c[0].abs().max(c[n - 1].abs());
         let reach = (span(&nx) + span(&ny)) / view.scale.abs();
         let max_phase = std::f64::consts::PI * 2.0 * MAX_FREQ * reach + std::f64::consts::TAU;
-        let bounded = max_phase <= MAX_PHASE && view.illumination.abs() <= MAX_GAIN;
+        let bounded = max_phase <= MAX_PHASE
+            && view.illumination.abs() <= MAX_GAIN
+            && view.noise_sigma <= MAX_SIGMA;
         let eps = if bounded { eps } else { f64::INFINITY };
 
         // Wave k lives at [k * n..][..n] of each table; the row tables carry
@@ -220,6 +240,11 @@ impl SceneGenerator {
 
         let mut pixels = Vec::with_capacity(n * n);
         let mut row = vec![0.0; n];
+        // A noiseless view adds 0.0, which moves no byte (it only turns a
+        // -0.0 into +0.0).
+        let sigma = view.noise_sigma;
+        let noisy = sigma > 0.0;
+        let (mut u1, mut u2, mut noise) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         let mut guarded = 0;
         for y in 0..n {
             row.fill(app.base);
@@ -230,19 +255,27 @@ impl SceneGenerator {
                     *acc += sx * cy + cx * sy;
                 }
             }
-            for (x, &acc) in row.iter().enumerate() {
-                let noise = (view.noise_sigma > 0.0).then(|| gaussian(rng) * view.noise_sigma);
-                let shade = |pattern: f64| {
-                    let lit = pattern * view.illumination;
-                    noise.map_or(lit, |n| lit + n)
-                };
-                let val = shade(acc.clamp(0.0, 255.0));
+            if noisy {
+                for (a, b) in u1.iter_mut().zip(&mut u2) {
+                    (*a, *b) = uniforms(rng);
+                }
+                for (z, (&a, &b)) in noise.iter_mut().zip(u1.iter().zip(&u2)) {
+                    *z = (-2.0 * a.ln()).sqrt() * cos_2pi(b) * sigma;
+                }
+            }
+            for (x, (&acc, &z)) in row.iter().zip(&noise).enumerate() {
+                let val = acc.clamp(0.0, 255.0) * view.illumination + z;
                 let mut level = val.round();
                 let trusted = (val - level).abs() <= 0.5 - eps;
                 if !trusted {
                     guarded += 1;
                     let (ru, rv) = pattern_coords(x, y);
-                    level = shade(app.eval(ru, rv)).round();
+                    let z = if noisy {
+                        box_muller(u1[x], u2[x]) * sigma
+                    } else {
+                        0.0
+                    };
+                    level = (app.eval(ru, rv) * view.illumination + z).round();
                 }
                 pixels.push(level.clamp(0.0, 255.0) as u8);
             }
@@ -258,12 +291,49 @@ impl SceneGenerator {
 }
 
 /// Standard normal sample via Box–Muller (rand_distr is not a sanctioned
-/// dependency, and two transcendental calls per sample are cheap at our
-/// image sizes).
+/// dependency). This is the definition of every noise sample. Taken per
+/// pixel, its `ln`, `sqrt` and `cos` would be ≈ 70 % of a 64 × 64 frame, so
+/// [`SceneGenerator::observe`] draws the same uniforms a row at a time and
+/// replaces libm's `cos` with a branch-free kernel under its exactness
+/// guard.
 pub fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random();
+    let (u1, u2) = uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// The two uniforms one [`gaussian`] sample consumes, in the order it draws
+/// them; `u1` is kept off zero so its logarithm is finite.
+fn uniforms(rng: &mut StdRng) -> (f64, f64) {
+    (rng.random::<f64>().max(1e-12), rng.random())
+}
+
+/// Box–Muller on drawn uniforms: the exact formula behind [`gaussian`].
+fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// `cos(2π·u)` for `u` in [0, 1], without a branch, within [`COS_2PI_ERR`]
+/// of `(τ·u).cos()`. libm's `cos` reduces by quadrant through branches that
+/// a uniform `u` mispredicts half the time. Here `cos(2πu) = sin(2πs)` with
+/// `s = 1/4 − min(u, 1 − u)` in [−1/4, 1/4] (exact for every `u` the
+/// generator draws, a multiple of 2⁻⁵³), and `sin(2πs) = s · P(s²)` with P
+/// the degree-8 Chebyshev interpolant of `sin(2π√t)/√t` on [0, 1/16]
+/// (approximation error 3e-17; the rest is rounding).
+fn cos_2pi(u: f64) -> f64 {
+    const P: [f64; 9] = [
+        std::f64::consts::TAU,
+        -41.341702240399755,
+        81.60524927607362,
+        -76.70585975282492,
+        42.058693925428685,
+        -15.0946416761179,
+        3.8199280942271643,
+        -0.7177337921413454,
+        0.10089695501646812,
+    ];
+    let s = 0.25 - u.min(1.0 - u);
+    let t = s * s;
+    s * P[..8].iter().rev().fold(P[8], |p, &c| p * t + c)
 }
 
 #[cfg(test)]
@@ -333,7 +403,7 @@ mod tests {
     /// The `i`-th seeded (class, jittered view, side, σ) case.
     fn seeded_case(i: u32, views: &mut StdRng) -> (u32, ObjectClass, ViewParams) {
         let side = [8, 32, 64, 96][i as usize % 4];
-        let sigma = [0.0, 4.0, 6.0][i as usize / 4 % 3];
+        let sigma = [0.0, 4.0, 6.0, 0.5, 16.0, 64.0, MAX_SIGMA][i as usize / 4 % 7];
         let view = ViewParams::jittered(views, 0.35, sigma);
         (
             side,
@@ -378,6 +448,7 @@ mod tests {
             (view(|v| v.angle = PI), false),
             (view(|v| v.angle = -PI), false),
             (view(|v| v.illumination = MAX_GAIN), false),
+            (view(|v| v.noise_sigma = MAX_SIGMA), false),
             (
                 view(|v| (v.illumination, v.noise_sigma) = (-3.0, 0.0)),
                 false,
@@ -391,7 +462,9 @@ mod tests {
             (view(|v| v.illumination = f64::INFINITY), true),
             (view(|v| v.angle = f64::NAN), true),
             (view(|v| (v.dy, v.noise_sigma) = (f64::NAN, 0.0)), true),
+            (view(|v| v.noise_sigma = 2.0 * MAX_SIGMA), true),
             (view(|v| v.noise_sigma = f64::INFINITY), true),
+            (view(|v| v.noise_sigma = f64::NAN), true),
         ];
         for (i, (view, whole_frame)) in cases.iter().enumerate() {
             for side in [8, 64] {
@@ -412,6 +485,31 @@ mod tests {
     }
 
     #[test]
+    fn cos_2pi_stays_within_its_bound() {
+        let mut worst = (0.0f64, 0.0);
+        let mut check = |u: f64| {
+            let err = (cos_2pi(u) - (std::f64::consts::TAU * u).cos()).abs();
+            if err > worst.0 {
+                worst = (err, u);
+            }
+        };
+        // Every quadrant boundary ± 1 ulp, 0 and 1 − 2⁻⁵³ among them.
+        for quarter in [0.0, 0.25, 0.5, 0.75, 1.0f64] {
+            for u in [quarter.next_down(), quarter, quarter.next_up()] {
+                if (0.0..1.0).contains(&u) {
+                    check(u);
+                }
+            }
+        }
+        let mut r = rng();
+        for _ in 0..1_000_000 {
+            check(r.random());
+        }
+        let (err, u) = worst;
+        assert!(err <= COS_2PI_ERR, "cos_2pi({u}) is off by {err:e}");
+    }
+
+    #[test]
     fn forced_guard_sends_every_pixel_through_eval() {
         let mut views = rng();
         for i in 0..12 {
@@ -423,14 +521,17 @@ mod tests {
 
     /// 20 000 frames, ≈ 15 s in release; CI's `experiments` job runs it so
     /// that a flipped pixel is reported by frame and position rather than as
-    /// a diff in an `ext_*` table.
+    /// a diff in an `ext_*` table. σ is drawn over [0, `MAX_SIGMA`] as
+    /// `MAX_SIGMA · w⁴`: a quarter of the frames below the client's 4, half
+    /// below 64.
     #[test]
     #[ignore = "long identity soak; run with --release -- --ignored"]
     fn soak_observe_is_pixel_identical_over_20k_frames() {
         let mut views = rng();
         let mut hits = 0;
         for i in 0..20_000 {
-            let (side, class, view) = seeded_case(i, &mut views);
+            let (side, class, mut view) = seeded_case(i, &mut views);
+            view.noise_sigma = MAX_SIGMA * views.random::<f64>().powi(4);
             hits += assert_identical(&format!("frame {i}"), side, class, &view, GUARD_EPS);
         }
         println!("20000 frames identical, {hits} guard hits");
