@@ -15,52 +15,87 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
-/// One key's content: empty until its first touch has generated it. The
-/// content is [`Held`] as the result a cloud answers with, so whatever
-/// sends it keeps the blob's checksum with the entry (filled by the first
-/// send, never by a reader of bytes or digest).
-type Cell = Arc<OnceLock<(Arc<Held>, Digest)>>;
+/// One key's content, in two slots each filled at most once: the generated
+/// entry, filled by the key's first touch of any kind, and its digest,
+/// filled from the entry's bytes by the first caller that asks for the
+/// digest — a client naming the content. A server that only sends the
+/// entry never hashes it. The entry is [`Held`] as the result a cloud
+/// answers with, so whatever sends it keeps the blob's checksum with the
+/// entry (filled by the first send, never by a reader of bytes or digest).
+#[derive(Default)]
+struct Slot {
+    entry: OnceLock<Arc<Held>>,
+    digest: OnceLock<Digest>,
+}
 
-/// Content generated at most once per key. The map's lock is held only to
-/// find or insert a key's cell; generating and hashing run outside it, so a
-/// first touch waits only for another first touch of the *same* key.
+/// Content generated at most once per key, and hashed at most once per key
+/// when first asked for its digest. The map's lock is held only to find or
+/// insert a key's slot; generating and hashing run outside it, so a first
+/// touch waits only for another first touch of the *same* key.
 struct GenerateOnce<K> {
-    entries: Mutex<HashMap<K, Cell>>,
+    entries: Mutex<HashMap<K, Arc<Slot>>>,
+    /// The result an entry's generated bytes are held as.
+    wrap: fn(Bytes) -> TaskResult,
 }
 
 impl<K: Hash + Eq> GenerateOnce<K> {
-    fn new() -> Self {
+    fn new(wrap: fn(Bytes) -> TaskResult) -> Self {
         GenerateOnce {
             entries: Mutex::new(HashMap::new()),
+            wrap,
         }
     }
 
-    /// The key's content as the result `wrap` makes of the generated bytes.
-    fn get(
-        &self,
-        key: K,
-        wrap: fn(Bytes) -> TaskResult,
-        generate: impl FnOnce() -> Bytes,
-    ) -> (Arc<Held>, Digest) {
-        let cell = Arc::clone(self.entries.lock().entry(key).or_default());
-        cell.get_or_init(|| {
-            let bytes = generate();
-            let digest = Digest::of(&bytes);
-            (Arc::new(Held::new(wrap(bytes))), digest)
-        })
-        .clone()
+    /// The key's slot and its entry, generating on first touch.
+    fn filled(&self, key: K, generate: impl FnOnce() -> Bytes) -> (Arc<Slot>, Arc<Held>) {
+        let slot = Arc::clone(self.entries.lock().entry(key).or_default());
+        let held = Arc::clone(
+            slot.entry
+                .get_or_init(|| Arc::new(Held::new((self.wrap)(generate())))),
+        );
+        (slot, held)
+    }
+
+    /// The key's entry, generated on first touch and not hashed.
+    fn held(&self, key: K, generate: impl FnOnce() -> Bytes) -> Arc<Held> {
+        self.filled(key, generate).1
+    }
+
+    /// The key's entry and the digest of its bytes, each made on first use.
+    fn get(&self, key: K, generate: impl FnOnce() -> Bytes) -> (Arc<Held>, Digest) {
+        let (slot, held) = self.filled(key, generate);
+        let digest = *slot.digest.get_or_init(|| Digest::of(&blob_of(&held)));
+        (held, digest)
     }
 
     /// Keys whose content has been generated (not those still generating).
     fn generated(&self) -> usize {
-        let entries = self.entries.lock();
-        entries.values().filter(|cell| cell.get().is_some()).count()
+        self.count(|slot| slot.entry.get().is_some())
+    }
+
+    /// Keys whose content has been hashed.
+    #[cfg(test)]
+    fn digested(&self) -> usize {
+        self.count(|slot| slot.digest.get().is_some())
+    }
+
+    fn count(&self, filled: impl Fn(&Slot) -> bool) -> usize {
+        self.entries
+            .lock()
+            .values()
+            .filter(|slot| filled(slot))
+            .count()
     }
 }
 
 /// The bytes of a library entry.
 fn blob_of(held: &Held) -> Bytes {
     held.result().blob().cloned().unwrap_or_default()
+}
+
+/// A model's CMF bytes, as generated from its id and size.
+fn model_bytes(model_id: u64, size_bytes: u64) -> Bytes {
+    encode(&procgen::model_of_size(size_bytes, model_id))
 }
 
 /// Lazily generated library of CMF model bytes.
@@ -82,33 +117,46 @@ impl ModelLibrary {
     /// Create an empty library.
     pub fn new() -> Self {
         ModelLibrary {
-            entries: GenerateOnce::new(),
+            entries: GenerateOnce::new(TaskResult::Model),
         }
     }
 
-    /// CMF bytes and digest for a model, generating on first use.
+    /// CMF bytes and digest for a model, generating and hashing on first
+    /// use.
     pub fn get(&self, model_id: u64, size_bytes: u64) -> (Bytes, Digest) {
-        let (held, digest) = self.held(model_id, size_bytes);
+        let (held, digest) = self.with_digest(model_id, size_bytes);
         (blob_of(&held), digest)
     }
 
     /// The library's own entry for a model — a [`TaskResult::Model`] over
     /// the bytes [`ModelLibrary::get`] returns — generating on first use.
-    pub fn held(&self, model_id: u64, size_bytes: u64) -> (Arc<Held>, Digest) {
+    /// It does not hash the bytes: a cloud serves the entry to whoever
+    /// named it, and the name (the digest) is the asker's.
+    pub fn held(&self, model_id: u64, size_bytes: u64) -> Arc<Held> {
         self.entries
-            .get((model_id, size_bytes), TaskResult::Model, || {
-                encode(&procgen::model_of_size(size_bytes, model_id))
-            })
+            .held((model_id, size_bytes), || model_bytes(model_id, size_bytes))
     }
 
-    /// Just the digest (what the client's manifest would hold).
+    /// Just the digest (what the client's manifest would hold), hashing on
+    /// first use.
     pub fn digest(&self, model_id: u64, size_bytes: u64) -> Digest {
-        self.held(model_id, size_bytes).1
+        self.with_digest(model_id, size_bytes).1
+    }
+
+    fn with_digest(&self, model_id: u64, size_bytes: u64) -> (Arc<Held>, Digest) {
+        self.entries
+            .get((model_id, size_bytes), || model_bytes(model_id, size_bytes))
     }
 
     /// Number of generated models.
     pub fn len(&self) -> usize {
         self.entries.generated()
+    }
+
+    /// Number of models whose bytes have been hashed.
+    #[cfg(test)]
+    pub(crate) fn digested(&self) -> usize {
+        self.entries.digested()
     }
 
     /// True when nothing was generated yet.
@@ -172,7 +220,7 @@ impl PanoLibrary {
         PanoLibrary {
             height,
             source,
-            entries: GenerateOnce::new(),
+            entries: GenerateOnce::new(TaskResult::Panorama),
         }
     }
 
@@ -181,33 +229,46 @@ impl PanoLibrary {
         self.height
     }
 
-    /// Panorama bytes and digest for a frame, generating on first use.
+    /// Panorama bytes and digest for a frame, generating and hashing on
+    /// first use.
     pub fn get(&self, frame_id: u64) -> (Bytes, Digest) {
-        let (held, digest) = self.held(frame_id);
+        let (held, digest) = self.with_digest(frame_id);
         (blob_of(&held), digest)
     }
 
     /// The library's own entry for a frame — a [`TaskResult::Panorama`]
     /// over the bytes [`PanoLibrary::get`] returns — generating on first
-    /// use.
-    pub fn held(&self, frame_id: u64) -> (Arc<Held>, Digest) {
-        self.entries.get(frame_id, TaskResult::Panorama, || {
-            let pano = match self.source {
-                PanoSource::Procedural => Panorama::synthesize(frame_id, self.height),
-                PanoSource::Scene { face_size } => coic_render::render_equirect(
-                    &frame_scene(frame_id),
-                    Vec3::new(0.0, 0.3, 0.0),
-                    self.height,
-                    face_size,
-                ),
-            };
-            Bytes::copy_from_slice(pano.bytes())
-        })
+    /// use. Like [`ModelLibrary::held`], it does not hash the bytes.
+    pub fn held(&self, frame_id: u64) -> Arc<Held> {
+        self.entries.held(frame_id, || self.frame_bytes(frame_id))
     }
 
-    /// Just the digest.
+    /// Just the digest, hashing on first use.
     pub fn digest(&self, frame_id: u64) -> Digest {
-        self.held(frame_id).1
+        self.with_digest(frame_id).1
+    }
+
+    /// Number of frames whose bytes have been hashed.
+    #[cfg(test)]
+    pub(crate) fn digested(&self) -> usize {
+        self.entries.digested()
+    }
+
+    fn with_digest(&self, frame_id: u64) -> (Arc<Held>, Digest) {
+        self.entries.get(frame_id, || self.frame_bytes(frame_id))
+    }
+
+    fn frame_bytes(&self, frame_id: u64) -> Bytes {
+        let pano = match self.source {
+            PanoSource::Procedural => Panorama::synthesize(frame_id, self.height),
+            PanoSource::Scene { face_size } => coic_render::render_equirect(
+                &frame_scene(frame_id),
+                Vec3::new(0.0, 0.3, 0.0),
+                self.height,
+                face_size,
+            ),
+        };
+        Bytes::from(pano.into_bytes())
     }
 }
 
@@ -215,10 +276,11 @@ impl PanoLibrary {
 /// panorama library per frame height (a frame's bytes are a function of
 /// `(frame_id, height)`, so a library is never asked for another height's
 /// frames). A [`SimConfig`](crate::simrun::SimConfig) owns one; clones of
-/// the config share it, so a sweep over one config generates and hashes each
-/// model once, not once per run; it is freed with the last clone. Generation
-/// is deterministic in the ids, so a shared universe and a fresh one serve
-/// identical bytes.
+/// the config share it, so a sweep over one config generates each model
+/// once, not once per run, and hashes it once, when a simulated client first
+/// names it (the simulated cloud serves it unhashed); it is freed with the
+/// last clone. Generation is deterministic in the ids, so a shared universe
+/// and a fresh one serve identical bytes.
 #[derive(Clone, Default)]
 pub struct ContentUniverse {
     models: Arc<ModelLibrary>,
@@ -320,7 +382,7 @@ mod tests {
         let lib = ModelLibrary::new();
         let (bytes, digest) = lib.get(5, 50_000);
         assert_eq!(lib.digest(5, 50_000), digest);
-        let (held, _) = lib.held(5, 50_000);
+        let held = lib.held(5, 50_000);
         assert!(
             !held.is_summed(),
             "reading bytes or digest summed the entry"
@@ -331,7 +393,7 @@ mod tests {
             "the entry and `get` share one buffer"
         );
         // Whoever asks next finds the same entry, summed.
-        assert!(lib.held(5, 50_000).0.is_summed());
+        assert!(lib.held(5, 50_000).is_summed());
         assert_eq!(lib.len(), 1);
     }
 
@@ -339,7 +401,7 @@ mod tests {
     fn a_first_touch_does_not_hold_the_library_lock_while_generating() {
         use std::sync::mpsc::channel;
         use std::time::Duration;
-        let once = GenerateOnce::<u64>::new();
+        let once = GenerateOnce::<u64>::new(TaskResult::Model);
         let (started_tx, started_rx) = channel();
         let (release_tx, release_rx) = channel::<()>();
         std::thread::scope(|s| {
@@ -347,21 +409,41 @@ mod tests {
             // lock held across generation this times out instead.
             let once = &once;
             let slow = s.spawn(move || {
-                once.get(1, TaskResult::Model, || {
+                once.get(1, || {
                     started_tx.send(()).unwrap();
                     let released = release_rx.recv_timeout(Duration::from_secs(20)).is_ok();
                     Bytes::copy_from_slice(if released { b"one" } else { b"timed out" })
                 })
             });
             started_rx.recv().unwrap();
-            let (two, _) = once.get(2, TaskResult::Model, || Bytes::copy_from_slice(b"two"));
+            let (two, _) = once.get(2, || Bytes::copy_from_slice(b"two"));
             assert_eq!(&blob_of(&two)[..], b"two");
-            // Key 1 is still generating: it has a cell but is not counted.
+            // Key 1 is still generating: it has a slot but is not counted.
             assert_eq!(once.generated(), 1);
             release_tx.send(()).unwrap();
             assert_eq!(&blob_of(&slow.join().unwrap().0)[..], b"one");
         });
         assert_eq!(once.generated(), 2);
+    }
+
+    #[test]
+    fn racing_digests_of_one_id_hash_it_once_and_agree() {
+        let lib = ModelLibrary::new();
+        let start = std::sync::Barrier::new(8);
+        let got: Vec<Digest> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        lib.digest(5, 50_000)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(got.iter().all(|d| *d == got[0]));
+        assert_eq!(got[0], Digest::of(&lib.get(5, 50_000).0));
+        assert_eq!((lib.len(), lib.digested()), (1, 1));
     }
 
     #[test]

@@ -63,6 +63,7 @@ pub fn salted_digest(digest: &Digest, salt: &[u8]) -> Digest {
     let mut input = Vec::with_capacity(salt.len() + 32);
     input.extend_from_slice(salt);
     input.extend_from_slice(digest.as_bytes());
+    // lint: allow(hash-where-named, re-keys a digest under a salt and hashes no content)
     Digest(sha256(&input))
 }
 

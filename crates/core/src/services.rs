@@ -281,6 +281,7 @@ impl CloudService {
     /// [`CloudService::execute`] returning a model or panorama as the
     /// content library holds it — the entry itself, so a server that sends
     /// it leaves the blob's checksum with the library for the next send.
+    /// The cloud never hashes content: the asker named it by its digest.
     ///
     /// # Panics
     /// Panics on a recognition task if the service was trained on no
@@ -305,7 +306,7 @@ impl CloudService {
                 model_id,
                 size_bytes,
             } => {
-                let (held, _) = self.models.held(*model_id, *size_bytes);
+                let held = self.models.held(*model_id, *size_bytes);
                 let cost = self
                     .compute
                     .load_cloud
@@ -313,8 +314,7 @@ impl CloudService {
                 (held, cost)
             }
             TaskRequest::Panorama { frame_id } => {
-                let (held, _) = self.panos.held(*frame_id);
-                (held, self.compute.pano_render_ns)
+                (self.panos.held(*frame_id), self.compute.pano_render_ns)
             }
         }
     }
@@ -654,6 +654,34 @@ mod tests {
             Some(TaskResult::Panorama(b)) => assert_eq!(b.len(), 128 * 64),
             other => panic!("expected a hit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_cloud_serves_content_without_hashing_it() {
+        let models = Arc::new(ModelLibrary::new());
+        let panos = Arc::new(PanoLibrary::new(64));
+        let cloud = CloudService::new(
+            &[],
+            &SceneGenerator::new(64),
+            ComputeConfig::default(),
+            models.clone(),
+            panos.clone(),
+            7,
+        );
+        let (model, _) = cloud.execute_held(&TaskRequest::RenderLoad {
+            model_id: 3,
+            size_bytes: 20_000,
+        });
+        let (pano, _) = cloud.execute_held(&TaskRequest::Panorama { frame_id: 4 });
+        assert_eq!(
+            (models.len(), models.digested(), panos.digested()),
+            (1, 0, 0)
+        );
+        // A client naming the content later hashes the bytes the cloud sent.
+        let blob = |held: &Held| held.result().blob().cloned().expect("content has bytes");
+        assert_eq!(models.digest(3, 20_000), Digest::of(&blob(&model)));
+        assert_eq!(panos.digest(4), Digest::of(&blob(&pano)));
+        assert_eq!((models.digested(), panos.digested()), (1, 1));
     }
 
     #[test]

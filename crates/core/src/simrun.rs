@@ -847,6 +847,7 @@ impl Node<Msg> for EdgeNode {
                 if let Some(frame_id) = self.prefetch_inflight.remove(&req_id) {
                     // A prefetch came back: content-address it and cache it.
                     if let TaskResult::Panorama(bytes) = &result {
+                        // lint: allow(hash-where-named, a prefetched frame is named by no client yet so the edge addresses it itself)
                         let digest = coic_cache::Digest::of(bytes);
                         self.known_frames.insert(frame_id, digest);
                         let descriptor = FeatureDescriptor::PanoramaHash(digest);

@@ -127,6 +127,11 @@ impl Panorama {
         &self.pixels
     }
 
+    /// The pixel bytes, row-major, without a copy.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.pixels
+    }
+
     /// Size on the wire.
     pub fn byte_size(&self) -> u64 {
         self.pixels.len() as u64

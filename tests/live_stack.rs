@@ -864,7 +864,7 @@ fn a_warmed_hit_makes_no_pass_over_the_blob_and_a_miss_makes_one() {
     let (model_id, size_bytes) = (9, 300_000);
     let (bytes, digest) = s.models.get(model_id, size_bytes);
     assert!(
-        !s.models.held(model_id, size_bytes).0.is_summed(),
+        !s.models.held(model_id, size_bytes).is_summed(),
         "reading a library entry summed it"
     );
     let mut conn = raw_conn(&s);
@@ -885,7 +885,7 @@ fn a_warmed_hit_makes_no_pass_over_the_blob_and_a_miss_makes_one() {
     }
     // The cloud summed its entry for its first send of it (and keeps the
     // sum); the edge's one pass was the verifying receive.
-    assert!(s.models.held(model_id, size_bytes).0.is_summed());
+    assert!(s.models.held(model_id, size_bytes).is_summed());
     let c = edge_counts(&s);
     assert_eq!((c.sums_reused, c.summed_on_send), (1, 0), "miss reply");
     for req_id in 2..6 {
