@@ -32,7 +32,9 @@ pub fn run_rule(rule: &Rule, rel_path: &str, lexed: &Lexed, out: &mut Vec<Findin
         } => crate::semantic::protocol_conformance(
             rule, rel_path, tokens, enum_name, tag_fn, decode_fn, require_in, out,
         ),
-        RuleKind::LockOrderGraph { .. } | RuleKind::TelemetryRegistry { .. } => {}
+        RuleKind::LockOrderGraph { .. }
+        | RuleKind::TelemetryRegistry { .. }
+        | RuleKind::UnreachablePub => {}
     }
 }
 

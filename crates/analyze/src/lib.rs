@@ -29,11 +29,15 @@
 //!   a finding with the witnessing `file:line` chain;
 //! * `telemetry-registry` — every counter/event name literal must be
 //!   declared in `analyze/telemetry.toml`, declarations must be live,
-//!   and paired counter↔event names must move together.
+//!   and paired counter↔event names must move together;
+//! * `unreachable-pub` — a `pub` item that no binary, test, example or
+//!   benchmark reaches (rustc's `dead_code` cannot see `pub` items; the
+//!   `reach` module documents what counts as a use).
 //!
-//! Always on: a rule exempting a path no workspace file matches is
-//! itself a finding (`dead-exemption`) — stale carve-outs silently
-//! widen a rule's blind spot.
+//! Always on: a rule whose `paths` or `exempt` glob matches no workspace
+//! file is itself a finding (`dead-exemption`) — a stale carve-out
+//! silently widens a rule's blind spot, and a mistyped scope makes the
+//! rule check nothing.
 //!
 //! The crate also ships a runtime companion: `run_trace_check` (the
 //! `coic analyze trace` subcommand) verifies declarative invariants
@@ -59,6 +63,7 @@ mod glob;
 mod json;
 mod lexer;
 mod lockgraph;
+mod reach;
 mod rules;
 mod semantic;
 mod telemetry;
@@ -161,23 +166,6 @@ fn allowed(finding: &Finding, allows: &[AllowDirective]) -> bool {
         .any(|a| a.rule == finding.rule && (a.line == finding.line || a.line + 1 == finding.line))
 }
 
-/// Lint one file's source text against `rules`. `rel_path` is the
-/// workspace-relative path used both for rule scoping and in findings.
-/// Workspace-level kinds are skipped here — they need every matched
-/// file and only run under [`lint_root`].
-pub fn lint_source(rel_path: &str, source: &str, rules: &[Rule]) -> Vec<Finding> {
-    let lexed = lexer::lex(source);
-    let mut out = Vec::new();
-    let allows = parse_allows(rel_path, &lexed.comments, &mut out);
-    let mut raw = Vec::new();
-    for rule in rules.iter().filter(|r| r.applies_to(rel_path)) {
-        checks::run_rule(rule, rel_path, &lexed, &mut raw);
-    }
-    out.extend(raw.into_iter().filter(|f| !allowed(f, &allows)));
-    out.sort();
-    out
-}
-
 /// Recursively collect `.rs` files under `root`, skipping build output
 /// and VCS internals. Paths come back workspace-relative, `/`-separated,
 /// sorted — the scan order never depends on directory enumeration order.
@@ -227,8 +215,9 @@ struct FileRec {
 
 /// Lint every `.rs` file under `root` against the rules file at
 /// `rules_path`: per-file rules, then workspace-level passes
-/// (lock-order graph, telemetry registry), then the built-in
-/// dead-exemption config audit. Findings are sorted (file, line, rule).
+/// (lock-order graph, telemetry registry, unreachable pub items), then
+/// the built-in dead-glob config audit. Findings are sorted (file, line,
+/// rule).
 pub fn lint_root(root: &Path, rules_path: &Path) -> Result<Vec<Finding>, String> {
     let rules_src = std::fs::read_to_string(rules_path)
         .map_err(|e| format!("{}: {e}", rules_path.display()))?;
@@ -284,23 +273,33 @@ pub fn lint_root(root: &Path, rules_path: &Path) -> Result<Vec<Finding>, String>
                     .collect();
                 telemetry::run(rule, &reg, registry, &matched, &mut raw);
             }
+            RuleKind::UnreachablePub => reach::run(rule, &files, &mut raw),
             _ => unreachable!("is_workspace() covers exactly these kinds"),
         }
     }
 
-    // Config audit: an exempt glob no collected file matches is dead —
-    // it either outlived a rename or never matched at all, and either
-    // way it hides what the author thought was covered.
+    // Config audit: a `paths` or `exempt` glob no collected file matches
+    // is dead — it either outlived a rename or never matched at all. A
+    // dead exemption hides what the author thought was covered; a dead
+    // scope (a typo in `paths`) makes the rule pass while checking nothing.
     for rule in &rules {
-        for g in &rule.exempt {
+        let globs = rule
+            .paths
+            .iter()
+            .map(|g| (g, "scopes", "fix or remove the glob"));
+        let globs = globs.chain(
+            rule.exempt
+                .iter()
+                .map(|g| (g, "exempts", "remove the stale carve-out")),
+        );
+        for (g, verb, fix) in globs {
             if !files.iter().any(|rec| glob::glob_match(g, &rec.rel)) {
                 raw.push(Finding {
                     file: rules_rel.clone(),
                     line: rule.line,
                     rule: DEAD_EXEMPTION.to_string(),
                     message: format!(
-                        "rule `{}` exempts `{g}` but no workspace file matches it \
-                         (remove the stale carve-out)",
+                        "rule `{}` {verb} `{g}` but no workspace file matches it ({fix})",
                         rule.id
                     ),
                 });
@@ -345,6 +344,42 @@ pub fn run_lint(root: &Path, rules_path: &Path, out: &mut dyn fmt::Write) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lint a temporary tree of `files` (workspace-relative path, source)
+    /// against `rules` with [`lint_root`], then remove the tree.
+    pub(crate) fn lint_tree(rules: &str, files: &[(&str, &str)]) -> Vec<Finding> {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let root = std::env::temp_dir().join(format!(
+            "coic-analyze-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        for (rel, source) in files {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("file under root")).expect("mkdir");
+            std::fs::write(&path, source).expect("write source");
+        }
+        std::fs::write(root.join("rules.toml"), rules).expect("write rules");
+        let findings = lint_root(&root, &root.join("rules.toml")).expect("lint");
+        std::fs::remove_dir_all(&root).expect("remove tree");
+        findings
+    }
+
+    /// Lint one file's source text against `rules`' per-file kinds, the
+    /// way [`lint_root`] lints each collected file.
+    fn lint_source(rel_path: &str, source: &str, rules: &[Rule]) -> Vec<Finding> {
+        let lexed = lexer::lex(source);
+        let mut out = Vec::new();
+        let allows = parse_allows(rel_path, &lexed.comments, &mut out);
+        let mut raw = Vec::new();
+        for rule in rules.iter().filter(|r| r.applies_to(rel_path)) {
+            checks::run_rule(rule, rel_path, &lexed, &mut raw);
+        }
+        out.extend(raw.into_iter().filter(|f| !allowed(f, &allows)));
+        out.sort();
+        out
+    }
 
     const RULES: &str = r#"
 [[rule]]
@@ -397,6 +432,25 @@ exempt = ["src/io/**"]
             lint_source("src/core.rs", "// the lint pass checks this\n", &rules),
             []
         );
+    }
+
+    #[test]
+    fn a_scope_glob_matching_no_file_is_a_dead_exemption() {
+        let got = lint_tree(RULES, &[("src/core.rs", "fn f() {}\n")]);
+        // `src/**` matches; `src/io/**` (the exempt glob) does not.
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].message.contains("exempts `src/io/**`"), "{got:?}");
+        let typo = RULES.replace("paths = [\"src/**\"]", "paths = [\"scr/**\"]");
+        let got = lint_tree(
+            &typo,
+            &[("src/core.rs", "fn f() {}\n"), ("src/io/a.rs", "")],
+        );
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(
+            (got[0].file.as_str(), got[0].line, got[0].rule.as_str()),
+            ("rules.toml", 2, DEAD_EXEMPTION)
+        );
+        assert!(got[0].message.contains("scopes `scr/**`"), "{got:?}");
     }
 
     #[test]

@@ -32,6 +32,8 @@
 //! * `telemetry-registry` — `registry`: path (from the workspace root) to
 //!   the telemetry name registry every metric/event literal must be
 //!   declared in. Workspace-level.
+//! * `unreachable-pub` — no extra keys: a `pub` item in a matched file
+//!   that no binary, test, example or benchmark reaches. Workspace-level.
 
 use crate::lexer;
 use crate::toml::{self, Table};
@@ -101,15 +103,21 @@ pub enum RuleKind {
         /// Registry path, relative to the lint root.
         registry: String,
     },
+    /// Workspace-level: a `pub` item in a matched file that no file
+    /// outside its own span, test code and re-exports names — see
+    /// `reach`.
+    UnreachablePub,
 }
 
 impl RuleKind {
-    /// Workspace-level kinds need every matched file at once; they run
-    /// only under `lint_root`, never in single-file `lint_source`.
+    /// Workspace-level kinds need every matched file at once; `lint_root`
+    /// runs them once over the whole tree, not file by file.
     pub fn is_workspace(&self) -> bool {
         matches!(
             self,
-            RuleKind::LockOrderGraph { .. } | RuleKind::TelemetryRegistry { .. }
+            RuleKind::LockOrderGraph { .. }
+                | RuleKind::TelemetryRegistry { .. }
+                | RuleKind::UnreachablePub
         )
     }
 }
@@ -297,6 +305,7 @@ fn parse_rule(table: &Table, line: usize) -> Result<Rule, String> {
         "telemetry-registry" => RuleKind::TelemetryRegistry {
             registry: get_str(table, "registry")?,
         },
+        "unreachable-pub" => RuleKind::UnreachablePub,
         other => return Err(format!("unknown rule kind `{other}`")),
     };
     Ok(Rule {

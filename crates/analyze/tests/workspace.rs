@@ -45,6 +45,7 @@ fn the_workspace_rules_cover_every_rule_kind() {
             coic_analyze::RuleKind::ProtocolConformance { .. } => "protocol-conformance",
             coic_analyze::RuleKind::LockOrderGraph { .. } => "lock-order-graph",
             coic_analyze::RuleKind::TelemetryRegistry { .. } => "telemetry-registry",
+            coic_analyze::RuleKind::UnreachablePub => "unreachable-pub",
         })
         .collect();
     kinds.sort_unstable();
@@ -59,7 +60,8 @@ fn the_workspace_rules_cover_every_rule_kind() {
             "no-unwrap",
             "paired-call",
             "protocol-conformance",
-            "telemetry-registry"
+            "telemetry-registry",
+            "unreachable-pub"
         ],
         "the checked-in rules should exercise every rule kind"
     );

@@ -322,16 +322,6 @@ impl HnswIndex {
         self.links[level][slot as usize] =
             self.select_neighbours(&scored, self.max_conn(level), stats);
     }
-
-    /// Max links per node per upper layer.
-    pub fn max_links(&self) -> usize {
-        self.max_links
-    }
-
-    /// Level-0 beam width.
-    pub fn ef_search(&self) -> usize {
-        self.ef_search
-    }
 }
 
 impl AnnIndex for HnswIndex {

@@ -135,21 +135,6 @@ impl MultiProbeLsh {
         scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         scored.truncate(self.probes);
     }
-
-    /// Tables in this index.
-    pub fn tables(&self) -> usize {
-        self.planes.len()
-    }
-
-    /// Signature bits per table.
-    pub fn bits(&self) -> usize {
-        self.bits
-    }
-
-    /// Buckets probed per table.
-    pub fn probes(&self) -> usize {
-        self.probes
-    }
 }
 
 /// Signature of `v` against one table's planes; per-bit |margin|s are

@@ -83,11 +83,6 @@ impl CountMinSketch {
         }
         self.additions = 0;
     }
-
-    /// Increments since the last aging pass.
-    pub fn additions(&self) -> u64 {
-        self.additions
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +151,7 @@ mod tests {
             s.increment(3);
         }
         // The 10th increment crossed the window: counters were halved.
-        assert_eq!(s.additions(), 0);
+        assert_eq!(s.additions, 0);
         assert!(s.estimate(3) <= 5);
     }
 

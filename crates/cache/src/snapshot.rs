@@ -190,15 +190,6 @@ pub struct IndexTelemetry {
 }
 
 impl IndexTelemetry {
-    /// Mean distance evaluations per lookup (zero when no lookups ran).
-    pub fn probes_per_lookup(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.probe_count as f64 / self.lookups as f64
-        }
-    }
-
     /// Publish into `reg`: counters `index.lookup`, `index.probe_count`,
     /// `index.bucket_probe`, `index.fallback_scan`, `index.rebuild`,
     /// `index.folded`, `index.eviction`; gauges `index.journal_depth`,
@@ -541,11 +532,6 @@ impl<V> SnapshotApproxCache<V> {
         self.load().1.len()
     }
 
-    /// Generation counter of the current snapshot (0 = initial empty).
-    pub fn snapshot_version(&self) -> u64 {
-        self.load().0.version
-    }
-
     /// The unified cache counter view (hits/misses/insertions/evictions/
     /// rejections), publishable under `cache.<name>.*` like every other
     /// cache in the tree.
@@ -626,12 +612,17 @@ mod tests {
         SnapshotApproxCache::new(capacity, 0.3, AnnFamily::DEFAULT_MPLSH, 2, batch)
     }
 
+    /// Generation counter of the current snapshot (0 = initial empty).
+    fn snapshot_version<V>(c: &SnapshotApproxCache<V>) -> u64 {
+        c.load().0.version
+    }
+
     #[test]
     fn insert_is_visible_before_any_fold() {
         let c = cache(1 << 20, 64);
         c.insert(v(&[1.0, 0.0]), 7, 100, 0);
         assert_eq!(c.journal_depth(), 1);
-        assert_eq!(c.snapshot_version(), 0);
+        assert_eq!(snapshot_version(&c), 0);
         match c.lookup(&v(&[0.98, 0.02]), 1) {
             Lookup::ApproxHit { value, distance } => {
                 assert_eq!(*value, 7);
@@ -651,7 +642,7 @@ mod tests {
         assert_eq!(c.journal_depth(), 8);
         assert_eq!(c.maintain(100), 8);
         assert_eq!(c.journal_depth(), 0);
-        assert_eq!(c.snapshot_version(), 1);
+        assert_eq!(snapshot_version(&c), 1);
         assert_eq!(c.len(), 8);
         for i in 0..8u64 {
             let a = i as f32 + 0.01;
@@ -676,7 +667,7 @@ mod tests {
         }
         assert_eq!(c.insert(v(&[3.0, 0.0]), 3, 10, 3), 4);
         assert_eq!(c.journal_depth(), 0);
-        assert_eq!(c.snapshot_version(), 1);
+        assert_eq!(snapshot_version(&c), 1);
     }
 
     #[test]
@@ -733,7 +724,7 @@ mod tests {
         c.maintain(3);
         let t = c.index_telemetry();
         assert_eq!((t.journal_depth, t.snapshot_age, t.snapshot_len), (0, 0, 2));
-        assert!(t.probes_per_lookup() > 0.0);
+        assert!(t.probe_count > 0);
         // Publish lands under the index.* keys.
         let reg = MetricsRegistry::new();
         t.publish(&reg);
@@ -873,7 +864,7 @@ mod tests {
         c.maintain(2);
         assert_eq!(c.compact_with(0.1, |a, b| a == b, 3), 0);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.snapshot_version(), 1, "a no-op compaction rebuilt");
+        assert_eq!(snapshot_version(&c), 1, "a no-op compaction rebuilt");
     }
 
     #[test]
@@ -881,7 +872,7 @@ mod tests {
         let c = linear(0.5);
         assert_eq!(c.compact_with(0.2, |_, _| true, 0), 0);
         assert!(c.is_empty());
-        assert_eq!(c.snapshot_version(), 0);
+        assert_eq!(snapshot_version(&c), 0);
     }
 
     #[test]
@@ -896,7 +887,7 @@ mod tests {
         assert_eq!(c.journal_depth(), 3);
         assert_eq!(c.compact_with(0.1, |a, b| a == b, 5), 2);
         assert_eq!(c.journal_depth(), 0);
-        assert_eq!((c.len(), c.snapshot_version()), (2, 2));
+        assert_eq!((c.len(), snapshot_version(&c)), (2, 2));
         assert_eq!(
             c.lookup(&v(&[0.0, 1.02]), 6).into_value().as_deref(),
             Some(&9)

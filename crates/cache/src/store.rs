@@ -251,24 +251,6 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
         let id = *self.by_key.get(key)?;
         self.remove_id(id).map(|(_, v)| v)
     }
-
-    /// Drop every entry whose TTL has elapsed; returns how many were
-    /// removed. (Lazy expiry in [`Store::get`] already keeps lookups
-    /// correct; this is for explicit housekeeping.)
-    pub fn sweep_expired(&mut self, now_ns: u64) -> usize {
-        let dead: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.expired(now_ns))
-            .map(|(&id, _)| id)
-            .collect();
-        let n = dead.len();
-        for id in dead {
-            self.remove_id(id);
-            self.stats.expired += 1;
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -339,18 +321,6 @@ mod tests {
         assert_eq!(s.get(&"a".into(), 1_000), None);
         assert_eq!(s.stats().expired, 1);
         assert_eq!(s.len(), 0);
-    }
-
-    #[test]
-    fn sweep_removes_expired_in_bulk() {
-        let mut s: Store<String, u32> = Store::new(100, PolicyKind::Lru, Some(500));
-        s.insert("a".into(), 1, 10, 0);
-        s.insert("b".into(), 2, 10, 100);
-        assert_eq!(s.sweep_expired(550), 1); // only "a" has expired
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.sweep_expired(1_000), 1);
-        assert!(s.is_empty());
-        assert_eq!(s.used_bytes(), 0);
     }
 
     #[test]

@@ -154,11 +154,6 @@ impl AdaptiveThreshold {
     pub fn verified(&self) -> u64 {
         self.total_verified
     }
-
-    /// Windows that triggered an adjustment check.
-    pub fn adjustments(&self) -> u64 {
-        self.adjustments
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +209,7 @@ mod tests {
         }
         let new = changed.expect("window must trigger adjustment");
         assert!(new < 0.8);
-        assert_eq!(a.adjustments(), 1);
+        assert_eq!(a.adjustments, 1);
     }
 
     #[test]

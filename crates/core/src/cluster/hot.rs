@@ -57,11 +57,6 @@ impl HotTracker {
             *c > 0
         });
     }
-
-    /// Number of digests currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.counts.len()
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +86,7 @@ mod tests {
             assert!(!h.note(&d(7)));
         }
         assert!(!h.is_hot(&d(7)));
-        assert_eq!(h.tracked(), 0);
+        assert_eq!(h.counts.len(), 0);
     }
 
     #[test]
@@ -110,6 +105,6 @@ mod tests {
         h.note(&d(1)); // cold: count 1
         h.age();
         assert!(h.is_hot(&d(0)), "8/2 = 4 still over threshold");
-        assert_eq!(h.tracked(), 1, "count 1 aged to zero and dropped");
+        assert_eq!(h.counts.len(), 1, "count 1 aged to zero and dropped");
     }
 }

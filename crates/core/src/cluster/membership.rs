@@ -98,11 +98,6 @@ impl Membership {
         }
         Some((before, after))
     }
-
-    /// How many times the effective ring changed shape (trips + rejoins).
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +117,7 @@ mod tests {
             Some((BreakerState::Closed, BreakerState::Open)),
             "threshold trip rebuilds"
         );
-        assert_eq!(m.rebuilds(), 1);
+        assert_eq!(m.rebuilds, 1);
         assert!(!m.allow_probe(1, 4 * MS), "open peer is skipped");
         assert!(!m.is_closed(1));
     }
@@ -132,7 +127,7 @@ mod tests {
         let mut m = Membership::new(0, 2, 1, Duration::from_millis(10));
         m.allow_probe(1, 0);
         m.record(1, false, 0);
-        assert_eq!(m.rebuilds(), 1);
+        assert_eq!(m.rebuilds, 1);
         // Cooldown passed: half-open grants exactly one probe.
         assert!(m.allow_probe(1, 20 * MS));
         assert!(!m.allow_probe(1, 20 * MS), "single half-open probe");
@@ -141,7 +136,7 @@ mod tests {
             Some((BreakerState::HalfOpen, BreakerState::Closed)),
             "rejoin rebuilds"
         );
-        assert_eq!(m.rebuilds(), 2);
+        assert_eq!(m.rebuilds, 2);
         assert!(m.is_closed(1));
     }
 
@@ -170,7 +165,7 @@ mod tests {
         assert_eq!(m.peer_state(7), None);
         assert!(m.record(7, false, 0).is_none());
         m.cancel_probe(7);
-        assert_eq!(m.rebuilds(), 0);
+        assert_eq!(m.rebuilds, 0);
     }
 
     #[test]
@@ -179,6 +174,6 @@ mod tests {
         assert!(!m.allow_probe(1, 0));
         assert!(!m.is_closed(1));
         assert!(m.record(1, false, 0).is_none());
-        assert_eq!(m.rebuilds(), 0);
+        assert_eq!(m.rebuilds, 0);
     }
 }

@@ -68,11 +68,6 @@ impl HashRing {
         HashRing { points, edges }
     }
 
-    /// Number of member edges.
-    pub fn edges(&self) -> u32 {
-        self.edges
-    }
-
     /// The ring coordinate of a digest.
     fn point_of(d: &Digest) -> u64 {
         mix(fnv1a64(d.as_bytes()))

@@ -63,11 +63,6 @@ impl ClusterState {
         }
     }
 
-    /// This edge's id.
-    pub fn me(&self) -> EdgeId {
-        self.me
-    }
-
     /// The configuration the cluster was built with.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
@@ -219,7 +214,7 @@ mod tests {
     fn owned_elsewhere(cl: &ClusterState) -> Digest {
         (0..)
             .map(dig)
-            .find(|d| cl.owner(d) != cl.me())
+            .find(|d| cl.owner(d) != cl.me)
             .expect("some digest is owned elsewhere")
     }
 
@@ -252,7 +247,7 @@ mod tests {
         let successor = walk
             .iter()
             .copied()
-            .find(|&e| e != owner && e != cl.me())
+            .find(|&e| e != owner && e != cl.me)
             .expect("4-edge walk has a successor");
         assert_eq!(plan.peers[0], successor, "keyspace re-routes in ring order");
         assert_eq!(cl.stats().snapshot().peer_failovers, 1);

@@ -1,13 +1,11 @@
-//! Shared configuration core and typed builders for the two executors.
+//! Typed builders for the two executors.
 //!
 //! [`SimConfig`](crate::simrun::SimConfig) and
 //! [`NetConfig`](crate::netrun::NetConfig) describe the same experiment to
-//! two different executors — virtual-time simulation and real sockets —
-//! and the determinism proofs only hold when the knobs they share agree.
-//! [`CommonConfig`] is that shared core: build it once, apply it to both
-//! sides via [`NetConfig::builder`](crate::netrun::NetConfig::builder) /
-//! [`SimConfig::builder`](crate::simrun::SimConfig::builder), and the two
-//! stacks cannot drift.
+//! two different executors — virtual-time simulation and real sockets.
+//! [`NetConfig::builder`](crate::netrun::NetConfig::builder) and
+//! [`SimConfig::builder`](crate::simrun::SimConfig::builder) chain setters
+//! over each one's defaults.
 //!
 //! The builders are the supported construction path. The bare structs keep
 //! `Default` + public fields so existing struct-literal call sites compile
@@ -29,55 +27,6 @@ use crate::services::{ClientConfig, EdgeConfig};
 use crate::simrun::SimConfig;
 use coic_obs::Telemetry;
 use std::time::Duration;
-
-/// The experiment knobs shared by the simulator and the live stack.
-///
-/// Everything here has the same meaning on both sides; applying one
-/// `CommonConfig` to both builders is what keeps a sim-vs-live comparison
-/// apples-to-apples.
-#[derive(Debug, Clone)]
-pub struct CommonConfig {
-    /// Client retry/backoff policy per request.
-    pub retry: RetryPolicy,
-    /// How long a client waits on any single attempt before retrying
-    /// (live: socket read deadline; sim: request timeout).
-    pub request_deadline: Duration,
-    /// While degraded, how often the client probes the edge to rejoin.
-    pub probe_interval: Duration,
-    /// Deterministic fault injection at the client send boundary.
-    pub faults: FaultSchedule,
-    /// Edge admission control (`None` admits everything immediately).
-    pub admission: Option<AdmissionConfig>,
-    /// Brownout ladder over the admission queue.
-    pub brownout: Option<BrownoutConfig>,
-    /// Edge cache configuration.
-    pub edge: EdgeConfig,
-    /// Client preprocessing configuration.
-    pub client: ClientConfig,
-}
-
-impl Default for CommonConfig {
-    fn default() -> CommonConfig {
-        CommonConfig::new()
-    }
-}
-
-impl CommonConfig {
-    /// Start from the live stack's defaults (5 s deadline, 100 ms probe).
-    pub fn new() -> CommonConfig {
-        let net = NetConfig::default();
-        CommonConfig {
-            retry: net.retry,
-            request_deadline: net.request_deadline,
-            probe_interval: net.probe_interval,
-            faults: net.faults,
-            admission: None,
-            brownout: None,
-            edge: EdgeConfig::default(),
-            client: ClientConfig::default(),
-        }
-    }
-}
 
 /// Generate chained `fn name(mut self, value) -> Self` setters that assign
 /// straight into `self.cfg.<field>`.
@@ -135,18 +84,6 @@ impl NetConfigBuilder {
     #[must_use]
     pub fn brownout(mut self, brownout: BrownoutConfig) -> Self {
         self.cfg.brownout = Some(brownout);
-        self
-    }
-
-    /// Apply the sim/live shared core in one shot.
-    #[must_use]
-    pub fn common(mut self, common: &CommonConfig) -> Self {
-        self.cfg.retry = common.retry.clone();
-        self.cfg.request_deadline = common.request_deadline;
-        self.cfg.probe_interval = common.probe_interval;
-        self.cfg.faults = common.faults.clone();
-        self.cfg.admission = common.admission.clone();
-        self.cfg.brownout = common.brownout.clone();
         self
     }
 
@@ -256,21 +193,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Apply the sim/live shared core in one shot (durations are
-    /// converted to the simulator's millisecond fields).
-    #[must_use]
-    pub fn common(mut self, common: &CommonConfig) -> Self {
-        self.cfg.retry = Some(common.retry.clone());
-        self.cfg.request_timeout_ms = common.request_deadline.as_millis() as u64;
-        self.cfg.probe_interval_ms = common.probe_interval.as_millis() as u64;
-        self.cfg.faults = common.faults.clone();
-        self.cfg.admission = common.admission.clone();
-        self.cfg.brownout = common.brownout.clone();
-        self.cfg.edge = common.edge;
-        self.cfg.client = common.client;
-        self
-    }
-
     /// Finish the build.
     pub fn build(self) -> SimConfig {
         self.cfg
@@ -280,39 +202,6 @@ impl SimConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builders_share_the_common_core_without_drift() {
-        let common = CommonConfig {
-            retry: RetryPolicy {
-                max_attempts: 4,
-                base_backoff: Duration::from_millis(3),
-                max_backoff: Duration::from_millis(9),
-                jitter_frac: 0.0,
-                seed: 11,
-            },
-            request_deadline: Duration::from_millis(750),
-            probe_interval: Duration::from_millis(40),
-            faults: FaultSchedule::new().drop_edge_attempt(0, 0),
-            admission: Some(AdmissionConfig::fixed(2)),
-            brownout: None,
-            ..CommonConfig::new()
-        };
-        let net = NetConfig::builder().common(&common).build();
-        let sim = SimConfig::builder().common(&common).build();
-        assert_eq!(net.retry.max_attempts, 4);
-        assert_eq!(sim.retry.as_ref().map(|r| r.max_attempts), Some(4));
-        assert_eq!(
-            net.request_deadline.as_millis() as u64,
-            sim.request_timeout_ms
-        );
-        assert_eq!(net.probe_interval.as_millis() as u64, sim.probe_interval_ms);
-        assert_eq!(
-            net.admission.as_ref().map(|a| a.max_concurrency),
-            sim.admission.as_ref().map(|a| a.max_concurrency)
-        );
-        assert!(net.faults.edge_dropped(0, 0) && sim.faults.edge_dropped(0, 0));
-    }
 
     #[test]
     fn builder_defaults_match_struct_defaults() {

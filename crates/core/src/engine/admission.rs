@@ -252,11 +252,6 @@ impl AdmissionController {
         self.queue.len() as f64 / self.cfg.queue_limit as f64
     }
 
-    /// Current AIMD concurrency limit.
-    pub fn limit(&self) -> u32 {
-        self.limit
-    }
-
     /// Requests currently in service.
     pub fn inflight(&self) -> u32 {
         self.inflight
@@ -275,11 +270,6 @@ impl AdmissionController {
     /// Total requests admitted into service since construction.
     pub fn admitted_total(&self) -> u64 {
         self.admitted_total
-    }
-
-    /// Total requests shed since construction.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_total
     }
 }
 
@@ -312,7 +302,7 @@ mod tests {
         // Queue full: the oldest waiter (3) is evicted for the newcomer.
         assert_eq!(c.offer(6, 4 * MS), (Admit::Queued, vec![3]));
         assert_eq!(c.queue_depth(), 3);
-        assert_eq!(c.shed_total(), 1);
+        assert_eq!(c.shed_total, 1);
     }
 
     #[test]
@@ -324,7 +314,7 @@ mod tests {
         assert_eq!(c.offer(1, 0).0, Admit::Admitted);
         assert_eq!(c.offer(2, 0).0, Admit::Admitted);
         assert_eq!(c.offer(3, 0).0, Admit::Shed { retry_after_ms: 25 });
-        assert_eq!(c.shed_total(), 1);
+        assert_eq!(c.shed_total, 1);
     }
 
     #[test]
@@ -339,7 +329,7 @@ mod tests {
         let d = c.release(MS, 3 * MS);
         assert_eq!(d.start, vec![3, 4]);
         assert!(d.shed.is_empty());
-        assert_eq!(c.limit(), 3);
+        assert_eq!(c.limit, 3);
         assert_eq!(c.inflight(), 3);
     }
 
@@ -353,14 +343,14 @@ mod tests {
             assert_eq!(c.offer(id, 0).0, Admit::Admitted);
         }
         c.release(20 * MS, 20 * MS); // over target: 8 → 4
-        assert_eq!(c.limit(), 4);
+        assert_eq!(c.limit, 4);
         c.release(20 * MS, 20 * MS); // 4 → 2
         c.release(20 * MS, 20 * MS); // 2 → 1
         c.release(20 * MS, 20 * MS); // floored
-        assert_eq!(c.limit(), 1);
+        assert_eq!(c.limit, 1);
         // Recovery is additive: one fast completion grows it by one.
         c.release(MS, 21 * MS);
-        assert_eq!(c.limit(), 2);
+        assert_eq!(c.limit, 2);
     }
 
     #[test]
@@ -465,7 +455,7 @@ mod tests {
                 check(&d.shed, &d.start, &mut mirror, &enqueued_at);
             }
         }
-        assert!(c.shed_total() > 0, "schedule never exercised shedding");
+        assert!(c.shed_total > 0, "schedule never exercised shedding");
         assert!(c.admitted_total() > 0);
     }
 
@@ -494,10 +484,10 @@ mod tests {
             assert_eq!(admit, Admit::Queued);
             assert!(shed.is_empty());
         }
-        assert_eq!(c.shed_total(), 0);
+        assert_eq!(c.shed_total, 0);
         assert_eq!(c.queue_depth(), 499);
         // And the fixed limit never adapts.
         c.release(u64::MAX / 4, 500 * MS);
-        assert_eq!(c.limit(), 1);
+        assert_eq!(c.limit, 1);
     }
 }

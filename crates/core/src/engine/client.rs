@@ -103,7 +103,7 @@ pub enum Effect {
     SendOrigin {
         /// Wire request id.
         req_id: u64,
-        /// Logical per-client request index (fault-schedule key).
+        /// Logical per-client request index.
         seq: u64,
         /// 0-based attempt on the origin path.
         attempt: u32,

@@ -94,10 +94,8 @@ impl From<Msg> for Answer {
 pub enum Charge {
     /// Leaves at once: sheds, refusals, the cloud-reply fan-out.
     Free,
-    /// After the request's service time: a lookup's `Hit`, `NeedPayload`,
-    /// `Forward` and `PeerQuery`.
-    Service,
-    /// After the bare lookup cost: the answer to a peer's probe.
+    /// After the lookup cost: a lookup's `Hit`, `NeedPayload`, `Forward`
+    /// and `PeerQuery`, and the answer to a peer's probe.
     Lookup,
 }
 
@@ -852,7 +850,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
                 conn,
                 req,
                 answer,
-                charge: Charge::Service,
+                charge: Charge::Lookup,
             });
         }
         if cached_only {
@@ -875,7 +873,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
                 conn,
                 req,
                 answer: Msg::NeedPayload { req_id: req }.into(),
-                charge: Charge::Service,
+                charge: Charge::Lookup,
             });
         };
         self.fetch(conn, req, descriptor, task, now_ns, fx);
@@ -941,7 +939,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
                                 token,
                                 after_ns: timeout_ns,
                             }),
-                            charge: Charge::Service,
+                            charge: Charge::Lookup,
                         });
                     }
                     return self.open_round(conn, req, descriptor, task, outstanding, true, now_ns);
@@ -957,7 +955,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
                         to,
                         digest: d,
                         deadline: None,
-                        charge: Charge::Service,
+                        charge: Charge::Lookup,
                     });
                 }
                 return self.open_round(conn, req, descriptor, task, outstanding, false, now_ns);
@@ -973,7 +971,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
             conn,
             req,
             task,
-            charge: Charge::Service,
+            charge: Charge::Lookup,
         });
     }
 

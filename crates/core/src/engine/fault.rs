@@ -8,15 +8,13 @@
 //! failure. Either way the engine sees the same `AttemptFailed` decision,
 //! which is what makes sim and live traces byte-identical under faults.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A deterministic set of injected transport faults.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     edge: BTreeSet<(u64, u32)>,
     edge_all: BTreeSet<u64>,
-    origin: BTreeSet<(u64, u32)>,
-    slow_edge: BTreeMap<u64, u64>,
 }
 
 impl FaultSchedule {
@@ -38,42 +36,14 @@ impl FaultSchedule {
         self
     }
 
-    /// Kill one origin-path attempt of logical request `seq`.
-    pub fn drop_origin_attempt(mut self, seq: u64, attempt: u32) -> FaultSchedule {
-        self.origin.insert((seq, attempt));
-        self
-    }
-
-    /// Slow the edge's service of logical request `seq` by `extra_ns` —
-    /// the slow-service fault that drives an admission-controlled edge
-    /// past its latency target (overload without packet loss).
-    pub fn slow_edge_request(mut self, seq: u64, extra_ns: u64) -> FaultSchedule {
-        self.slow_edge.insert(seq, extra_ns);
-        self
-    }
-
     /// Should this edge-path attempt be killed?
     pub fn edge_dropped(&self, seq: u64, attempt: u32) -> bool {
         self.edge_all.contains(&seq) || self.edge.contains(&(seq, attempt))
     }
 
-    /// Extra service time (ns) injected into the edge's handling of
-    /// logical request `seq`; zero when unscheduled.
-    pub fn edge_slow_ns(&self, seq: u64) -> u64 {
-        self.slow_edge.get(&seq).copied().unwrap_or(0)
-    }
-
-    /// Should this origin-path attempt be killed?
-    pub fn origin_dropped(&self, seq: u64, attempt: u32) -> bool {
-        self.origin.contains(&(seq, attempt))
-    }
-
     /// True when the schedule injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.edge.is_empty()
-            && self.edge_all.is_empty()
-            && self.origin.is_empty()
-            && self.slow_edge.is_empty()
+        self.edge.is_empty() && self.edge_all.is_empty()
     }
 }
 
@@ -85,24 +55,11 @@ mod tests {
     fn schedules_target_specific_attempts() {
         let f = FaultSchedule::new()
             .drop_edge_attempt(3, 1)
-            .drop_edge_request(5)
-            .drop_origin_attempt(5, 0);
+            .drop_edge_request(5);
         assert!(!f.edge_dropped(3, 0));
         assert!(f.edge_dropped(3, 1));
         assert!(f.edge_dropped(5, 0) && f.edge_dropped(5, 7));
-        assert!(f.origin_dropped(5, 0));
-        assert!(!f.origin_dropped(5, 1));
-        assert!(!f.origin_dropped(3, 1), "edge faults do not leak to origin");
         assert!(!f.is_empty());
         assert!(FaultSchedule::new().is_empty());
-    }
-
-    #[test]
-    fn slow_service_faults_are_per_request_and_count_as_nonempty() {
-        let f = FaultSchedule::new().slow_edge_request(2, 5_000_000);
-        assert_eq!(f.edge_slow_ns(2), 5_000_000);
-        assert_eq!(f.edge_slow_ns(3), 0);
-        assert!(!f.edge_dropped(2, 0), "slowing is not dropping");
-        assert!(!f.is_empty());
     }
 }

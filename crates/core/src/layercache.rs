@@ -69,11 +69,6 @@ impl LayerCache {
         }
     }
 
-    /// The layer index in use.
-    pub fn layer(&self) -> usize {
-        self.layer
-    }
-
     /// Fraction of total DNN work contained in the prefix through `layer`.
     pub fn prefix_fraction(&self, image: &Image) -> f64 {
         let total = self.net.total_flops(image) as f64;

@@ -15,8 +15,8 @@
 //!   (one `&self` edge service over the sharded exact cache and the
 //!   snapshot descriptor cache, shared by the simulator and live stack),
 //! * [`compute`] — per-tier cost models,
-//! * [`config`] — the sim/live shared configuration core and the typed
-//!   builders for [`simrun::SimConfig`] / [`netrun::NetConfig`],
+//! * [`config`] — the typed builders for [`simrun::SimConfig`] /
+//!   [`netrun::NetConfig`],
 //! * [`content`] — deterministic model/panorama libraries,
 //! * [`cmf`] — CMF, the checksummed binary model container the model
 //!   library produces, and its loader,
@@ -59,7 +59,7 @@ pub mod telemetry;
 pub use adaptive::{AdaptiveConfig, AdaptiveThreshold};
 pub use cluster::{ClusterConfig, ClusterSnapshot, ClusterState, ClusterStats, HashRing};
 pub use compute::ComputeConfig;
-pub use config::{CommonConfig, NetConfigBuilder, SimConfigBuilder};
+pub use config::{NetConfigBuilder, SimConfigBuilder};
 pub use content::{ModelLibrary, PanoLibrary, PanoSource};
 pub use descriptor::FeatureDescriptor;
 pub use engine::{

@@ -412,12 +412,10 @@ impl NetClient {
                     let task = prepared.task.clone();
                     self.edge_exchange(req_id, &Msg::Upload { req_id, task }, &mut slot)
                 }
-                Effect::SendOrigin { seq, attempt, .. } => {
+                Effect::SendOrigin { .. } => {
                     if self.cloud_addr.is_none() {
                         // Unreachable by construction (origin_fallback is
                         // only set with a cloud address), but fail safe.
-                        self.engine.on_transport_failure(req_id)
-                    } else if self.net.faults.origin_dropped(seq, attempt) {
                         self.engine.on_transport_failure(req_id)
                     } else {
                         self.origin_exchange(req_id, prepared, &mut slot)

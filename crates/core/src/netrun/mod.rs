@@ -392,19 +392,6 @@ impl EdgeHandle {
         }
     }
 
-    /// Combined hit ratio over both edge caches.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        self.inner.service.hit_ratio()
-    }
-
-    /// Fold the recognition cache's journal into a fresh snapshot now
-    /// (inserts also self-fold at the rebuild batch; this flushes any
-    /// partial batch, e.g. at the end of a measurement window). Returns
-    /// how many journal entries were folded.
-    pub fn maintain_index(&self, now_ns: u64) -> usize {
-        self.inner.service.maintain(now_ns)
-    }
-
     /// Snapshot of the recognition index hot-path telemetry (probe
     /// counts, rebuilds, journal depth, snapshot age).
     pub fn index_telemetry(&self) -> coic_cache::IndexTelemetry {

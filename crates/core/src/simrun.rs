@@ -220,8 +220,7 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// Start a typed builder (the supported construction path; see
-    /// [`crate::config`], including [`crate::config::CommonConfig`] for
-    /// the knobs shared with the live stack).
+    /// [`crate::config`]).
     pub fn builder() -> crate::config::SimConfigBuilder {
         crate::config::SimConfigBuilder::default()
     }
@@ -453,15 +452,7 @@ impl ClientNode {
                         self.send_query(ctx, req_id);
                     }
                 }
-                Effect::SendOrigin {
-                    req_id,
-                    seq,
-                    attempt,
-                } => {
-                    if !self.cfg.faults.origin_dropped(seq, attempt) {
-                        self.send_origin(ctx, req_id);
-                    }
-                }
+                Effect::SendOrigin { req_id, .. } => self.send_origin(ctx, req_id),
                 Effect::SendUpload { req_id } => self.send_upload(ctx, req_id),
                 Effect::ProbeEdge { req_id } => {
                     // The simulated access link is always attached (loss is
@@ -658,31 +649,16 @@ impl EdgeNode {
         ctx.set_timer(SimDuration::from_nanos(after_ns), token);
     }
 
-    /// The edge's local processing time for one query: the cache-lookup
-    /// cost plus any injected slow-service fault (zero when unscheduled,
-    /// so fault-free runs are byte-identical to the pre-fault simulator).
-    fn service_ns(&self, req_id: u64) -> u64 {
-        self.cfg.compute.lookup_ns + self.cfg.faults.edge_slow_ns(req_id & TOKEN_MASK)
-    }
-
     /// The local time `charge` stands for (`None`: leaves at once).
-    fn charge_ns(&self, charge: Charge, req_id: u64) -> Option<u64> {
+    fn charge_ns(&self, charge: Charge) -> Option<u64> {
         match charge {
             Charge::Free => None,
-            Charge::Service => Some(self.service_ns(req_id)),
             Charge::Lookup => Some(self.cfg.compute.lookup_ns),
         }
     }
 
-    fn send(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        charge: Charge,
-        req_id: u64,
-        dest: NodeId,
-        msg: Msg,
-    ) {
-        match self.charge_ns(charge, req_id) {
+    fn send(&mut self, ctx: &mut Ctx<'_, Msg>, charge: Charge, dest: NodeId, msg: Msg) {
+        match self.charge_ns(charge) {
             Some(after_ns) => self.delay_send(ctx, after_ns, dest, msg),
             None => {
                 let bytes = wire_len(&msg, &self.cfg);
@@ -700,15 +676,15 @@ impl EdgeNode {
             match effect {
                 EdgeEffect::Reply {
                     conn,
-                    req,
                     answer,
                     charge,
-                } => self.send(ctx, charge, req, NodeId(conn as usize), answer.msg),
+                    ..
+                } => self.send(ctx, charge, NodeId(conn as usize), answer.msg),
                 EdgeEffect::Forward {
                     req, task, charge, ..
                 } => {
                     let msg = Msg::Forward { req_id: req, task };
-                    self.send(ctx, charge, req, self.cloud, msg);
+                    self.send(ctx, charge, self.cloud, msg);
                 }
                 EdgeEffect::Probe {
                     req,
@@ -722,9 +698,9 @@ impl EdgeNode {
                         req_id: req,
                         digest,
                     };
-                    self.send(ctx, charge, req, to, msg);
+                    self.send(ctx, charge, to, msg);
                     if let Some(d) = deadline {
-                        let after_ns = self.charge_ns(charge, req).unwrap_or(0) + d.after_ns;
+                        let after_ns = self.charge_ns(charge).unwrap_or(0) + d.after_ns;
                         ctx.set_timer(SimDuration::from_nanos(after_ns), ENGINE_TIMER | d.token);
                     }
                 }
@@ -741,7 +717,7 @@ impl EdgeNode {
                         digest,
                         result: held.result().clone(),
                     };
-                    self.send(ctx, Charge::Free, req, to, msg);
+                    self.send(ctx, Charge::Free, to, msg);
                 }
                 EdgeEffect::Insert {
                     descriptor,
@@ -753,11 +729,11 @@ impl EdgeNode {
                         self.engine.on_inserted(&digest);
                     }
                 }
-                EdgeEffect::Serving { req, slot, .. } => {
+                EdgeEffect::Serving { slot, .. } => {
                     let token = self.next_token;
                     self.next_token += 1;
                     self.slots.insert(token, slot);
-                    ctx.set_timer(SimDuration::from_nanos(self.service_ns(req)), token);
+                    ctx.set_timer(SimDuration::from_nanos(self.cfg.compute.lookup_ns), token);
                 }
                 // An event-driven node waits for nothing, and the simulated
                 // links are no connections to hang up.

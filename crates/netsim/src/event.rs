@@ -79,11 +79,6 @@ impl<E> EventQueue<E> {
         Some((at, event))
     }
 
-    /// Firing time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((at, ..))| *at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -106,6 +101,11 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::time::SimTime;
+
+    /// Firing time of the earliest pending event.
+    fn peek_time<E>(q: &EventQueue<E>) -> Option<SimTime> {
+        q.heap.peek().map(|Reverse((at, ..))| *at)
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -140,18 +140,6 @@ mod tests {
         q.schedule(SimTime::from_millis(7), 2);
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 1);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_reports_earliest() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.schedule(SimTime::from_millis(9), ());
-        q.schedule(SimTime::from_millis(3), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-        assert_eq!(q.len(), 2);
-        q.clear();
         assert!(q.is_empty());
     }
 
@@ -209,7 +197,7 @@ mod tests {
                 proptest::prop_assert_eq!(q.len(), model.len());
                 proptest::prop_assert_eq!(q.is_empty(), model.is_empty());
                 proptest::prop_assert_eq!(
-                    q.peek_time(),
+                    peek_time(&q),
                     model.iter().map(|&(at, _)| SimTime::from_nanos(at)).min()
                 );
                 // The slab is as long as the most events ever pending at

@@ -27,12 +27,10 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use link::{Link, LinkParams, LinkStats, TxOutcome};
 pub use shaper::Shaper;
 pub use sim::{Ctx, Node, SimStats, Simulator};
-pub use stats::{Histogram, P2Quantile, Summary, Welford};
+pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
 pub use topology::{NodeId, Topology};
-pub use trace::{Trace, TraceEntry};

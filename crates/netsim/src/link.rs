@@ -97,13 +97,6 @@ pub struct LinkStats {
     pub queue_drops: u64,
 }
 
-impl Link {
-    /// Time at which the transmitter becomes idle (diagnostics/tests).
-    pub fn busy_until_time(&self) -> SimTime {
-        self.busy_until
-    }
-}
-
 /// Dynamic state of one direction of a link.
 #[derive(Debug, Clone)]
 pub struct Link {
@@ -294,7 +287,7 @@ mod tests {
         let mut r = rng();
         for _ in 0..200 {
             // Use widely spaced offers so queueing never interferes.
-            let now = l.busy_until_time() + SimDuration::from_secs(1);
+            let now = l.busy_until + SimDuration::from_secs(1);
             match l.transmit(now, 1000, &mut r) {
                 TxOutcome::Delivered(t) => {
                     let base = now + p.serialization_delay(1000) + p.propagation;

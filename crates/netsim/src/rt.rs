@@ -700,11 +700,6 @@ impl FrameConn {
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.stream.local_addr()
     }
-
-    /// Remote socket address.
-    pub fn peer_addr(&self) -> io::Result<SocketAddr> {
-        self.stream.peer_addr()
-    }
 }
 
 // --- the one frame writer and the one body reader ----------------------
@@ -1091,16 +1086,6 @@ impl Default for FaultPlan {
             delay_ms: 0,
             kill_conn: 0.0,
             blackhole: None,
-        }
-    }
-}
-
-impl FaultPlan {
-    /// A plan that forwards everything untouched.
-    pub fn transparent(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            ..FaultPlan::default()
         }
     }
 }
@@ -2315,7 +2300,14 @@ mod tests {
     #[test]
     fn transparent_proxy_relays() {
         let server = FrameServer::spawn("127.0.0.1:0", |f| Some(f.to_vec())).unwrap();
-        let proxy = FaultProxy::spawn(server.local_addr(), FaultPlan::transparent(1)).unwrap();
+        let proxy = FaultProxy::spawn(
+            server.local_addr(),
+            FaultPlan {
+                seed: 1,
+                ..FaultPlan::default()
+            },
+        )
+        .unwrap();
         let mut conn = FrameConn::connect(proxy.local_addr()).unwrap();
         for i in 0..10u8 {
             conn.send(&[i; 5]).unwrap();

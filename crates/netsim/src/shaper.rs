@@ -35,16 +35,6 @@ impl Shaper {
         }
     }
 
-    /// Sustained rate in bits per second.
-    pub fn rate_bps(&self) -> u64 {
-        self.rate_bps
-    }
-
-    /// Burst allowance in bytes.
-    pub fn burst_bytes(&self) -> u64 {
-        self.burst_bytes
-    }
-
     fn refill(&mut self, now: SimTime) {
         if now <= self.updated {
             return;

@@ -11,7 +11,6 @@ use crate::event::EventQueue;
 use crate::link::{LinkParams, TxOutcome};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
-use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -95,17 +94,9 @@ struct World<M> {
     topo: Topology,
     rng: StdRng,
     stats: SimStats,
-    trace: Option<Trace>,
 }
 
 impl<M> World<M> {
-    fn trace(&mut self, what: impl FnOnce() -> String) {
-        if let Some(t) = &mut self.trace {
-            let now = self.now;
-            t.record(now, what());
-        }
-    }
-
     /// Transmit one hop; schedule the Deliver event on success.
     fn transmit_hop(&mut self, from: NodeId, to: NodeId, dst: NodeId, bytes: u64, msg: M) {
         let Some(link) = self.topo.link_mut(from, to) else {
@@ -124,16 +115,9 @@ impl<M> World<M> {
                         msg,
                     },
                 );
-                self.trace(|| format!("tx {from}->{to} {bytes}B arrives@{at}"));
             }
-            TxOutcome::Lost => {
-                self.stats.lost += 1;
-                self.trace(|| format!("loss {from}->{to} {bytes}B"));
-            }
-            TxOutcome::QueueDrop => {
-                self.stats.queue_dropped += 1;
-                self.trace(|| format!("qdrop {from}->{to} {bytes}B"));
-            }
+            TxOutcome::Lost => self.stats.lost += 1,
+            TxOutcome::QueueDrop => self.stats.queue_dropped += 1,
         }
     }
 }
@@ -155,12 +139,6 @@ impl<'a, M> Ctx<'a, M> {
         self.node
     }
 
-    /// Deterministic per-run RNG (shared across nodes; draws are ordered by
-    /// the deterministic event order, so runs reproduce exactly).
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.world.rng
-    }
-
     /// Send `msg` (`bytes` long on the wire) over the *direct* link to `to`.
     ///
     /// # Panics
@@ -178,11 +156,7 @@ impl<'a, M> Ctx<'a, M> {
         let from = self.node;
         match self.world.topo.next_hop(from, dst) {
             Some(hop) => self.world.transmit_hop(from, hop, dst, bytes, msg),
-            None => {
-                self.world.stats.unroutable += 1;
-                self.world
-                    .trace(|| format!("unroutable {from}->{dst} {bytes}B"));
-            }
+            None => self.world.stats.unroutable += 1,
         }
     }
 
@@ -227,7 +201,6 @@ impl<M> Simulator<M> {
                 topo,
                 rng: StdRng::seed_from_u64(seed),
                 stats: SimStats::default(),
-                trace: None,
             },
             started: false,
         }
@@ -243,16 +216,6 @@ impl<M> Simulator<M> {
         *slot = Some(node);
     }
 
-    /// Enable bounded event tracing.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.world.trace = Some(Trace::new(cap));
-    }
-
-    /// The trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.world.trace.as_ref()
-    }
-
     /// Engine counters.
     pub fn stats(&self) -> &SimStats {
         &self.world.stats
@@ -266,11 +229,6 @@ impl<M> Simulator<M> {
     /// The topology (to inspect link stats after a run).
     pub fn topology(&self) -> &Topology {
         &self.world.topo
-    }
-
-    /// Mutable topology access between runs (e.g. reshaping links).
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.world.topo
     }
 
     fn dispatch<F>(&mut self, node_id: NodeId, f: F)
@@ -337,8 +295,6 @@ impl<M> Simulator<M> {
             }
             SimEvent::Reshape { from, to, params } => {
                 self.world.topo.reshape(from, to, params);
-                self.world
-                    .trace(|| format!("reshape {from}->{to} {}bps", params.bandwidth_bps));
             }
         }
         true
@@ -362,21 +318,6 @@ impl<M> Simulator<M> {
             n += 1;
         }
         n
-    }
-
-    /// Run until virtual time would exceed `until` (events at exactly
-    /// `until` still fire) or the queue empties.
-    pub fn run_until(&mut self, until: SimTime) {
-        self.start_if_needed();
-        while let Some(t) = self.world.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            self.step();
-        }
-        if self.world.now < until {
-            self.world.now = until;
-        }
     }
 }
 
@@ -453,9 +394,8 @@ mod tests {
         let mut sim: Simulator<()> = Simulator::new(topo, 0);
         sim.bind(a, Box::new(T { fired: vec![] }));
         sim.run(10);
-        // Inspect by re-borrowing: easiest is via trace-free stats; instead
-        // re-run logic — here we rely on the node being dropped with state.
-        // Simpler: check time advanced to the last timer.
+        // The simulator owns the node, so check the clock and the event
+        // count: three timers fired and the last one at 5 ms.
         assert_eq!(sim.now(), SimTime::from_millis(5));
         assert_eq!(sim.stats().events, 3);
     }
@@ -499,25 +439,6 @@ mod tests {
         // hop1: 100 ms ser + 5 ms; hop2: 100 ms ser + 20 ms => 225 ms total.
         assert_eq!(sim.now(), SimTime::from_millis(225));
         assert_eq!(sim.stats().delivered, 1);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let (mut sim, a, b) = two_node_sim();
-        sim.bind(
-            a,
-            Box::new(Pinger {
-                peer: b,
-                reply: None,
-            }),
-        );
-        sim.bind(b, Box::new(Echo));
-        sim.run_until(SimTime::from_millis(10));
-        // Only the first delivery (at 10.1 ms) is beyond the deadline.
-        assert_eq!(sim.stats().delivered, 0);
-        assert_eq!(sim.now(), SimTime::from_millis(10));
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.stats().delivered, 2);
     }
 
     #[test]
@@ -610,23 +531,5 @@ mod tests {
         // 1 MB/s = 1000 ms -> arrives at 1500 ms.
         assert_eq!(t[0], SimTime::from_millis(100));
         assert_eq!(t[1], SimTime::from_millis(1500));
-    }
-
-    #[test]
-    fn trace_records_transmissions() {
-        let (mut sim, a, b) = two_node_sim();
-        sim.enable_trace(100);
-        sim.bind(
-            a,
-            Box::new(Pinger {
-                peer: b,
-                reply: None,
-            }),
-        );
-        sim.bind(b, Box::new(Echo));
-        sim.run(100);
-        let trace = sim.trace().unwrap();
-        assert!(trace.contains("tx n0->n1"));
-        assert!(trace.contains("tx n1->n0"));
     }
 }

@@ -1,79 +1,7 @@
-//! Online statistics used throughout the simulator and the experiment
-//! harness: running mean/variance (Welford), exact percentile summaries for
-//! experiment-sized samples, and fixed-layout histograms.
+//! Exact percentile summaries for experiment-sized samples, used by the
+//! QoE reports.
 
 use serde::{Deserialize, Serialize};
-
-/// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold one observation into the accumulator.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
 
 /// Exact sample summary: keeps every observation, computes percentiles on
 /// demand. Experiments in this workspace collect at most a few hundred
@@ -185,213 +113,9 @@ impl Summary {
     }
 }
 
-/// Online quantile estimation with the P² algorithm (Jain & Chlamtac,
-/// 1985): tracks one quantile in O(1) memory, for long-running monitors
-/// where keeping every sample ([`Summary`]) is too expensive.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights (the 5 running estimates).
-    heights: [f64; 5],
-    /// Marker positions (1-based ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments per observation.
-    increments: [f64; 5],
-    count: usize,
-    /// First five observations, used for initialization.
-    init: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Track the `q`-quantile (`0 < q < 1`).
-    ///
-    /// # Panics
-    /// Panics if `q` is outside `(0, 1)`.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-            init: Vec::with_capacity(5),
-        }
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if self.init.len() < 5 {
-            self.init.push(x);
-            if self.init.len() == 5 {
-                self.init
-                    .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                for (h, v) in self.heights.iter_mut().zip(&self.init) {
-                    *h = *v;
-                }
-            }
-            return;
-        }
-        // Find the cell k such that heights[k] <= x < heights[k+1].
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (0..4)
-                .find(|&i| x < self.heights[i + 1])
-                .expect("x is within the marker range")
-        };
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(&self.increments) {
-            *d += inc;
-        }
-        // Adjust the three interior markers with parabolic interpolation.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let h = self.heights[i];
-                // P² parabolic formula.
-                let candidate = h + d / (self.positions[i + 1] - self.positions[i - 1])
-                    * ((self.positions[i] - self.positions[i - 1] + d) * (self.heights[i + 1] - h)
-                        / right
-                        + (self.positions[i + 1] - self.positions[i] - d)
-                            * (h - self.heights[i - 1])
-                            / -left);
-                // Fall back to linear when the parabola leaves the bracket.
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else if d > 0.0 {
-                        h + (self.heights[i + 1] - h) / right
-                    } else {
-                        h + (self.heights[i - 1] - h) / left
-                    };
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    /// Current estimate (exact for fewer than five observations).
-    pub fn value(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.init.len() < 5 {
-            // Too few samples: exact small-sample quantile.
-            let mut v = self.init.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let pos = self.q * (v.len() - 1) as f64;
-            return v[pos.round() as usize];
-        }
-        self.heights[2]
-    }
-
-    /// Observations folded in so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-}
-
-/// Fixed-bin histogram over `[lo, hi)` with uniform bin width, plus
-/// underflow/overflow counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create a histogram over `[lo, hi)` with `nbins` uniform bins.
-    ///
-    /// # Panics
-    /// Panics if `nbins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(nbins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_closed_form() {
-        let mut w = Welford::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        // Population variance of that set is 4; sample variance = 32/7.
-        assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(w.min(), Some(2.0));
-        assert_eq!(w.max(), Some(9.0));
-    }
-
-    #[test]
-    fn welford_empty_is_safe() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.min(), None);
-    }
 
     #[test]
     fn summary_quantiles_exact() {
@@ -424,72 +148,5 @@ mod tests {
         assert_eq!(s.median(), 15.0);
         s.push(30.0);
         assert_eq!(s.median(), 20.0);
-    }
-
-    #[test]
-    fn p2_tracks_median_of_uniform_stream() {
-        let mut p = P2Quantile::new(0.5);
-        // Weyl sequence: n·φ mod 1 is equidistributed over [0, 1).
-        let phi = 0.618_033_988_749_894_9_f64;
-        for n in 1..=20_000u64 {
-            p.push((n as f64 * phi).fract());
-        }
-        let v = p.value();
-        assert!((v - 0.5).abs() < 0.05, "median estimate {v}");
-    }
-
-    #[test]
-    fn p2_matches_exact_quantile_on_linear_ramp() {
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            let mut p = P2Quantile::new(q);
-            let n = 10_000;
-            for i in 0..n {
-                p.push(i as f64);
-            }
-            let exact = q * (n - 1) as f64;
-            let est = p.value();
-            let err = (est - exact).abs() / n as f64;
-            assert!(err < 0.02, "q={q}: estimate {est}, exact {exact}");
-        }
-    }
-
-    #[test]
-    fn p2_small_samples_are_exact() {
-        let mut p = P2Quantile::new(0.5);
-        assert_eq!(p.value(), 0.0);
-        p.push(10.0);
-        assert_eq!(p.value(), 10.0);
-        p.push(20.0);
-        p.push(30.0);
-        assert_eq!(p.value(), 20.0);
-        assert_eq!(p.count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be")]
-    fn p2_rejects_degenerate_quantile() {
-        let _ = P2Quantile::new(1.0);
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-1.0);
-        h.record(0.0);
-        h.record(9.999);
-        h.record(10.0);
-        h.record(5.5);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 }

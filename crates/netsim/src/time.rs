@@ -66,11 +66,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -116,23 +111,6 @@ impl SimDuration {
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Convert a wall-clock [`std::time::Duration`], saturating at
-    /// [`SimDuration::MAX`]. Bridges engine configs (std durations) into
-    /// virtual time.
-    pub fn from_std(d: std::time::Duration) -> SimDuration {
-        let ns = d.as_nanos();
-        if ns >= u64::MAX as u128 {
-            SimDuration::MAX
-        } else {
-            SimDuration(ns as u64)
-        }
-    }
-
-    /// Convert to a wall-clock [`std::time::Duration`].
-    pub const fn to_std(self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.0)
     }
 
     /// Fractional milliseconds.

@@ -80,13 +80,6 @@ impl Topology {
         self.connect_oneway(b, a, params);
     }
 
-    /// Install a duplex link with asymmetric parameters
-    /// (`ab` for a→b, `ba` for b→a) — e.g. an asymmetric uplink.
-    pub fn connect_asym(&mut self, a: NodeId, b: NodeId, ab: LinkParams, ba: LinkParams) {
-        self.connect_oneway(a, b, ab);
-        self.connect_oneway(b, a, ba);
-    }
-
     /// Direct link from `a` to `b`, if one exists.
     pub fn link(&self, a: NodeId, b: NodeId) -> Option<&Link> {
         self.links.get(&(a, b))
@@ -227,18 +220,6 @@ mod tests {
         t.connect(c, e, p());
         t.connect(e, d, p());
         assert_eq!(t.next_hop(a, d), Some(b));
-    }
-
-    #[test]
-    fn asymmetric_links_distinct() {
-        let mut t = Topology::new();
-        let a = t.add_node("a");
-        let b = t.add_node("b");
-        let up = LinkParams::mbps_ms(10.0, 5);
-        let down = LinkParams::mbps_ms(100.0, 5);
-        t.connect_asym(a, b, up, down);
-        assert_eq!(t.link(a, b).unwrap().params().bandwidth_bps, 10_000_000);
-        assert_eq!(t.link(b, a).unwrap().params().bandwidth_bps, 100_000_000);
     }
 
     #[test]

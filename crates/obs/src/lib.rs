@@ -7,7 +7,7 @@
 //!
 //! * [`Recorder`] — the trait instrumented code talks to: counters,
 //!   gauges, latency observations, and structured trace spans/events.
-//!   [`NullRecorder`] discards everything; [`Telemetry`] records.
+//!   [`Telemetry`] implements it.
 //! * [`MetricsRegistry`] — deterministic storage: `BTreeMap`-backed
 //!   counters, gauges and fixed-bucket integer histograms. No default
 //!   hashers, no wall clock — every timestamp is passed in by the caller,
@@ -32,5 +32,5 @@ pub mod trace;
 
 pub use canonical::CanonicalWriter;
 pub use metrics::{Histogram, MetricsRegistry};
-pub use recorder::{NullRecorder, Recorder, Telemetry};
+pub use recorder::{Recorder, Telemetry};
 pub use trace::{Fields, TraceEvent, TraceKind, TraceLog, Value};

@@ -54,12 +54,6 @@ impl Histogram {
         }
     }
 
-    /// A histogram with the default latency bounds
-    /// ([`LATENCY_BOUNDS_NS`]).
-    pub fn latency_default() -> Histogram {
-        Histogram::new(&LATENCY_BOUNDS_NS)
-    }
-
     /// Record one observation.
     pub fn observe(&mut self, value: u64) {
         self.count += 1;
@@ -80,12 +74,8 @@ impl Histogram {
         self.sum
     }
 
-    /// Bucket upper bounds.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts, aligned with [`Histogram::bounds`].
+    /// Per-bucket counts, aligned with the bounds the histogram was built
+    /// with.
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }
@@ -93,21 +83,6 @@ impl Histogram {
     /// Observations above the last bound.
     pub fn overflow(&self) -> u64 {
         self.overflow
-    }
-
-    /// Add another histogram's observations into this one. Returns false
-    /// (and leaves `self` unchanged) when the bucket bounds differ.
-    pub fn merge_from(&mut self, other: &Histogram) -> bool {
-        if self.bounds != other.bounds {
-            return false;
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        true
     }
 }
 
@@ -205,34 +180,6 @@ impl MetricsRegistry {
         self.with(|i| i.hists.get(name).cloned())
     }
 
-    /// Merge another registry into this one: counters and histogram
-    /// buckets add, gauges take the other registry's value.
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        // Snapshot `other` first so self/other aliasing the same storage
-        // cannot deadlock (merging a registry into itself doubles
-        // counters, which callers have no reason to do but must not hang).
-        let (counters, gauges, hists) =
-            other.with(|o| (o.counters.clone(), o.gauges.clone(), o.hists.clone()));
-        self.with(|i| {
-            for (k, v) in counters {
-                *i.counters.entry(k).or_insert(0) += v;
-            }
-            for (k, v) in gauges {
-                i.gauges.insert(k, v);
-            }
-            for (k, h) in hists {
-                match i.hists.get_mut(&k) {
-                    Some(mine) => {
-                        mine.merge_from(&h);
-                    }
-                    None => {
-                        i.hists.insert(k, h);
-                    }
-                }
-            }
-        });
-    }
-
     /// The canonical metrics snapshot: sorted keys, integer units, one
     /// metric per line. Two runs that recorded the same values produce
     /// byte-identical snapshots — the determinism tests diff this.
@@ -289,7 +236,7 @@ mod tests {
 
     #[test]
     fn histogram_default_latency_bounds_cover_sim_scales() {
-        let mut h = Histogram::latency_default();
+        let mut h = Histogram::new(&LATENCY_BOUNDS_NS);
         h.observe(999_999); // just under 1 ms → first bucket
         h.observe(1_000_000); // exactly 1 ms → first bucket (inclusive)
         h.observe(10_000_000_000); // exactly 10 s → last bucket
@@ -297,46 +244,6 @@ mod tests {
         assert_eq!(h.buckets()[0], 2);
         assert_eq!(*h.buckets().last().unwrap(), 1);
         assert_eq!(h.overflow(), 1);
-    }
-
-    #[test]
-    fn histogram_merge_requires_matching_bounds() {
-        let mut a = Histogram::new(&[10, 20]);
-        let mut b = Histogram::new(&[10, 20]);
-        a.observe(5);
-        b.observe(15);
-        b.observe(100);
-        assert!(a.merge_from(&b));
-        assert_eq!(a.buckets(), &[1, 1]);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.count(), 3);
-        let c = Histogram::new(&[1, 2, 3]);
-        assert!(!a.merge_from(&c), "mismatched bounds must refuse to merge");
-        assert_eq!(a.count(), 3, "refused merge must not change counts");
-    }
-
-    #[test]
-    fn registry_merge_adds_counters_and_buckets() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.counter_add("x.hits", 2);
-        b.counter_add("x.hits", 3);
-        b.counter_add("x.misses", 1);
-        a.gauge_set("g", 1);
-        b.gauge_set("g", 9);
-        a.observe_with("lat", 5, &[10, 20]);
-        b.observe_with("lat", 15, &[10, 20]);
-        b.observe_with("only_b", 1, &[10]);
-        a.merge_from(&b);
-        assert_eq!(a.counter("x.hits"), 5);
-        assert_eq!(a.counter("x.misses"), 1);
-        assert_eq!(a.gauge("g"), 9, "gauges take the merged-in value");
-        let h = a.histogram("lat").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.buckets(), &[1, 1]);
-        assert_eq!(a.histogram("only_b").unwrap().count(), 1);
-        // `b` is untouched by the merge.
-        assert_eq!(b.counter("x.hits"), 3);
     }
 
     #[test]

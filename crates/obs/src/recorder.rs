@@ -38,19 +38,6 @@ pub trait Recorder {
     }
 }
 
-/// A recorder that discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn counter_add(&self, _name: &str, _delta: u64) {}
-    fn gauge_set(&self, _name: &str, _value: i64) {}
-    fn observe(&self, _name: &str, _value_ns: u64) {}
-    fn span_enter_with(&self, _at_ns: u64, _name: &'static str, _fields: impl FnOnce() -> Fields) {}
-    fn span_exit_with(&self, _at_ns: u64, _name: &'static str, _fields: impl FnOnce() -> Fields) {}
-    fn event_with(&self, _at_ns: u64, _name: &'static str, _fields: impl FnOnce() -> Fields) {}
-}
-
 /// The concrete observability handle: a shared [`MetricsRegistry`] plus a
 /// shared [`TraceLog`]. Clones share both, so one handle threads through
 /// every layer of a run. `Telemetry::default()` is disabled — metrics
@@ -167,7 +154,6 @@ mod tests {
 
     #[test]
     fn fields_are_built_once_per_record_and_only_when_recorded() {
-        assert_eq!(fields_built(&NullRecorder), 0);
         assert_eq!(fields_built(&Telemetry::disabled()), 0);
         let tel = Telemetry::new();
         assert_eq!(fields_built(&tel), 3);
@@ -182,14 +168,5 @@ mod tests {
             .events()
             .iter()
             .all(|e| e.fields == [("k", Value::U64(1))]));
-    }
-
-    #[test]
-    fn null_recorder_is_inert() {
-        let r = NullRecorder;
-        r.counter_add("c", 1);
-        r.event(0, "e", vec![]);
-        r.span_enter(0, "s", vec![]);
-        r.span_exit(1, "s", vec![]);
     }
 }

@@ -163,17 +163,6 @@ impl Mat4 {
         m
     }
 
-    /// Rotation about the x axis by `a` radians.
-    pub fn rotate_x(a: f32) -> Mat4 {
-        let (s, c) = a.sin_cos();
-        let mut m = Mat4::IDENTITY;
-        m.m[1][1] = c;
-        m.m[1][2] = -s;
-        m.m[2][1] = s;
-        m.m[2][2] = c;
-        m
-    }
-
     /// Rotation about the y axis by `a` radians.
     pub fn rotate_y(a: f32) -> Mat4 {
         let (s, c) = a.sin_cos();
@@ -182,17 +171,6 @@ impl Mat4 {
         m.m[0][2] = s;
         m.m[2][0] = -s;
         m.m[2][2] = c;
-        m
-    }
-
-    /// Rotation about the z axis by `a` radians.
-    pub fn rotate_z(a: f32) -> Mat4 {
-        let (s, c) = a.sin_cos();
-        let mut m = Mat4::IDENTITY;
-        m.m[0][0] = c;
-        m.m[0][1] = -s;
-        m.m[1][0] = s;
-        m.m[1][1] = c;
         m
     }
 
@@ -248,11 +226,6 @@ impl Mat4 {
         Vec4::new(row(0), row(1), row(2), row(3))
     }
 
-    /// Transform a point (w = 1, no perspective divide).
-    pub fn transform_point(&self, p: Vec3) -> Vec3 {
-        self.mul_vec4(p.extend(1.0)).truncate()
-    }
-
     /// Transform a direction (w = 0: rotation/scale only).
     pub fn transform_dir(&self, d: Vec3) -> Vec3 {
         self.mul_vec4(d.extend(0.0)).truncate()
@@ -265,6 +238,11 @@ mod tests {
 
     fn close(a: f32, b: f32) -> bool {
         (a - b).abs() < 1e-5
+    }
+
+    /// Transform a point (w = 1, no perspective divide).
+    fn transform_point(m: &Mat4, p: Vec3) -> Vec3 {
+        m.mul_vec4(p.extend(1.0)).truncate()
     }
 
     fn vec_close(a: Vec3, b: Vec3) -> bool {
@@ -308,7 +286,7 @@ mod tests {
     fn translate_moves_points_not_directions() {
         let t = Mat4::translate(Vec3::new(5.0, 0.0, 0.0));
         assert_eq!(
-            t.transform_point(Vec3::new(1.0, 1.0, 1.0)),
+            transform_point(&t, Vec3::new(1.0, 1.0, 1.0)),
             Vec3::new(6.0, 1.0, 1.0)
         );
         assert_eq!(
@@ -320,23 +298,23 @@ mod tests {
     #[test]
     fn rotation_preserves_length() {
         let v = Vec3::new(1.0, 2.0, 3.0);
-        for m in [
-            Mat4::rotate_x(1.1),
-            Mat4::rotate_y(2.2),
-            Mat4::rotate_z(0.4),
-        ] {
-            assert!(close(m.transform_point(v).length(), v.length()));
+        for a in [0.4, 1.1, 2.2] {
+            let m = Mat4::rotate_y(a);
+            assert!(close(transform_point(&m, v).length(), v.length()));
         }
     }
 
     #[test]
     fn rotation_composition_matches_sum_of_angles() {
-        let a = Mat4::rotate_z(0.3);
-        let b = Mat4::rotate_z(0.5);
+        let a = Mat4::rotate_y(0.3);
+        let b = Mat4::rotate_y(0.5);
         let ab = a.mul(&b);
-        let direct = Mat4::rotate_z(0.8);
+        let direct = Mat4::rotate_y(0.8);
         let p = Vec3::new(1.0, 0.0, 0.0);
-        assert!(vec_close(ab.transform_point(p), direct.transform_point(p)));
+        assert!(vec_close(
+            transform_point(&ab, p),
+            transform_point(&direct, p)
+        ));
     }
 
     #[test]
@@ -364,7 +342,7 @@ mod tests {
             Vec3::ZERO,
             Vec3::new(0.0, 1.0, 0.0),
         );
-        let p = view.transform_point(Vec3::ZERO);
+        let p = transform_point(&view, Vec3::ZERO);
         // Target sits straight ahead at distance 5 on the -z axis.
         assert!(vec_close(p, Vec3::new(0.0, 0.0, -5.0)));
     }

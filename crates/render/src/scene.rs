@@ -91,16 +91,6 @@ impl Scene {
         self.instances.push(Instance { model, transform });
     }
 
-    /// Number of models.
-    pub fn model_count(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Number of placed instances.
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
-
     /// Render all instances with `camera` into `fb`, returning aggregate
     /// draw statistics.
     pub fn render(&self, camera: &Camera, fb: &mut Framebuffer) -> DrawStats {
@@ -137,8 +127,8 @@ mod tests {
         scene.add_instance(sphere, Mat4::translate(Vec3::new(1.2, 0.0, 0.0)));
         let mut fb = Framebuffer::new(64, 64);
         let stats = scene.render(&Camera::default(), &mut fb);
-        assert_eq!(scene.model_count(), 1);
-        assert_eq!(scene.instance_count(), 2);
+        assert_eq!(scene.models.len(), 1);
+        assert_eq!(scene.instances.len(), 2);
         // Both instances contribute triangles.
         assert_eq!(
             stats.triangles_in,

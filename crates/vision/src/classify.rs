@@ -72,33 +72,6 @@ impl PrototypeClassifier {
         }
         best
     }
-
-    /// Top-1 accuracy over freshly generated observations.
-    #[allow(clippy::too_many_arguments)] // experiment knobs read clearest flat
-    pub fn evaluate(
-        &self,
-        net: &SimNet,
-        gen: &SceneGenerator,
-        classes: &[ObjectClass],
-        samples_per_class: usize,
-        angle_spread: f64,
-        noise_sigma: f64,
-        rng: &mut StdRng,
-    ) -> f64 {
-        let mut correct = 0u64;
-        let mut total = 0u64;
-        for &class in classes {
-            for _ in 0..samples_per_class {
-                let view = ViewParams::jittered(rng, angle_spread, noise_sigma);
-                let e = net.extract(&gen.observe(class, &view, rng));
-                if self.predict(&e).0 == class {
-                    correct += 1;
-                }
-                total += 1;
-            }
-        }
-        correct as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -113,11 +86,34 @@ mod tests {
         (net, gen, classes, StdRng::seed_from_u64(21))
     }
 
+    /// Top-1 accuracy over ten fresh observations per class.
+    fn accuracy(
+        clf: &PrototypeClassifier,
+        (net, gen, classes): (&SimNet, &SceneGenerator, &[ObjectClass]),
+        angle_spread: f64,
+        noise_sigma: f64,
+        rng: &mut StdRng,
+    ) -> f64 {
+        let mut correct = 0u64;
+        let mut total = 0u64;
+        for &class in classes {
+            for _ in 0..10 {
+                let view = ViewParams::jittered(rng, angle_spread, noise_sigma);
+                let e = net.extract(&gen.observe(class, &view, rng));
+                if clf.predict(&e).0 == class {
+                    correct += 1;
+                }
+                total += 1;
+            }
+        }
+        correct as f64 / total as f64
+    }
+
     #[test]
     fn high_accuracy_under_mild_perturbation() {
         let (net, gen, classes, mut rng) = setup();
         let clf = PrototypeClassifier::train(&net, &gen, &classes, 5, 0.08, 4.0, &mut rng);
-        let acc = clf.evaluate(&net, &gen, &classes, 10, 0.08, 4.0, &mut rng);
+        let acc = accuracy(&clf, (&net, &gen, &classes), 0.08, 4.0, &mut rng);
         assert!(acc > 0.95, "accuracy {acc} too low");
     }
 
@@ -125,8 +121,8 @@ mod tests {
     fn accuracy_degrades_with_heavy_perturbation() {
         let (net, gen, classes, mut rng) = setup();
         let clf = PrototypeClassifier::train(&net, &gen, &classes, 5, 0.08, 4.0, &mut rng);
-        let mild = clf.evaluate(&net, &gen, &classes, 10, 0.05, 2.0, &mut rng);
-        let harsh = clf.evaluate(&net, &gen, &classes, 10, 0.8, 60.0, &mut rng);
+        let mild = accuracy(&clf, (&net, &gen, &classes), 0.05, 2.0, &mut rng);
+        let harsh = accuracy(&clf, (&net, &gen, &classes), 0.8, 60.0, &mut rng);
         assert!(
             mild >= harsh,
             "mild {mild} should be at least as accurate as harsh {harsh}"

@@ -28,11 +28,6 @@ impl ConfusionMatrix {
         self.total += 1;
     }
 
-    /// Total outcomes recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Count for one `(truth, predicted)` cell.
     pub fn count(&self, truth: ObjectClass, predicted: ObjectClass) -> u64 {
         self.counts
@@ -55,42 +50,6 @@ impl ConfusionMatrix {
         correct as f64 / self.total as f64
     }
 
-    /// Every class seen as truth or prediction, ascending.
-    pub fn classes(&self) -> Vec<ObjectClass> {
-        let mut set = std::collections::BTreeSet::new();
-        for &(t, p) in self.counts.keys() {
-            set.insert(t);
-            set.insert(p);
-        }
-        set.into_iter().map(ObjectClass).collect()
-    }
-
-    /// Precision for one class: `TP / (TP + FP)`; `None` when the class
-    /// was never predicted.
-    pub fn precision(&self, class: ObjectClass) -> Option<f64> {
-        let tp = self.count(class, class);
-        let predicted: u64 = self
-            .counts
-            .iter()
-            .filter(|(&(_, p), _)| p == class.0)
-            .map(|(_, &n)| n)
-            .sum();
-        (predicted > 0).then(|| tp as f64 / predicted as f64)
-    }
-
-    /// Recall for one class: `TP / (TP + FN)`; `None` when the class never
-    /// appeared as truth.
-    pub fn recall(&self, class: ObjectClass) -> Option<f64> {
-        let tp = self.count(class, class);
-        let actual: u64 = self
-            .counts
-            .iter()
-            .filter(|(&(t, _), _)| t == class.0)
-            .map(|(_, &n)| n)
-            .sum();
-        (actual > 0).then(|| tp as f64 / actual as f64)
-    }
-
     /// The most frequently confused `(truth, predicted, count)` pairs
     /// (off-diagonal), most common first, at most `k`.
     pub fn top_confusions(&self, k: usize) -> Vec<(ObjectClass, ObjectClass, u64)> {
@@ -103,26 +62,6 @@ impl ConfusionMatrix {
         off.sort_by(|a, b| b.2.cmp(&a.2).then(a.0 .0.cmp(&b.0 .0)));
         off.truncate(k);
         off
-    }
-
-    /// Render a compact table (for experiment output).
-    pub fn to_table(&self) -> String {
-        use std::fmt::Write;
-        let classes = self.classes();
-        let mut out = String::new();
-        let _ = write!(out, "{:>6}", "t\\p");
-        for c in &classes {
-            let _ = write!(out, "{:>6}", c.0);
-        }
-        out.push('\n');
-        for t in &classes {
-            let _ = write!(out, "{:>6}", t.0);
-            for p in &classes {
-                let _ = write!(out, "{:>6}", self.count(*t, *p));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -147,24 +86,9 @@ mod tests {
     #[test]
     fn accuracy_and_counts() {
         let m = matrix();
-        assert_eq!(m.total(), 6);
+        assert_eq!(m.total, 6);
         assert_eq!(m.count(ObjectClass(0), ObjectClass(1)), 1);
         assert!((m.accuracy() - 5.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn precision_recall_per_class() {
-        let m = matrix();
-        // Class 0: predicted 3 times, all correct -> precision 1.
-        assert_eq!(m.precision(ObjectClass(0)), Some(1.0));
-        // Class 0 truth appears 4 times, 3 correct -> recall 0.75.
-        assert_eq!(m.recall(ObjectClass(0)), Some(0.75));
-        // Class 1: predicted 3 times (2 TP + 1 FP) -> precision 2/3.
-        assert!((m.precision(ObjectClass(1)).unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.recall(ObjectClass(1)), Some(1.0));
-        // Unseen class: both None.
-        assert_eq!(m.precision(ObjectClass(9)), None);
-        assert_eq!(m.recall(ObjectClass(9)), None);
     }
 
     #[test]
@@ -178,18 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn table_renders_all_classes() {
-        let m = matrix();
-        let table = m.to_table();
-        assert!(table.contains("t\\p"));
-        assert_eq!(table.lines().count(), 3); // header + 2 class rows
-    }
-
-    #[test]
     fn empty_matrix_is_safe() {
         let m = ConfusionMatrix::new();
         assert_eq!(m.accuracy(), 0.0);
-        assert!(m.classes().is_empty());
+        assert!(m.counts.is_empty());
         assert!(m.top_confusions(3).is_empty());
     }
 }

@@ -111,66 +111,12 @@ impl Image {
         self.get(cx, cy)
     }
 
-    /// Bilinear sample at fractional coordinates, clamped at edges.
-    pub fn sample_bilinear(&self, x: f64, y: f64) -> f64 {
-        let x0 = x.floor();
-        let y0 = y.floor();
-        let fx = x - x0;
-        let fy = y - y0;
-        let x0 = x0 as i64;
-        let y0 = y0 as i64;
-        let p00 = self.get_clamped(x0, y0) as f64;
-        let p10 = self.get_clamped(x0 + 1, y0) as f64;
-        let p01 = self.get_clamped(x0, y0 + 1) as f64;
-        let p11 = self.get_clamped(x0 + 1, y0 + 1) as f64;
-        p00 * (1.0 - fx) * (1.0 - fy)
-            + p10 * fx * (1.0 - fy)
-            + p01 * (1.0 - fx) * fy
-            + p11 * fx * fy
-    }
-
     /// Mean pixel intensity.
     pub fn mean(&self) -> f64 {
         if self.pixels.is_empty() {
             return 0.0;
         }
         self.pixels.iter().map(|&p| p as f64).sum::<f64>() / self.pixels.len() as f64
-    }
-
-    /// Box-filtered downsample by integer factor `k` (each output pixel is
-    /// the mean of a k×k block).
-    ///
-    /// # Panics
-    /// Panics if `k` is zero or does not divide both dimensions.
-    pub fn downsample(&self, k: u32) -> Image {
-        assert!(k > 0, "downsample factor must be positive");
-        assert!(
-            self.width.is_multiple_of(k) && self.height.is_multiple_of(k),
-            "downsample factor must divide image dimensions"
-        );
-        let w = self.width / k;
-        let h = self.height / k;
-        Image::from_fn(w, h, |ox, oy| {
-            let mut acc = 0u32;
-            for dy in 0..k {
-                for dx in 0..k {
-                    acc += self.get(ox * k + dx, oy * k + dy) as u32;
-                }
-            }
-            (acc / (k * k)) as u8
-        })
-    }
-
-    /// Crop the rectangle at `(x, y)` of size `w × h`.
-    ///
-    /// # Panics
-    /// Panics if the rectangle exceeds the image bounds.
-    pub fn crop(&self, x: u32, y: u32, w: u32, h: u32) -> Image {
-        assert!(
-            x + w <= self.width && y + h <= self.height,
-            "crop exceeds image bounds"
-        );
-        Image::from_fn(w, h, |ox, oy| self.get(x + ox, y + oy))
     }
 
     /// Scale all intensities by `gain`, saturating to `[0, 255]`.
@@ -208,40 +154,10 @@ mod tests {
     }
 
     #[test]
-    fn bilinear_interpolates_midpoint() {
-        let img = Image::from_fn(2, 1, |x, _| if x == 0 { 0 } else { 100 });
-        assert!((img.sample_bilinear(0.5, 0.0) - 50.0).abs() < 1e-9);
-        assert!((img.sample_bilinear(0.0, 0.0) - 0.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn mean_intensity() {
         let img = Image::from_fn(2, 2, |x, y| ((x + y) * 100) as u8);
         // pixels: 0, 100, 100, 200
         assert!((img.mean() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn downsample_averages_blocks() {
-        let img = Image::from_fn(4, 4, |x, _| if x < 2 { 0 } else { 200 });
-        let d = img.downsample(2);
-        assert_eq!(d.width(), 2);
-        assert_eq!(d.get(0, 0), 0);
-        assert_eq!(d.get(1, 1), 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "divide image dimensions")]
-    fn downsample_requires_divisibility() {
-        let _ = Image::new(5, 4, 0).downsample(2);
-    }
-
-    #[test]
-    fn crop_extracts_rect() {
-        let img = Image::from_fn(4, 4, |x, y| (y * 4 + x) as u8);
-        let c = img.crop(1, 2, 2, 2);
-        assert_eq!(c.get(0, 0), 9);
-        assert_eq!(c.get(1, 1), 14);
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! * [`hog`] — alternative extractors (HOG-style gradients, raw pooling)
 //!   behind one [`hog::Extractor`] trait for the descriptor ablation,
 //! * [`distance`] — the metrics the cache threshold is measured in,
-//! * [`kmeans`] — unsupervised clustering (prototype discovery, threshold
-//!   estimation from within-cluster spread),
 //! * [`classify`] — the cloud-side recognition model (nearest centroid),
-//! * [`eval`] — confusion matrices and per-class precision/recall,
+//! * [`eval`] — confusion matrices,
 //! * [`cost`] — MAC-based compute cost model per execution tier.
 
 #![warn(missing_docs)]
@@ -28,7 +26,6 @@ pub mod eval;
 pub mod features;
 pub mod hog;
 pub mod image;
-pub mod kmeans;
 pub mod scene;
 
 pub use classify::PrototypeClassifier;
@@ -37,5 +34,4 @@ pub use eval::ConfusionMatrix;
 pub use features::{FeatureVec, SimNet, SimNetConfig};
 pub use hog::{Extractor, HogExtractor, PoolExtractor};
 pub use image::Image;
-pub use kmeans::KMeans;
 pub use scene::{gaussian, ObjectClass, SceneGenerator, ViewParams};

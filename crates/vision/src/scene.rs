@@ -159,11 +159,6 @@ impl SceneGenerator {
         SceneGenerator { side }
     }
 
-    /// Observation side length in pixels.
-    pub fn side(&self) -> u32 {
-        self.side
-    }
-
     /// Render an observation of `class` under `view`, using `rng` only for
     /// the sensor noise (geometry and appearance are deterministic).
     pub fn observe(&self, class: ObjectClass, view: &ViewParams, rng: &mut StdRng) -> Image {

@@ -37,85 +37,6 @@ impl ArrivalProcess for Poisson {
     }
 }
 
-/// Deterministic fixed-interval arrivals (e.g. a 30 fps camera pipeline).
-#[derive(Debug, Clone)]
-pub struct Periodic {
-    interval_ns: u64,
-}
-
-impl Periodic {
-    /// Create a process with a fixed interval.
-    ///
-    /// # Panics
-    /// Panics if the interval is zero.
-    pub fn new(interval_ns: u64) -> Self {
-        assert!(interval_ns > 0, "interval must be positive");
-        Periodic { interval_ns }
-    }
-
-    /// Convenience: a frame-rate process.
-    pub fn fps(frames_per_sec: u64) -> Self {
-        assert!(frames_per_sec > 0, "fps must be positive");
-        Periodic::new(1_000_000_000 / frames_per_sec)
-    }
-}
-
-impl ArrivalProcess for Periodic {
-    fn next_gap_ns(&mut self, _rng: &mut StdRng) -> u64 {
-        self.interval_ns
-    }
-}
-
-/// Diurnal modulation of a base arrival process: the instantaneous rate is
-/// scaled by a sinusoidal day/night envelope, so an edge sees rush-hour
-/// peaks and overnight lulls. The gap of the wrapped process is stretched
-/// by the inverse envelope at the current virtual time.
-#[derive(Debug, Clone)]
-pub struct Diurnal<P> {
-    base: P,
-    /// Seconds per full day cycle.
-    period_s: f64,
-    /// Envelope floor in (0, 1]: the overnight rate as a fraction of peak.
-    floor: f64,
-    /// Running virtual time of the process, ns.
-    now_ns: u64,
-}
-
-impl<P: ArrivalProcess> Diurnal<P> {
-    /// Wrap `base` with a day cycle of `period_s` seconds whose trough is
-    /// `floor` of the peak rate.
-    ///
-    /// # Panics
-    /// Panics unless `period_s > 0` and `0 < floor <= 1`.
-    pub fn new(base: P, period_s: f64, floor: f64) -> Self {
-        assert!(period_s > 0.0, "period must be positive");
-        assert!(floor > 0.0 && floor <= 1.0, "floor must be in (0,1]");
-        Diurnal {
-            base,
-            period_s,
-            floor,
-            now_ns: 0,
-        }
-    }
-
-    fn envelope(&self, at_ns: u64) -> f64 {
-        let phase = at_ns as f64 / 1e9 / self.period_s * std::f64::consts::TAU;
-        // Peak at phase 0, trough at phase π, scaled into [floor, 1].
-        let unit = (phase.cos() + 1.0) / 2.0;
-        self.floor + (1.0 - self.floor) * unit
-    }
-}
-
-impl<P: ArrivalProcess> ArrivalProcess for Diurnal<P> {
-    fn next_gap_ns(&mut self, rng: &mut StdRng) -> u64 {
-        let gap = self.base.next_gap_ns(rng);
-        let env = self.envelope(self.now_ns).max(1e-6);
-        let stretched = (gap as f64 / env) as u64;
-        self.now_ns = self.now_ns.saturating_add(stretched);
-        stretched
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,60 +62,8 @@ mod tests {
     }
 
     #[test]
-    fn periodic_is_constant() {
-        let mut p = Periodic::fps(30);
-        let mut rng = StdRng::seed_from_u64(0);
-        let gap = p.next_gap_ns(&mut rng);
-        assert_eq!(gap, 33_333_333);
-        assert_eq!(p.next_gap_ns(&mut rng), gap);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
         let _ = Poisson::new(0.0);
-    }
-
-    #[test]
-    fn diurnal_peak_rate_exceeds_trough_rate() {
-        // Count arrivals in the first (peak) quarter-day vs the half-day
-        // around the trough.
-        let mut p = Diurnal::new(Periodic::new(1_000_000), 10.0, 0.2);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut t = 0u64;
-        let mut peak = 0u64;
-        let mut trough = 0u64;
-        for _ in 0..20_000 {
-            t += p.next_gap_ns(&mut rng);
-            let phase_s = (t as f64 / 1e9) % 10.0;
-            if !(2.5..=7.5).contains(&phase_s) {
-                peak += 1;
-            } else {
-                trough += 1;
-            }
-            if t > 20_000_000_000 {
-                break;
-            }
-        }
-        assert!(
-            peak as f64 > 1.5 * trough as f64,
-            "peak {peak} vs trough {trough}"
-        );
-    }
-
-    #[test]
-    fn diurnal_floor_one_is_identity() {
-        let mut plain = Periodic::new(5_000);
-        let mut wrapped = Diurnal::new(Periodic::new(5_000), 60.0, 1.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..100 {
-            assert_eq!(wrapped.next_gap_ns(&mut rng), plain.next_gap_ns(&mut rng));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "floor must be")]
-    fn diurnal_bad_floor_rejected() {
-        let _ = Diurnal::new(Periodic::new(1), 10.0, 0.0);
     }
 }

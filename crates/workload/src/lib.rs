@@ -18,7 +18,7 @@ pub use apps::{
     summarize, ArenaMultiplayer, FlashCrowd, Request, RequestKind, SafeDrivingAr, TraceSummary,
     VrVideo,
 };
-pub use arrivals::{ArrivalProcess, Diurnal, Periodic, Poisson};
+pub use arrivals::{ArrivalProcess, Poisson};
 pub use mobility::{ContentId, Population, UserId, ZoneId, ZoneModel};
 pub use trace_io::{from_csv, to_csv, TraceParseError};
 pub use zipf::Zipf;

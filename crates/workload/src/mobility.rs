@@ -66,11 +66,6 @@ impl ZoneModel {
         ZoneModel { pools }
     }
 
-    /// Number of zones.
-    pub fn zones(&self) -> u32 {
-        self.pools.len() as u32
-    }
-
     /// The content pool of a zone (rank order = popularity order, ready for
     /// Zipf sampling).
     ///
@@ -78,14 +73,6 @@ impl ZoneModel {
     /// Panics for an unknown zone.
     pub fn pool(&self, zone: ZoneId) -> &[ContentId] {
         &self.pools[zone.0 as usize]
-    }
-
-    /// Fraction of zone `a`'s pool that also appears in zone `b`'s pool.
-    pub fn overlap(&self, a: ZoneId, b: ZoneId) -> f64 {
-        let pa = self.pool(a);
-        let pb: std::collections::HashSet<_> = self.pool(b).iter().collect();
-        let common = pa.iter().filter(|c| pb.contains(c)).count();
-        common as f64 / pa.len() as f64
     }
 }
 
@@ -130,26 +117,29 @@ impl Population {
     pub fn zone_of(&self, user: UserId) -> ZoneId {
         self.assignments[user.0 as usize]
     }
-
-    /// All users in a zone.
-    pub fn users_in(&self, zone: ZoneId) -> Vec<UserId> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter(|(_, &z)| z == zone)
-            .map(|(u, _)| UserId(u as u32))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Fraction of zone `a`'s pool that also appears in zone `b`'s pool.
+    fn overlap(zm: &ZoneModel, a: u32, b: u32) -> f64 {
+        let pa = zm.pool(ZoneId(a));
+        let pb = zm.pool(ZoneId(b));
+        let common = pa.iter().filter(|c| pb.contains(c)).count();
+        common as f64 / pa.len() as f64
+    }
+
+    /// Number of users in a zone.
+    fn users_in(p: &Population, zone: u32) -> usize {
+        p.assignments.iter().filter(|z| z.0 == zone).count()
+    }
+
     #[test]
     fn pools_have_requested_size() {
         let zm = ZoneModel::new(4, 20, 0.5, 1);
-        assert_eq!(zm.zones(), 4);
+        assert_eq!(zm.pools.len(), 4);
         for z in 0..4 {
             assert_eq!(zm.pool(ZoneId(z)).len(), 20);
         }
@@ -161,7 +151,7 @@ mod tests {
         for a in 0..4 {
             for b in 0..4 {
                 if a != b {
-                    assert_eq!(zm.overlap(ZoneId(a), ZoneId(b)), 0.0);
+                    assert_eq!(overlap(&zm, a, b), 0.0);
                 }
             }
         }
@@ -170,7 +160,7 @@ mod tests {
     #[test]
     fn full_shared_means_identical_content() {
         let zm = ZoneModel::new(2, 50, 1.0, 1);
-        assert_eq!(zm.overlap(ZoneId(0), ZoneId(1)), 1.0);
+        assert_eq!(overlap(&zm, 0, 1), 1.0);
     }
 
     #[test]
@@ -179,7 +169,7 @@ mod tests {
         for a in 0..3 {
             for b in 0..3 {
                 if a != b {
-                    assert!((zm.overlap(ZoneId(a), ZoneId(b)) - 0.25).abs() < 1e-9);
+                    assert!((overlap(&zm, a, b) - 0.25).abs() < 1e-9);
                 }
             }
         }
@@ -189,7 +179,7 @@ mod tests {
     fn overlap_monotone_in_shared_fraction() {
         let lo = ZoneModel::new(2, 40, 0.2, 9);
         let hi = ZoneModel::new(2, 40, 0.9, 9);
-        assert!(hi.overlap(ZoneId(0), ZoneId(1)) >= lo.overlap(ZoneId(0), ZoneId(1)));
+        assert!(overlap(&hi, 0, 1) >= overlap(&lo, 0, 1));
     }
 
     #[test]
@@ -198,14 +188,14 @@ mod tests {
         assert_eq!(p.len(), 10);
         assert_eq!(p.zone_of(UserId(0)), ZoneId(0));
         assert_eq!(p.zone_of(UserId(4)), ZoneId(1));
-        assert_eq!(p.users_in(ZoneId(0)).len(), 4); // users 0,3,6,9
+        assert_eq!(users_in(&p, 0), 4); // users 0,3,6,9
     }
 
     #[test]
     fn colocated_puts_everyone_together() {
         let p = Population::colocated(5, ZoneId(2));
-        assert_eq!(p.users_in(ZoneId(2)).len(), 5);
-        assert!(p.users_in(ZoneId(0)).is_empty());
+        assert_eq!(users_in(&p, 2), 5);
+        assert_eq!(users_in(&p, 0), 0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 #   1. `coic lint` over the workspace against analyze/rules.toml
 #      (sans-IO import bans, wall-clock/nondeterminism bans, unwrap and
 #      hot-path indexing bans, paired-call leak checks, the lock-order
-#      graph, protocol conformance, the telemetry registry,
-#      #![forbid(unsafe_code)] coverage — DESIGN.md §11 and §16);
+#      graph, protocol conformance, the telemetry registry, `pub` items
+#      nothing reaches, #![forbid(unsafe_code)] coverage — DESIGN.md §11
+#      and §16);
 #   2. `coic analyze trace` over a seeded 16-edge cluster run with a
 #      mid-run edge failure, against analyze/trace_invariants.toml, plus
 #      a must-fail check on the checked-in corrupted trace fixture;
@@ -20,6 +21,9 @@
 #      circuit breaker / single-flight engine structures
 #      (the `model-check` feature swaps parking_lot and std atomics for
 #      the loom shims).
+#
+# The last line is the workspace's `.rs` line count (the figure ROADMAP's
+# size targets track), so every CI log carries it.
 #
 # Usage: scripts/analyze.sh
 set -eu
@@ -67,3 +71,4 @@ echo "==> model check: circuit breaker + single-flight"
 cargo test -q --locked -p coic-core --features model-check --test model
 
 echo "analysis pass clean"
+echo "workspace .rs lines: $(find crates shims src tests examples -name '*.rs' | xargs cat | wc -l)"

@@ -12,7 +12,7 @@
 //! * [`netsim`] — deterministic discrete-event network simulator + framed
 //!   TCP transport,
 //! * [`vision`] — synthetic vision substrate (scenes, SimNet features,
-//!   NN indexes, classifier),
+//!   classifier),
 //! * [`render`] — 3D substrate (meshes, procedural models, load cost
 //!   model, software rasterizer, panoramas),
 //! * [`cache`] — the edge cache (digests, eviction policies, exact and
