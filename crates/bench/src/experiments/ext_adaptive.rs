@@ -7,15 +7,11 @@
 //! recklessly loose threshold (0.90) on a *hard* scene (24 similar
 //! objects, wide viewpoint jitter), then mid-stream the scene gets even
 //! harder — the controller re-tightens on its own.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_adaptive`
 
-use coic_cache::{AnnFamily, Lookup, SnapshotApproxCache, DEFAULT_REBUILD_BATCH};
+use crate::{linear_cache, serve, World};
 use coic_core::adaptive::{AdaptiveConfig, AdaptiveThreshold};
-use coic_core::RecognitionResult;
-use coic_vision::{ObjectClass, PrototypeClassifier, SceneGenerator, SimNet, ViewParams};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 struct Phase {
     label: &'static str,
@@ -24,12 +20,9 @@ struct Phase {
     noise: f64,
 }
 
-fn main() {
-    let gen = SceneGenerator::new(64);
-    let net = SimNet::default_net();
-    let classes: Vec<_> = (0..24).map(ObjectClass).collect();
+pub fn print() {
     let mut rng = StdRng::seed_from_u64(47);
-    let clf = PrototypeClassifier::train(&net, &gen, &classes, 5, 0.10, 5.0, &mut rng);
+    let world = World::train(24, 0.10, 5.0, &mut rng);
 
     let phases = [
         Phase {
@@ -47,13 +40,7 @@ fn main() {
     ];
 
     for fixed in [true, false] {
-        let cache: SnapshotApproxCache<RecognitionResult> = SnapshotApproxCache::new(
-            256 << 20,
-            0.90,
-            AnnFamily::Linear,
-            32,
-            DEFAULT_REBUILD_BATCH,
-        );
+        let cache = linear_cache(256 << 20, 0.90, 32);
         let mut ctl = AdaptiveThreshold::new(
             0.90,
             AdaptiveConfig {
@@ -76,45 +63,26 @@ fn main() {
             "{:>16} {:>6} | {:>9} {:>6} {:>9}",
             "phase", "reqs", "threshold", "hit%", "accuracy"
         );
-        coic_bench::rule(56);
+        crate::rule(56);
         for phase in &phases {
             let mut correct = 0u64;
             let mut hits = 0u64;
             for i in 0..phase.requests {
-                let rank = (rng.random::<f64>().powi(2) * classes.len() as f64) as usize;
-                let truth = classes[rank.min(classes.len() - 1)];
-                let view = ViewParams::jittered(&mut rng, phase.angle_spread, phase.noise);
-                let img = gen.observe(truth, &view, &mut rng);
-                let d = net.extract(&img);
+                let (truth, img) = world.sight(phase.angle_spread, phase.noise, &mut rng);
+                let d = world.net.extract(&img);
                 if !fixed {
                     cache.set_threshold(ctl.threshold());
                 }
-                let label = match cache.lookup(&d, i as u64) {
-                    Lookup::ApproxHit { value, .. } => {
-                        hits += 1;
-                        let cached = value.label;
-                        if !fixed && ctl.should_shadow() {
-                            // Shadow verification: the cloud recomputes in
-                            // the background; the user already has `cached`.
-                            let (true_label, _) = clf.predict(&d);
-                            ctl.record(cached == true_label.0);
-                        }
-                        cached
+                let (label, hit) = serve(&cache, &d, i as u64, |d| world.clf.predict(d));
+                if hit {
+                    hits += 1;
+                    if !fixed && ctl.should_shadow() {
+                        // Shadow verification: the cloud recomputes in the
+                        // background; the user already has `label`.
+                        let (true_label, _) = world.clf.predict(&d);
+                        ctl.record(label == true_label.0);
                     }
-                    _ => {
-                        let (label, distance) = clf.predict(&d);
-                        cache.insert(
-                            d,
-                            RecognitionResult {
-                                label: label.0,
-                                distance,
-                            },
-                            20_000,
-                            i as u64,
-                        );
-                        label.0
-                    }
-                };
+                }
                 if label == truth.0 {
                     correct += 1;
                 }

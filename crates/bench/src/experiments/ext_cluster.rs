@@ -7,8 +7,6 @@
 //! skewed arena workload (shared global catalogue, one zone per edge)
 //! through isolated edges (fan-out 0) and cluster configurations, and
 //! contrasts pure partitioning with hot replication.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_cluster`
 
 use coic_core::cluster::ClusterConfig;
 use coic_core::simrun::{run, SimConfig};
@@ -63,13 +61,13 @@ fn row(base: &SimConfig, edges: u32, label: &str, t: &[Request], cfg: Option<Clu
     );
 }
 
-fn main() {
+pub fn print() {
     println!("Ext Q — cluster tier on the skewed arena workload (seed 5)\n");
     println!(
         "{:>6} {:>9} | {:>7} {:>6} {:>6} | {:>11} {:>11} | {:>7}",
         "edges", "config", "hits%", "local", "peer", "mean-lat", "p99-lat", "WAN MB"
     );
-    coic_bench::rule(74);
+    crate::rule(74);
     let base = SimConfig::default();
     for edges in [4u32, 8, 16] {
         let t = trace(edges, 5);
@@ -78,7 +76,7 @@ fn main() {
         row(&base, edges, "k=3 r=2", &t, cluster(3, 2));
         row(&base, edges, "k=1 r=0", &t, cluster(1, 0));
     }
-    coic_bench::rule(74);
+    crate::rule(74);
     println!("Isolated edges decay with scale (each re-fetches the shared head from");
     println!("the cloud); the cluster holds a near-constant hit rate and WAN bill.");
     println!("On a healthy ring fan-out 1 already suffices — placement puts every");

@@ -8,66 +8,39 @@
 //! merge radius and whose labels agree. This experiment fills a cache at
 //! a tight threshold (0.15), operates it at the default (0.45), compacts
 //! at several radii, and measures space reclaimed vs hit ratio retained.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_compaction`
 
-use coic_cache::{AnnFamily, Lookup, SnapshotApproxCache, DEFAULT_REBUILD_BATCH};
+use crate::{linear_cache, serve, World};
+use coic_cache::SnapshotApproxCache;
 use coic_core::RecognitionResult;
-use coic_vision::{ObjectClass, PrototypeClassifier, SceneGenerator, SimNet, ViewParams};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 const FILL_THRESHOLD: f32 = 0.15;
 const OPERATING_THRESHOLD: f32 = 0.45;
 
-fn fill(cache: &SnapshotApproxCache<RecognitionResult>, clf: &PrototypeClassifier) {
-    let gen = SceneGenerator::new(64);
-    let net = SimNet::default_net();
+fn fill(cache: &SnapshotApproxCache<RecognitionResult>, world: &World) {
     let mut rng = StdRng::seed_from_u64(61);
-    let classes: Vec<_> = (0..10).map(ObjectClass).collect();
     for i in 0..600 {
-        let rank = (rng.random::<f64>().powi(2) * classes.len() as f64) as usize;
-        let truth = classes[rank.min(classes.len() - 1)];
-        let view = ViewParams::jittered(&mut rng, 0.08, 4.0);
-        let d = net.extract(&gen.observe(truth, &view, &mut rng));
-        if let Lookup::Miss = cache.lookup(&d, i) {
-            let (label, distance) = clf.predict(&d);
-            cache.insert(
-                d,
-                RecognitionResult {
-                    label: label.0,
-                    distance,
-                },
-                20_000,
-                i,
-            );
-        }
+        let (_, img) = world.sight(0.08, 4.0, &mut rng);
+        serve(cache, &world.net.extract(&img), i, |d| world.clf.predict(d));
     }
 }
 
-fn probe_hit_ratio(cache: &SnapshotApproxCache<RecognitionResult>) -> f64 {
-    let gen = SceneGenerator::new(64);
-    let net = SimNet::default_net();
+fn probe_hit_ratio(cache: &SnapshotApproxCache<RecognitionResult>, world: &World) -> f64 {
     let mut rng = StdRng::seed_from_u64(62);
     let mut hits = 0;
     let n = 300;
     for i in 0..n {
-        let class = ObjectClass((rng.random::<f64>().powi(2) * 10.0) as u32 % 10);
-        let view = ViewParams::jittered(&mut rng, 0.08, 4.0);
-        let d = net.extract(&gen.observe(class, &view, &mut rng));
-        if cache.lookup(&d, 10_000 + i).is_hit() {
+        let (_, img) = world.sight(0.08, 4.0, &mut rng);
+        if cache.lookup(&world.net.extract(&img), 10_000 + i).is_hit() {
             hits += 1;
         }
     }
     hits as f64 / n as f64
 }
 
-fn main() {
-    let gen = SceneGenerator::new(64);
-    let net = SimNet::default_net();
-    let classes: Vec<_> = (0..10).map(ObjectClass).collect();
-    let mut rng = StdRng::seed_from_u64(60);
-    let clf = PrototypeClassifier::train(&net, &gen, &classes, 5, 0.08, 4.0, &mut rng);
+pub fn print() {
+    let world = World::train(10, 0.08, 4.0, &mut StdRng::seed_from_u64(60));
 
     println!("Ext N — cache compaction (600-request fill at threshold 0.15,");
     println!("operated at 0.45; 10 objects)\n");
@@ -75,22 +48,16 @@ fn main() {
         "{:>13} | {:>8} {:>9} | {:>10} | {:>6}",
         "merge radius", "entries", "bytes", "reclaimed", "hit%"
     );
-    coic_bench::rule(56);
+    crate::rule(56);
     for radius in [0.0f32, 0.10, 0.20, 0.30, 0.40] {
-        let cache: SnapshotApproxCache<RecognitionResult> = SnapshotApproxCache::new(
-            256 << 20,
-            FILL_THRESHOLD,
-            AnnFamily::Linear,
-            32,
-            DEFAULT_REBUILD_BATCH,
-        );
-        fill(&cache, &clf);
+        let cache = linear_cache(256 << 20, FILL_THRESHOLD, 32);
+        fill(&cache, &world);
         cache.set_threshold(OPERATING_THRESHOLD);
         let before = cache.used_bytes();
         if radius > 0.0 {
             cache.compact_with(radius, |a, b| a.label == b.label, 10_000);
         }
-        let hit = probe_hit_ratio(&cache);
+        let hit = probe_hit_ratio(&cache, &world);
         println!(
             "{:>13} | {:>8} {:>8}k | {:>9.1}% | {:>5.1}%",
             if radius == 0.0 {
@@ -104,7 +71,7 @@ fn main() {
             hit * 100.0,
         );
     }
-    coic_bench::rule(56);
+    crate::rule(56);
     println!("Merging same-label entries within a modest radius reclaims a large");
     println!("share of the cache while the probe hit ratio barely moves; past");
     println!("~threshold/2 the survivors' coverage starts to erode.");

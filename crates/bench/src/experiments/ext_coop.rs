@@ -5,8 +5,6 @@
 //! `PeerQuery`/`PeerReply` protocol). This experiment replays a multi-zone
 //! avatar workload through 1–8 simulated edges and compares outcomes with
 //! and without peer lookup.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_coop`
 
 use coic_core::simrun::{run, SimConfig};
 use coic_workload::{ArenaMultiplayer, Population, Request};
@@ -25,13 +23,13 @@ fn trace(edges: u32, seed: u64) -> Vec<Request> {
     .generate(seed)
 }
 
-fn main() {
+pub fn print() {
     println!("Ext G — cooperative multi-edge lookup (4 MB avatars, simulated)\n");
     println!(
         "{:>6} {:>6} | {:>7} {:>7} {:>7} | {:>10} | {:>8}",
         "edges", "peers?", "local%", "peer%", "cloud%", "mean-lat", "WAN MB"
     );
-    coic_bench::rule(70);
+    crate::rule(70);
     // Rows clone one config, so the 12 avatars are generated once
     // (SimConfig::content).
     let base = SimConfig::default();
@@ -61,7 +59,7 @@ fn main() {
             );
         }
     }
-    coic_bench::rule(70);
+    crate::rule(70);
     println!("Peer lookup converts cloud trips into LAN fetches: WAN traffic and");
     println!("mean latency both drop, and the effect grows with the group size.");
 }

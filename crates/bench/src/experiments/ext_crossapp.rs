@@ -7,8 +7,6 @@
 //! a navigation AR app and a tourism AR app, different users, different
 //! request patterns, same streetscape — first through **isolated**
 //! per-app edge caches, then through one **shared** CoIC cache.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_crossapp`
 
 use coic_core::simrun::{run, SimConfig};
 use coic_workload::{Population, Request, SafeDrivingAr, UserId, ZoneId, ZoneModel};
@@ -40,7 +38,7 @@ fn merge(mut a: Vec<Request>, b: Vec<Request>) -> Vec<Request> {
     a
 }
 
-fn main() {
+pub fn print() {
     println!("Ext O — cross-application sharing (two AR apps, same streetscape)\n");
 
     // App zones decide edge assignment: distinct zones = isolated caches
@@ -75,7 +73,7 @@ fn main() {
         "{:<22} | {:>6} | {:>10} | {:>8} | {:>9}",
         "deployment", "hit%", "mean-lat", "WAN MB", "accuracy"
     );
-    coic_bench::rule(68);
+    crate::rule(68);
     for (label, report) in [
         ("per-app caches", &isolated),
         ("shared CoIC cache", &shared),
@@ -89,7 +87,7 @@ fn main() {
             report.accuracy.unwrap_or(0.0) * 100.0
         );
     }
-    coic_bench::rule(68);
+    crate::rule(68);
     let gain = (shared.hit_ratio() - isolated.hit_ratio()) * 100.0;
     println!("cross-app sharing adds {gain:+.1} points of hit ratio: the tourism");
     println!("app rides on recognitions the navigation app already paid for,");

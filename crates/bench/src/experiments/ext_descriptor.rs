@@ -11,34 +11,18 @@
 //!
 //! For each, the threshold is swept to its best operating point and the
 //! resulting hit-ratio/accuracy frontier is reported.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_descriptor`
 
-use coic_cache::{AnnFamily, Lookup, SnapshotApproxCache, DEFAULT_REBUILD_BATCH};
-use coic_core::RecognitionResult;
-use coic_vision::{
-    Extractor, HogExtractor, ObjectClass, PoolExtractor, PrototypeClassifier, SceneGenerator,
-    SimNet, ViewParams,
-};
+use crate::{linear_cache, serve, World};
+use coic_vision::{Extractor, HogExtractor, PoolExtractor, SimNet};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
-fn main() {
-    let gen = SceneGenerator::new(64);
-    let net = SimNet::default_net();
-    let classes: Vec<_> = (0..16).map(ObjectClass).collect();
+pub fn print() {
     let mut rng = StdRng::seed_from_u64(29);
-    let clf = PrototypeClassifier::train(&net, &gen, &classes, 5, 0.08, 4.0, &mut rng);
+    let world = World::train(16, 0.08, 4.0, &mut rng);
 
     // One shared observation stream (Zipf-skewed classes, jittered views).
-    let observations: Vec<_> = (0..400)
-        .map(|_| {
-            let rank = (rng.random::<f64>().powi(2) * classes.len() as f64) as usize;
-            let c = classes[rank.min(classes.len() - 1)];
-            let v = ViewParams::jittered(&mut rng, 0.08, 4.0);
-            (c, gen.observe(c, &v, &mut rng))
-        })
-        .collect();
+    let observations: Vec<_> = (0..400).map(|_| world.sight(0.08, 4.0, &mut rng)).collect();
 
     let extractors: Vec<Box<dyn Extractor>> = vec![
         Box::new(SimNet::default_net()),
@@ -51,38 +35,18 @@ fn main() {
         "{:>7} {:>9} | {:>6} {:>6} {:>9} | {:>7} {:>7}",
         "descr", "threshold", "dim", "hit%", "accuracy", "kMACs", "bytes"
     );
-    coic_bench::rule(66);
+    crate::rule(66);
     for e in &extractors {
         // Sweep thresholds; report the best point by (accuracy ≥ 90%) hit
         // ratio, falling back to max accuracy if none qualifies.
         let mut best: Option<(f32, f64, f64)> = None;
         for t in [0.15f32, 0.25, 0.35, 0.45, 0.55, 0.70, 0.85] {
-            let cache: SnapshotApproxCache<RecognitionResult> = SnapshotApproxCache::new(
-                256 << 20,
-                t,
-                AnnFamily::Linear,
-                e.dim(),
-                DEFAULT_REBUILD_BATCH,
-            );
+            let cache = linear_cache(256 << 20, t, e.dim());
             let mut correct = 0u64;
             for (i, (truth, img)) in observations.iter().enumerate() {
-                let d = e.extract(img);
-                let label = match cache.lookup(&d, i as u64) {
-                    Lookup::ApproxHit { value, .. } => value.label,
-                    _ => {
-                        let (label, distance) = clf.predict(&net.extract(img));
-                        cache.insert(
-                            d,
-                            RecognitionResult {
-                                label: label.0,
-                                distance,
-                            },
-                            20_000,
-                            i as u64,
-                        );
-                        label.0
-                    }
-                };
+                let (label, _) = serve(&cache, &e.extract(img), i as u64, |_| {
+                    world.clf.predict(&world.net.extract(img))
+                });
                 if label == truth.0 {
                     correct += 1;
                 }
@@ -116,7 +80,7 @@ fn main() {
             e.dim() * 4 + 16,
         );
     }
-    coic_bench::rule(66);
+    crate::rule(66);
     println!("best threshold per extractor (max hit ratio at ≥90% accuracy)");
     println!("\nViewpoint robustness is what earns hits: rotation scatters HOG");
     println!("descriptors (few hits even at loose thresholds), while the pooled");

@@ -3,14 +3,12 @@
 //! The paper's prototype uses a "simple cache management policy" and names
 //! better cache management as ongoing work. This ablation replays a mixed
 //! render-load workload through every policy at several cache sizes.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_eviction`
 
-use coic_bench::{base_config, render_trace};
+use crate::{base_config, render_trace};
 use coic_cache::{PolicyKind, TinyLfuConfig};
 use coic_core::simrun::run;
 
-fn main() {
+pub fn print() {
     // 24 distinct 4 MB models, Zipf-popular, 160 loads from 8 players:
     // the full set (96 MB as results) does not fit in the smaller caches.
     let trace = render_trace(8, 24, 4_000_000, 160, 21);
@@ -21,7 +19,7 @@ fn main() {
     }
     print!(" {:>9}", "LRU+TLFU");
     println!();
-    coic_bench::rule(70);
+    crate::rule(70);
     // Every cell replays the same 24 models: one config, cloned per cell,
     // so they are generated once (SimConfig::content).
     let base = base_config();
@@ -45,7 +43,7 @@ fn main() {
         print!(" {:>8.1}%", report.hit_ratio() * 100.0);
         println!();
     }
-    coic_bench::rule(70);
+    crate::rule(70);
     println!("cell values are edge-cache hit ratios");
     println!("\nWith a working set larger than the cache, frequency awareness wins:");
     println!("LFU/SLRU/GDSF beat plain LRU/FIFO, and a TinyLFU admission filter");

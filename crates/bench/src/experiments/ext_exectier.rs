@@ -8,20 +8,18 @@
 //! * origin/edge  — classic edge computing (DNN on the edge box, no cache),
 //! * CoIC/cloud   — the paper's system,
 //! * CoIC/edge    — caching *and* edge inference.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_exectier`
 
-use coic_bench::{base_config, fig2a_trace};
+use crate::{base_config, fig2a_trace};
 use coic_core::simrun::{run, ExecTier, Mode, SimConfig};
 
-fn main() {
+pub fn print() {
     let trace = fig2a_trace(200, 42);
     println!("Ext L — caching × execution tier (200 recognition requests)\n");
     println!(
         "{:<14} | {:>10} {:>9} | {:>6} {:>8} | {:>8}",
         "system", "mean-lat", "p99-lat", "hit%", "WAN MB", "accuracy"
     );
-    coic_bench::rule(70);
+    crate::rule(70);
     let systems = [
         ("origin/cloud", Mode::Origin, ExecTier::Cloud),
         ("origin/edge", Mode::Origin, ExecTier::Edge),
@@ -45,7 +43,7 @@ fn main() {
             report.accuracy.unwrap_or(0.0) * 100.0
         );
     }
-    coic_bench::rule(70);
+    crate::rule(70);
     println!("Edge inference removes the WAN from the miss path; caching removes");
     println!("inference itself from the hit path. They compose: CoIC/edge gets");
     println!("cache-hit latency *and* zero recognition WAN traffic.");

@@ -1,4 +1,4 @@
-//! Fine-grained layer-level reuse (paper §4, ongoing work).
+//! **Ext E** — fine-grained layer-level reuse (paper §4 ongoing work).
 //!
 //! "Since the current CoIC can only identify coarse-grained IC tasks ...
 //! we are exploring the improvement that can efficiently and accurately
@@ -10,30 +10,87 @@
 //! that activation. On a miss the cloud *resumes* inference from layer `k`
 //! instead of starting over. Lower `k` means less client compute but a less
 //! invariant descriptor (lower hit rate); higher `k` approaches the
-//! coarse-grained CoIC behaviour. The `ext_layercache` bench sweeps `k`.
+//! coarse-grained CoIC behaviour.
+//!
+//! The sweep runs every layer as the key — layer 0 is the cheap pooled
+//! front end (client does almost no work, descriptor least invariant), the
+//! last layer is classic CoIC (client pays the full descriptor cost, best
+//! matching) — and reports the client/cloud compute split, descriptor
+//! size, hit ratio and accuracy per layer.
 
-use crate::compute::ComputeConfig;
-use crate::task::RecognitionResult;
-use coic_cache::{AnnFamily, Lookup, Metrics, SnapshotApproxCache, DEFAULT_REBUILD_BATCH};
+use crate::{linear_cache, World};
+use coic_cache::{Lookup, SnapshotApproxCache};
+use coic_core::{ComputeConfig, RecognitionResult, ANNOTATION_BYTES};
 use coic_vision::{Image, PrototypeClassifier, SimNet};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+pub fn print() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let world = World::train(24, 0.15, 6.0, &mut rng);
+
+    // The observation stream: co-located users re-sighting a Zipf-ish set
+    // of objects under viewpoint jitter.
+    let observations: Vec<_> = (0..300).map(|_| world.sight(0.15, 6.0, &mut rng)).collect();
+
+    println!("Ext E — layer-cache sweep (300 observations, 24 objects, wide jitter)\n");
+    println!(
+        "{:>6} | {:>10} {:>10} {:>7} | {:>6} {:>9}",
+        "layer", "client-ms", "cloud-ms", "descr", "hit%", "accuracy"
+    );
+    crate::rule(60);
+    for layer in 0..=world.net.num_layers() {
+        let mut lc = LayerCache::new(layer, 0.35, 64 << 20, ComputeConfig::default());
+        let mut client_ns = 0u64;
+        let mut cloud_ns = 0u64;
+        let mut correct = 0u64;
+        let mut descr = 0u64;
+        let mut hits = 0u64;
+        for (i, (truth, img)) in observations.iter().enumerate() {
+            let out = lc.process(img, &world.clf, i as u64);
+            client_ns += out.client_ns;
+            cloud_ns += out.cloud_ns;
+            descr = out.descriptor_bytes;
+            hits += u64::from(out.hit);
+            if out.result.label == truth.0 {
+                correct += 1;
+            }
+        }
+        let n = observations.len() as f64;
+        println!(
+            "{:>6} | {:>7.1} ms {:>7.1} ms {:>5} B | {:>5.1}% {:>8.1}%",
+            layer,
+            client_ns as f64 / n / 1e6,
+            cloud_ns as f64 / n / 1e6,
+            descr,
+            hits as f64 / n * 100.0,
+            correct as f64 / n * 100.0
+        );
+    }
+    crate::rule(60);
+    println!("layer 0 = pooled front end … last layer = classic CoIC descriptor");
+    println!("\nShipping an earlier layer saves client compute and shifts work to");
+    println!("the cloud on misses; the hit ratio (and the compute saved per hit)");
+    println!("determines the sweet spot.");
+}
 
 /// Per-request outcome of the layer-cache pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LayerOutcome {
+struct LayerOutcome {
     /// Served from the edge cache?
-    pub hit: bool,
+    hit: bool,
     /// The recognition result delivered.
-    pub result: RecognitionResult,
+    result: RecognitionResult,
     /// Client-side compute, ns (prefix through layer `k`).
-    pub client_ns: u64,
+    client_ns: u64,
     /// Cloud-side compute, ns (resume from layer `k`; zero on a hit).
-    pub cloud_ns: u64,
+    cloud_ns: u64,
     /// Descriptor size on the wire, bytes.
-    pub descriptor_bytes: u64,
+    descriptor_bytes: u64,
 }
 
 /// A CoIC edge cache keyed by the activation of one specific DNN layer.
-pub struct LayerCache {
+struct LayerCache {
     net: SimNet,
     cache: SnapshotApproxCache<RecognitionResult>,
     layer: usize,
@@ -47,7 +104,7 @@ impl LayerCache {
     ///
     /// # Panics
     /// Panics if `layer` is out of range.
-    pub fn new(layer: usize, threshold: f32, cache_bytes: u64, compute: ComputeConfig) -> Self {
+    fn new(layer: usize, threshold: f32, cache_bytes: u64, compute: ComputeConfig) -> Self {
         let net = SimNet::default_net();
         assert!(layer <= net.num_layers(), "layer {layer} out of range");
         let dim = if layer == 0 {
@@ -57,20 +114,14 @@ impl LayerCache {
         };
         LayerCache {
             net,
-            cache: SnapshotApproxCache::new(
-                cache_bytes,
-                threshold,
-                AnnFamily::Linear,
-                dim,
-                DEFAULT_REBUILD_BATCH,
-            ),
+            cache: linear_cache(cache_bytes, threshold, dim),
             layer,
             compute,
         }
     }
 
     /// Fraction of total DNN work contained in the prefix through `layer`.
-    pub fn prefix_fraction(&self, image: &Image) -> f64 {
+    fn prefix_fraction(&self, image: &Image) -> f64 {
         let total = self.net.total_flops(image) as f64;
         let mut prefix = self.net.pool_flops(image) as f64;
         for l in 0..self.layer {
@@ -85,7 +136,7 @@ impl LayerCache {
     /// by the prefix/suffix fractions of the SimNet architecture, so the
     /// client/cloud split is architecture-faithful while staying at the
     /// calibrated absolute magnitude.
-    pub fn process(
+    fn process(
         &mut self,
         image: &Image,
         classifier: &PrototypeClassifier,
@@ -118,7 +169,7 @@ impl LayerCache {
                 };
                 let suffix_macs = (self.compute.full_dnn_macs as f64 * (1.0 - frac)) as u64;
                 let cloud_ns = self.compute.cloud.time_ns(suffix_macs);
-                let size = key.byte_size() + crate::task::ANNOTATION_BYTES;
+                let size = key.byte_size() + ANNOTATION_BYTES;
                 self.cache.insert(key, result, size, now_ns);
                 LayerOutcome {
                     hit: false,
@@ -129,11 +180,6 @@ impl LayerCache {
                 }
             }
         }
-    }
-
-    /// Cache hit/miss counters.
-    pub fn metrics(&self) -> Metrics {
-        self.cache.metrics()
     }
 }
 

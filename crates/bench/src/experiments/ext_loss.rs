@@ -10,13 +10,11 @@
 //! more than the bandwidth savings — on real 802.11 the MAC layer retries
 //! frames so end-to-end loss this high is rare, but the sensitivity is
 //! inherent to chatty edge protocols.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_loss`
 
-use coic_bench::{base_config, fig2a_trace};
+use crate::{base_config, fig2a_trace};
 use coic_core::simrun::{run, Mode, SimConfig};
 
-fn main() {
+pub fn print() {
     let trace = fig2a_trace(120, 42);
     println!("Ext H — access-link loss sweep (120 recognition requests,");
     println!("1 s timeout, up to 6 retries)\n");
@@ -24,7 +22,7 @@ fn main() {
         "{:>6} | {:>11} {:>6} {:>8} | {:>11} {:>6} {:>8} | {:>10}",
         "loss", "origin-mean", "retx", "failed", "coic-mean", "retx", "failed", "reduction"
     );
-    coic_bench::rule(80);
+    crate::rule(80);
     for loss in [0.0f64, 0.01, 0.03, 0.05, 0.10, 0.20] {
         let mk = |mode| SimConfig {
             mode,
@@ -48,7 +46,7 @@ fn main() {
             red
         );
     }
-    coic_bench::rule(80);
+    crate::rule(80);
     println!("Retries mask loss at low rates, but CoIC's 4-message miss path is");
     println!("more loss-exposed than the baseline's 2-message offload: past a few");
     println!("percent end-to-end loss the extra round trips outweigh the bandwidth");

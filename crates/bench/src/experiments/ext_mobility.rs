@@ -6,13 +6,11 @@
 //! CoIC's latency advantage is robust across fading profiles — its hits
 //! dodge the WAN entirely, keeping absolute latency interactive while the
 //! baseline drifts upward.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_mobility`
 
-use coic_bench::{base_config, fig2a_trace};
+use crate::{base_config, fig2a_trace};
 use coic_core::simrun::{run, Mode, SimConfig};
 
-fn main() {
+pub fn print() {
     let trace = fig2a_trace(160, 42);
 
     // Fading profiles: (label, schedule of (ms, Mbps) steps from 400 Mbps).
@@ -42,7 +40,7 @@ fn main() {
         "{:<24} | {:>11} {:>10} | {:>11} {:>10} | {:>9}",
         "profile", "origin-mean", "origin-p99", "coic-mean", "coic-p99", "reduction"
     );
-    coic_bench::rule(92);
+    crate::rule(92);
     for (label, schedule) in profiles {
         let mk = |mode| SimConfig {
             mode,
@@ -62,7 +60,7 @@ fn main() {
             red
         );
     }
-    coic_bench::rule(92);
+    crate::rule(92);
     println!("CoIC's advantage is robust to fading (~37-42% across profiles):");
     println!("hits dodge the WAN entirely, so its absolute latency stays well");
     println!("inside interactive range while the baseline drifts past 200 ms.");

@@ -4,14 +4,12 @@
 //! frames; CoIC caches frames by content hash (with miss coalescing for
 //! simultaneous requests). Sweeps viewer count and playhead
 //! synchronization.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_panorama`
 
-use coic_bench::{base_config, vr_trace};
+use crate::{base_config, vr_trace};
 use coic_core::simrun::compare;
 use coic_workload::{Population, VrVideo, ZoneId};
 
-fn main() {
+pub fn print() {
     println!("Ext D — VR panoramic streaming (512×256 frames, 10 fps cadence)\n");
 
     println!("synchronized viewers (25 ms device stagger, 20 frames each):");
@@ -19,7 +17,7 @@ fn main() {
         "{:>8} | {:>6} | {:>11} {:>11} | {:>10}",
         "viewers", "hit%", "origin-mean", "coic-mean", "reduction"
     );
-    coic_bench::rule(58);
+    crate::rule(58);
     for viewers in [1u32, 2, 4, 8, 16] {
         let t = vr_trace(viewers, 20, 25, 9);
         let mut cfg = base_config();
@@ -37,7 +35,7 @@ fn main() {
 
     println!("\nplayhead skew (8 viewers; frames shared only when playheads align):");
     println!("{:>10} | {:>6} | {:>10}", "skew", "hit%", "reduction");
-    coic_bench::rule(34);
+    crate::rule(34);
     for skew_frames in [0u64, 5, 20, 100, 500] {
         let t = VrVideo {
             population: Population::colocated(8, ZoneId(0)),

@@ -4,13 +4,11 @@
 //! serving frame `f` triggers background fetches of `f+1..=f+depth`. For a
 //! *lone* viewer this manufactures the redundancy that co-located viewers
 //! get for free — the "cooperation" is with the viewer's own future.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_prefetch`
 
 use coic_core::simrun::{run, SimConfig};
 use coic_workload::{Population, VrVideo, ZoneId};
 
-fn main() {
+pub fn print() {
     println!("Ext I — panorama prefetching (lone viewer, 40 frames @10 fps)\n");
     let trace = VrVideo {
         population: Population::colocated(1, ZoneId(0)),
@@ -25,7 +23,7 @@ fn main() {
         "{:>6} | {:>6} | {:>10} {:>9} | {:>8}",
         "depth", "hit%", "mean-lat", "p99-lat", "WAN MB"
     );
-    coic_bench::rule(52);
+    crate::rule(52);
     let mut base_mean = 0.0;
     for depth in [0u32, 1, 2, 4, 8] {
         let cfg = SimConfig {
@@ -45,7 +43,7 @@ fn main() {
             report.wan_bytes as f64 / 1e6,
         );
     }
-    coic_bench::rule(52);
+    crate::rule(52);
     println!("baseline (depth 0) mean: {base_mean:.1} ms");
     println!("\nDepth 1 already converts almost every fetch into a hit once the");
     println!("pipeline fills. Deeper prefetch adds WAN traffic and — because the");

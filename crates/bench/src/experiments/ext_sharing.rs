@@ -4,10 +4,8 @@
 //! This experiment sweeps (a) how many users share one edge and (b) how
 //! much their content pools overlap, and shows both drive the hit ratio
 //! and hence the latency reduction.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_sharing`
 
-use coic_bench::base_config;
+use crate::base_config;
 use coic_core::simrun::compare;
 use coic_workload::{Population, SafeDrivingAr, ZoneId, ZoneModel};
 
@@ -22,12 +20,12 @@ fn trace(users: u32, shared: f64, per_user: usize, seed: u64) -> Vec<coic_worklo
     .generate(seed)
 }
 
-fn main() {
+pub fn print() {
     println!("Ext C — sharing ablation (recognition workload)\n");
 
     println!("users sharing one edge (60-landmark pool, 30 requests/user):");
     println!("{:>7} | {:>6} | {:>10}", "users", "hit%", "reduction");
-    coic_bench::rule(31);
+    crate::rule(31);
     for users in [1u32, 2, 4, 8, 16] {
         let t = trace(users, 1.0, 30, 31);
         let mut cfg = base_config();
@@ -44,7 +42,7 @@ fn main() {
     println!("\ncontent overlap between users (8 users, distinct zones per user,");
     println!("overlap = fraction of each user's pool that is shared):");
     println!("{:>8} | {:>6} | {:>10}", "overlap", "hit%", "reduction");
-    coic_bench::rule(32);
+    crate::rule(32);
     for overlap in [0.0f64, 0.25, 0.5, 0.75, 1.0] {
         // Each user draws from its own zone pool; pools overlap by `overlap`.
         let t = SafeDrivingAr {

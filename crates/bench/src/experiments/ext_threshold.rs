@@ -5,27 +5,21 @@
 //! latency) but risks returning a *wrong* cached label when two different
 //! objects land close in feature space. The paper fixes one threshold;
 //! this ablation exposes the tradeoff.
-//!
-//! Run with: `cargo run --release -p coic-bench --bin ext_threshold`
 
-use coic_bench::{base_config, fig2a_trace};
-use coic_cache::{AnnFamily, Lookup, SnapshotApproxCache, DEFAULT_REBUILD_BATCH};
+use crate::{base_config, fig2a_trace, linear_cache, serve, World};
 use coic_core::simrun::run;
-use coic_core::RecognitionResult;
-use coic_vision::{
-    ConfusionMatrix, ObjectClass, PrototypeClassifier, SceneGenerator, SimNet, ViewParams,
-};
+use coic_vision::{ConfusionMatrix, ObjectClass, ViewParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-fn main() {
+pub fn print() {
     let trace = fig2a_trace(200, 42);
     println!("Ext A — threshold sweep (200 recognition requests)\n");
     println!(
         "{:>9} | {:>6} {:>9} {:>10} | {:>10}",
         "threshold", "hit%", "accuracy", "mean-lat", "reduction*"
     );
-    coic_bench::rule(58);
+    crate::rule(58);
     let origin = run(
         &trace,
         &coic_core::simrun::SimConfig {
@@ -47,7 +41,7 @@ fn main() {
             red
         );
     }
-    coic_bench::rule(58);
+    crate::rule(58);
     println!(
         "* latency reduction vs the origin baseline ({:.1} ms mean)",
         origin.mean_latency_ms()
@@ -57,34 +51,17 @@ fn main() {
 
     // Where do the wrong hits go? Replay a service-level stream at a loose
     // threshold and chart the confusion structure of *cache hits*.
-    let gen = SceneGenerator::new(64);
-    let net = SimNet::default_net();
-    let classes: Vec<_> = (0..8).map(ObjectClass).collect();
     let mut rng = StdRng::seed_from_u64(71);
-    let clf = PrototypeClassifier::train(&net, &gen, &classes, 5, 0.08, 4.0, &mut rng);
-    let cache: SnapshotApproxCache<RecognitionResult> =
-        SnapshotApproxCache::new(64 << 20, 0.9, AnnFamily::Linear, 32, DEFAULT_REBUILD_BATCH);
+    let world = World::train(8, 0.08, 4.0, &mut rng);
+    let cache = linear_cache(64 << 20, 0.9, 32);
     let mut cm = ConfusionMatrix::new();
     for i in 0..400u64 {
-        let truth = classes[rng.random_range(0..classes.len())];
+        let truth = world.classes[rng.random_range(0..world.classes.len())];
         let v = ViewParams::jittered(&mut rng, 0.08, 4.0);
-        let d = net.extract(&gen.observe(truth, &v, &mut rng));
-        match cache.lookup(&d, i) {
-            Lookup::ApproxHit { value, .. } => {
-                cm.record(truth, ObjectClass(value.label));
-            }
-            _ => {
-                let (label, distance) = clf.predict(&d);
-                cache.insert(
-                    d,
-                    RecognitionResult {
-                        label: label.0,
-                        distance,
-                    },
-                    20_000,
-                    i,
-                );
-            }
+        let d = world.net.extract(&world.gen.observe(truth, &v, &mut rng));
+        let (label, hit) = serve(&cache, &d, i, |d| world.clf.predict(d));
+        if hit {
+            cm.record(truth, ObjectClass(label));
         }
     }
     println!(

@@ -1,14 +1,24 @@
-//! Shared helpers for the figure-reproduction binaries.
+//! The paper's figures and the extension experiments, one registry.
 //!
-//! Each binary in `src/bin/` regenerates one paper figure or one extension
-//! experiment (see DESIGN.md §5 and EXPERIMENTS.md); this crate holds the
-//! standard workloads and table formatting they share.
+//! Each module of [`experiments`] regenerates one paper figure or one
+//! extension table (see DESIGN.md §5 and EXPERIMENTS.md), and the
+//! `coic-bench <name>` binary prints it. This crate also holds what they
+//! share: the standard workloads, the recognition [`World`] with its
+//! [`serve`] step, and table formatting.
 
 #![forbid(unsafe_code)]
 
+pub mod experiments;
+
+use coic_cache::{AnnFamily, Lookup, SnapshotApproxCache, DEFAULT_REBUILD_BATCH};
 use coic_core::simrun::{Mode, SimConfig};
-use coic_core::QoeReport;
+use coic_core::RecognitionResult;
+use coic_vision::{
+    FeatureVec, Image, ObjectClass, PrototypeClassifier, SceneGenerator, SimNet, ViewParams,
+};
 use coic_workload::{Population, Request, SafeDrivingAr, VrVideo, ZoneId, ZoneModel};
+use rand::rngs::StdRng;
+use rand::RngExt;
 
 /// The standard recognition workload behind Fig. 2a and several ablations:
 /// co-located safe-driving users over a shared landmark pool.
@@ -61,67 +71,79 @@ pub fn vr_trace(viewers: u32, frames: usize, stagger_ms: u64, seed: u64) -> Vec<
     .generate(seed)
 }
 
-/// Run one trace under origin and CoIC with the given network condition.
-pub fn run_pair(trace: &[Request], base: &SimConfig) -> (QoeReport, QoeReport, f64) {
-    coic_core::simrun::compare(trace, base)
+/// The recognition world the service-level experiments share: a scene
+/// generator, the embedding network, `classes` objects and a prototype
+/// classifier trained on five views of each.
+pub struct World {
+    pub gen: SceneGenerator,
+    pub net: SimNet,
+    pub classes: Vec<ObjectClass>,
+    pub clf: PrototypeClassifier,
 }
 
-/// A network condition labelled like the paper's figure axes.
-#[derive(Debug, Clone, Copy)]
-pub struct NetCondition {
-    /// `B_M->E` in Mbit/s.
-    pub access_mbps: f64,
-    /// `B_E->C` in Mbit/s.
-    pub wan_mbps: f64,
-}
-
-impl NetCondition {
-    /// Apply this condition to a config.
-    pub fn apply(&self, cfg: &SimConfig) -> SimConfig {
-        SimConfig {
-            access_mbps: self.access_mbps,
-            wan_mbps: self.wan_mbps,
-            ..cfg.clone()
+impl World {
+    /// Objects `0..classes`, the classifier trained on views jittered by
+    /// `spread` / `noise` and drawn from `rng`, which the experiment then
+    /// goes on to draw its sightings from.
+    pub fn train(classes: u32, spread: f64, noise: f64, rng: &mut StdRng) -> World {
+        let gen = SceneGenerator::new(64);
+        let net = SimNet::default_net();
+        let classes: Vec<_> = (0..classes).map(ObjectClass).collect();
+        let clf = PrototypeClassifier::train(&net, &gen, &classes, 5, spread, noise, rng);
+        World {
+            gen,
+            net,
+            classes,
+            clf,
         }
+    }
+
+    /// One sighting: an object drawn with popularity skewed toward low
+    /// ranks (a squared uniform draw), seen from a view jittered by
+    /// `spread` / `noise`.
+    pub fn sight(&self, spread: f64, noise: f64, rng: &mut StdRng) -> (ObjectClass, Image) {
+        let rank = (rng.random::<f64>().powi(2) * self.classes.len() as f64) as usize;
+        let class = self.classes[rank.min(self.classes.len() - 1)];
+        let view = ViewParams::jittered(rng, spread, noise);
+        (class, self.gen.observe(class, &view, rng))
     }
 }
 
-/// The grid of network conditions Fig. 2a sweeps: the paper's WiFi supports
-/// up to 400 Mbps and `tc` throttles both segments.
-pub const FIG2A_CONDITIONS: [NetCondition; 8] = [
-    NetCondition {
-        access_mbps: 400.0,
-        wan_mbps: 100.0,
-    },
-    NetCondition {
-        access_mbps: 400.0,
-        wan_mbps: 50.0,
-    },
-    NetCondition {
-        access_mbps: 400.0,
-        wan_mbps: 20.0,
-    },
-    NetCondition {
-        access_mbps: 400.0,
-        wan_mbps: 10.0,
-    },
-    NetCondition {
-        access_mbps: 100.0,
-        wan_mbps: 50.0,
-    },
-    NetCondition {
-        access_mbps: 100.0,
-        wan_mbps: 10.0,
-    },
-    NetCondition {
-        access_mbps: 50.0,
-        wan_mbps: 10.0,
-    },
-    NetCondition {
-        access_mbps: 50.0,
-        wan_mbps: 5.0,
-    },
-];
+/// A recognition cache searched by linear scan.
+pub fn linear_cache(
+    bytes: u64,
+    threshold: f32,
+    dim: usize,
+) -> SnapshotApproxCache<RecognitionResult> {
+    SnapshotApproxCache::new(
+        bytes,
+        threshold,
+        AnnFamily::Linear,
+        dim,
+        DEFAULT_REBUILD_BATCH,
+    )
+}
+
+/// Serve one recognition from `cache`: a hit returns the cached label; a
+/// miss runs `recognise` on `key` and caches its answer under `key` at
+/// 20 000 bytes. Returns the label and whether it was a hit.
+pub fn serve(
+    cache: &SnapshotApproxCache<RecognitionResult>,
+    key: &FeatureVec,
+    now_ns: u64,
+    recognise: impl FnOnce(&FeatureVec) -> (ObjectClass, f32),
+) -> (u32, bool) {
+    if let Lookup::ApproxHit { value, .. } = cache.lookup(key, now_ns) {
+        return (value.label, true);
+    }
+    let (label, distance) = recognise(key);
+    let result = RecognitionResult {
+        label: label.0,
+        distance,
+    };
+    cache.insert(key.clone(), result, 20_000, now_ns);
+    (label.0, false)
+}
 
 /// Default experiment config: the paper testbed, 4 clients.
 pub fn base_config() -> SimConfig {
@@ -140,6 +162,7 @@ pub fn rule(width: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn traces_are_nonempty_and_deterministic() {
@@ -150,8 +173,30 @@ mod tests {
     }
 
     #[test]
-    fn conditions_cover_the_grid() {
-        assert!(FIG2A_CONDITIONS.iter().any(|c| c.wan_mbps <= 10.0));
-        assert!(FIG2A_CONDITIONS.iter().any(|c| c.access_mbps >= 400.0));
+    fn serve_misses_then_hits_with_the_same_label() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let world = World::train(4, 0.08, 4.0, &mut rng);
+        let (_, img) = world.sight(0.08, 4.0, &mut rng);
+        let key = world.net.extract(&img);
+        let cache = linear_cache(1 << 20, 0.45, key.dim());
+        let (first, hit) = serve(&cache, &key, 0, |d| world.clf.predict(d));
+        assert!(!hit, "the first sight of a key misses");
+        assert_eq!(cache.len(), 1, "the miss inserts");
+        let second = serve(&cache, &key, 1, |_| {
+            unreachable!("a hit recognises nothing")
+        });
+        assert_eq!(second, (first, true));
+    }
+
+    #[test]
+    fn sightings_are_deterministic_for_a_seed() {
+        let world = World::train(8, 0.08, 4.0, &mut StdRng::seed_from_u64(1));
+        let draw = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..5)
+                .map(|_| world.sight(0.1, 5.0, &mut rng))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(draw(9), draw(9));
     }
 }

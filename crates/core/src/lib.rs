@@ -31,9 +31,7 @@
 //! * [`adaptive`] — online threshold tuning via shadow verification,
 //! * [`cluster`] — cooperative multi-edge tier: consistent-hash
 //!   partitioning, bounded peer fan-out, hot-entry replication, and
-//!   peer-before-cloud failover,
-//! * [`layercache`] — §4 extension: per-DNN-layer reuse,
-//! * [`privacy`] — §4 extension: descriptor privacy transforms.
+//!   peer-before-cloud failover.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,9 +44,7 @@ pub mod config;
 pub mod content;
 pub mod descriptor;
 pub mod engine;
-pub mod layercache;
 pub mod netrun;
-pub mod privacy;
 pub mod protocol;
 pub mod qoe;
 pub mod services;
@@ -68,7 +64,6 @@ pub use engine::{
     FaultSchedule, OverloadControl, ReplyKind, RetryPolicy, RobustnessSnapshot, RobustnessStats,
     SimClock, TimerKind, WallClock,
 };
-pub use layercache::{LayerCache, LayerOutcome};
 pub use protocol::{Msg, ProtoError};
 pub use qoe::{reduction_percent, Path, QoeReport, Record};
 pub use services::{
