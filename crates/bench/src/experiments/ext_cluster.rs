@@ -1,7 +1,7 @@
 //! **Ext Q** — cooperative cluster tier: edges × fan-out sweep.
 //!
-//! Ext G's broadcast peer lookup asks *every* peer on every miss; the
-//! cluster tier (DESIGN.md §15) partitions the digest space over a
+//! Ext G runs the cluster tier with a fan-out that reaches every peer;
+//! here the tier (DESIGN.md §15) partitions the digest space over a
 //! consistent-hash ring and probes at most K peers in ring order from the
 //! owner, with demand-driven hot replication. This experiment replays a
 //! skewed arena workload (shared global catalogue, one zone per edge)

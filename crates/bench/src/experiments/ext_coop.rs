@@ -4,8 +4,13 @@
 //! answer each other's misses over a LAN before going to the cloud (the
 //! `PeerQuery`/`PeerReply` protocol). This experiment replays a multi-zone
 //! avatar workload through 1–8 simulated edges and compares outcomes with
-//! and without peer lookup.
+//! and without the cluster tier. A cooperating edge asks every peer
+//! (`peer_fanout = edges - 1`) and keeps every fetch where it landed
+//! (`replicate_hot = 1`); its probe deadline is 1 s, because a 4 MB
+//! `PeerReply` alone needs ≈ 43 ms on the 1 Gb/s LAN and the 50 ms default
+//! would cut it off once it queues.
 
+use coic_core::cluster::ClusterConfig;
 use coic_core::simrun::{run, SimConfig};
 use coic_workload::{ArenaMultiplayer, Population, Request};
 
@@ -35,14 +40,20 @@ pub fn print() {
     let base = SimConfig::default();
     for edges in [1u32, 2, 4, 8] {
         let t = trace(edges, 41);
-        for peer_lookup in [false, true] {
-            if edges == 1 && peer_lookup {
+        for peers in [false, true] {
+            if edges == 1 && peers {
                 continue; // no peers to ask
             }
+            let cluster = peers.then(|| ClusterConfig {
+                peer_fanout: edges - 1,
+                replicate_hot: 1,
+                peer_timeout_ms: 1_000,
+                ..ClusterConfig::default()
+            });
             let cfg = SimConfig {
                 num_clients: 4 * edges,
                 num_edges: edges,
-                peer_lookup,
+                cluster,
                 ..base.clone()
             };
             let report = run(&t, &cfg);
@@ -50,7 +61,7 @@ pub fn print() {
             println!(
                 "{:>6} {:>6} | {:>6.1}% {:>6.1}% {:>6.1}% | {:>7.1} ms | {:>7.1}",
                 edges,
-                if peer_lookup { "yes" } else { "no" },
+                if peers { "yes" } else { "no" },
                 report.edge_hits as f64 / n * 100.0,
                 report.peer_hits as f64 / n * 100.0,
                 report.cloud_trips as f64 / n * 100.0,

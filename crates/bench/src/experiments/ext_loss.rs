@@ -12,6 +12,7 @@
 //! inherent to chatty edge protocols.
 
 use crate::{base_config, fig2a_trace};
+use coic_core::engine::RetryPolicy;
 use coic_core::simrun::{run, Mode, SimConfig};
 
 pub fn print() {
@@ -28,7 +29,7 @@ pub fn print() {
             mode,
             access_loss: loss,
             request_timeout_ms: 1_000,
-            max_retries: 6,
+            retry: RetryPolicy::immediate(7, 0),
             ..base_config()
         };
         let origin = run(&trace, &mk(Mode::Origin));

@@ -1,6 +1,7 @@
 //! Minimal `--flag value` argument parsing (no external crates).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 /// Parsed command line: a subcommand path and `--key value` flags.
 #[derive(Debug, Clone)]
@@ -8,6 +9,8 @@ pub struct Args {
     /// Positional words before the first `--flag`.
     pub command: Vec<String>,
     flags: HashMap<String, String>,
+    /// Every flag name a command has looked up, given or not.
+    read: RefCell<HashSet<String>>,
 }
 
 /// Errors from argument parsing or lookup.
@@ -28,6 +31,8 @@ pub enum ArgError {
     },
     /// The same flag appeared twice.
     Duplicate(String),
+    /// A flag the command never read.
+    Unread(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -41,6 +46,7 @@ impl std::fmt::Display for ArgError {
                 expected,
             } => write!(f, "--{flag} {value:?}: expected {expected}"),
             ArgError::Duplicate(k) => write!(f, "flag --{k} given twice"),
+            ArgError::Unread(k) => write!(f, "unknown flag --{k} for this command"),
         }
     }
 }
@@ -66,12 +72,27 @@ impl Args {
                 command.push(tok);
             }
         }
-        Ok(Args { command, flags })
+        let read = RefCell::default();
+        Ok(Args {
+            command,
+            flags,
+            read,
+        })
     }
 
     /// A string flag, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(name.to_string());
         self.flags.get(name).map(|s| s.as_str())
+    }
+
+    /// Fails on the first given flag (in name order) that nothing has
+    /// looked up: a misspelt or unsupported flag would otherwise be
+    /// silently ignored.
+    pub fn check_all_read(&self) -> Result<(), ArgError> {
+        let read = self.read.borrow();
+        let unread = self.flags.keys().filter(|k| !read.contains(*k)).min();
+        unread.map_or(Ok(()), |k| Err(ArgError::Unread(k.clone())))
     }
 
     /// A required string flag.

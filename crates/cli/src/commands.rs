@@ -129,7 +129,6 @@ fn sim_config(args: &Args) -> Result<SimConfig, Box<dyn std::error::Error>> {
         .wan_mbps(args.num("wan-mbps", 50.0)?)
         .num_clients(args.num("clients", 4)?)
         .num_edges(args.num("edges", 1)?)
-        .peer_lookup(args.num("peer-lookup", 0u8)? != 0)
         .prefetch_depth(args.num("prefetch", 0)?)
         .seed(args.num("seed", 1)?)
         .build();
@@ -837,6 +836,25 @@ mod tests {
         assert!(crate::run(vec![]).unwrap().contains("USAGE"));
         assert!(crate::run(vec!["help".into()]).unwrap().contains("USAGE"));
         assert!(crate::run(vec!["frobnicate".into()]).is_err());
+    }
+
+    #[test]
+    fn a_flag_the_command_never_reads_is_an_error() {
+        let path = tmp("t_flags.csv");
+        trace_gen(&args(&format!(
+            "--app arena --out {path} --users 2 --requests 4 --model-kb 64"
+        )))
+        .unwrap();
+        let sim = |extra: &str| {
+            let line = format!("sim --in {path} --clients 2 {extra}");
+            crate::run(line.split_whitespace().map(String::from).collect())
+        };
+        assert!(sim("--edges 2").is_ok());
+        for flag in ["--clinets 8", "--peer-lookup 1"] {
+            let err = sim(flag).unwrap_err();
+            let name = flag.split_whitespace().next().unwrap();
+            assert!(err.contains(name), "{err}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub fn run(raw: Vec<String>) -> Result<String, String> {
     }
     let args = Args::parse(raw).map_err(|e| e.to_string())?;
     let cmd: Vec<&str> = args.command.iter().map(|s| s.as_str()).collect();
-    match cmd.as_slice() {
+    let out = match cmd.as_slice() {
         ["trace", "gen"] => commands::trace_gen(&args),
         ["trace", "info"] => commands::trace_info(&args),
         ["sim"] => commands::sim(&args),
@@ -55,9 +55,12 @@ pub fn run(raw: Vec<String>) -> Result<String, String> {
         ["lint"] => commands::lint(&args),
         ["analyze", "trace"] => commands::analyze_trace(&args),
         [] | ["help"] => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command {:?}\n\n{USAGE}", other.join(" ")).into()),
-    }
-    .map_err(|e: Box<dyn std::error::Error>| e.to_string())
+        other => return Err(format!("unknown command {:?}\n\n{USAGE}", other.join(" "))),
+    };
+    // A flag the command never read had no effect; it is named even when
+    // the command failed, since a misspelt flag is the likelier cause.
+    args.check_all_read().map_err(|e| e.to_string())?;
+    out.map_err(|e: Box<dyn std::error::Error>| e.to_string())
 }
 
 /// Usage text.
@@ -74,7 +77,7 @@ USAGE:
   coic trace info   --in FILE
   coic sim          --in FILE [--mode coic|origin] [--access-mbps X]
                     [--wan-mbps X] [--clients N] [--edges N]
-                    [--peer-lookup 0|1] [--peer-fanout K] [--replicate N]
+                    [--peer-fanout K] [--replicate N]
                     [--prefetch N] [--seed N]
                     [--origin-fallback 0|1] [--open-loop 0|1]
                     [--lookup-ms N] [--admission N]

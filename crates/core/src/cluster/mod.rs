@@ -55,7 +55,7 @@ pub struct ClusterConfig {
     /// smooth the partition sizes; 16 keeps the max/min keyspace ratio
     /// under ~2 for fleets up to 100 edges.
     pub vnodes: u32,
-    /// Bounded peer-lookup fan-out: a miss probes at most this many peers
+    /// Bounded peer fan-out: a miss probes at most this many peers
     /// (ring walk order from the owner) before forwarding to the cloud.
     pub peer_fanout: u32,
     /// Hot-entry replication threshold: once this many miss-path requests

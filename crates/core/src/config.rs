@@ -107,22 +107,12 @@ impl SimConfigBuilder {
         exec_tier: crate::simrun::ExecTier,
         /// Client↔edge bandwidth, Mbit/s.
         access_mbps: f64,
-        /// Client↔edge one-way delay, ms.
-        access_delay_ms: u64,
         /// Edge↔cloud bandwidth, Mbit/s.
         wan_mbps: f64,
-        /// Edge↔cloud one-way delay, ms.
-        wan_delay_ms: u64,
         /// Number of client devices.
         num_clients: u32,
         /// Number of edge servers.
         num_edges: u32,
-        /// Inter-edge LAN bandwidth, Mbit/s.
-        lan_mbps: f64,
-        /// Inter-edge LAN one-way delay, ms.
-        lan_delay_ms: u64,
-        /// Query peer edges on an exact-task miss before the cloud.
-        peer_lookup: bool,
         /// Deterministic edge-kill schedule.
         edge_down_ms: Vec<(u64, u32)>,
         /// Per-message loss probability on the access links.
@@ -131,12 +121,10 @@ impl SimConfigBuilder {
         wan_loss: f64,
         /// Client request timeout, ms (zero disables).
         request_timeout_ms: u64,
-        /// Retransmissions before a request fails (legacy path).
-        max_retries: u32,
+        /// Client retry/backoff policy fed to the shared engine.
+        retry: RetryPolicy,
         /// When the edge path is exhausted, degrade to the origin path.
         origin_fallback: bool,
-        /// While degraded, minimum spacing between edge re-probes, ms.
-        probe_interval_ms: u64,
         /// Deterministic fault injection at the client's send boundary.
         faults: FaultSchedule,
         /// Token-bucket shaping of each client's uplink.
@@ -151,25 +139,12 @@ impl SimConfigBuilder {
         client: ClientConfig,
         /// Compute cost model.
         compute: crate::compute::ComputeConfig,
-        /// Wire size charged for a camera-frame upload.
-        image_wire_bytes: u64,
-        /// Wire size charged for a recognition descriptor query.
-        descriptor_wire_bytes: u64,
         /// Panorama frame height.
         pano_height: u32,
-        /// Droptail queue depth per link direction, bytes.
-        queue_limit_bytes: u64,
         /// Closed-loop clients (at most one outstanding request each).
         closed_loop: bool,
         /// RNG seed.
         seed: u64,
-    }
-
-    /// Client retry/backoff policy fed to the shared engine.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = Some(retry);
-        self
     }
 
     /// Enable the cooperative cluster tier.

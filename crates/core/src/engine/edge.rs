@@ -169,8 +169,6 @@ pub enum EdgeEffect<P> {
     /// Ask peer `to` for `digest` on behalf of `(conn, req)`; report the
     /// reply with [`EdgeEngine::on_peer_reply`], and fire the deadline when
     /// it passes, reply or not (a reply already in hand makes it a no-op).
-    /// A probe without a deadline (the broadcast list) that fails is
-    /// reported as a reply without a result.
     Probe {
         /// Connection the probe serves.
         conn: ConnId,
@@ -181,7 +179,7 @@ pub enum EdgeEffect<P> {
         /// The content asked for.
         digest: Digest,
         /// When the probe counts as a failure against the peer.
-        deadline: Option<Deadline>,
+        deadline: Deadline,
         /// Local time charged before it leaves.
         charge: Charge,
     },
@@ -263,19 +261,16 @@ struct Queued {
     offered_at: u64,
 }
 
-/// One round of peer probes for a miss, resolved when every probe has been
-/// answered or timed out: a cluster round (bounded fan-out along the ring,
-/// each probe under its own deadline) or a broadcast round (every listed
-/// peer, no deadlines).
+/// One ring round of peer probes for a miss (bounded fan-out along the
+/// ring, each probe under its own deadline), resolved when every probe has
+/// been answered or timed out.
 struct Round<P> {
     descriptor: FeatureDescriptor,
     task: TaskRequest,
-    /// Peers still owing a reply: member id (or index in the broadcast
-    /// list) and address.
-    outstanding: Vec<(usize, P)>,
+    /// Peers still owing a reply: member id and address.
+    outstanding: Vec<(EdgeId, P)>,
     satisfied: bool,
     started_ns: u64,
-    cluster: bool,
 }
 
 /// The edge engine. See the module docs for the event/effect contract.
@@ -286,8 +281,6 @@ pub struct EdgeEngine<P> {
     stats: RobustnessStats,
     overload: Option<OverloadControl>,
     cluster: Option<Cluster<P>>,
-    /// Broadcast peers, asked on every exact miss when no cluster is set.
-    peers: Vec<P>,
     tel: Telemetry,
     /// Edge index every trace event is tagged with (the simulator's).
     label: Option<u64>,
@@ -300,7 +293,7 @@ pub struct EdgeEngine<P> {
     rounds: BTreeMap<(ConnId, u64), Round<P>>,
     /// Armed probe deadlines: token → (round, peer member id). An entry
     /// lives until its timer fires, answered or not.
-    deadlines: BTreeMap<u64, (ConnId, u64, usize)>,
+    deadlines: BTreeMap<u64, (ConnId, u64, EdgeId)>,
     next_timer: u64,
     /// Results kept by a completed fetch whose insert has not landed yet:
     /// a miss in between is answered from here instead of fetching again.
@@ -325,7 +318,6 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
             stats,
             overload,
             cluster: None,
-            peers: Vec::new(),
             tel,
             label: None,
             flights: SingleFlight::new(),
@@ -344,12 +336,6 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
     pub fn with_label(mut self, edge: u64) -> EdgeEngine<P> {
         self.label = Some(edge);
         self
-    }
-
-    /// Ask `peer` on every exact miss before the cloud (ignored once a
-    /// cluster is joined, whose ring decides whom to ask).
-    pub fn add_peer(&mut self, peer: P) {
-        self.peers.push(peer);
     }
 
     /// Join a cluster: `state` is this edge's policy, `members` every
@@ -650,14 +636,10 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
         };
         let (peer, _) = round.outstanding.remove(pos);
         let drained = round.outstanding.is_empty();
-        if !round.cluster {
-            return self.broadcast_reply(key, result, drained, now_ns, fx);
-        }
         let was_satisfied = round.satisfied;
         let fresh_hit = result.is_some() && !was_satisfied;
         round.satisfied |= fresh_hit;
         let started_ns = round.started_ns;
-        let peer = peer as EdgeId;
         let done = match drained.then(|| self.rounds.remove(&key)).flatten() {
             Some(round) if !round.satisfied => {
                 // Every probe missed (a reply in hand means the peer is
@@ -784,10 +766,8 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
             let Some(round) = self.rounds.remove(&key) else {
                 continue;
             };
-            if round.cluster {
-                for &(peer, _) in &round.outstanding {
-                    self.with_cluster(|cl| cl.cancel_probe(peer as EdgeId));
-                }
+            for &(peer, _) in &round.outstanding {
+                self.with_cluster(|cl| cl.cancel_probe(peer));
             }
             self.abandon_flight(key.1, descriptor_digest(&round.descriptor), now_ns, fx);
         }
@@ -928,37 +908,24 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
                         self.trace_peer(now_ns, "decision.peer_probe", req, peer);
                         let token = self.next_timer;
                         self.next_timer += 1;
-                        self.deadlines.insert(token, (conn, req, peer as usize));
-                        outstanding.push((peer as usize, to));
+                        self.deadlines.insert(token, (conn, req, peer));
+                        outstanding.push((peer, to));
                         fx.push(EdgeEffect::Probe {
                             conn,
                             req,
                             to,
                             digest: d,
-                            deadline: Some(Deadline {
+                            deadline: Deadline {
                                 token,
                                 after_ns: timeout_ns,
-                            }),
+                            },
                             charge: Charge::Lookup,
                         });
                     }
-                    return self.open_round(conn, req, descriptor, task, outstanding, true, now_ns);
+                    return self.open_round(conn, req, descriptor, task, outstanding, now_ns);
                 }
                 // An empty plan (every peer dead, or a single edge): fall
                 // through to the gated cloud forward.
-            } else if !self.peers.is_empty() {
-                let outstanding = self.peers.iter().copied().enumerate().collect();
-                for &to in &self.peers {
-                    fx.push(EdgeEffect::Probe {
-                        conn,
-                        req,
-                        to,
-                        digest: d,
-                        deadline: None,
-                        charge: Charge::Lookup,
-                    });
-                }
-                return self.open_round(conn, req, descriptor, task, outstanding, false, now_ns);
             }
         }
         // The client-blocking upstream fetch goes through the breaker gate.
@@ -975,15 +942,13 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn open_round(
         &mut self,
         conn: ConnId,
         req: u64,
         descriptor: FeatureDescriptor,
         task: TaskRequest,
-        outstanding: Vec<(usize, P)>,
-        cluster: bool,
+        outstanding: Vec<(EdgeId, P)>,
         now_ns: u64,
     ) {
         self.rounds.insert(
@@ -994,45 +959,8 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
                 outstanding,
                 satisfied: false,
                 started_ns: now_ns,
-                cluster,
             },
         );
-    }
-
-    /// A reply within a broadcast round: the first hit answers (and is
-    /// cached); when every peer has answered without one, the cloud.
-    fn broadcast_reply(
-        &mut self,
-        key: (ConnId, u64),
-        result: Option<Held>,
-        drained: bool,
-        now_ns: u64,
-        fx: &mut Vec<EdgeEffect<P>>,
-    ) {
-        let (conn, req) = key;
-        let Some(round) = self.rounds.get_mut(&key) else {
-            return;
-        };
-        match result {
-            Some(held) if !round.satisfied => {
-                round.satisfied = true;
-                let descriptor = round.descriptor.clone();
-                if drained {
-                    self.rounds.remove(&key);
-                }
-                let digest = descriptor_digest(&descriptor);
-                let held = Arc::new(held);
-                self.land(descriptor, &held, true, true, fx);
-                self.resolve(conn, req, digest, &held, true, fx);
-            }
-            _ if drained => {
-                // Every peer missed: fall back to the cloud.
-                if let Some(round) = self.rounds.remove(&key).filter(|r| !r.satisfied) {
-                    self.cloud_fallback(key, round, now_ns, fx);
-                }
-            }
-            _ => {}
-        }
     }
 
     /// A probe deadline fired. If the peer still owes its reply, count the
@@ -1051,7 +979,6 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
         };
         round.outstanding.remove(pos);
         let drained = round.outstanding.is_empty();
-        let peer = peer as EdgeId;
         let transition = self.record_probe(peer, false, now_ns);
         self.with_cluster(|cl| cl.stats().count_peer_timeout());
         self.trace_peer(now_ns, "decision.peer_timeout", req, peer);
@@ -1064,8 +991,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
     }
 
     /// A round drained without a hit: forward to the cloud through the
-    /// breaker gate, exactly like a direct miss (only a cluster round's
-    /// forward is traced; seeded broadcast traces carry none).
+    /// breaker gate, exactly like a direct miss.
     fn cloud_fallback(
         &mut self,
         key: (ConnId, u64),
@@ -1078,9 +1004,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
             return self.refuse(conn, req, &round.descriptor, now_ns, fx);
         }
         self.pending.insert(key, round.descriptor);
-        if round.cluster {
-            self.trace(now_ns, "cloud.forward", || [("req", Value::from(req))]);
-        }
+        self.trace(now_ns, "cloud.forward", || [("req", Value::from(req))]);
         fx.push(EdgeEffect::Forward {
             conn,
             req,

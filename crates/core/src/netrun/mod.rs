@@ -298,17 +298,10 @@ impl EdgeHandle {
         self.addr
     }
 
-    /// Register a cooperating peer edge: exact-task misses will ask it
-    /// before going to the cloud.
-    pub fn add_peer(&self, addr: SocketAddr) {
-        self.inner.engine.lock().add_peer(addr);
-    }
-
     /// Join a consistent-hash cluster as member `me` of `members` (every
-    /// member's address, this edge included at index `me`). Replaces the
-    /// broadcast [`EdgeHandle::add_peer`] list: misses probe at most
-    /// `cfg.peer_fanout` peers along the ring from the digest's owner,
-    /// dead peers trip out via per-peer breakers, and hot entries
+    /// member's address, this edge included at index `me`): misses probe
+    /// at most `cfg.peer_fanout` peers along the ring from the digest's
+    /// owner, dead peers trip out via per-peer breakers, and hot entries
     /// replicate toward their demand. Idempotent — joining again (e.g.
     /// after a restart) resets the policy state.
     pub fn join_cluster(&self, me: EdgeId, members: &[SocketAddr], cfg: ClusterConfig) {
@@ -786,18 +779,12 @@ impl LiveEdge {
             } => {
                 let outcome = probe(to, req, digest, &self.net);
                 self.step(turn, |engine, now, fx| {
-                    match outcome {
-                        Ok(result) => engine.on_peer_reply(to, conn, req, result, now, fx),
-                        Err(()) if deadline.is_none() => {
-                            engine.on_peer_reply(to, conn, req, None, now, fx);
-                        }
-                        Err(()) => {}
+                    if let Ok(result) = outcome {
+                        engine.on_peer_reply(to, conn, req, result, now, fx);
                     }
                     // The socket's deadline stands in for the timer: once
                     // the probe is over, it has passed.
-                    if let Some(d) = deadline {
-                        engine.on_timer(EdgeTimer::Probe(d.token), now, fx);
-                    }
+                    engine.on_timer(EdgeTimer::Probe(deadline.token), now, fx);
                 });
             }
         }
@@ -998,15 +985,26 @@ mod tests {
         let cloud = spawn_cloud(&classes, 64, compute, models.clone(), panos.clone(), 3).unwrap();
         let edge_a = spawn_edge(cloud.addr(), &EdgeConfig::default()).unwrap();
         let edge_b = spawn_edge(cloud.addr(), &EdgeConfig::default()).unwrap();
-        edge_a.add_peer(edge_b.addr());
-        edge_b.add_peer(edge_a.addr());
-
+        let members = [edge_a.addr(), edge_b.addr()];
+        // Each miss asks the other edge and keeps what it fetched.
+        let cluster = ClusterConfig {
+            peer_fanout: 1,
+            replicate_hot: 1,
+            ..ClusterConfig::default()
+        };
+        // A model edge B owns, so the copy B fetches stays where A looks.
+        let ring = crate::cluster::HashRing::new(2, cluster.vnodes);
+        let model_id = (0..64)
+            .find(|&m| ring.owner(&models.digest(m, 80_000)) == 1)
+            .expect("edge B owns some model");
+        edge_a.join_cluster(0, &members, cluster.clone());
+        edge_b.join_cluster(1, &members, cluster);
         let req = Request {
             user: UserId(0),
             zone: ZoneId(0),
             at_ns: 0,
             kind: RequestKind::RenderLoad {
-                model_id: 3,
+                model_id,
                 size_bytes: 80_000,
             },
         };

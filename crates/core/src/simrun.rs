@@ -63,29 +63,17 @@ pub struct SimConfig {
     pub exec_tier: ExecTier,
     /// Client↔edge bandwidth (the paper's `B_M->E`), Mbit/s.
     pub access_mbps: f64,
-    /// Client↔edge one-way delay, ms.
-    pub access_delay_ms: u64,
     /// Edge↔cloud bandwidth (the paper's `B_E->C`), Mbit/s.
     pub wan_mbps: f64,
-    /// Edge↔cloud one-way delay, ms.
-    pub wan_delay_ms: u64,
     /// Number of client devices.
     pub num_clients: u32,
     /// Number of edge servers. Clients attach to `zone % num_edges`; with
-    /// more than one edge, enable `peer_lookup` to let edges answer each
-    /// other's misses over the LAN before going to the cloud.
+    /// more than one edge, set `cluster` to let edges answer each other's
+    /// misses over the LAN before going to the cloud.
     pub num_edges: u32,
-    /// Inter-edge LAN bandwidth, Mbit/s.
-    pub lan_mbps: f64,
-    /// Inter-edge LAN one-way delay, ms.
-    pub lan_delay_ms: u64,
-    /// Query peer edges on an exact-task miss before forwarding to cloud.
-    pub peer_lookup: bool,
     /// Cooperative cluster tier: consistent-hash partitioning with bounded
     /// peer fan-out, hot-entry replication and peer-before-cloud failover.
-    /// Supersedes the broadcast `peer_lookup` when set (the legacy
-    /// broadcast asks *every* peer; the cluster probes at most
-    /// `peer_fanout` along the ring).
+    /// `None` keeps every edge isolated.
     pub cluster: Option<ClusterConfig>,
     /// Deterministic edge-kill schedule: at each `(at_ms, edge_idx)` the
     /// named edge goes silent for the rest of the run — it drops every
@@ -101,19 +89,15 @@ pub struct SimConfig {
     /// retransmitted from scratch. Zero disables timeouts (only safe on
     /// loss-free links).
     pub request_timeout_ms: u64,
-    /// Retransmissions before a request is declared failed. Only consulted
-    /// when [`SimConfig::retry`] is `None`.
-    pub max_retries: u32,
-    /// Client retry/backoff policy fed to the shared engine. `None`
-    /// reproduces the classic simulator behavior: `max_retries` + 1
-    /// immediate (zero-backoff) transmissions per request.
-    pub retry: Option<RetryPolicy>,
+    /// Client retry/backoff policy fed to the shared engine. The default,
+    /// [`RetryPolicy::immediate`]`(4, 0)`, is the classic simulator loop:
+    /// four transmissions, each resend leaving the instant the virtual
+    /// deadline fires.
+    pub retry: RetryPolicy,
     /// When the edge path is exhausted, degrade to the origin path (direct
     /// cloud request) instead of failing the request — the live client's
     /// behavior when constructed with a cloud address.
     pub origin_fallback: bool,
-    /// While degraded, minimum spacing between edge re-probes, ms.
-    pub probe_interval_ms: u64,
     /// Deterministic fault injection at the client's send boundary: a
     /// scheduled attempt is silently not transmitted, so its deadline
     /// fires — the same decisions the live driver derives from its
@@ -147,18 +131,8 @@ pub struct SimConfig {
     pub client: ClientConfig,
     /// Compute cost model.
     pub compute: ComputeConfig,
-    /// Wire size charged for a camera-frame upload. The synthetic frames
-    /// are small; a real phone ships a multi-hundred-kB JPEG, and that is
-    /// what the network should feel.
-    pub image_wire_bytes: u64,
-    /// Wire size charged for a recognition descriptor query.
-    pub descriptor_wire_bytes: u64,
     /// Panorama frame height (width = 2×height, 1 B/pixel).
     pub pano_height: u32,
-    /// Droptail queue depth per link direction, bytes. Experiments default
-    /// deep (results as large as 64 MB models queue behind each other
-    /// rather than drop); droptail studies can lower it.
-    pub queue_limit_bytes: u64,
     /// Closed-loop clients (the paper's sequential request/response client):
     /// each client keeps at most one request outstanding, issuing the next
     /// at its trace time or on completion of the previous one, whichever is
@@ -181,23 +155,16 @@ impl Default for SimConfig {
             mode: Mode::CoIc,
             exec_tier: ExecTier::Cloud,
             access_mbps: 400.0, // the paper's 802.11ac at up to 400 Mbps
-            access_delay_ms: 2,
             wan_mbps: 50.0,
-            wan_delay_ms: 20,
             num_clients: 1,
             num_edges: 1,
-            lan_mbps: 1000.0,
-            lan_delay_ms: 5,
-            peer_lookup: false,
             cluster: None,
             edge_down_ms: Vec::new(),
             access_loss: 0.0,
             wan_loss: 0.0,
             request_timeout_ms: 10_000,
-            max_retries: 3,
-            retry: None,
+            retry: RetryPolicy::immediate(4, 0),
             origin_fallback: false,
-            probe_interval_ms: 100,
             faults: FaultSchedule::new(),
             admission: None,
             brownout: None,
@@ -207,10 +174,7 @@ impl Default for SimConfig {
             edge: EdgeConfig::default(),
             client: ClientConfig::default(),
             compute: ComputeConfig::default(),
-            image_wire_bytes: 300_000,
-            descriptor_wire_bytes: 4_096,
             pano_height: 256,
-            queue_limit_bytes: 1 << 30, // 1 GiB
             closed_loop: true,
             seed: 1,
             content: ContentUniverse::default(),
@@ -226,15 +190,35 @@ impl SimConfig {
     }
 }
 
+/// Client↔edge one-way delay, ms.
+const ACCESS_DELAY_MS: u64 = 2;
+/// Edge↔cloud one-way delay, ms.
+const WAN_DELAY_MS: u64 = 20;
+/// Inter-edge LAN bandwidth, Mbit/s.
+const LAN_MBPS: f64 = 1000.0;
+/// Inter-edge LAN one-way delay, ms.
+const LAN_DELAY_MS: u64 = 5;
+/// While degraded, minimum spacing between a client's edge re-probes, ms.
+const PROBE_INTERVAL_MS: u64 = 100;
+/// Wire size charged for a camera-frame upload. The synthetic frames are
+/// small; a real phone ships a multi-hundred-kB JPEG, and that is what the
+/// network should feel.
+const IMAGE_WIRE_BYTES: u64 = 300_000;
+/// Wire size charged for a recognition descriptor query.
+const DESCRIPTOR_WIRE_BYTES: u64 = 4_096;
+/// Droptail queue depth per link direction, bytes: deep, so results as
+/// large as 64 MB models queue behind each other rather than drop.
+const QUEUE_LIMIT_BYTES: u64 = 1 << 30; // 1 GiB
+
 /// Bytes a message occupies on a link. Structural messages use their real
-/// encoded length; camera frames and descriptors are charged at the
-/// configured realistic sizes (see [`SimConfig::image_wire_bytes`]).
-fn wire_len(msg: &Msg, cfg: &SimConfig) -> u64 {
+/// encoded length; camera frames and descriptors are charged at realistic
+/// sizes ([`IMAGE_WIRE_BYTES`], [`DESCRIPTOR_WIRE_BYTES`]).
+fn wire_len(msg: &Msg) -> u64 {
     match msg {
         Msg::Query {
             descriptor: FeatureDescriptor::Dnn(_),
             ..
-        } => cfg.descriptor_wire_bytes,
+        } => DESCRIPTOR_WIRE_BYTES,
         Msg::Upload {
             task: TaskRequest::Recognition { .. },
             ..
@@ -246,7 +230,7 @@ fn wire_len(msg: &Msg, cfg: &SimConfig) -> u64 {
         | Msg::BaselineRequest {
             task: TaskRequest::Recognition { .. },
             ..
-        } => cfg.image_wire_bytes,
+        } => IMAGE_WIRE_BYTES,
         Msg::Hit {
             result: TaskResult::Recognition(_),
             ..
@@ -286,15 +270,9 @@ const EPOCH_MASK: u64 = 0xFFFF;
 /// The engine configuration a [`SimConfig`] implies for its clients.
 fn engine_config(cfg: &SimConfig) -> EngineConfig {
     EngineConfig {
-        // `None` reproduces the classic simulator retransmit loop:
-        // max_retries extra transmissions, no backoff (the resend leaves at
-        // the instant the virtual deadline fires).
-        retry: cfg
-            .retry
-            .clone()
-            .unwrap_or_else(|| RetryPolicy::immediate(cfg.max_retries + 1, cfg.seed)),
+        retry: cfg.retry.clone(),
         deadline_ns: cfg.request_timeout_ms * 1_000_000,
-        probe_interval_ns: cfg.probe_interval_ms * 1_000_000,
+        probe_interval_ns: PROBE_INTERVAL_MS * 1_000_000,
         use_edge: cfg.mode == Mode::CoIc,
         origin_fallback: cfg.origin_fallback,
     }
@@ -374,7 +352,7 @@ impl ClientNode {
             descriptor: prepared.descriptor.clone(),
             hint,
         };
-        let bytes = wire_len(&msg, &self.cfg);
+        let bytes = wire_len(&msg);
         self.shaped_send(ctx, false, bytes, msg);
     }
 
@@ -385,7 +363,7 @@ impl ClientNode {
             req_id,
             task: prepared.task.clone(),
         };
-        let bytes = wire_len(&msg, &self.cfg);
+        let bytes = wire_len(&msg);
         // Edge-execution baseline sends the frame only as far as the edge
         // box; otherwise offload rides through to the cloud as in the
         // paper.
@@ -402,7 +380,7 @@ impl ClientNode {
             .task
             .clone();
         let msg = Msg::Upload { req_id, task };
-        let bytes = wire_len(&msg, &self.cfg);
+        let bytes = wire_len(&msg);
         self.shaped_send(ctx, false, bytes, msg);
     }
 
@@ -637,7 +615,7 @@ impl EdgeNode {
                 req_id,
                 task: TaskRequest::Panorama { frame_id: f },
             };
-            let bytes = wire_len(&msg, &self.cfg);
+            let bytes = wire_len(&msg);
             ctx.send(self.cloud, bytes, msg);
         }
     }
@@ -661,7 +639,7 @@ impl EdgeNode {
         match self.charge_ns(charge) {
             Some(after_ns) => self.delay_send(ctx, after_ns, dest, msg),
             None => {
-                let bytes = wire_len(&msg, &self.cfg);
+                let bytes = wire_len(&msg);
                 ctx.send(dest, bytes, msg);
             }
         }
@@ -699,10 +677,11 @@ impl EdgeNode {
                         digest,
                     };
                     self.send(ctx, charge, to, msg);
-                    if let Some(d) = deadline {
-                        let after_ns = self.charge_ns(charge).unwrap_or(0) + d.after_ns;
-                        ctx.set_timer(SimDuration::from_nanos(after_ns), ENGINE_TIMER | d.token);
-                    }
+                    let after_ns = self.charge_ns(charge).unwrap_or(0) + deadline.after_ns;
+                    ctx.set_timer(
+                        SimDuration::from_nanos(after_ns),
+                        ENGINE_TIMER | deadline.token,
+                    );
                 }
                 EdgeEffect::Replicate {
                     to,
@@ -899,7 +878,7 @@ impl Node<Msg> for EdgeNode {
                 .delayed
                 .remove(&token)
                 .expect("timer for unknown delayed send");
-            let bytes = wire_len(&msg, &self.cfg);
+            let bytes = wire_len(&msg);
             ctx.send(dest, bytes, msg);
             return;
         }
@@ -908,7 +887,6 @@ impl Node<Msg> for EdgeNode {
 }
 
 struct CloudNode {
-    cfg: SimConfig,
     service: Arc<CloudService>,
     /// Executions in progress: token → (dest, routed?, reply).
     pending: HashMap<u64, (NodeId, bool, Msg)>,
@@ -945,7 +923,7 @@ impl Node<Msg> for CloudNode {
             .pending
             .remove(&token)
             .expect("timer for unknown execution");
-        let bytes = wire_len(&msg, &self.cfg);
+        let bytes = wire_len(&msg);
         if routed {
             ctx.send_routed(dest, bytes, msg);
         } else {
@@ -1034,14 +1012,14 @@ pub fn run_instrumented(
         .map(|i| topo.add_node(format!("edge{i}")))
         .collect();
     let cloud_id = topo.add_node("cloud");
-    let mut access = LinkParams::mbps_ms(cfg.access_mbps, cfg.access_delay_ms);
-    access.queue_limit_bytes = cfg.queue_limit_bytes;
+    let mut access = LinkParams::mbps_ms(cfg.access_mbps, ACCESS_DELAY_MS);
+    access.queue_limit_bytes = QUEUE_LIMIT_BYTES;
     access.loss = cfg.access_loss;
-    let mut wan = LinkParams::mbps_ms(cfg.wan_mbps, cfg.wan_delay_ms);
-    wan.queue_limit_bytes = cfg.queue_limit_bytes;
+    let mut wan = LinkParams::mbps_ms(cfg.wan_mbps, WAN_DELAY_MS);
+    wan.queue_limit_bytes = QUEUE_LIMIT_BYTES;
     wan.loss = cfg.wan_loss;
-    let mut lan = LinkParams::mbps_ms(cfg.lan_mbps, cfg.lan_delay_ms);
-    lan.queue_limit_bytes = cfg.queue_limit_bytes;
+    let mut lan = LinkParams::mbps_ms(LAN_MBPS, LAN_DELAY_MS);
+    lan.queue_limit_bytes = QUEUE_LIMIT_BYTES;
 
     // Per-client requests and edge assignment (by the zone of the client's
     // first request; populations are static so all its requests agree).
@@ -1141,10 +1119,6 @@ pub fn run_instrumented(
             let cl = ClusterState::new(ei as u32, cfg.num_edges, c.clone());
             cluster_stats.push(cl.stats().clone());
             engine.join_cluster(cl, edge_ids.clone(), c.auth_token);
-        } else if cfg.peer_lookup {
-            for &peer in edge_ids.iter().filter(|&&p| p != eid) {
-                engine.add_peer(peer);
-            }
         }
         sim.bind(
             eid,
@@ -1172,7 +1146,6 @@ pub fn run_instrumented(
     sim.bind(
         cloud_id,
         Box::new(CloudNode {
-            cfg: cfg.clone(),
             service: cloud_service,
             pending: HashMap::new(),
             next_token: 0,
@@ -1181,8 +1154,8 @@ pub fn run_instrumented(
 
     // Apply the wireless-fading schedule to every access link.
     for &(at_ms, mbps) in &cfg.access_schedule {
-        let mut p = LinkParams::mbps_ms(mbps, cfg.access_delay_ms);
-        p.queue_limit_bytes = cfg.queue_limit_bytes;
+        let mut p = LinkParams::mbps_ms(mbps, ACCESS_DELAY_MS);
+        p.queue_limit_bytes = QUEUE_LIMIT_BYTES;
         p.loss = cfg.access_loss;
         for (i, &c) in client_ids.iter().enumerate() {
             let e = client_edge[i];
@@ -1471,34 +1444,58 @@ mod tests {
         assert!(acc > 0.7, "accuracy {acc}");
     }
 
-    #[test]
-    fn multi_edge_peer_lookup_serves_cross_zone_content() {
-        // Users in two zones attach to two edges; zone 0 warms its edge,
-        // then zone 1 requests the same model and must get a peer hit.
-        let mut reqs = Vec::new();
-        for i in 0..8u64 {
-            reqs.push(Request {
+    /// Two edges where a miss asks the other one and keeps what it fetched.
+    fn pair() -> ClusterConfig {
+        ClusterConfig {
+            peer_fanout: 1,
+            replicate_hot: 1,
+            ..ClusterConfig::default()
+        }
+    }
+
+    /// A model of `size_bytes` whose digest `edge` owns on a two-edge ring:
+    /// the copy that edge fetches stays where the other one probes.
+    fn owned_by(edge: u32, size_bytes: u64, cfg: &SimConfig) -> u64 {
+        let ring = crate::cluster::HashRing::new(2, pair().vnodes);
+        let models = cfg.content.models();
+        (0..64)
+            .find(|&m| ring.owner(&models.digest(m, size_bytes)) == edge)
+            .expect("the edge owns some model")
+    }
+
+    /// Eight loads of one model, alternating between zones 0 and 1 (so
+    /// edges 0 and 1), zone 0 first.
+    fn two_zone_loads(model_id: u64) -> Vec<Request> {
+        (0..8u64)
+            .map(|i| Request {
                 user: UserId(i as u32 % 4),
                 zone: ZoneId((i % 4 % 2) as u32),
                 at_ns: i * 400_000_000,
                 kind: RequestKind::RenderLoad {
-                    model_id: 7,
+                    model_id,
                     size_bytes: 300_000,
                 },
-            });
-        }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn multi_edge_cluster_serves_cross_zone_content() {
+        // Users in two zones attach to two edges; zone 0 warms its edge,
+        // then zone 1 requests the same model and must get a peer hit.
         let cfg = SimConfig {
             num_clients: 4,
             num_edges: 2,
-            peer_lookup: true,
+            cluster: Some(pair()),
             ..SimConfig::default()
         };
+        let reqs = two_zone_loads(owned_by(0, 300_000, &cfg));
         let report = run(&reqs, &cfg);
         assert_eq!(report.completed, 8);
         assert!(report.peer_hits >= 1, "expected peer hits, got {report:?}");
         assert!(report.lan_bytes > 0);
         // Only one cloud fetch of the model should ever happen per edge at
-        // most; with peer lookup, ideally once globally.
+        // most; with the cluster, ideally once globally.
         assert!(
             report.cloud_trips <= 2,
             "cloud trips {}",
@@ -1507,28 +1504,18 @@ mod tests {
     }
 
     #[test]
-    fn multi_edge_without_peer_lookup_pays_cloud_per_edge() {
-        let mut reqs = Vec::new();
-        for i in 0..8u64 {
-            reqs.push(Request {
-                user: UserId(i as u32 % 4),
-                zone: ZoneId((i % 4 % 2) as u32),
-                at_ns: i * 400_000_000,
-                kind: RequestKind::RenderLoad {
-                    model_id: 7,
-                    size_bytes: 300_000,
-                },
-            });
-        }
-        let mk = |peer_lookup| SimConfig {
+    fn multi_edge_without_cluster_pays_cloud_per_edge() {
+        let mk = |cluster| SimConfig {
             num_clients: 4,
             num_edges: 2,
-            peer_lookup,
+            cluster,
             ..SimConfig::default()
         };
-        let without = run(&reqs, &mk(false));
-        let with = run(&reqs, &mk(true));
+        let reqs = two_zone_loads(owned_by(0, 300_000, &mk(None)));
+        let without = run(&reqs, &mk(None));
+        let with = run(&reqs, &mk(Some(pair())));
         assert_eq!(without.peer_hits, 0);
+        assert!(with.peer_hits >= 1);
         assert!(with.wan_bytes < without.wan_bytes);
         assert!(with.mean_latency_ms() <= without.mean_latency_ms());
     }
@@ -1537,44 +1524,24 @@ mod tests {
     fn peer_hit_latency_sits_between_local_and_cloud() {
         // One warmed peer: the home edge's first request is a peer hit,
         // its second a local hit; a fresh model is a cloud miss.
-        let reqs = vec![
-            // zone 1 warms edge 1
-            Request {
-                user: UserId(1),
-                zone: ZoneId(1),
-                at_ns: 0,
-                kind: RequestKind::RenderLoad {
-                    model_id: 3,
-                    size_bytes: 500_000,
-                },
-            },
-            // zone 0 asks for the same model → peer hit
-            Request {
-                user: UserId(0),
-                zone: ZoneId(0),
-                at_ns: 1_000_000_000,
-                kind: RequestKind::RenderLoad {
-                    model_id: 3,
-                    size_bytes: 500_000,
-                },
-            },
-            // zone 0 again → local hit
-            Request {
-                user: UserId(0),
-                zone: ZoneId(0),
-                at_ns: 2_000_000_000,
-                kind: RequestKind::RenderLoad {
-                    model_id: 3,
-                    size_bytes: 500_000,
-                },
-            },
-        ];
         let cfg = SimConfig {
             num_clients: 2,
             num_edges: 2,
-            peer_lookup: true,
+            cluster: Some(pair()),
             ..SimConfig::default()
         };
+        let model_id = owned_by(1, 500_000, &cfg);
+        // User u sits in zone u, so on edge u; one load a second.
+        let load = |user: u32, at_s: u64| Request {
+            user: UserId(user),
+            zone: ZoneId(user),
+            at_ns: at_s * 1_000_000_000,
+            kind: RequestKind::RenderLoad {
+                model_id,
+                size_bytes: 500_000,
+            },
+        };
+        let reqs = vec![load(1, 0), load(0, 1), load(0, 2)];
         let report = run(&reqs, &cfg);
         assert_eq!(report.completed, 3);
         assert_eq!(report.cloud_trips, 1);
@@ -1736,7 +1703,7 @@ mod tests {
         let cfg = SimConfig {
             access_loss: 0.08,
             request_timeout_ms: 3_000,
-            max_retries: 5,
+            retry: RetryPolicy::immediate(6, 0),
             ..small_cfg()
         };
         let report = run(&trace, &cfg);
@@ -1763,7 +1730,7 @@ mod tests {
         let cfg = SimConfig {
             access_loss: 1.0, // nothing ever gets through
             request_timeout_ms: 1_000,
-            max_retries: 2,
+            retry: RetryPolicy::immediate(3, 0),
             ..small_cfg()
         };
         let report = run(&trace, &cfg);
@@ -1779,7 +1746,7 @@ mod tests {
         let cfg = SimConfig {
             wan_loss: 0.15,
             request_timeout_ms: 2_000,
-            max_retries: 6,
+            retry: RetryPolicy::immediate(7, 0),
             ..small_cfg()
         };
         let report = run(&trace, &cfg);

@@ -2,12 +2,13 @@
 //!
 //! Two arenas, two edge servers, one popular set of avatar models. Without
 //! cooperation each edge must fetch every model from the cloud itself;
-//! with the `PeerQuery` protocol an edge answers its neighbour's misses
-//! over the LAN. This example also shows panorama prefetching on a third,
-//! lone viewer: cooperation with one's own future.
+//! joined in one cluster, an edge answers its neighbour's misses over the
+//! LAN (`PeerQuery` / `PeerReply`). This example also shows panorama
+//! prefetching on a third, lone viewer: cooperation with one's own future.
 //!
 //! Run with: `cargo run --release --example edge_cooperation`
 
+use coic::core::cluster::ClusterConfig;
 use coic::core::simrun::{run, SimConfig};
 use coic::workload::{ArenaMultiplayer, Population, Request, RequestKind, UserId, VrVideo, ZoneId};
 
@@ -24,18 +25,26 @@ fn main() {
     .generate(19);
 
     println!("two arenas, two edges, 8 shared avatar models (2 MB each)\n");
-    for peer_lookup in [false, true] {
+    for cooperate in [false, true] {
+        // Each miss asks the other edge and keeps what it fetched; a 2 MB
+        // reply needs ≈ 20 ms on the LAN, so the probe gets a second.
+        let cluster = cooperate.then(|| ClusterConfig {
+            peer_fanout: 1,
+            replicate_hot: 1,
+            peer_timeout_ms: 1_000,
+            ..ClusterConfig::default()
+        });
         let cfg = SimConfig {
             num_clients: 8,
             num_edges: 2,
-            peer_lookup,
+            cluster,
             ..SimConfig::default()
         };
         let report = run(&trace, &cfg);
         println!(
-            "peer lookup {}: local hits {:>2}, peer hits {:>2}, cloud trips {:>2} \
+            "cooperation {}: local hits {:>2}, peer hits {:>2}, cloud trips {:>2} \
              → mean {:>6.1} ms, WAN {:>5.1} MB",
-            if peer_lookup { "ON " } else { "OFF" },
+            if cooperate { "ON " } else { "OFF" },
             report.edge_hits,
             report.peer_hits,
             report.cloud_trips,

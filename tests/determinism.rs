@@ -83,7 +83,7 @@ fn sim_config() -> SimConfig {
     SimConfig {
         mode: Mode::CoIc,
         num_clients: 1,
-        retry: Some(policy()),
+        retry: policy(),
         origin_fallback: true,
         request_timeout_ms: 200,
         faults: faults(),

@@ -741,7 +741,7 @@ fn forged_replicate_push_is_rejected() {
     assert!(push(forged(0)).is_err(), "zero token must be dropped");
     assert!(push(forged(42)).is_err(), "wrong token must be dropped");
 
-    // Nothing was installed: the peer-lookup path sees no such digest.
+    // Nothing was installed: a peer query finds no such digest.
     let reply = push(Msg::PeerQuery { req_id: 9, digest }).expect("peer query is answered");
     match Msg::decode(&reply).unwrap() {
         Msg::PeerReply { result, .. } => {

@@ -476,18 +476,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     /// The simulation driver completes every request (or counts an explicit
     /// failure) and reproduces exactly, across the whole configuration
-    /// space: modes, tiers, edges, peer lookup, prefetch, shaping, loss.
+    /// space: modes, tiers, edges, the cluster tier, a mid-run edge death,
+    /// prefetch, shaping, loss.
     #[test]
     fn simrun_total_and_deterministic(
         mode_coic in any::<bool>(),
         edge_tier in any::<bool>(),
         edges in 1u32..3,
-        peer_lookup in any::<bool>(),
+        cluster in prop::option::of((1u32..3, 0u32..3)),
+        edge_down in prop::option::of((0u64..2_000, 0u32..2)),
         prefetch in 0u32..3,
         loss_pct in 0u32..6,
         shape in any::<bool>(),
         seed in 0u64..1000,
     ) {
+        use coic::core::cluster::ClusterConfig;
         use coic::core::simrun::{run, ExecTier, Mode, SimConfig};
         use coic::workload::{Population, SafeDrivingAr, VrVideo, ZoneModel};
 
@@ -516,11 +519,16 @@ proptest! {
             exec_tier: if edge_tier { ExecTier::Edge } else { ExecTier::Cloud },
             num_clients: 4,
             num_edges: edges,
-            peer_lookup,
+            cluster: cluster.map(|(peer_fanout, replicate_hot)| ClusterConfig {
+                peer_fanout,
+                replicate_hot,
+                ..ClusterConfig::default()
+            }),
+            edge_down_ms: edge_down.map(|(ms, e)| (ms, e % edges)).into_iter().collect(),
             prefetch_depth: prefetch,
             access_loss: loss_pct as f64 / 100.0,
             request_timeout_ms: 2_000,
-            max_retries: 6,
+            retry: RetryPolicy::immediate(7, 0),
             client_shaper: shape.then_some((20.0, 256 * 1024)),
             seed,
             ..SimConfig::default()

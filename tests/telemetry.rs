@@ -59,13 +59,13 @@ fn config() -> SimConfig {
     SimConfig {
         mode: Mode::CoIc,
         num_clients: 2,
-        retry: Some(RetryPolicy {
+        retry: RetryPolicy {
             max_attempts: 3,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(5),
             jitter_frac: 0.3,
             seed: 7,
-        }),
+        },
         origin_fallback: true,
         request_timeout_ms: 200,
         // Every edge attempt of each client's last request fails, so the
