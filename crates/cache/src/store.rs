@@ -194,10 +194,13 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
             return Vec::new();
         }
         let mut evicted = Vec::new();
-        let candidate_hash = key_hash(&key);
-        if let Some(adm) = &mut self.admission {
-            adm.record(candidate_hash);
-        }
+        // Only the TinyLFU filter reads the key's hash: without one, the
+        // key is never hashed.
+        let candidate_hash = self.admission.as_mut().map(|adm| {
+            let hash = key_hash(&key);
+            adm.record(hash);
+            hash
+        });
         // Replace an existing entry under the same key.
         if let Some(&old) = self.by_key.get(&key) {
             self.remove_id(old);
@@ -207,7 +210,7 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
                 .policy
                 .victim()
                 .expect("store over capacity but policy has no victim");
-            if let Some(adm) = &self.admission {
+            if let (Some(adm), Some(candidate_hash)) = (&self.admission, candidate_hash) {
                 // TinyLFU gate: the newcomer must be warmer than the entry
                 // it would displace, else it is turned away at the door.
                 let victim_hash = key_hash(&self.entries.get(&victim).expect("victim exists").key);

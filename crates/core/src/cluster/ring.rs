@@ -1,7 +1,6 @@
 //! Deterministic consistent-hash ring over the digest space.
 
 use coic_cache::{fnv1a64, Digest};
-use std::collections::BTreeMap;
 
 /// Index of an edge within its cluster (dense, `0..num_edges`).
 pub type EdgeId = u32;
@@ -27,8 +26,8 @@ pub type EdgeId = u32;
 /// ```
 #[derive(Debug, Clone)]
 pub struct HashRing {
-    /// vnode point → owning edge, sorted by point.
-    points: BTreeMap<u64, EdgeId>,
+    /// `(vnode point, owning edge)`, sorted by point, each point once.
+    points: Vec<(u64, EdgeId)>,
     edges: u32,
 }
 
@@ -54,17 +53,20 @@ impl HashRing {
     pub fn new(edges: u32, vnodes: u32) -> Self {
         assert!(edges > 0, "a ring needs at least one edge");
         assert!(vnodes > 0, "a ring needs at least one vnode per edge");
-        let mut points = BTreeMap::new();
+        let mut points = Vec::with_capacity(edges as usize * vnodes as usize);
         for e in 0..edges {
             for v in 0..vnodes {
                 // 0x2f separator: (e=1,v=2) must differ from (e=12,v=..).
                 let ([e0, e1, e2, e3], [v0, v1, v2, v3]) = (e.to_le_bytes(), v.to_le_bytes());
                 let key = [e0, e1, e2, e3, 0x2f, v0, v1, v2, v3];
-                // First writer wins on the (astronomically unlikely) point
-                // collision so the ring stays identical on every edge.
-                points.entry(mix(fnv1a64(&key))).or_insert(e);
+                points.push((mix(fnv1a64(&key)), e));
             }
         }
+        // First writer wins on the (astronomically unlikely) point
+        // collision so the ring stays identical on every edge: the sort is
+        // stable and the dedup keeps the first of a run.
+        points.sort_by_key(|&(point, _)| point);
+        points.dedup_by_key(|&mut (point, _)| point);
         HashRing { points, edges }
     }
 
@@ -86,30 +88,41 @@ impl HashRing {
     /// successor that inherits the keyspace when the owner dies, and so
     /// on. Each member appears exactly once.
     pub fn walk(&self, d: &Digest) -> Vec<EdgeId> {
+        self.walk_iter(d).collect()
+    }
+
+    /// [`HashRing::walk`], one edge at a time: a caller that needs only
+    /// the first few edges stops there, and the rest is never walked.
+    pub fn walk_iter(&self, d: &Digest) -> impl Iterator<Item = EdgeId> + '_ {
         let mut seen = vec![false; self.edges as usize];
-        let mut order = Vec::with_capacity(self.edges as usize);
-        for e in self.walk_points(Self::point_of(d)) {
-            // Every ring point maps to an edge in 0..edges by
-            // construction; `get_mut` keeps that free of panic paths.
-            if let Some(s) = seen.get_mut(e as usize) {
-                if !*s {
-                    *s = true;
-                    order.push(e);
-                    if order.len() == self.edges as usize {
-                        break;
-                    }
+        self.walk_points(Self::point_of(d))
+            .scan(self.edges, move |unseen, e| {
+                // Stop once every edge has been yielded.
+                if *unseen == 0 {
+                    return None;
                 }
-            }
-        }
-        order
+                // Every ring point maps to an edge in 0..edges by
+                // construction; `get_mut` keeps that free of panic paths.
+                let fresh = seen
+                    .get_mut(e as usize)
+                    .is_some_and(|s| !std::mem::replace(s, true));
+                *unseen -= u32::from(fresh);
+                Some(fresh.then_some(e))
+            })
+            .flatten()
+    }
+
+    /// The number of edges on the ring.
+    pub(crate) fn edges(&self) -> u32 {
+        self.edges
     }
 
     /// All vnode owners from `point` onward, wrapping.
     fn walk_points(&self, point: u64) -> impl Iterator<Item = EdgeId> + '_ {
-        self.points
-            .range(point..)
-            .chain(self.points.range(..point))
-            .map(|(_, &e)| e)
+        let (before, from) = self
+            .points
+            .split_at(self.points.partition_point(|&(p, _)| p < point));
+        from.iter().chain(before).map(|&(_, e)| e)
     }
 }
 
@@ -151,6 +164,49 @@ mod tests {
         for (d, want) in digests(8).zip(WALK_PREFIXES) {
             assert_eq!(ring.owner(&d), want[0]);
             assert_eq!(ring.walk(&d)[..4], want);
+        }
+    }
+
+    /// The walk by its definition, the way the ring first computed it: the
+    /// points in a `BTreeMap` (first writer wins), ranged from the digest's
+    /// point and wrapped, each edge kept at its first appearance.
+    fn reference_walk(edges: u32, vnodes: u32, d: &Digest) -> Vec<EdgeId> {
+        let mut points = std::collections::BTreeMap::new();
+        for e in 0..edges {
+            for v in 0..vnodes {
+                let mut key = e.to_le_bytes().to_vec();
+                key.push(0x2f);
+                key.extend(v.to_le_bytes());
+                points.entry(mix(fnv1a64(&key))).or_insert(e);
+            }
+        }
+        let point = HashRing::point_of(d);
+        let mut order = Vec::new();
+        for (_, &e) in points.range(point..).chain(points.range(..point)) {
+            if !order.contains(&e) {
+                order.push(e);
+            }
+        }
+        order
+    }
+
+    proptest::proptest! {
+        /// The lazy walk is the walk, edge for edge: every prefix a caller
+        /// that stops at a fan-out of `k` sees, on rings of every size.
+        #[test]
+        fn the_lazy_walk_is_every_prefix_of_the_walk(
+            edges in 1u32..24,
+            vnodes in 1u32..24,
+            seed in 0u64..1_000,
+        ) {
+            let ring = HashRing::new(edges, vnodes);
+            let d = Digest::of(&seed.to_le_bytes());
+            let walk = ring.walk(&d);
+            proptest::prop_assert_eq!(&walk, &reference_walk(edges, vnodes, &d));
+            for k in 0..=edges as usize + 1 {
+                let prefix: Vec<EdgeId> = ring.walk_iter(&d).take(k).collect();
+                proptest::prop_assert_eq!(&prefix[..], &walk[..k.min(walk.len())]);
+            }
         }
     }
 

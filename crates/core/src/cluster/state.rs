@@ -7,6 +7,7 @@ use super::stats::ClusterStats;
 use super::ClusterConfig;
 use crate::engine::BreakerState;
 use coic_cache::Digest;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The bounded probe plan for one miss.
@@ -29,7 +30,9 @@ pub struct ProbePlan {
 pub struct ClusterState {
     cfg: ClusterConfig,
     me: EdgeId,
-    ring: HashRing,
+    /// Every edge of a run derives the same ring, so a simulated cluster
+    /// builds it once and shares it.
+    ring: Arc<HashRing>,
     membership: Membership,
     /// Miss-path requests landing on *this* edge, per digest: crossing
     /// the threshold keeps a local replica of a non-owned entry.
@@ -46,10 +49,21 @@ impl ClusterState {
     /// # Panics
     /// Panics when `me` is out of range or the cluster is empty.
     pub fn new(me: EdgeId, num_edges: u32, cfg: ClusterConfig) -> Self {
+        let ring = Arc::new(HashRing::new(num_edges, cfg.vnodes));
+        ClusterState::on_ring(me, ring, cfg)
+    }
+
+    /// [`ClusterState::new`] over a ring already built — the one
+    /// `HashRing::new(num_edges, cfg.vnodes)` every member derives.
+    ///
+    /// # Panics
+    /// Panics when `me` is not on the ring.
+    pub fn on_ring(me: EdgeId, ring: Arc<HashRing>, cfg: ClusterConfig) -> Self {
+        let num_edges = ring.edges();
         assert!(me < num_edges, "edge {me} outside cluster of {num_edges}");
         ClusterState {
             me,
-            ring: HashRing::new(num_edges, cfg.vnodes),
+            ring,
             membership: Membership::new(
                 me,
                 num_edges,
@@ -104,9 +118,11 @@ impl ClusterState {
     /// [`ClusterStats::count_probe`] at send time, so the `cluster.
     /// peer_probe` counter reflects probes actually sent, not planned.
     pub fn plan(&mut self, d: &Digest, now_ns: u64) -> ProbePlan {
-        let owner = self.ring.owner(d);
+        // The walk starts at the owner and goes no further than the plan.
+        let mut walk = self.ring.walk_iter(d).peekable();
+        let owner = walk.peek().copied();
         let mut peers = Vec::new();
-        for e in self.ring.walk(d) {
+        for e in walk {
             if peers.len() as u32 >= self.cfg.peer_fanout {
                 break;
             }
@@ -118,7 +134,8 @@ impl ClusterState {
                 peers.push(e);
             }
         }
-        let failover = owner != self.me && !peers.is_empty() && !peers.contains(&owner);
+        let failover =
+            owner.is_some_and(|o| o != self.me && !peers.is_empty() && !peers.contains(&o));
         if failover {
             self.stats.count_failover();
         }
@@ -187,8 +204,7 @@ impl ClusterState {
     /// safely reachable.
     pub fn successor_target(&self, d: &Digest) -> Option<EdgeId> {
         self.ring
-            .walk(d)
-            .into_iter()
+            .walk_iter(d)
             .find(|&e| e != self.me && self.membership.is_closed(e))
     }
 }

@@ -466,9 +466,10 @@ impl<C: Clock> ClientEngine<C> {
         &self.decisions
     }
 
-    /// Take the decisions accumulated since the last drain.
-    pub fn drain_decisions(&mut self) -> Vec<Decision> {
-        std::mem::take(&mut self.decisions)
+    /// Take the decisions accumulated since the last drain. The buffer
+    /// keeps its capacity, so draining after every event allocates nothing.
+    pub fn drain_decisions(&mut self) -> std::vec::Drain<'_, Decision> {
+        self.decisions.drain(..)
     }
 
     /// QoE records of every completed request, in completion order.

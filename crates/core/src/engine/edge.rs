@@ -100,7 +100,8 @@ pub enum Charge {
 }
 
 /// A probe's deadline: if no reply came `after_ns` after the probe left,
-/// the realiser fires [`EdgeTimer::Probe`] with `token`.
+/// the realiser fires [`EdgeTimer::Probe`] with `token` — unless the engine
+/// disarmed it first ([`EdgeEffect::Disarm`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
     /// Echoed back through [`EdgeEngine::on_timer`].
@@ -168,7 +169,7 @@ pub enum EdgeEffect<P> {
     },
     /// Ask peer `to` for `digest` on behalf of `(conn, req)`; report the
     /// reply with [`EdgeEngine::on_peer_reply`], and fire the deadline when
-    /// it passes, reply or not (a reply already in hand makes it a no-op).
+    /// it passes unless it was disarmed (a late firing is a no-op).
     Probe {
         /// Connection the probe serves.
         conn: ConnId,
@@ -221,6 +222,13 @@ pub enum EdgeEffect<P> {
         /// The connection.
         conn: ConnId,
     },
+    /// The probe deadline armed with `token` decides nothing any more: its
+    /// probe was answered. A realiser with timers cancels it; one whose
+    /// probes are synchronous ignores this.
+    Disarm {
+        /// The [`Deadline::token`] of the probe.
+        token: u64,
+    },
 }
 
 impl<P> EdgeEffect<P> {
@@ -233,7 +241,9 @@ impl<P> EdgeEffect<P> {
             | EdgeEffect::Probe { conn, .. }
             | EdgeEffect::Serving { conn, .. }
             | EdgeEffect::Close { conn } => Some(*conn),
-            EdgeEffect::Replicate { .. } | EdgeEffect::Insert { .. } => None,
+            EdgeEffect::Replicate { .. }
+            | EdgeEffect::Insert { .. }
+            | EdgeEffect::Disarm { .. } => None,
         }
     }
 }
@@ -267,8 +277,9 @@ struct Queued {
 struct Round<P> {
     descriptor: FeatureDescriptor,
     task: TaskRequest,
-    /// Peers still owing a reply: member id and address.
-    outstanding: Vec<(EdgeId, P)>,
+    /// Peers still owing a reply: member id, address and the token of
+    /// the probe's deadline.
+    outstanding: Vec<(EdgeId, P, u64)>,
     satisfied: bool,
     started_ns: u64,
 }
@@ -292,7 +303,7 @@ pub struct EdgeEngine<P> {
     next_ticket: u64,
     rounds: BTreeMap<(ConnId, u64), Round<P>>,
     /// Armed probe deadlines: token → (round, peer member id). An entry
-    /// lives until its timer fires, answered or not.
+    /// lives until its probe is answered or its timer fires.
     deadlines: BTreeMap<u64, (ConnId, u64, EdgeId)>,
     next_timer: u64,
     /// Results kept by a completed fetch whose insert has not landed yet:
@@ -634,8 +645,11 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
         let Some(pos) = round.outstanding.iter().position(|o| o.1 == from) else {
             return; // reply landed after its own deadline already fired
         };
-        let (peer, _) = round.outstanding.remove(pos);
+        let (peer, _, token) = round.outstanding.remove(pos);
         let drained = round.outstanding.is_empty();
+        // The reply settles the probe: its deadline has nothing left to do.
+        self.deadlines.remove(&token);
+        fx.push(EdgeEffect::Disarm { token });
         let was_satisfied = round.satisfied;
         let fresh_hit = result.is_some() && !was_satisfied;
         round.satisfied |= fresh_hit;
@@ -766,7 +780,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
             let Some(round) = self.rounds.remove(&key) else {
                 continue;
             };
-            for &(peer, _) in &round.outstanding {
+            for &(peer, ..) in &round.outstanding {
                 self.with_cluster(|cl| cl.cancel_probe(peer));
             }
             self.abandon_flight(key.1, descriptor_digest(&round.descriptor), now_ns, fx);
@@ -909,7 +923,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
                         let token = self.next_timer;
                         self.next_timer += 1;
                         self.deadlines.insert(token, (conn, req, peer));
-                        outstanding.push((peer, to));
+                        outstanding.push((peer, to, token));
                         fx.push(EdgeEffect::Probe {
                             conn,
                             req,
@@ -948,7 +962,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
         req: u64,
         descriptor: FeatureDescriptor,
         task: TaskRequest,
-        outstanding: Vec<(EdgeId, P)>,
+        outstanding: Vec<(EdgeId, P, u64)>,
         now_ns: u64,
     ) {
         self.rounds.insert(
@@ -974,8 +988,8 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
         let Some(round) = self.rounds.get_mut(&key) else {
             return;
         };
-        let Some(pos) = round.outstanding.iter().position(|o| o.0 == peer) else {
-            return; // this probe already answered
+        let Some(pos) = round.outstanding.iter().position(|o| o.2 == token) else {
+            return; // the round under this key is a later one
         };
         round.outstanding.remove(pos);
         let drained = round.outstanding.is_empty();

@@ -726,6 +726,9 @@ impl LiveEdge {
                 turn.queued = false;
             }
             EdgeEffect::Close { .. } => turn.close = true,
+            // A probe here is one blocking call under its socket deadline,
+            // so there is no armed timer to cancel.
+            EdgeEffect::Disarm { .. } => {}
             EdgeEffect::Insert {
                 descriptor,
                 held,

@@ -241,7 +241,7 @@ impl EdgeService {
 /// The cloud execution service — the paper's "server" that runs complete
 /// IC tasks.
 pub struct CloudService {
-    net: SimNet,
+    net: Arc<SimNet>,
     classifier: PrototypeClassifier,
     models: Arc<ModelLibrary>,
     panos: Arc<PanoLibrary>,
@@ -260,7 +260,7 @@ impl CloudService {
         panos: Arc<PanoLibrary>,
         seed: u64,
     ) -> Self {
-        let net = SimNet::default_net();
+        let net = SimNet::shared_default();
         let mut rng = StdRng::seed_from_u64(seed);
         let classifier = PrototypeClassifier::train(&net, gen, classes, 5, 0.08, 4.0, &mut rng);
         CloudService {
@@ -357,7 +357,7 @@ impl Default for ClientConfig {
 /// Client-side preprocessing: turns a workload request into a descriptor
 /// plus a full task.
 pub struct ClientLogic {
-    net: SimNet,
+    net: Arc<SimNet>,
     gen: SceneGenerator,
     models: Arc<ModelLibrary>,
     panos: Arc<PanoLibrary>,
@@ -374,7 +374,7 @@ impl ClientLogic {
         panos: Arc<PanoLibrary>,
     ) -> Self {
         ClientLogic {
-            net: SimNet::default_net(),
+            net: SimNet::shared_default(),
             gen: SceneGenerator::new(cfg.image_side),
             models,
             panos,

@@ -8,7 +8,7 @@
 //! edges decide nothing themselves: each node realises the effects of the
 //! sans-IO [`ClientEngine`] or [`EdgeEngine`] the live stack runs too.
 
-use crate::cluster::{ClusterConfig, ClusterState, ClusterStats};
+use crate::cluster::{ClusterConfig, ClusterState, ClusterStats, HashRing};
 use crate::compute::ComputeConfig;
 use crate::content::ContentUniverse;
 use crate::descriptor::FeatureDescriptor;
@@ -25,7 +25,9 @@ use crate::services::{
 };
 use crate::task::{Held, TaskRequest, TaskResult, ANNOTATION_BYTES};
 use crate::telemetry::{path_label, record_decision};
-use coic_netsim::{Ctx, LinkParams, Node, NodeId, SimDuration, Simulator, Topology};
+use coic_netsim::{
+    Ctx, Departure, LinkParams, Node, NodeId, SimDuration, Simulator, TimerId, Topology,
+};
 use coic_obs::{Recorder, Telemetry, Value};
 use coic_vision::{ObjectClass, SceneGenerator};
 use std::cell::RefCell;
@@ -261,7 +263,6 @@ const SIM_CACHE_SHARDS: usize = 1;
 const TOKEN_ISSUE: u64 = 1 << 62;
 const TOKEN_PREP: u64 = 1 << 61;
 const TOKEN_TIMEOUT: u64 = 1 << 60;
-const TOKEN_SHAPED: u64 = 1 << 59;
 const TOKEN_BACKOFF: u64 = 1 << 58;
 const TOKEN_MASK: u64 = (1 << 32) - 1;
 /// Engine timer epochs ride in token bits 32..48 (flags sit at 58+).
@@ -287,11 +288,12 @@ struct ClientNode {
     engine: ClientEngine<SimClock>,
     clock: SimClock,
     shaper: Option<coic_netsim::Shaper>,
-    /// Messages held back by the shaper, released by TOKEN_SHAPED timers.
-    shaped: Vec<Option<(bool, u64, Msg)>>,
     logic: Arc<ClientLogic>,
     requests: Vec<coic_workload::Request>,
     prepared: Vec<Option<PreparedRequest>>,
+    /// The armed reply deadline of each request, cancelled once it can
+    /// decide nothing: the request ended, or a new attempt armed its own.
+    deadlines: Vec<Option<TimerId>>,
     edge: NodeId,
     cloud: NodeId,
     records: Rc<RefCell<Vec<Record>>>,
@@ -313,16 +315,18 @@ impl ClientNode {
             Some(sh) => sh.release_at(ctx.now(), bytes),
             None => ctx.now(),
         };
-        if release <= ctx.now() {
-            if routed {
-                ctx.send_routed(self.cloud, bytes, msg);
-            } else {
-                ctx.send(self.edge, bytes, msg);
-            }
-        } else {
-            let token = TOKEN_SHAPED | self.shaped.len() as u64;
-            self.shaped.push(Some((routed, bytes, msg)));
-            ctx.set_timer(release - ctx.now(), token);
+        match (release > ctx.now(), routed) {
+            (false, false) => ctx.send(self.edge, bytes, msg),
+            (false, true) => ctx.send_routed(self.cloud, bytes, msg),
+            (true, false) => ctx.send_after(release - ctx.now(), self.edge, bytes, msg),
+            (true, true) => ctx.send_routed_after(release - ctx.now(), self.cloud, bytes, msg),
+        }
+    }
+
+    /// Cancel the armed deadline of request `idx`, if any.
+    fn disarm_deadline(&mut self, ctx: &mut Ctx<'_, Msg>, idx: usize) {
+        if let Some(timer) = self.deadlines[idx].take() {
+            ctx.cancel_timer(timer);
         }
     }
 
@@ -388,6 +392,7 @@ impl ClientNode {
     /// next one of a closed loop.
     fn end_request(&mut self, ctx: &mut Ctx<'_, Msg>, at_ns: u64, req_id: u64, path: &str) {
         let seq = req_id & TOKEN_MASK;
+        self.disarm_deadline(ctx, seq as usize);
         self.tel.span_exit_with(at_ns, "request", || {
             vec![
                 ("client", Value::from(self.client_idx)),
@@ -417,7 +422,12 @@ impl ClientNode {
                         TimerKind::Backoff => TOKEN_BACKOFF,
                     };
                     let token = flag | ((epoch as u64 & EPOCH_MASK) << 32) | idx;
-                    ctx.set_timer(SimDuration::from_nanos(delay_ns), token);
+                    let timer = ctx.set_timer(SimDuration::from_nanos(delay_ns), token);
+                    if kind == TimerKind::Deadline {
+                        // A new attempt's deadline supersedes the last one.
+                        self.disarm_deadline(ctx, idx as usize);
+                        self.deadlines[idx as usize] = Some(timer);
+                    }
                 }
                 Effect::SendQuery {
                     req_id,
@@ -451,12 +461,12 @@ impl ClientNode {
                 }
             }
         }
-        let decisions = self.engine.drain_decisions();
         let now = self.clock.now_ns();
-        for d in &decisions {
-            record_decision(&self.tel, now, self.client_idx, d);
+        let mut trace_out = self.trace_out.borrow_mut();
+        for d in self.engine.drain_decisions() {
+            record_decision(&self.tel, now, self.client_idx, &d);
+            trace_out.push(d);
         }
-        self.trace_out.borrow_mut().extend(decisions);
     }
 }
 
@@ -494,18 +504,12 @@ impl Node<Msg> for ClientNode {
             });
             let effects = self.engine.begin(req_id, kind, issued_ns, prep_ns);
             self.apply(ctx, effects);
-        } else if token & TOKEN_SHAPED != 0 {
-            if let Some((routed, bytes, msg)) = self.shaped[idx].take() {
-                if routed {
-                    ctx.send_routed(self.cloud, bytes, msg);
-                } else {
-                    ctx.send(self.edge, bytes, msg);
-                }
-            }
         } else {
             let kind = if token & TOKEN_PREP != 0 {
                 TimerKind::Prep
             } else if token & TOKEN_TIMEOUT != 0 {
+                // Fired: nothing left to cancel.
+                self.deadlines[idx] = None;
                 TimerKind::Deadline
             } else if token & TOKEN_BACKOFF != 0 {
                 TimerKind::Backoff
@@ -563,9 +567,11 @@ struct EdgeNode {
     cloud: NodeId,
     /// The engine's effect buffer, reused across events.
     fx: Vec<EdgeEffect<NodeId>>,
-    /// Sends held back by the edge's local processing time: token → (dest,
-    /// msg).
-    delayed: HashMap<u64, (NodeId, Msg)>,
+    /// Armed probe deadlines as (engine token, timer), until the deadline
+    /// fires or the engine disarms it. A handful at most — the probes in
+    /// flight — so a list that keeps its capacity beats a map that
+    /// allocates whenever it turns non-empty.
+    probe_timers: Vec<(u64, TimerId)>,
     /// Admission slots in service, returned when their token fires.
     slots: HashMap<u64, Slot>,
     /// When set, the edge is dead from this virtual instant on: every
@@ -620,11 +626,16 @@ impl EdgeNode {
         }
     }
 
-    fn delay_send(&mut self, ctx: &mut Ctx<'_, Msg>, after_ns: u64, dest: NodeId, msg: Msg) {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.delayed.insert(token, (dest, msg));
-        ctx.set_timer(SimDuration::from_nanos(after_ns), token);
+    /// Forget the armed deadline of probe `token`, returning its timer.
+    fn settle_probe_timer(&mut self, token: u64) -> Option<TimerId> {
+        let i = self.probe_timers.iter().position(|&(t, _)| t == token)?;
+        Some(self.probe_timers.swap_remove(i).1)
+    }
+
+    /// Send `msg` to `dest` once `after_ns` of local work is done.
+    fn send_after(&mut self, ctx: &mut Ctx<'_, Msg>, after_ns: u64, dest: NodeId, msg: Msg) {
+        let bytes = wire_len(&msg);
+        ctx.send_after(SimDuration::from_nanos(after_ns), dest, bytes, msg);
     }
 
     /// The local time `charge` stands for (`None`: leaves at once).
@@ -636,12 +647,10 @@ impl EdgeNode {
     }
 
     fn send(&mut self, ctx: &mut Ctx<'_, Msg>, charge: Charge, dest: NodeId, msg: Msg) {
+        let bytes = wire_len(&msg);
         match self.charge_ns(charge) {
-            Some(after_ns) => self.delay_send(ctx, after_ns, dest, msg),
-            None => {
-                let bytes = wire_len(&msg);
-                ctx.send(dest, bytes, msg);
-            }
+            Some(after_ns) => ctx.send_after(SimDuration::from_nanos(after_ns), dest, bytes, msg),
+            None => ctx.send(dest, bytes, msg),
         }
     }
 
@@ -678,10 +687,16 @@ impl EdgeNode {
                     };
                     self.send(ctx, charge, to, msg);
                     let after_ns = self.charge_ns(charge).unwrap_or(0) + deadline.after_ns;
-                    ctx.set_timer(
+                    let timer = ctx.set_timer(
                         SimDuration::from_nanos(after_ns),
                         ENGINE_TIMER | deadline.token,
                     );
+                    self.probe_timers.push((deadline.token, timer));
+                }
+                EdgeEffect::Disarm { token } => {
+                    if let Some(timer) = self.settle_probe_timer(token) {
+                        ctx.cancel_timer(timer);
+                    }
                 }
                 EdgeEffect::Replicate {
                     to,
@@ -793,7 +808,7 @@ impl Node<Msg> for EdgeNode {
                     .expect("upload for unknown request");
                 self.service
                     .insert(&descriptor, Held::new(result.clone()), now);
-                self.delay_send(ctx, cost_ns, from, Msg::Result { req_id, result });
+                self.send_after(ctx, cost_ns, from, Msg::Result { req_id, result });
             }
             Msg::Upload { req_id, task } => {
                 self.engine.on_upload(conn, req_id, task, now, &mut self.fx);
@@ -831,7 +846,7 @@ impl Node<Msg> for EdgeNode {
                     _ => cloud_cost,
                 };
                 let client = NodeId((req_id >> 32) as usize);
-                self.delay_send(ctx, cost_ns, client, Msg::BaselineReply { req_id, result });
+                self.send_after(ctx, cost_ns, client, Msg::BaselineReply { req_id, result });
                 return;
             }
             Msg::PeerQuery { req_id, digest } => {
@@ -859,38 +874,46 @@ impl Node<Msg> for EdgeNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
         let now = ctx.now().as_nanos();
+        let probe = (token & ENGINE_TIMER != 0).then_some(token & !ENGINE_TIMER);
+        if let Some(probe) = probe {
+            self.settle_probe_timer(probe);
+        }
         if self.is_down(now) {
             self.note_down(now);
-            // Swallow the armed work so the maps do not leak.
+            // Swallow the armed work so the map does not leak.
             self.slots.remove(&token);
-            self.delayed.remove(&token);
             return;
         }
-        // Probe deadlines go to the engine, service-completion timers
-        // return their slot to it; everything else is a delayed send.
-        if token & ENGINE_TIMER != 0 {
-            let timer = EdgeTimer::Probe(token & !ENGINE_TIMER);
-            self.engine.on_timer(timer, now, &mut self.fx);
-        } else if let Some(slot) = self.slots.remove(&token) {
-            self.engine.on_slot_free(slot, now, &mut self.fx);
+        // Probe deadlines go to the engine; service-completion timers
+        // return their slot to it.
+        if let Some(probe) = probe {
+            self.engine
+                .on_timer(EdgeTimer::Probe(probe), now, &mut self.fx);
         } else {
-            let (dest, msg) = self
-                .delayed
+            let slot = self
+                .slots
                 .remove(&token)
-                .expect("timer for unknown delayed send");
-            let bytes = wire_len(&msg);
-            ctx.send(dest, bytes, msg);
-            return;
+                .expect("timer for unknown admission slot");
+            self.engine.on_slot_free(slot, now, &mut self.fx);
         }
         self.realise(ctx);
     }
+
+    fn on_depart(&mut self, ctx: &mut Ctx<'_, Msg>, departure: Departure<Msg>) {
+        let now = ctx.now().as_nanos();
+        if self.is_down(now) {
+            // Died while the reply was being worked on: it never leaves.
+            self.note_down(now);
+            return;
+        }
+        departure.send(ctx);
+    }
 }
 
+/// The simulated cloud: executes each task and replies once its compute
+/// time has passed.
 struct CloudNode {
     service: Arc<CloudService>,
-    /// Executions in progress: token → (dest, routed?, reply).
-    pending: HashMap<u64, (NodeId, bool, Msg)>,
-    next_token: u64,
 }
 
 impl Node<Msg> for CloudNode {
@@ -898,36 +921,19 @@ impl Node<Msg> for CloudNode {
         match msg {
             Msg::Forward { req_id, task } => {
                 let (result, cost_ns) = self.service.execute(&task);
-                let token = self.next_token;
-                self.next_token += 1;
-                self.pending
-                    .insert(token, (from, false, Msg::CloudReply { req_id, result }));
-                ctx.set_timer(SimDuration::from_nanos(cost_ns), token);
+                let reply = Msg::CloudReply { req_id, result };
+                let bytes = wire_len(&reply);
+                ctx.send_after(SimDuration::from_nanos(cost_ns), from, bytes, reply);
             }
             Msg::BaselineRequest { req_id, task } => {
                 // The issuing client's node id is encoded in the req_id.
                 let client = NodeId((req_id >> 32) as usize);
                 let (result, cost_ns) = self.service.execute(&task);
-                let token = self.next_token;
-                self.next_token += 1;
-                self.pending
-                    .insert(token, (client, true, Msg::BaselineReply { req_id, result }));
-                ctx.set_timer(SimDuration::from_nanos(cost_ns), token);
+                let reply = Msg::BaselineReply { req_id, result };
+                let bytes = wire_len(&reply);
+                ctx.send_routed_after(SimDuration::from_nanos(cost_ns), client, bytes, reply);
             }
             other => panic!("cloud received unexpected {other:?}"),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
-        let (dest, routed, msg) = self
-            .pending
-            .remove(&token)
-            .expect("timer for unknown execution");
-        let bytes = wire_len(&msg);
-        if routed {
-            ctx.send_routed(dest, bytes, msg);
-        } else {
-            ctx.send(dest, bytes, msg);
         }
     }
 }
@@ -1023,15 +1029,11 @@ pub fn run_instrumented(
 
     // Per-client requests and edge assignment (by the zone of the client's
     // first request; populations are static so all its requests agree).
-    let per_client: Vec<Vec<coic_workload::Request>> = (0..cfg.num_clients as usize)
-        .map(|i| {
-            trace
-                .iter()
-                .filter(|r| r.user.0 as usize % cfg.num_clients as usize == i)
-                .cloned()
-                .collect()
-        })
-        .collect();
+    let mut per_client: Vec<Vec<coic_workload::Request>> =
+        vec![Vec::new(); cfg.num_clients as usize];
+    for r in trace {
+        per_client[r.user.0 as usize % cfg.num_clients as usize].push(*r);
+    }
     let client_edge: Vec<NodeId> = per_client
         .iter()
         .map(|reqs| {
@@ -1062,7 +1064,7 @@ pub fn run_instrumented(
     let mut robustness: Vec<RobustnessStats> = Vec::new();
 
     for (i, &cid) in client_ids.iter().enumerate() {
-        let my_requests = per_client[i].clone();
+        let my_requests = std::mem::take(&mut per_client[i]);
         let n = my_requests.len();
         // One engine per client, driven by the shared virtual clock: the
         // node sets the clock from ctx.now() before every engine call.
@@ -1079,10 +1081,10 @@ pub fn run_instrumented(
                 shaper: cfg
                     .client_shaper
                     .map(|(mbps, burst)| coic_netsim::Shaper::new((mbps * 1e6) as u64, burst)),
-                shaped: Vec::new(),
                 logic: client_logic.clone(),
                 requests: my_requests,
                 prepared: vec![None; n],
+                deadlines: vec![None; n],
                 edge: client_edge[i],
                 cloud: cloud_id,
                 records: records.clone(),
@@ -1095,6 +1097,11 @@ pub fn run_instrumented(
     }
     let mut edge_services: Vec<Arc<EdgeService>> = Vec::new();
     let mut cluster_stats: Vec<ClusterStats> = Vec::new();
+    // Every edge derives the same ring: build it once for all of them.
+    let ring = cfg
+        .cluster
+        .as_ref()
+        .map(|c| Arc::new(HashRing::new(cfg.num_edges, c.vnodes)));
     for (ei, &eid) in edge_ids.iter().enumerate() {
         let down_at_ns = cfg
             .edge_down_ms
@@ -1115,8 +1122,8 @@ pub fn run_instrumented(
             .map(|a| OverloadControl::new(a, cfg.brownout.clone()));
         let mut engine = EdgeEngine::new(service.clone(), breaker, stats, overload, tel.clone())
             .with_label(ei as u64);
-        if let Some(c) = &cfg.cluster {
-            let cl = ClusterState::new(ei as u32, cfg.num_edges, c.clone());
+        if let (Some(c), Some(ring)) = (&cfg.cluster, &ring) {
+            let cl = ClusterState::on_ring(ei as u32, ring.clone(), c.clone());
             cluster_stats.push(cl.stats().clone());
             engine.join_cluster(cl, edge_ids.clone(), c.auth_token);
         }
@@ -1129,7 +1136,7 @@ pub fn run_instrumented(
                 executor: cloud_service.clone(),
                 cloud: cloud_id,
                 fx: Vec::new(),
-                delayed: HashMap::new(),
+                probe_timers: Vec::new(),
                 slots: HashMap::new(),
                 down_at_ns,
                 down_noted: false,
@@ -1147,8 +1154,6 @@ pub fn run_instrumented(
         cloud_id,
         Box::new(CloudNode {
             service: cloud_service,
-            pending: HashMap::new(),
-            next_token: 0,
         }),
     );
 

@@ -30,7 +30,7 @@ pub mod topology;
 
 pub use link::{Link, LinkParams, LinkStats, TxOutcome};
 pub use shaper::Shaper;
-pub use sim::{Ctx, Node, SimStats, Simulator};
+pub use sim::{Ctx, Departure, Node, SimStats, Simulator, TimerId};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
 pub use topology::{NodeId, Topology};

@@ -7,7 +7,7 @@
 //! nodes deterministic and free of shared mutable state — the style the
 //! smoltcp/poll-based guides recommend for testable network code.
 
-use crate::event::EventQueue;
+use crate::event::{EventId, EventQueue};
 use crate::link::{LinkParams, TxOutcome};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
@@ -27,7 +27,37 @@ pub trait Node<M> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: M);
     /// A timer armed with [`Ctx::set_timer`] has fired.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _token: u64) {}
+    /// A send armed with [`Ctx::send_after`] or [`Ctx::send_routed_after`]
+    /// is due. The default sends it; a node that cannot send any more (a
+    /// crashed one) drops it instead.
+    fn on_depart(&mut self, ctx: &mut Ctx<'_, M>, departure: Departure<M>) {
+        departure.send(ctx);
+    }
 }
+
+/// A message whose send was put off with [`Ctx::send_after`] or
+/// [`Ctx::send_routed_after`], handed to [`Node::on_depart`] when it is due.
+pub struct Departure<M> {
+    to: NodeId,
+    routed: bool,
+    bytes: u64,
+    msg: M,
+}
+
+impl<M> Departure<M> {
+    /// Send it now, the way it was armed: over the direct link, or routed.
+    pub fn send(self, ctx: &mut Ctx<'_, M>) {
+        if self.routed {
+            ctx.send_routed(self.to, self.bytes, self.msg);
+        } else {
+            ctx.send(self.to, self.bytes, self.msg);
+        }
+    }
+}
+
+/// Names a timer armed with [`Ctx::set_timer`], for [`Ctx::cancel_timer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId(EventId);
 
 enum SimEvent<M> {
     Deliver {
@@ -42,6 +72,10 @@ enum SimEvent<M> {
         node: NodeId,
         token: u64,
     },
+    Depart {
+        node: NodeId,
+        departure: Departure<M>,
+    },
     Reshape {
         from: NodeId,
         to: NodeId,
@@ -54,6 +88,9 @@ enum SimEvent<M> {
 pub struct SimStats {
     /// Events dispatched.
     pub events: u64,
+    /// Timers cancelled while pending: each one would otherwise have been
+    /// dispatched as an event.
+    pub cancelled: u64,
     /// Messages handed to `on_message`.
     pub delivered: u64,
     /// Messages dropped by link loss.
@@ -69,6 +106,7 @@ impl SimStats {
     /// `sim.` prefix.
     pub fn publish(&self, reg: &coic_obs::MetricsRegistry) {
         reg.counter_add("sim.events", self.events);
+        reg.counter_add("sim.cancelled", self.cancelled);
         reg.counter_add("sim.delivered", self.delivered);
         reg.counter_add("sim.lost", self.lost);
         reg.counter_add("sim.queue_dropped", self.queue_dropped);
@@ -80,6 +118,7 @@ impl SimStats {
     pub fn from_registry(reg: &coic_obs::MetricsRegistry) -> SimStats {
         SimStats {
             events: reg.counter("sim.events"),
+            cancelled: reg.counter("sim.cancelled"),
             delivered: reg.counter("sim.delivered"),
             lost: reg.counter("sim.lost"),
             queue_dropped: reg.counter("sim.queue_dropped"),
@@ -164,12 +203,50 @@ impl<'a, M> Ctx<'a, M> {
     /// [`Node::on_timer`]. Also the mechanism for modelling local compute
     /// delays: schedule a timer for the compute duration and continue the
     /// state machine when it fires.
-    pub fn set_timer(&mut self, after: SimDuration, token: u64) {
+    pub fn set_timer(&mut self, after: SimDuration, token: u64) -> TimerId {
         let node = self.node;
         let at = self.world.now + after;
+        TimerId(
+            self.world
+                .queue
+                .schedule(at, SimEvent::Timer { node, token }),
+        )
+    }
+
+    /// Disarm a timer that has not fired: it never reaches
+    /// [`Node::on_timer`]. A timer that fired or was cancelled already is
+    /// left alone.
+    pub fn cancel_timer(&mut self, timer: TimerId) {
+        if self.world.queue.cancel(timer.0).is_some() {
+            self.world.stats.cancelled += 1;
+        }
+    }
+
+    /// [`Ctx::send`] `after` from now — once the node's local work is done.
+    /// The departure is one event carrying the message, ordered exactly
+    /// like a timer armed at this point, and it passes through
+    /// [`Node::on_depart`] on its way out.
+    pub fn send_after(&mut self, after: SimDuration, to: NodeId, bytes: u64, msg: M) {
+        self.depart_after(after, to, false, bytes, msg);
+    }
+
+    /// [`Ctx::send_routed`] `after` from now; see [`Ctx::send_after`].
+    pub fn send_routed_after(&mut self, after: SimDuration, dst: NodeId, bytes: u64, msg: M) {
+        self.depart_after(after, dst, true, bytes, msg);
+    }
+
+    fn depart_after(&mut self, after: SimDuration, to: NodeId, routed: bool, bytes: u64, msg: M) {
+        let node = self.node;
+        let at = self.world.now + after;
+        let departure = Departure {
+            to,
+            routed,
+            bytes,
+            msg,
+        };
         self.world
             .queue
-            .schedule(at, SimEvent::Timer { node, token });
+            .schedule(at, SimEvent::Depart { node, departure });
     }
 
     /// Immutable access to the topology (e.g. to look up names or link
@@ -293,6 +370,9 @@ impl<M> Simulator<M> {
             SimEvent::Timer { node, token } => {
                 self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
             }
+            SimEvent::Depart { node, departure } => {
+                self.dispatch(node, |n, ctx| n.on_depart(ctx, departure));
+            }
             SimEvent::Reshape { from, to, params } => {
                 self.world.topo.reshape(from, to, params);
             }
@@ -398,6 +478,138 @@ mod tests {
         // count: three timers fired and the last one at 5 ms.
         assert_eq!(sim.now(), SimTime::from_millis(5));
         assert_eq!(sim.stats().events, 3);
+    }
+
+    /// Logs what reaches it. At start it arms one send — carried, or as a
+    /// timer that sends — between two plain timers of the same instant.
+    struct Sender {
+        peer: NodeId,
+        /// Arm the send with `send_after` (else a timer that sends).
+        carried: bool,
+        /// Drop departures in `on_depart` instead of sending them.
+        swallow: bool,
+        log: std::rc::Rc<std::cell::RefCell<Vec<&'static str>>>,
+    }
+    impl Node<u32> for Sender {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            let at = SimDuration::from_millis(5);
+            ctx.set_timer(at, 1);
+            if self.carried {
+                ctx.send_after(at, self.peer, 1_000, 7);
+            } else {
+                ctx.set_timer(at, 0);
+            }
+            ctx.set_timer(at, 2);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, token: u64) {
+            if token == 0 {
+                self.log.borrow_mut().push("send");
+                ctx.send(self.peer, 1_000, 7);
+            } else {
+                self.log
+                    .borrow_mut()
+                    .push(["", "timer 1", "timer 2"][token as usize]);
+            }
+        }
+        fn on_depart(&mut self, ctx: &mut Ctx<'_, u32>, departure: Departure<u32>) {
+            self.log.borrow_mut().push("send");
+            if !self.swallow {
+                departure.send(ctx);
+            }
+        }
+    }
+
+    /// Run a [`Sender`] against a recorder; returns the sender's log, the
+    /// receiver's arrivals and the engine's counters.
+    fn send_later(carried: bool, swallow: bool) -> (Vec<&'static str>, Vec<SimTime>, SimStats) {
+        struct Recorder(std::rc::Rc<std::cell::RefCell<Vec<SimTime>>>);
+        impl Node<u32> for Recorder {
+            fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _: NodeId, _: u32) {
+                self.0.borrow_mut().push(ctx.now());
+            }
+        }
+        let (mut sim, a, b) = two_node_sim();
+        let log = std::rc::Rc::default();
+        let arrivals = std::rc::Rc::default();
+        sim.bind(
+            a,
+            Box::new(Sender {
+                peer: b,
+                carried,
+                swallow,
+                log: std::rc::Rc::clone(&log),
+            }),
+        );
+        sim.bind(b, Box::new(Recorder(std::rc::Rc::clone(&arrivals))));
+        sim.run(100);
+        let stats = *sim.stats();
+        let log = log.borrow().clone();
+        let arrivals = arrivals.borrow().clone();
+        (log, arrivals, stats)
+    }
+
+    #[test]
+    fn a_carried_send_departs_where_the_timer_it_replaces_fires() {
+        let (timed, timed_arrivals, timed_stats) = send_later(false, false);
+        let (carried, carried_arrivals, carried_stats) = send_later(true, false);
+        // Equal-time FIFO: between the timers armed before and after it.
+        assert_eq!(timed, ["timer 1", "send", "timer 2"]);
+        assert_eq!(carried, timed);
+        // 5 ms wait, then 1 kB at 1 MB/s (1 ms) and 10 ms on the wire.
+        assert_eq!(timed_arrivals, [SimTime::from_millis(16)]);
+        assert_eq!(carried_arrivals, timed_arrivals);
+        // One departure event stands for the one timer.
+        assert_eq!(carried_stats.events, timed_stats.events);
+        assert_eq!(carried_stats.delivered, 1);
+    }
+
+    #[test]
+    fn an_overriding_on_depart_can_swallow_the_send() {
+        let (log, arrivals, stats) = send_later(true, true);
+        assert_eq!(log, ["timer 1", "send", "timer 2"]);
+        assert!(arrivals.is_empty());
+        assert_eq!(stats.delivered, 0);
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires_and_is_counted_once() {
+        struct Canceller {
+            first: Option<TimerId>,
+            fired: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
+        }
+        impl Node<()> for Canceller {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                self.first = Some(ctx.set_timer(SimDuration::from_millis(1), 1));
+                let doomed = ctx.set_timer(SimDuration::from_millis(2), 2);
+                ctx.set_timer(SimDuration::from_millis(3), 3);
+                ctx.cancel_timer(doomed);
+                ctx.cancel_timer(doomed);
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
+                self.fired.borrow_mut().push(token);
+                if token == 3 {
+                    // Fired long ago: cancelling it is a no-op.
+                    ctx.cancel_timer(self.first.expect("armed at start"));
+                }
+            }
+        }
+        let mut topo = Topology::new();
+        let a = topo.add_node("a");
+        let mut sim: Simulator<()> = Simulator::new(topo, 0);
+        let fired = std::rc::Rc::default();
+        sim.bind(
+            a,
+            Box::new(Canceller {
+                first: None,
+                fired: std::rc::Rc::clone(&fired),
+            }),
+        );
+        sim.run(10);
+        assert_eq!(*fired.borrow(), [1, 3]);
+        assert_eq!(sim.stats().events, 2);
+        assert_eq!(sim.stats().cancelled, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! multi-edge cooperative experiments) are supported.
 
 use crate::link::{Link, LinkParams};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Identifier of a node within one [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,7 +21,11 @@ impl std::fmt::Display for NodeId {
 /// A graph of nodes and directed links.
 pub struct Topology {
     names: Vec<String>,
-    links: HashMap<(NodeId, NodeId), Link>,
+    /// Every directed link, in the order it was first connected.
+    links: Vec<Link>,
+    /// `out[a]`: `(b, index into links)` of each link `a → b`, sorted by
+    /// `b` — a hop looks its link up without hashing the pair.
+    out: Vec<Vec<(NodeId, usize)>>,
     /// routes[src][dst] = next hop on a shortest path, or None.
     routes: Vec<Vec<Option<NodeId>>>,
     routes_dirty: bool,
@@ -38,7 +42,8 @@ impl Topology {
     pub fn new() -> Self {
         Topology {
             names: Vec::new(),
-            links: HashMap::new(),
+            links: Vec::new(),
+            out: Vec::new(),
             routes: Vec::new(),
             routes_dirty: false,
         }
@@ -48,6 +53,7 @@ impl Topology {
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
         let id = NodeId(self.names.len());
         self.names.push(name.into());
+        self.out.push(Vec::new());
         self.routes_dirty = true;
         id
     }
@@ -70,7 +76,14 @@ impl Topology {
     /// Install a one-directional link from `a` to `b`.
     pub fn connect_oneway(&mut self, a: NodeId, b: NodeId, params: LinkParams) {
         assert!(a != b, "self-links are not allowed");
-        self.links.insert((a, b), Link::new(params));
+        let out = &mut self.out[a.0];
+        match out.binary_search_by_key(&b, |&(to, _)| to) {
+            Ok(i) => self.links[out[i].1] = Link::new(params),
+            Err(i) => {
+                out.insert(i, (b, self.links.len()));
+                self.links.push(Link::new(params));
+            }
+        }
         self.routes_dirty = true;
     }
 
@@ -82,12 +95,19 @@ impl Topology {
 
     /// Direct link from `a` to `b`, if one exists.
     pub fn link(&self, a: NodeId, b: NodeId) -> Option<&Link> {
-        self.links.get(&(a, b))
+        self.link_index(a, b).map(|i| &self.links[i])
     }
 
     /// Mutable access to the direct link from `a` to `b`.
     pub fn link_mut(&mut self, a: NodeId, b: NodeId) -> Option<&mut Link> {
-        self.links.get_mut(&(a, b))
+        self.link_index(a, b).map(|i| &mut self.links[i])
+    }
+
+    /// Where the link `a → b` is in `links`.
+    fn link_index(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        let out = self.out.get(a.0)?;
+        let i = out.binary_search_by_key(&b, |&(to, _)| to).ok()?;
+        Some(out[i].1)
     }
 
     /// Reshape an existing link in place (models live `tc` changes).
@@ -95,21 +115,19 @@ impl Topology {
     /// # Panics
     /// Panics if the link does not exist.
     pub fn reshape(&mut self, a: NodeId, b: NodeId, params: LinkParams) {
-        self.links
-            .get_mut(&(a, b))
+        self.link_mut(a, b)
             .unwrap_or_else(|| panic!("no link {a}->{b}"))
             .reshape(params);
     }
 
     fn rebuild_routes(&mut self) {
         let n = self.names.len();
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        // Deterministic neighbour order: sort link keys.
-        let mut keys: Vec<_> = self.links.keys().copied().collect();
-        keys.sort();
-        for (a, b) in keys {
-            adj[a.0].push(b);
-        }
+        // Deterministic neighbour order: each node's links are sorted.
+        let adj: Vec<Vec<NodeId>> = self
+            .out
+            .iter()
+            .map(|out| out.iter().map(|&(b, _)| b).collect())
+            .collect();
         self.routes = vec![vec![None; n]; n];
         for src in 0..n {
             // BFS from src, recording first hop toward each destination.

@@ -20,6 +20,7 @@ use crate::image::Image;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// A dense feature vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,6 +140,13 @@ impl SimNet {
     /// Build with default architecture.
     pub fn default_net() -> Self {
         SimNet::new(SimNetConfig::default())
+    }
+
+    /// The default network, built once per process: every holder of it
+    /// would derive the same weights, so they share one copy.
+    pub fn shared_default() -> Arc<SimNet> {
+        static NET: OnceLock<Arc<SimNet>> = OnceLock::new();
+        NET.get_or_init(|| Arc::new(SimNet::default_net())).clone()
     }
 
     /// The architecture.

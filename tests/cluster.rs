@@ -65,7 +65,10 @@ fn sixteen_edge_cluster_run_is_deterministic() {
     assert_eq!(fnv(&r1), 0x7ce2_eff9_506a_51ad, "canonical report changed");
     assert_eq!(t1.lines().count(), 3420);
     assert_eq!(fnv(&t1), 0x6c25_3a46_25bd_9888, "JSONL trace changed");
-    assert_eq!(fnv(&m1), 0x361a_f4a7_1856_323f, "metrics snapshot changed");
+    // Re-pinned when pending timers became cancellable: the snapshot
+    // differs from the PR 23 one (0x361a_f4a7_1856_323f) only in a lower
+    // `sim.events` and the new `sim.cancelled`.
+    assert_eq!(fnv(&m1), 0x9dd3_b8bb_fb32_d2f2, "metrics snapshot changed");
     assert!(
         t1.contains("decision.peer_probe"),
         "cluster path never probed a peer"
@@ -74,6 +77,28 @@ fn sixteen_edge_cluster_run_is_deterministic() {
         m1.contains("cluster.peer_hit"),
         "cluster metrics missing from the snapshot"
     );
+}
+
+/// A cancelled timer is an event the run no longer dispatches, and a send
+/// that carries its message departs as the one event its timer was: so the
+/// events dispatched plus the timers cancelled are what the same run
+/// dispatched when every timer fired — 6 000 on the 16-edge scenario.
+#[test]
+fn cancelled_timers_account_for_every_event_spared() {
+    let trace = arena_trace(32, 16, 400, 5);
+    let cluster = ClusterConfig {
+        peer_fanout: 3,
+        replicate_hot: 2,
+        ..ClusterConfig::default()
+    };
+    let tel = Telemetry::new();
+    run_instrumented(&trace, &cfg(16, 32, Some(cluster)), &tel);
+    let (events, cancelled) = (
+        tel.registry().counter("sim.events"),
+        tel.registry().counter("sim.cancelled"),
+    );
+    assert_eq!(events + cancelled, 6_000);
+    assert!(cancelled > 0, "no deadline was cancelled");
 }
 
 /// On the skewed workload, the cluster strictly beats isolated edges on
