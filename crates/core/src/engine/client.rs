@@ -8,6 +8,12 @@
 //! to do next. The simulator realizes effects with virtual timers and
 //! simulated links; the live driver with sockets and sleeps. Both traverse
 //! the same [`Decision`] trace for the same workload and fault schedule.
+//!
+//! The engine's memory is bounded by the requests in flight: a request's
+//! state is dropped when it emits [`Effect::Complete`] (which carries the
+//! only copy of its QoE record) or [`Effect::GiveUp`], and a later timer or
+//! reply for it finds nothing and is a no-op. Decisions wait in a buffer
+//! until the driver takes them with [`ClientEngine::drain_decisions`].
 
 use super::clock::Clock;
 use super::retry::RetryPolicy;
@@ -226,8 +232,6 @@ enum Phase {
     OriginInFlight,
     OriginBackoff,
     ProbeWait,
-    Done,
-    Failed,
 }
 
 #[derive(Debug)]
@@ -254,7 +258,6 @@ pub struct ClientEngine<C: Clock> {
     next_seq: u64,
     reqs: HashMap<u64, ReqState>,
     decisions: Vec<Decision>,
-    records: Vec<Record>,
 }
 
 impl<C: Clock> ClientEngine<C> {
@@ -270,7 +273,6 @@ impl<C: Clock> ClientEngine<C> {
             next_seq: 0,
             reqs: HashMap::new(),
             decisions: Vec::new(),
-            records: Vec::new(),
         }
     }
 
@@ -308,7 +310,7 @@ impl<C: Clock> ClientEngine<C> {
     }
 
     /// A timer armed by an earlier [`Effect::ArmTimer`] fired. Stale
-    /// timers (superseded epoch, or the request already terminal) are
+    /// timers (superseded epoch, or the request already ended) are
     /// ignored.
     pub fn on_timer(&mut self, req_id: u64, kind: TimerKind, epoch: u32) -> Vec<Effect> {
         let mut out = Vec::new();
@@ -352,12 +354,10 @@ impl<C: Clock> ClientEngine<C> {
         correct: Option<bool>,
     ) -> Vec<Effect> {
         let mut out = Vec::new();
+        // An ended request has no entry: a duplicate reply is a no-op.
         let Some(st) = self.reqs.get(&req_id) else {
             return out;
         };
-        if matches!(st.phase, Phase::Done | Phase::Failed) {
-            return out; // duplicate reply after a retransmission
-        }
         let seq = st.seq;
         match reply {
             ReplyKind::Hit => self.complete(req_id, Path::EdgeHit, correct, &mut out),
@@ -461,20 +461,16 @@ impl<C: Clock> ClientEngine<C> {
         }
     }
 
-    /// The full decision trace so far, in event order.
-    pub fn decisions(&self) -> &[Decision] {
-        &self.decisions
-    }
-
-    /// Take the decisions accumulated since the last drain. The buffer
-    /// keeps its capacity, so draining after every event allocates nothing.
+    /// Take the decisions made since the last drain, in event order. The
+    /// buffer keeps its capacity, so draining after every event allocates
+    /// nothing; a driver that never drains keeps every decision.
     pub fn drain_decisions(&mut self) -> std::vec::Drain<'_, Decision> {
         self.decisions.drain(..)
     }
 
-    /// QoE records of every completed request, in completion order.
-    pub fn records(&self) -> &[Record] {
-        &self.records
+    /// Requests begun and not yet completed or given up.
+    pub fn in_flight(&self) -> usize {
+        self.reqs.len()
     }
 
     /// The engine's stats handle (shared with the constructor's argument).
@@ -514,6 +510,13 @@ impl<C: Clock> ClientEngine<C> {
     /// no-op outside debug builds instead of unwrapping.
     fn req_mut(&mut self, req_id: u64) -> Option<&mut ReqState> {
         let st = self.reqs.get_mut(&req_id);
+        debug_assert!(st.is_some(), "unknown req_id {req_id}");
+        st
+    }
+
+    /// Drop an ending request's state, under the same invariant.
+    fn end(&mut self, req_id: u64) -> Option<ReqState> {
+        let st = self.reqs.remove(&req_id);
         debug_assert!(st.is_some(), "unknown req_id {req_id}");
         st
     }
@@ -630,21 +633,18 @@ impl<C: Clock> ClientEngine<C> {
     }
 
     fn give_up(&mut self, req_id: u64, out: &mut Vec<Effect>) {
-        let Some(st) = self.req_mut(req_id) else {
+        let Some(st) = self.end(req_id) else {
             return;
         };
-        st.phase = Phase::Failed;
-        let seq = st.seq;
-        self.decisions.push(Decision::Fail { seq });
+        self.decisions.push(Decision::Fail { seq: st.seq });
         out.push(Effect::GiveUp { req_id });
     }
 
     fn complete(&mut self, req_id: u64, path: Path, correct: Option<bool>, out: &mut Vec<Effect>) {
         let now = self.clock.now_ns();
-        let Some(st) = self.req_mut(req_id) else {
+        let Some(st) = self.end(req_id) else {
             return;
         };
-        st.phase = Phase::Done;
         let record = Record {
             req_id,
             kind: st.kind,
@@ -654,9 +654,8 @@ impl<C: Clock> ClientEngine<C> {
             correct,
             retries: st.retries,
         };
-        let seq = st.seq;
-        self.decisions.push(Decision::Complete { seq, path });
-        self.records.push(record);
+        self.decisions
+            .push(Decision::Complete { seq: st.seq, path });
         out.push(Effect::Complete { req_id, record });
     }
 }
@@ -712,9 +711,10 @@ mod tests {
         ));
         let effs = e.on_reply(1, ReplyKind::Hit, None);
         assert!(matches!(effs.as_slice(), [Effect::Complete { .. }]));
+        assert_eq!(e.in_flight(), 0, "a completed request leaves nothing");
         assert_eq!(
-            e.decisions(),
-            &[
+            e.drain_decisions().collect::<Vec<_>>(),
+            [
                 Decision::Attempt { seq: 0, attempt: 0 },
                 Decision::Complete {
                     seq: 0,
@@ -771,12 +771,12 @@ mod tests {
         e.begin(1, "model", 0, 0);
         e.on_timer(1, TimerKind::Prep, 0);
         e.on_reply(1, ReplyKind::Hit, None);
-        let before = e.decisions().len();
+        e.drain_decisions();
         assert!(e.on_reply(1, ReplyKind::Result, None).is_empty());
         assert!(e.on_transport_failure(1).is_empty());
         assert!(e.on_timer(1, TimerKind::Deadline, 1).is_empty());
         assert!(e.on_probe_result(1, true).is_empty());
-        assert_eq!(e.decisions().len(), before, "terminal state must be quiet");
+        assert_eq!(e.drain_decisions().len(), 0, "terminal state must be quiet");
     }
 
     #[test]
@@ -807,7 +807,7 @@ mod tests {
         assert!(!e.is_degraded());
         assert!(matches!(effs[0], Effect::SendQuery { .. }));
         assert_eq!(
-            e.decisions()[..2],
+            e.drain_decisions().take(2).collect::<Vec<_>>(),
             [Decision::Probe { seq: 0 }, Decision::Rejoin { seq: 0 }]
         );
     }
@@ -870,8 +870,12 @@ mod tests {
         }
         let effs = last;
         assert!(matches!(effs.as_slice(), [Effect::GiveUp { .. }]));
-        assert!(matches!(e.decisions().last(), Some(Decision::Fail { .. })));
+        assert!(matches!(
+            e.drain_decisions().next_back(),
+            Some(Decision::Fail { .. })
+        ));
         assert!(!e.is_degraded());
+        assert_eq!(e.in_flight(), 0, "a failed request leaves nothing");
     }
 
     #[test]
@@ -882,10 +886,11 @@ mod tests {
         e.on_transport_failure(1); // attempt 0 failed, backoff armed
                                    // The original reply races in while we are in backoff.
         let effs = e.on_reply(1, ReplyKind::Result, None);
-        assert!(matches!(effs.as_slice(), [Effect::Complete { .. }]));
+        let [Effect::Complete { record, .. }] = effs.as_slice() else {
+            panic!("expected one completion, got {effs:?}");
+        };
+        assert_eq!(record.retries, 1);
         // The armed backoff timer fires afterwards: stale, no new attempt.
         assert!(e.on_timer(1, TimerKind::Backoff, 2).is_empty());
-        assert_eq!(e.records().len(), 1);
-        assert_eq!(e.records()[0].retries, 1);
     }
 }

@@ -50,7 +50,10 @@ pub struct NetClient {
     engine: ClientEngine<WallClock>,
     stats: RobustnessStats,
     tel: Telemetry,
-    decisions_seen: usize,
+    /// Every completion so far, folded as it happens.
+    report: QoeReport,
+    /// The decisions of the latest `execute`, until drained or replaced.
+    decisions: Vec<Decision>,
 }
 
 /// How long a dropped [`NetClient`] waits for the edge to close the
@@ -139,7 +142,8 @@ impl NetClient {
             engine,
             stats,
             tel,
-            decisions_seen: 0,
+            report: QoeReport::default(),
+            decisions: Vec::new(),
         };
         if client.reconnect_edge().is_err() && client.cloud_addr.is_some() {
             client.engine.begin_degraded();
@@ -157,11 +161,11 @@ impl NetClient {
         self.engine.is_degraded()
     }
 
-    /// Aggregate the engine's per-request QoE records — the same report
-    /// type the simulator emits (byte counts are not populated on the
-    /// live path).
+    /// The QoE of every request completed so far — the same report type
+    /// the simulator emits (byte counts are not populated on the live
+    /// path).
     pub fn report(&self) -> QoeReport {
-        QoeReport::from_records(self.engine.records())
+        self.report.clone()
     }
 
     /// Publish this client's aggregate QoE (`qoe.*`) and robustness
@@ -172,10 +176,12 @@ impl NetClient {
         self.stats.snapshot().publish(reg);
     }
 
-    /// The engine's decision trace so far (hit/miss/retry/fallback
-    /// sequence), comparable against a simulator trace.
-    pub fn decisions(&self) -> &[Decision] {
-        self.engine.decisions()
+    /// Take the engine's decisions (hit/miss/retry/fallback sequence) for
+    /// the latest [`NetClient::execute`]; the next `execute` replaces what
+    /// was not taken. Collected after every `execute`, they are the trace
+    /// a simulator run of the same workload produces.
+    pub fn drain_decisions(&mut self) -> std::vec::Drain<'_, Decision> {
+        self.decisions.drain(..)
     }
 
     fn reconnect_edge(&mut self) -> Result<(), FrameError> {
@@ -337,16 +343,12 @@ impl NetClient {
             ]
         });
         let outcome = self.drive(req_id, issued_ns, &prepared);
-        let new = self
-            .engine
-            .decisions()
-            .get(self.decisions_seen..)
-            .unwrap_or_default();
         let now = self.clock.now_ns();
-        for d in new {
-            record_decision(&self.tel, now, 0, d);
+        self.decisions.clear();
+        for d in self.engine.drain_decisions() {
+            record_decision(&self.tel, now, 0, &d);
+            self.decisions.push(d);
         }
-        self.decisions_seen = self.engine.decisions().len();
         let (exit_ns, path) = match &outcome {
             Ok(out) => {
                 let elapsed_ns = out.elapsed.as_nanos() as u64;
@@ -426,6 +428,7 @@ impl NetClient {
                     self.engine.on_probe_result(req_id, ok)
                 }
                 Effect::Complete { record, .. } => {
+                    self.report.push(&record);
                     let Some(result) = slot.take() else {
                         return Err("request completed without a buffered result".into());
                     };
@@ -503,6 +506,7 @@ mod tests {
         let (_cloud, _edge, mut client) = stack();
         let first = client.execute(&recog(2, 10)).unwrap();
         assert_eq!(first.path, Path::CloudMiss);
+        let mut decisions: Vec<_> = client.drain_decisions().collect();
         match &first.result {
             TaskResult::Recognition(r) => assert_eq!(r.label, 2),
             other => panic!("unexpected {other:?}"),
@@ -510,6 +514,7 @@ mod tests {
         // Same viewpoint again: identical descriptor, guaranteed hit.
         let second = client.execute(&recog(2, 10)).unwrap();
         assert_eq!(second.path, Path::EdgeHit);
+        decisions.extend(client.drain_decisions());
 
         // The live client populates the same QoE report the simulator
         // emits: two completions, one hit, one cloud trip, real latencies.
@@ -519,10 +524,9 @@ mod tests {
         assert_eq!(report.cloud_trips, 1);
         assert!(report.mean_latency_ms() > 0.0);
         // And the decision trace names the same path sequence.
-        use crate::engine::Decision;
         assert_eq!(
-            client.decisions(),
-            &[
+            decisions,
+            [
                 Decision::Attempt { seq: 0, attempt: 0 },
                 Decision::Upload { seq: 0 },
                 Decision::Complete {

@@ -60,8 +60,10 @@ impl Record {
     }
 }
 
-/// Aggregated outcome of one simulation run.
-#[derive(Debug)]
+/// Aggregated outcome of one simulation run, or a running fold of a live
+/// client's completions ([`QoeReport::push`]): it keeps each request's
+/// latency samples, not its record.
+#[derive(Debug, Clone, Default)]
 pub struct QoeReport {
     /// All end-to-end latencies, ms.
     pub latency_ms: Summary,
@@ -94,6 +96,10 @@ pub struct QoeReport {
     pub retries: u64,
     /// Completed requests that needed at least one retransmission.
     pub retried_requests: u64,
+    /// Records that carried a recognition verdict, and the correct ones:
+    /// `accuracy` is their ratio.
+    judged: u64,
+    correct: u64,
 }
 
 /// Staged construction of a [`QoeReport`]: aggregate records, then attach
@@ -101,7 +107,7 @@ pub struct QoeReport {
 /// drivers learn from the network layer rather than the records.
 #[derive(Debug, Default)]
 pub struct QoeReportBuilder {
-    records_agg: Option<QoeReport>,
+    records_agg: QoeReport,
     failed: u64,
     access_bytes: u64,
     wan_bytes: u64,
@@ -112,53 +118,10 @@ impl QoeReportBuilder {
     /// Aggregate the completed-request records (replaces any earlier
     /// `records` call).
     pub fn records(mut self, records: &[Record]) -> Self {
-        let mut latency_ms = Summary::new();
-        let mut latency_by_kind: BTreeMap<&'static str, Summary> = BTreeMap::new();
-        let mut latency_by_path: BTreeMap<&'static str, Summary> = BTreeMap::new();
-        let mut edge_hits = 0;
-        let mut peer_hits = 0;
-        let mut cloud_trips = 0;
-        let mut correct = 0u64;
-        let mut judged = 0u64;
-        let mut retries = 0u64;
-        let mut retried_requests = 0u64;
+        self.records_agg = QoeReport::default();
         for r in records {
-            retries += r.retries as u64;
-            if r.retries > 0 {
-                retried_requests += 1;
-            }
-            let l = r.latency_ms();
-            latency_ms.push(l);
-            latency_by_kind.entry(r.kind).or_default().push(l);
-            latency_by_path.entry(r.path.label()).or_default().push(l);
-            match r.path {
-                Path::EdgeHit => edge_hits += 1,
-                Path::PeerHit => peer_hits += 1,
-                Path::CloudMiss | Path::Baseline => cloud_trips += 1,
-            }
-            if let Some(c) = r.correct {
-                judged += 1;
-                if c {
-                    correct += 1;
-                }
-            }
+            self.records_agg.push(r);
         }
-        self.records_agg = Some(QoeReport {
-            latency_ms,
-            latency_by_kind,
-            latency_by_path,
-            edge_hits,
-            peer_hits,
-            cloud_trips,
-            accuracy: (judged > 0).then(|| correct as f64 / judged as f64),
-            completed: records.len(),
-            access_bytes: 0,
-            wan_bytes: 0,
-            lan_bytes: 0,
-            failed: 0,
-            retries,
-            retried_requests,
-        });
         self
     }
 
@@ -189,27 +152,13 @@ impl QoeReportBuilder {
     /// Finish the report. Without a `records` call this is an empty
     /// report carrying only the out-of-band fields.
     pub fn build(self) -> QoeReport {
-        let mut report = self.records_agg.unwrap_or_else(|| QoeReport {
-            latency_ms: Summary::new(),
-            latency_by_kind: BTreeMap::new(),
-            latency_by_path: BTreeMap::new(),
-            edge_hits: 0,
-            peer_hits: 0,
-            cloud_trips: 0,
-            accuracy: None,
-            completed: 0,
-            access_bytes: 0,
-            wan_bytes: 0,
-            lan_bytes: 0,
-            failed: 0,
-            retries: 0,
-            retried_requests: 0,
-        });
-        report.failed = self.failed;
-        report.access_bytes = self.access_bytes;
-        report.wan_bytes = self.wan_bytes;
-        report.lan_bytes = self.lan_bytes;
-        report
+        QoeReport {
+            failed: self.failed,
+            access_bytes: self.access_bytes,
+            wan_bytes: self.wan_bytes,
+            lan_bytes: self.lan_bytes,
+            ..self.records_agg
+        }
     }
 }
 
@@ -222,6 +171,32 @@ impl QoeReport {
     /// Build a report from records (network byte counts added separately).
     pub fn from_records(records: &[Record]) -> QoeReport {
         QoeReport::builder().records(records).build()
+    }
+
+    /// Fold one completed request into the report.
+    pub fn push(&mut self, r: &Record) {
+        self.completed += 1;
+        self.retries += u64::from(r.retries);
+        if r.retries > 0 {
+            self.retried_requests += 1;
+        }
+        let l = r.latency_ms();
+        self.latency_ms.push(l);
+        self.latency_by_kind.entry(r.kind).or_default().push(l);
+        self.latency_by_path
+            .entry(r.path.label())
+            .or_default()
+            .push(l);
+        match r.path {
+            Path::EdgeHit => self.edge_hits += 1,
+            Path::PeerHit => self.peer_hits += 1,
+            Path::CloudMiss | Path::Baseline => self.cloud_trips += 1,
+        }
+        if let Some(c) = r.correct {
+            self.judged += 1;
+            self.correct += u64::from(c);
+            self.accuracy = Some(self.correct as f64 / self.judged as f64);
+        }
     }
 
     /// Cache hit ratio over completed requests (local + peer hits).

@@ -298,7 +298,8 @@ struct ClientNode {
     cloud: NodeId,
     records: Rc<RefCell<Vec<Record>>>,
     failures: Rc<RefCell<u64>>,
-    trace_out: Rc<RefCell<Vec<Decision>>>,
+    /// Where the engine's decisions go, when the caller asked for them.
+    trace_out: Option<Rc<RefCell<Vec<Decision>>>>,
     tel: Telemetry,
     client_idx: u64,
 }
@@ -462,10 +463,12 @@ impl ClientNode {
             }
         }
         let now = self.clock.now_ns();
-        let mut trace_out = self.trace_out.borrow_mut();
+        let mut trace_out = self.trace_out.as_ref().map(|t| t.borrow_mut());
         for d in self.engine.drain_decisions() {
             record_decision(&self.tel, now, self.client_idx, &d);
-            trace_out.push(d);
+            if let Some(t) = &mut trace_out {
+                t.push(d);
+            }
         }
     }
 }
@@ -944,7 +947,7 @@ impl Node<Msg> for CloudNode {
 /// Panics if the trace is empty or the simulation stalls before all
 /// requests complete (a protocol bug, which should fail loudly).
 pub fn run(trace: &[coic_workload::Request], cfg: &SimConfig) -> QoeReport {
-    run_traced(trace, cfg).0
+    simulate(trace, cfg, &Telemetry::disabled(), false).0
 }
 
 /// Like [`run`], but additionally returns each client's engine decision
@@ -969,6 +972,17 @@ pub fn run_instrumented(
     trace: &[coic_workload::Request],
     cfg: &SimConfig,
     tel: &Telemetry,
+) -> (QoeReport, Vec<Vec<Decision>>) {
+    simulate(trace, cfg, tel, true)
+}
+
+/// One run; the per-client decision traces are collected only when
+/// `traced` (otherwise the returned list is empty).
+fn simulate(
+    trace: &[coic_workload::Request],
+    cfg: &SimConfig,
+    tel: &Telemetry,
+    traced: bool,
 ) -> (QoeReport, Vec<Vec<Decision>>) {
     assert!(!trace.is_empty(), "empty trace");
     assert!(cfg.num_clients > 0, "need at least one client");
@@ -1056,7 +1070,8 @@ pub fn run_instrumented(
     let records: Rc<RefCell<Vec<Record>>> = Rc::new(RefCell::new(Vec::new()));
     let failures: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
     let traces: Vec<Rc<RefCell<Vec<Decision>>>> = (0..cfg.num_clients)
-        .map(|_| Rc::new(RefCell::new(Vec::new())))
+        .filter(|_| traced)
+        .map(|_| Rc::default())
         .collect();
 
     // Robustness counter handles (clients and edges) for the end-of-run
@@ -1089,7 +1104,7 @@ pub fn run_instrumented(
                 cloud: cloud_id,
                 records: records.clone(),
                 failures: failures.clone(),
-                trace_out: traces[i].clone(),
+                trace_out: traces.get(i).cloned(),
                 tel: tel.clone(),
                 client_idx: i as u64,
             }),
@@ -1221,7 +1236,7 @@ pub fn run_instrumented(
     sim.stats().publish(tel.registry());
     report.publish(tel.registry());
 
-    let decision_traces = traces.iter().map(|t| t.borrow().clone()).collect();
+    let decision_traces = traces.iter().map(|t| t.take()).collect();
     (report, decision_traces)
 }
 

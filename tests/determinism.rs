@@ -149,16 +149,14 @@ fn live_leg() -> (Vec<Decision>, QoeReport, Vec<String>) {
     )
     .unwrap();
     let mut live_paths = Vec::new();
+    let mut decisions = Vec::new();
     for req in &trace {
         live_paths.push(client.execute(req).unwrap().path);
+        decisions.extend(client.drain_decisions());
     }
     assert_eq!(live_paths, [Path::CloudMiss, Path::EdgeHit, Path::Baseline]);
     assert!(client.is_degraded(), "edge leg of seq 2 was exhausted");
-    (
-        client.decisions().to_vec(),
-        client.report(),
-        edge_decisions(&tel),
-    )
+    (decisions, client.report(), edge_decisions(&tel))
 }
 
 #[test]

@@ -1099,3 +1099,35 @@ fn hits_are_faster_than_misses_live() {
         miss.elapsed
     );
 }
+
+#[test]
+fn one_client_outlives_a_benchmark_session_and_reports_every_request() {
+    // 20 000 warmed hits on one connection: past the 8 192 requests after
+    // which the benchmark hangs up and reconnects.
+    let s = stack();
+    let mut c = client(&s);
+    let models: Vec<Request> = (0..16)
+        .map(|model_id| {
+            req(RequestKind::RenderLoad {
+                model_id,
+                size_bytes: 1_000,
+            })
+        })
+        .collect();
+    let mut paths = Vec::new();
+    for r in &models {
+        paths.push(c.execute(r).unwrap().path);
+    }
+    for r in models.iter().cycle().take(20_000) {
+        let out = c.execute(r).unwrap();
+        assert_eq!(out.path, Path::EdgeHit);
+        paths.push(out.path);
+    }
+    let report = c.report();
+    assert_eq!(report.completed, paths.len());
+    let hits = paths.iter().filter(|&&p| p == Path::EdgeHit).count();
+    assert_eq!(report.edge_hits, hits as u64);
+    assert_eq!(report.cloud_trips, (paths.len() - hits) as u64);
+    // Undrained decisions are the last request's only: attempt, complete.
+    assert_eq!(c.drain_decisions().count(), 2);
+}

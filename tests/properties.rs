@@ -543,6 +543,86 @@ proptest! {
     }
 }
 
+// -------------------------------------------------------------------- qoe --
+
+fn arb_record() -> impl Strategy<Value = coic::core::Record> {
+    use coic::core::{Path, Record};
+    (
+        any::<u64>(),
+        0usize..4,
+        0u64..1_000_000_000,
+        0u64..50_000_000,
+        0usize..4,
+        prop::option::of(any::<bool>()),
+        0u32..4,
+    )
+        .prop_map(
+            |(req_id, kind, issued_ns, latency_ns, path, correct, retries)| Record {
+                req_id,
+                kind: ["recognition", "model", "panorama", "annotation"][kind],
+                issued_ns,
+                completed_ns: issued_ns + latency_ns,
+                path: [
+                    Path::EdgeHit,
+                    Path::PeerHit,
+                    Path::CloudMiss,
+                    Path::Baseline,
+                ][path],
+                correct,
+                retries,
+            },
+        )
+}
+
+proptest! {
+    /// Folding records one at a time into a report is the same aggregation
+    /// as building it from the whole list, and both equal a report whose
+    /// fields are computed here directly from the list: the canonical bytes
+    /// and the per-path split agree, for the empty list too.
+    #[test]
+    fn a_folded_report_equals_one_built_from_the_records(
+        records in prop::collection::vec(arb_record(), 0..40),
+    ) {
+        use coic::core::{Path, QoeReport};
+        // A client's report before its first completion.
+        prop_assert_eq!(
+            QoeReport::default().canonical(),
+            QoeReport::from_records(&[]).canonical()
+        );
+        let mut folded = QoeReport::default();
+        for r in &records {
+            folded.push(r);
+        }
+        let mut built = QoeReport::from_records(&records);
+        let mut reference = QoeReport::default();
+        for r in &records {
+            let l = r.latency_ms();
+            reference.latency_ms.push(l);
+            reference.latency_by_kind.entry(r.kind).or_default().push(l);
+            reference.latency_by_path.entry(r.path.label()).or_default().push(l);
+        }
+        let count = |p: Path| records.iter().filter(|r| r.path == p).count() as u64;
+        reference.completed = records.len();
+        reference.edge_hits = count(Path::EdgeHit);
+        reference.peer_hits = count(Path::PeerHit);
+        reference.cloud_trips = count(Path::CloudMiss) + count(Path::Baseline);
+        reference.retries = records.iter().map(|r| u64::from(r.retries)).sum();
+        reference.retried_requests = records.iter().filter(|r| r.retries > 0).count() as u64;
+        let verdicts: Vec<bool> = records.iter().filter_map(|r| r.correct).collect();
+        reference.accuracy = (!verdicts.is_empty()).then(|| {
+            verdicts.iter().filter(|&&c| c).count() as f64 / verdicts.len() as f64
+        });
+        let expected = reference.canonical();
+        prop_assert_eq!(folded.canonical(), expected.clone());
+        prop_assert_eq!(built.canonical(), expected);
+        let split = |r: &QoeReport| -> Vec<(&'static str, usize)> {
+            r.latency_by_path.iter().map(|(k, s)| (*k, s.count())).collect()
+        };
+        prop_assert_eq!(split(&folded), split(&reference));
+        prop_assert_eq!(split(&built), split(&reference));
+    }
+}
+
 // ----------------------------------------------------------------- misc --
 
 proptest! {
@@ -667,9 +747,11 @@ fn drive_engine(
             Effect::Complete { .. } | Effect::GiveUp { .. } => terminal += 1,
         }
     }
-    // Terminal: firing every leftover timer and replaying every event class
-    // must be a no-op (no transition out of a terminal state).
-    let trace_len = engine.decisions().len();
+    // Terminal: the request's state is gone, and firing every leftover
+    // timer and replaying every event class must be a no-op (no transition
+    // out of a terminal state).
+    assert_eq!(engine.in_flight(), 0, "an ended request leaves no state");
+    let trace: Vec<_> = engine.drain_decisions().collect();
     for &(kind, epoch, fired) in &timers {
         if !fired {
             assert!(engine.on_timer(1, kind, epoch).is_empty());
@@ -687,17 +769,8 @@ fn drive_engine(
     }
     assert!(engine.on_transport_failure(1).is_empty());
     assert!(engine.on_probe_result(1, true).is_empty());
-    assert_eq!(
-        engine.decisions().len(),
-        trace_len,
-        "terminal must be quiet"
-    );
-    (
-        edge_sends,
-        origin_sends,
-        terminal,
-        engine.decisions().to_vec(),
-    )
+    assert_eq!(engine.drain_decisions().len(), 0, "terminal must be quiet");
+    (edge_sends, origin_sends, terminal, trace)
 }
 
 proptest! {
@@ -777,6 +850,173 @@ proptest! {
         let (e2, o2, t2, trace2) = drive_engine(cfg, &script);
         prop_assert_eq!((edge, origin, terminal), (e2, o2, t2));
         prop_assert_eq!(trace, trace2);
+    }
+}
+
+/// Drive one [`ClientEngine`] through `requests` requests, at most
+/// `MAX_IN_FLIGHT` at a time, over a scripted virtual network: each edge
+/// attempt is answered by a hit, a miss, a payload request, `Unavailable`,
+/// `Overloaded`, a transport failure, silence (its deadline expires) or a
+/// reply that arrives after its deadline; each origin attempt by a reply,
+/// a failure or silence. Every armed timer fires (stale ones too). After
+/// every event the engine may hold no more states than requests in flight,
+/// and an event for an ended request must be quiet. Returns how many times
+/// each decision class was taken, keyed by its name.
+fn bounded_engine_run(requests: u64, seed: u64) -> std::collections::BTreeMap<String, u64> {
+    use coic::core::{
+        ClientEngine, Decision, Effect, EngineConfig, ReplyKind, RobustnessStats, SimClock,
+        TimerKind,
+    };
+    use rand::RngExt;
+    use std::collections::{BTreeMap, HashSet};
+
+    const MAX_IN_FLIGHT: usize = 8;
+    enum Ev {
+        Timer(TimerKind, u32),
+        Reply(ReplyKind),
+        Failure,
+        Probe(bool),
+    }
+    let clock = SimClock::new();
+    let cfg = EngineConfig {
+        retry: RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_micros(100),
+            max_backoff: Duration::from_micros(400),
+            jitter_frac: 0.25,
+            seed,
+        },
+        deadline_ns: 1_000_000,
+        probe_interval_ns: 200_000,
+        use_edge: true,
+        origin_fallback: true,
+    };
+    let mut engine = ClientEngine::new(cfg, clock.clone(), RobustnessStats::default());
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Pending events by (virtual time, arrival order).
+    let mut queue: BTreeMap<(u64, u64), (u64, Ev)> = BTreeMap::new();
+    let mut order = 0u64;
+    let mut live: HashSet<u64> = HashSet::new();
+    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+    let (mut begun, mut ended, mut now) = (0u64, 0u64, 0u64);
+    loop {
+        // Keep the window full, then take the next event.
+        let (req_id, effects) = if live.len() < MAX_IN_FLIGHT && begun < requests {
+            begun += 1;
+            live.insert(begun);
+            (begun, engine.begin(begun, "model", now, 0))
+        } else if let Some(((at, _), (req_id, ev))) = queue.pop_first() {
+            now = at;
+            clock.set(SimTime::from_nanos(at));
+            let effects = match ev {
+                Ev::Timer(kind, epoch) => engine.on_timer(req_id, kind, epoch),
+                Ev::Reply(kind) => engine.on_reply(req_id, kind, None),
+                Ev::Failure => engine.on_transport_failure(req_id),
+                Ev::Probe(ok) => engine.on_probe_result(req_id, ok),
+            };
+            (req_id, effects)
+        } else {
+            break;
+        };
+        let quiet = !live.contains(&req_id);
+        let mut schedule = |delay: u64, ev: Ev| {
+            order += 1;
+            queue.insert((now + delay, order), (req_id, ev));
+        };
+        for effect in &effects {
+            match *effect {
+                Effect::ArmTimer {
+                    kind,
+                    epoch,
+                    delay_ns,
+                    ..
+                } => schedule(delay_ns, Ev::Timer(kind, epoch)),
+                Effect::SendQuery { .. } => match rng.random_range(0..12u32) {
+                    0..=3 => schedule(50_000, Ev::Reply(ReplyKind::Hit)),
+                    4 => schedule(300_000, Ev::Reply(ReplyKind::Result)),
+                    5 => schedule(50_000, Ev::Reply(ReplyKind::NeedPayload)),
+                    6 => schedule(50_000, Ev::Reply(ReplyKind::Unavailable)),
+                    7 => schedule(
+                        50_000,
+                        Ev::Reply(ReplyKind::Overloaded { retry_after_ms: 1 }),
+                    ),
+                    8 => schedule(20_000, Ev::Failure),
+                    9 => schedule(1_500_000, Ev::Reply(ReplyKind::Hit)),
+                    _ => {} // lost: the deadline fires
+                },
+                Effect::SendUpload { .. } => schedule(300_000, Ev::Reply(ReplyKind::Result)),
+                Effect::SendOrigin { .. } => match rng.random_range(0..4u32) {
+                    0 | 1 => schedule(400_000, Ev::Reply(ReplyKind::Baseline)),
+                    2 => schedule(20_000, Ev::Failure),
+                    _ => {}
+                },
+                Effect::ProbeEdge { .. } => schedule(10_000, Ev::Probe(rng.random_bool(0.75))),
+                Effect::Complete { .. } | Effect::GiveUp { .. } => {
+                    assert!(live.remove(&req_id), "request {req_id} ended twice");
+                    ended += 1;
+                }
+            }
+        }
+        let decisions: Vec<Decision> = engine.drain_decisions().collect();
+        if quiet {
+            assert!(effects.is_empty(), "ended request {req_id} acted");
+            assert!(decisions.is_empty(), "terminal must be quiet");
+        }
+        for d in decisions {
+            let name = match d {
+                Decision::Complete { path, .. } => format!("complete.{}", path.label()),
+                other => format!("{other:?}")
+                    .split([' ', '{'])
+                    .next()
+                    .unwrap()
+                    .to_string(),
+            };
+            *counts.entry(name).or_default() += 1;
+        }
+        assert!(engine.in_flight() <= MAX_IN_FLIGHT);
+        assert_eq!(engine.in_flight(), live.len());
+    }
+    assert_eq!((begun, ended), (requests, requests));
+    assert_eq!(engine.in_flight(), 0);
+    counts
+}
+
+/// Decision classes a bounded-life run must exercise.
+const BOUNDED_MIX: [&str; 12] = [
+    "complete.edge_hit",
+    "complete.cloud_miss",
+    "complete.baseline",
+    "Upload",
+    "AttemptFailed",
+    "Overloaded",
+    "Unavailable",
+    "Degrade",
+    "Probe",
+    "Rejoin",
+    "Retry",
+    "Fail",
+];
+
+#[test]
+fn bounded_engine_state_over_a_hundred_thousand_requests() {
+    let counts = bounded_engine_run(100_000, 7);
+    for class in BOUNDED_MIX {
+        assert!(
+            counts.get(class).copied().unwrap_or(0) > 0,
+            "no {class} in {counts:?}"
+        );
+    }
+}
+
+#[test]
+#[ignore = "10^6 requests; run in release (CI's identity soak)"]
+fn bounded_engine_state_over_a_million_requests() {
+    let counts = bounded_engine_run(1_000_000, 8);
+    for class in BOUNDED_MIX {
+        assert!(
+            counts.get(class).copied().unwrap_or(0) > 0,
+            "no {class} in {counts:?}"
+        );
     }
 }
 
