@@ -279,6 +279,19 @@ fn engine_config(cfg: &SimConfig) -> EngineConfig {
     }
 }
 
+/// What a simulated client holds of one of its requests.
+#[derive(Clone)]
+enum ReqSlot {
+    /// Not issued yet.
+    Unissued,
+    /// In the engine's hands, which may still send the task (a recognition
+    /// task carries its whole camera frame).
+    Live(PreparedRequest),
+    /// Completed or given up: only the ground truth that a late duplicate
+    /// reply is judged by.
+    Ended(Option<u32>),
+}
+
 /// The simulated client: a thin driver around the shared [`ClientEngine`].
 /// All lifecycle decisions (retry, deadline, degrade, probe) come from the
 /// engine; this node only realizes effects on the virtual network — the
@@ -290,7 +303,7 @@ struct ClientNode {
     shaper: Option<coic_netsim::Shaper>,
     logic: Arc<ClientLogic>,
     requests: Vec<coic_workload::Request>,
-    prepared: Vec<Option<PreparedRequest>>,
+    slots: Vec<ReqSlot>,
     /// The armed reply deadline of each request, cancelled once it can
     /// decide nothing: the request ended, or a new attempt armed its own.
     deadlines: Vec<Option<TimerId>>,
@@ -307,6 +320,14 @@ struct ClientNode {
 impl ClientNode {
     fn req_id(&self, ctx: &Ctx<'_, Msg>, idx: usize) -> u64 {
         ((ctx.node_id().0 as u64) << 32) | idx as u64
+    }
+
+    /// The prepared form of a request the engine is still working on.
+    fn live(&self, req_id: u64) -> &PreparedRequest {
+        match &self.slots[(req_id & TOKEN_MASK) as usize] {
+            ReqSlot::Live(prepared) => prepared,
+            _ => panic!("request {req_id:#x} is not in flight"),
+        }
     }
 
     /// Send an uplink message through the optional token-bucket shaper: it
@@ -344,8 +365,7 @@ impl ClientNode {
     }
 
     fn send_query(&mut self, ctx: &mut Ctx<'_, Msg>, req_id: u64) {
-        let idx = (req_id & TOKEN_MASK) as usize;
-        let prepared = self.prepared[idx].as_ref().expect("send before prepare");
+        let prepared = self.live(req_id);
         // Recognition keeps the heavy frame back; compact tasks ride along
         // as the hint.
         let hint = match &prepared.task {
@@ -362,8 +382,7 @@ impl ClientNode {
     }
 
     fn send_origin(&mut self, ctx: &mut Ctx<'_, Msg>, req_id: u64) {
-        let idx = (req_id & TOKEN_MASK) as usize;
-        let prepared = self.prepared[idx].as_ref().expect("send before prepare");
+        let prepared = self.live(req_id);
         let msg = Msg::BaselineRequest {
             req_id,
             task: prepared.task.clone(),
@@ -378,22 +397,21 @@ impl ClientNode {
     }
 
     fn send_upload(&mut self, ctx: &mut Ctx<'_, Msg>, req_id: u64) {
-        let idx = (req_id & TOKEN_MASK) as usize;
-        let task = self.prepared[idx]
-            .as_ref()
-            .expect("NeedPayload before prepare")
-            .task
-            .clone();
+        let task = self.live(req_id).task.clone();
         let msg = Msg::Upload { req_id, task };
         let bytes = wire_len(&msg);
         self.shaped_send(ctx, false, bytes, msg);
     }
 
-    /// Close the request's span at `at_ns`, taken by `path`, and issue the
-    /// next one of a closed loop.
+    /// Close the request's span at `at_ns`, taken by `path`, keep only its
+    /// truth, and issue the next one of a closed loop.
     fn end_request(&mut self, ctx: &mut Ctx<'_, Msg>, at_ns: u64, req_id: u64, path: &str) {
         let seq = req_id & TOKEN_MASK;
         self.disarm_deadline(ctx, seq as usize);
+        let slot = &mut self.slots[seq as usize];
+        if let ReqSlot::Live(prepared) = slot {
+            *slot = ReqSlot::Ended(prepared.truth);
+        }
         self.tel.span_exit_with(at_ns, "request", || {
             vec![
                 ("client", Value::from(self.client_idx)),
@@ -497,7 +515,7 @@ impl Node<Msg> for ClientNode {
             let issued_ns = ctx.now().as_nanos();
             let prep_ns = prepared.prep_ns;
             let kind = prepared.task.kind();
-            self.prepared[idx] = Some(prepared);
+            self.slots[idx] = ReqSlot::Live(prepared);
             self.tel.span_enter_with(issued_ns, "request", || {
                 vec![
                     ("client", Value::from(self.client_idx)),
@@ -544,9 +562,12 @@ impl Node<Msg> for ClientNode {
         // The simulator owns the ground truth, so it judges correctness at
         // the reply boundary and hands the verdict to the engine.
         let correct = result.as_ref().and_then(|r| {
-            let idx = (req_id & TOKEN_MASK) as usize;
-            let prepared = self.prepared[idx].as_ref().expect("reply before prepare");
-            recognition_correct(r, prepared.truth)
+            let truth = match &self.slots[(req_id & TOKEN_MASK) as usize] {
+                ReqSlot::Live(prepared) => prepared.truth,
+                ReqSlot::Ended(truth) => *truth,
+                ReqSlot::Unissued => panic!("reply to unissued request {req_id:#x}"),
+            };
+            recognition_correct(r, truth)
         });
         let effects = self.engine.on_reply(req_id, kind, correct);
         self.apply(ctx, effects);
@@ -1098,7 +1119,7 @@ fn simulate(
                     .map(|(mbps, burst)| coic_netsim::Shaper::new((mbps * 1e6) as u64, burst)),
                 logic: client_logic.clone(),
                 requests: my_requests,
-                prepared: vec![None; n],
+                slots: vec![ReqSlot::Unissued; n],
                 deadlines: vec![None; n],
                 edge: client_edge[i],
                 cloud: cloud_id,
@@ -1771,6 +1792,41 @@ mod tests {
         };
         let report = run(&trace, &cfg);
         assert_eq!(report.completed + report.failed as usize, 25);
+    }
+
+    thread_local! {
+        /// (requests still held in full, requests ended with only their
+        /// truth) over the clients this thread's runs have dropped.
+        static SLOTS_AT_DROP: std::cell::Cell<(usize, usize)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
+
+    impl Drop for ClientNode {
+        fn drop(&mut self) {
+            let count = |f: fn(&ReqSlot) -> bool| self.slots.iter().filter(|s| f(s)).count();
+            let live = count(|s| matches!(s, ReqSlot::Live(_)));
+            let ended = count(|s| matches!(s, ReqSlot::Ended(_)));
+            SLOTS_AT_DROP.with(|c| c.set((c.get().0 + live, c.get().1 + ended)));
+        }
+    }
+
+    #[test]
+    fn a_recognition_run_keeps_no_frame_of_an_ended_request() {
+        // Lossy links make retries and late duplicate replies, which are
+        // judged against the truth an ended request keeps.
+        let trace = recognition_trace(40);
+        let cfg = SimConfig {
+            wan_loss: 0.15,
+            request_timeout_ms: 2_000,
+            retry: RetryPolicy::immediate(7, 0),
+            ..small_cfg()
+        };
+        SLOTS_AT_DROP.with(|c| c.set((0, 0)));
+        let report = run(&trace, &cfg);
+        assert_eq!(report.completed + report.failed as usize, 40);
+        let (live, ended) = SLOTS_AT_DROP.with(|c| c.get());
+        assert_eq!(live, 0, "{live} ended requests still hold their frame");
+        assert_eq!(ended, 40);
     }
 
     #[test]

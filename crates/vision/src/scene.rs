@@ -165,6 +165,25 @@ impl SceneGenerator {
         self.render(class, view, rng, GUARD_EPS).0
     }
 
+    /// Advance `rng` past exactly what [`observe`](Self::observe) draws for
+    /// `view`, without rendering: a caller finds where a later view's draws
+    /// start without rendering the views before it.
+    pub(crate) fn skip_noise(&self, view: &ViewParams, rng: &mut StdRng) {
+        for _ in 0..self.noise_samples(view) {
+            uniforms(rng);
+        }
+    }
+
+    /// How many Gaussian samples an observation under `view` draws: one per
+    /// pixel, or none for a noiseless view (σ ≤ 0 or NaN).
+    fn noise_samples(&self, view: &ViewParams) -> usize {
+        if view.noise_sigma > 0.0 {
+            (self.side * self.side) as usize
+        } else {
+            0
+        }
+    }
+
     /// [`observe`](Self::observe) with the guard band as a parameter, also
     /// returning how many pixels the guard recomputed (tests force and count
     /// it; the output does not depend on `eps`).
@@ -236,9 +255,9 @@ impl SceneGenerator {
         let mut pixels = Vec::with_capacity(n * n);
         let mut row = vec![0.0; n];
         // A noiseless view adds 0.0, which moves no byte (it only turns a
-        // -0.0 into +0.0).
+        // -0.0 into +0.0). A noisy one draws a row of samples per row.
         let sigma = view.noise_sigma;
-        let noisy = sigma > 0.0;
+        let noisy = self.noise_samples(view) != 0;
         let (mut u1, mut u2, mut noise) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         let mut guarded = 0;
         for y in 0..n {
@@ -474,6 +493,54 @@ mod tests {
                     guarded == (side * side) as usize,
                     *whole_frame,
                     "extreme {i} ({view:?}, side {side}): {guarded} pixels guarded"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn skip_noise_leaves_the_generator_where_observe_does() {
+        let noisy = |noise_sigma: f64, edit: fn(&mut ViewParams)| {
+            let mut v = ViewParams {
+                noise_sigma,
+                ..ViewParams::default()
+            };
+            edit(&mut v);
+            v
+        };
+        let mut cases = vec![
+            ("σ > 0".to_string(), noisy(4.0, |_| {})),
+            ("σ = 0".to_string(), noisy(0.0, |_| {})),
+            ("σ < 0".to_string(), noisy(-4.0, |_| {})),
+            ("NaN σ".to_string(), noisy(f64::NAN, |_| {})),
+            ("σ > MAX_SIGMA".to_string(), noisy(2.0 * MAX_SIGMA, |_| {})),
+            ("σ = ∞".to_string(), noisy(f64::INFINITY, |_| {})),
+            ("past MAX_PHASE".to_string(), noisy(4.0, |v| v.scale = 1e-3)),
+            (
+                "past MAX_GAIN".to_string(),
+                noisy(4.0, |v| v.illumination = 65.0),
+            ),
+            (
+                "NaN geometry".to_string(),
+                noisy(4.0, |v| v.angle = f64::NAN),
+            ),
+            (
+                "noiseless past MAX_PHASE".to_string(),
+                noisy(0.0, |v| v.dx = 1e6),
+            ),
+        ];
+        let mut views = rng();
+        cases.extend((0..28).map(|i| (format!("seeded {i}"), seeded_case(i, &mut views).2)));
+        for (case, view) in &cases {
+            for side in [8, 64] {
+                let gen = SceneGenerator::new(side);
+                let (mut observed, mut skipped) = (rng(), rng());
+                gen.observe(ObjectClass(3), view, &mut observed);
+                gen.skip_noise(view, &mut skipped);
+                assert_eq!(
+                    observed.random::<u64>(),
+                    skipped.random::<u64>(),
+                    "{case} ({view:?}, side {side}): the skip drew a different amount"
                 );
             }
         }
