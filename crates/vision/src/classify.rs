@@ -30,7 +30,13 @@ impl PrototypeClassifier {
         noise_sigma: f64,
         rng: &mut StdRng,
     ) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Asking reads the cgroup files (≈ 12 µs); with fewer than two
+        // classes there is nothing to split.
+        let workers = if classes.len() < 2 {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        };
         let knobs = (samples_per_class, angle_spread, noise_sigma);
         Self::train_with(net, gen, classes, knobs, rng, workers)
     }
@@ -64,9 +70,7 @@ impl PrototypeClassifier {
             };
             classes.iter().map(centroid).collect()
         };
-        let run_len = classes.len().div_ceil(workers.max(1)).max(1);
-        let mut runs: Vec<&[ObjectClass]> = classes.chunks(run_len).collect();
-        let last = runs.pop().unwrap_or_default();
+        let (runs, last) = runs(classes, workers);
         let centroids = std::thread::scope(|s| {
             let train_run = &train_run;
             let spawned: Vec<_> = runs
@@ -111,6 +115,16 @@ impl PrototypeClassifier {
         }
         best
     }
+}
+
+/// `classes` split into contiguous runs for at most `workers` threads: the
+/// runs a worker thread trains, and the last run, which the calling thread
+/// trains itself.
+fn runs(classes: &[ObjectClass], workers: usize) -> (Vec<&[ObjectClass]>, &[ObjectClass]) {
+    let run_len = classes.len().div_ceil(workers.max(1)).max(1);
+    let mut runs: Vec<&[ObjectClass]> = classes.chunks(run_len).collect();
+    let last = runs.pop().unwrap_or_default();
+    (runs, last)
 }
 
 #[cfg(test)]
@@ -198,6 +212,26 @@ mod tests {
                 for samples in [1, 5, 7] {
                     assert_trains_identically((&net, &gen, classes), samples, seed, &[1, 2, 3, 8]);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn fewer_than_two_classes_spawn_no_worker() {
+        let net = SimNet::default_net();
+        let gen = SceneGenerator::new(32);
+        for classes in [vec![], vec![ObjectClass(7)]] {
+            for workers in [1, 2, 8] {
+                assert!(runs(&classes, workers).0.is_empty(), "{classes:?} spawned");
+            }
+            for seed in [1, 0xC0FFEE] {
+                let mut ref_rng = StdRng::seed_from_u64(seed);
+                let world = (&net, &gen, &classes[..]);
+                let reference = train_reference(world, 3, 0.08, 4.0, &mut ref_rng);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let clf = PrototypeClassifier::train(&net, &gen, &classes, 3, 0.08, 4.0, &mut rng);
+                assert_eq!(clf.centroids, reference.centroids, "{classes:?}");
+                assert_eq!(rng.random::<u64>(), ref_rng.random::<u64>(), "{classes:?}");
             }
         }
     }

@@ -91,6 +91,11 @@ impl Default for SimNetConfig {
 
 /// A fixed-weight feature extractor.
 ///
+/// Each layer's weights are drawn row-major (output by output) and stored
+/// input-major. Every output's sum still starts at 0.0 and adds its terms
+/// `w · x[i]` in ascending input order, so an activation has the same bits
+/// as the row-major single-chain loop (DESIGN.md §3.2).
+///
 /// # Examples
 /// ```
 /// use coic_vision::{ObjectClass, SceneGenerator, SimNet};
@@ -104,9 +109,28 @@ impl Default for SimNetConfig {
 /// ```
 pub struct SimNet {
     config: SimNetConfig,
-    /// weights[l] is a (out_dim × in_dim) row-major matrix.
+    /// weights[l] is layer `l`'s (out_dim × in_dim) matrix stored
+    /// input-major: weight (o, i) at `[i * out_dim + o]`.
     weights: Vec<Vec<f32>>,
     dims: Vec<usize>, // dims[0] = grid², dims[l+1] = layer_dims[l]
+}
+
+/// Layer `l`'s weights as drawn from the config's seed: a row-major
+/// (out_dim × in_dim) matrix, output by output.
+fn drawn_weights(config: &SimNetConfig, dims: &[usize], l: usize) -> Vec<f32> {
+    let (fan_in, fan_out) = (dims[l], dims[l + 1]);
+    let mut rng = StdRng::seed_from_u64(config.weight_seed.wrapping_add(l as u64 * 7919));
+    let scale = (1.0 / fan_in as f32).sqrt();
+    (0..fan_in * fan_out)
+        .map(|_| (rng.random::<f32>() * 2.0 - 1.0) * scale * 1.7320508) // uniform, matched variance
+        .collect()
+}
+
+/// A row-major (out × `fan_in`) matrix stored input-major.
+fn input_major(w: &[f32], fan_in: usize) -> Vec<f32> {
+    (0..fan_in)
+        .flat_map(|i| w.iter().skip(i).step_by(fan_in).copied())
+        .collect()
 }
 
 impl SimNet {
@@ -119,17 +143,9 @@ impl SimNet {
         assert!(!config.layer_dims.is_empty(), "need at least one layer");
         let mut dims = vec![(config.grid * config.grid) as usize];
         dims.extend(config.layer_dims.iter().copied());
-        let mut weights = Vec::new();
-        for l in 0..config.layer_dims.len() {
-            let fan_in = dims[l];
-            let fan_out = dims[l + 1];
-            let mut rng = StdRng::seed_from_u64(config.weight_seed.wrapping_add(l as u64 * 7919));
-            let scale = (1.0 / fan_in as f32).sqrt();
-            let w: Vec<f32> = (0..fan_in * fan_out)
-                .map(|_| (rng.random::<f32>() * 2.0 - 1.0) * scale * 1.7320508) // uniform, matched variance
-                .collect();
-            weights.push(w);
-        }
+        let weights = (0..config.layer_dims.len())
+            .map(|l| input_major(&drawn_weights(&config, &dims, l), dims[l]))
+            .collect();
         SimNet {
             config,
             weights,
@@ -170,24 +186,33 @@ impl SimNet {
     /// co-located users differ by.
     pub fn pool(&self, img: &Image) -> FeatureVec {
         let g = self.config.grid;
-        let cell_w = img.width() as f64 / g as f64;
-        let cell_h = img.height() as f64 / g as f64;
+        let (w, h) = (img.width(), img.height());
+        let cell_w = w as f64 / g as f64;
+        let cell_h = h as f64 / g as f64;
+        // Cell `c` of an axis covers [c0, c1): at least one pixel, clipped
+        // to the image.
+        let span = |c: u32, cell: f64, len: u32| {
+            let c0 = (c as f64 * cell) as u32;
+            let c1 = (((c + 1) as f64 * cell) as u32).min(len);
+            (c0 as usize, c1.max(c0 + 1).min(len) as usize)
+        };
+        let columns: Vec<_> = (0..g).map(|gx| span(gx, cell_w, w)).collect();
         let mut feats = Vec::with_capacity((g * g) as usize);
+        let mut sums = vec![0u64; g as usize];
         for gy in 0..g {
-            for gx in 0..g {
-                let x0 = (gx as f64 * cell_w) as u32;
-                let y0 = (gy as f64 * cell_h) as u32;
-                let x1 = (((gx + 1) as f64 * cell_w) as u32).min(img.width());
-                let y1 = (((gy + 1) as f64 * cell_h) as u32).min(img.height());
-                let mut acc = 0.0f64;
-                let mut n = 0u32;
-                for y in y0..y1.max(y0 + 1).min(img.height()) {
-                    for x in x0..x1.max(x0 + 1).min(img.width()) {
-                        acc += img.get(x, y) as f64;
-                        n += 1;
-                    }
+            // A grid row's cells, one image row at a time. Pixel sums are
+            // integers, exact in any order, so each cell's mean is the
+            // per-cell loop's to the bit.
+            let (y0, y1) = span(gy, cell_h, h);
+            sums.fill(0);
+            for row in img.pixels().chunks_exact(w as usize).take(y1).skip(y0) {
+                for (sum, &(x0, x1)) in sums.iter_mut().zip(&columns) {
+                    *sum += row[x0..x1].iter().map(|&p| p as u64).sum::<u64>();
                 }
-                feats.push(if n > 0 { (acc / n as f64) as f32 } else { 0.0 });
+            }
+            for (&sum, &(x0, x1)) in sums.iter().zip(&columns) {
+                let n = ((y1 - y0) * (x1 - x0)) as f64;
+                feats.push((sum as f64 / n) as f32);
             }
         }
         // Contrast-normalize.
@@ -201,18 +226,20 @@ impl SimNet {
         let fan_in = self.dims[l];
         let fan_out = self.dims[l + 1];
         assert_eq!(input.dim(), fan_in, "layer {l} input dim mismatch");
-        let w = &self.weights[l];
-        let x = input.as_slice();
-        let mut out = Vec::with_capacity(fan_out);
-        for o in 0..fan_out {
-            let row = &w[o * fan_in..(o + 1) * fan_in];
-            let mut acc = 0.0f32;
-            for i in 0..fan_in {
-                acc += row[i] * x[i];
+        // One input into every output's sum at a time: each sum starts at
+        // 0.0 and adds `w · x[i]` in ascending `i`, the row-major loop's
+        // order, but the `fan_out` sums are independent chains.
+        let mut acc = vec![0.0f32; fan_out];
+        for (&x, w) in input
+            .as_slice()
+            .iter()
+            .zip(self.weights[l].chunks_exact(fan_out))
+        {
+            for (a, &w) in acc.iter_mut().zip(w) {
+                *a += w * x;
             }
-            out.push(acc.tanh());
         }
-        FeatureVec::new(out)
+        FeatureVec::new(acc.into_iter().map(f32::tanh).collect())
     }
 
     /// Run the full network, returning every intermediate activation:
@@ -271,7 +298,7 @@ impl SimNet {
 mod tests {
     use super::*;
     use crate::scene::{ObjectClass, SceneGenerator, ViewParams};
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     fn dist(a: &FeatureVec, b: &FeatureVec) -> f32 {
         a.as_slice()
@@ -280,6 +307,145 @@ mod tests {
             .map(|(x, y)| (x - y) * (x - y))
             .sum::<f32>()
             .sqrt()
+    }
+
+    /// The parent's per-cell pool, the definition [`SimNet::pool`] must
+    /// reproduce bit for bit: each cell's pixels summed in row-major order.
+    fn pool_reference(net: &SimNet, img: &Image) -> FeatureVec {
+        let g = net.config.grid;
+        let cell_w = img.width() as f64 / g as f64;
+        let cell_h = img.height() as f64 / g as f64;
+        let mut feats = Vec::with_capacity((g * g) as usize);
+        for gy in 0..g {
+            for gx in 0..g {
+                let x0 = (gx as f64 * cell_w) as u32;
+                let y0 = (gy as f64 * cell_h) as u32;
+                let x1 = (((gx + 1) as f64 * cell_w) as u32).min(img.width());
+                let y1 = (((gy + 1) as f64 * cell_h) as u32).min(img.height());
+                let mut acc = 0.0f64;
+                let mut n = 0u32;
+                for y in y0..y1.max(y0 + 1).min(img.height()) {
+                    for x in x0..x1.max(x0 + 1).min(img.width()) {
+                        acc += img.get(x, y) as f64;
+                        n += 1;
+                    }
+                }
+                feats.push(if n > 0 { (acc / n as f64) as f32 } else { 0.0 });
+            }
+        }
+        let mean = feats.iter().sum::<f32>() / feats.len() as f32;
+        let var = feats.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / feats.len() as f32;
+        let std = var.sqrt().max(1e-6);
+        FeatureVec::new(feats.into_iter().map(|x| (x - mean) / std).collect())
+    }
+
+    /// The parent's layer: one sum per output over its row of the drawn
+    /// row-major matrix, a single chain in ascending input order.
+    fn forward_reference(net: &SimNet, l: usize, input: &FeatureVec) -> FeatureVec {
+        let (fan_in, fan_out) = (net.dims[l], net.dims[l + 1]);
+        let w = drawn_weights(&net.config, &net.dims, l);
+        let x = input.as_slice();
+        let mut out = Vec::with_capacity(fan_out);
+        for o in 0..fan_out {
+            let row = &w[o * fan_in..(o + 1) * fan_in];
+            let mut acc = 0.0f32;
+            for i in 0..fan_in {
+                acc += row[i] * x[i];
+            }
+            out.push(acc.tanh());
+        }
+        FeatureVec::new(out)
+    }
+
+    fn bits(v: &FeatureVec) -> Vec<u32> {
+        v.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Demand the references' bits from `extract_layers` at every layer and
+    /// from `extract_from_layer` resumed at every layer.
+    fn assert_descriptor_identical(case: &str, net: &SimNet, img: &Image) {
+        let mut reference = vec![pool_reference(net, img)];
+        for l in 0..net.num_layers() {
+            let next = forward_reference(net, l, reference.last().unwrap());
+            reference.push(next);
+        }
+        let last = reference.last_mut().unwrap();
+        *last = last.normalized();
+        let layers = net.extract_layers(img);
+        assert_eq!(layers.len(), reference.len());
+        for (k, (got, want)) in layers.iter().zip(&reference).enumerate() {
+            assert_eq!(bits(got), bits(want), "{case}: activation {k} differs");
+        }
+        for (k, act) in reference.iter().enumerate() {
+            let mut want = act.clone();
+            for l in k..net.num_layers() {
+                want = forward_reference(net, l, &want);
+            }
+            let got = net.extract_from_layer(k, act);
+            assert_eq!(
+                bits(&got),
+                bits(&want.normalized()),
+                "{case}: resumed at {k}"
+            );
+        }
+    }
+
+    /// The default network and small ones with grids 3, 5 and 8 and layer
+    /// widths that fill no vector.
+    fn test_nets() -> Vec<SimNet> {
+        let mut nets = vec![SimNet::default_net()];
+        for (i, grid) in [3, 5, 8].into_iter().enumerate() {
+            for dims in [vec![5, 7, 3], vec![13, 1, 9, 6]] {
+                nets.push(SimNet::new(SimNetConfig {
+                    grid,
+                    layer_dims: dims,
+                    weight_seed: 0xD15C ^ i as u64,
+                }));
+            }
+        }
+        nets
+    }
+
+    /// The `i`-th seeded frame: side 8, 32, 50 (uneven cells), 64 or 96.
+    fn seeded_frame(i: u32, rng: &mut StdRng) -> Image {
+        let side = [8, 32, 50, 64, 96][i as usize % 5];
+        let view = ViewParams::jittered(rng, 0.35, [0.0, 4.0, 16.0][i as usize / 5 % 3]);
+        SceneGenerator::new(side).observe(ObjectClass(i % 1_000), &view, rng)
+    }
+
+    #[test]
+    fn descriptors_are_bit_identical_to_the_single_chain_loops() {
+        let nets = test_nets();
+        let mut rng = StdRng::seed_from_u64(5);
+        for i in 0..30 {
+            let img = seeded_frame(i, &mut rng);
+            for (j, net) in nets.iter().enumerate() {
+                assert_descriptor_identical(&format!("frame {i}, net {j}"), net, &img);
+            }
+        }
+        // Images narrower or shorter than the grid: cells of one pixel,
+        // clipped to the edge.
+        for (w, h) in [(1, 1), (2, 7), (3, 13), (7, 2), (13, 5)] {
+            let img = Image::from_fn(w, h, |_, _| rng.random());
+            for (j, net) in nets.iter().enumerate() {
+                assert_descriptor_identical(&format!("{w} × {h}, net {j}"), net, &img);
+            }
+        }
+    }
+
+    /// 20 000 seeded frames through every test network, ≈ 5 s in release;
+    /// CI's identity soak runs it.
+    #[test]
+    #[ignore = "long identity soak; run with --release -- --ignored"]
+    fn soak_descriptors_are_bit_identical_over_20k_frames() {
+        let nets = test_nets();
+        let mut rng = StdRng::seed_from_u64(0x50AC);
+        for i in 0..20_000 {
+            let img = seeded_frame(i, &mut rng);
+            let j = i as usize % nets.len();
+            assert_descriptor_identical(&format!("frame {i}, net {j}"), &nets[j], &img);
+        }
+        println!("20000 descriptors identical");
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl Appearance {
 /// [`SceneGenerator::observe`] does not trust its separable sum and fast
 /// noise, and recomputes the pixel through [`Appearance::eval`] and
 /// [`box_muller`]. DESIGN.md §3.2 bounds the difference between the two
-/// below 1.3e-7 while the view stays inside [`MAX_PHASE`], [`MAX_GAIN`] and
+/// below 4e-7 while the view stays inside [`MAX_PHASE`], [`MAX_GAIN`] and
 /// [`MAX_SIGMA`]; a uniformly distributed fraction lands in the band 2e-6 of
 /// the time, about one pixel in 120 frames of 64 × 64.
 const GUARD_EPS: f64 = 1e-6;
@@ -146,6 +146,110 @@ const COS_2PI_ERR: f64 = 2e-15;
 // 7.44 > √(−2 ln 1e-12), the largest Box–Muller radius;
 // 2 · f64::EPSILON = 4 · 2⁻⁵³.
 const _: () = assert!(MAX_SIGMA * 7.44 * (COS_2PI_ERR + 2.0 * f64::EPSILON) < 2e-11);
+
+// The whole bound at the edges stays below half of ε: per unit of gain, the
+// direct tables' 4 200 · (M + 4) · u and the rotation's 910 · D; then the
+// gain's rounding, the noise's share and the final add (DESIGN.md §3.2).
+const _: () = {
+    let u = f64::EPSILON / 2.0;
+    let pattern = 4200.0 * (MAX_PHASE + 4.0) * u + 910.0 * rotation_err(MAX_PHASE);
+    assert!(MAX_GAIN * (pattern + 510.0 * u) + 2e-11 + 512.0 * u < GUARD_EPS / 2.0);
+};
+
+/// Where the pixels of a `side × side` view look: their centres' normalized
+/// coordinates along each axis (shifted by the view's translation), the
+/// view's rotation, and the largest sinusoid argument (every intermediate
+/// included) any wave reaches, which [`MAX_PHASE`] bounds.
+struct Geometry {
+    nx: Vec<f64>,
+    ny: Vec<f64>,
+    sin_a: f64,
+    cos_a: f64,
+    max_phase: f64,
+}
+
+impl Geometry {
+    fn new(side: u32, view: &ViewParams) -> Self {
+        let n = side as usize;
+        let side = side as f64;
+        let coord = |i: usize, shift: f64| (i as f64 + 0.5) / side * 2.0 - 1.0 - shift * 2.0 / side;
+        let nx: Vec<f64> = (0..n).map(|x| coord(x, view.dx)).collect();
+        let ny: Vec<f64> = (0..n).map(|y| coord(y, view.dy)).collect();
+        let (sin_a, cos_a) = view.angle.sin_cos();
+        // |ru|, |rv| <= reach at every pixel.
+        let span = |c: &[f64]| c[0].abs().max(c[n - 1].abs());
+        let reach = (span(&nx) + span(&ny)) / view.scale.abs();
+        let max_phase = std::f64::consts::PI * 2.0 * MAX_FREQ * reach + std::f64::consts::TAU;
+        Geometry {
+            nx,
+            ny,
+            sin_a,
+            cos_a,
+            max_phase,
+        }
+    }
+}
+
+/// A wave of frequency (fx, fy) under a view of `scale` and rotation
+/// (sin α, cos α) has phase `a·nx + (b·ny + phase)` at a pixel: its (a, b).
+fn slopes(fx: f64, fy: f64, scale: f64, (sin_a, cos_a): (f64, f64)) -> (f64, f64) {
+    let pi_over_scale = std::f64::consts::PI / scale;
+    (
+        pi_over_scale * (fx * cos_a - fy * sin_a),
+        pi_over_scale * (fx * sin_a + fy * cos_a),
+    )
+}
+
+/// `x` rounded to the nearest integer, ties to even, with no library call
+/// (the x86-64 baseline has no rounding instruction, so `f64::round` is a
+/// software routine there). For |x| < 2⁵¹, `x + 1.5·2⁵²` lies in [2⁵², 2⁵³),
+/// where floats are 1 apart: the add rounds `x` to an integer and the
+/// subtract is exact. That equals `x.round()` (ties away from zero) for every
+/// such `x` but an exact tie, and a tie is never trusted (`|x − level| = 0.5
+/// > 0.5 − ε`), so the guard rounds it with `.round()`.
+fn nearest(x: f64) -> f64 {
+    const SHIFT: f64 = 6_755_399_441_055_744.0; // 1.5 · 2⁵²
+    (x + SHIFT) - SHIFT
+}
+
+/// Whether a fast pixel value `val`, rounded to `level`, is at least `eps`
+/// from a rounding boundary, so that the definition's value, within the
+/// bound of DESIGN.md §3.2 of it, rounds to the same byte. False for NaN and
+/// for every exact tie (for `eps` ≥ 2⁻⁵⁴).
+fn trusted(val: f64, level: f64, eps: f64) -> bool {
+    (val - level).abs() <= 0.5 - eps
+}
+
+/// Steps between two direct `sin_cos` calls in [`axis_table`]; the
+/// rotation drift term of DESIGN.md §3.2 grows with it, not with the side.
+const ROTATION_RUN: usize = 64;
+
+/// `sin` and `cos` of `slope · coords[i] + offset` along an axis whose
+/// pixel centres `coords` are 2 / side apart, by angle addition with the
+/// step `δ = slope · 2 / side`: `(s, c) ← (s·cos δ + c·sin δ, c·cos δ − s·sin
+/// δ)`. Every [`ROTATION_RUN`] entries it starts again from a direct
+/// `sin_cos`. Each entry stays within [`rotation_err`] of the direct
+/// `sin_cos` of its angle.
+fn axis_table(slope: f64, offset: f64, coords: &[f64], sin: &mut [f64], cos: &mut [f64]) {
+    let (sin_d, cos_d) = (slope * 2.0 / coords.len() as f64).sin_cos();
+    let runs = coords
+        .chunks(ROTATION_RUN)
+        .zip(sin.chunks_mut(ROTATION_RUN));
+    for ((coords, sin), cos) in runs.zip(cos.chunks_mut(ROTATION_RUN)) {
+        let (mut s, mut c) = (slope * coords[0] + offset).sin_cos();
+        for (sin, cos) in sin.iter_mut().zip(cos) {
+            (*sin, *cos) = (s, c);
+            (s, c) = (s * cos_d + c * sin_d, c * cos_d - s * sin_d);
+        }
+    }
+}
+
+/// Largest difference [`axis_table`] may show from a direct `sin_cos`, per
+/// entry, in a view whose every sinusoid argument is within `max_phase`
+/// (DESIGN.md §3.2): `(10·M + 8·ROTATION_RUN)·2⁻⁵³`, whatever the side.
+const fn rotation_err(max_phase: f64) -> f64 {
+    (10.0 * max_phase + 8.0 * ROTATION_RUN as f64) * f64::EPSILON / 2.0
+}
 
 /// Generates observations of object classes.
 pub struct SceneGenerator {
@@ -210,11 +314,13 @@ impl SceneGenerator {
     ) -> (Image, usize) {
         let app = Appearance::for_class(class);
         let n = self.side as usize;
-        let side = self.side as f64;
-        let (sin_a, cos_a) = view.angle.sin_cos();
-        let coord = |i: usize, shift: f64| (i as f64 + 0.5) / side * 2.0 - 1.0 - shift * 2.0 / side;
-        let nx: Vec<f64> = (0..n).map(|x| coord(x, view.dx)).collect();
-        let ny: Vec<f64> = (0..n).map(|y| coord(y, view.dy)).collect();
+        let Geometry {
+            nx,
+            ny,
+            sin_a,
+            cos_a,
+            max_phase,
+        } = Geometry::new(self.side, view);
         let pattern_coords = |x: usize, y: usize| {
             (
                 (nx[x] * cos_a + ny[y] * sin_a) / view.scale,
@@ -223,12 +329,9 @@ impl SceneGenerator {
         };
 
         // The error bound holds while no sinusoid argument (or intermediate
-        // of one) exceeds MAX_PHASE: |ru|, |rv| <= reach. Outside it — or
-        // with anything non-finite, which fails the comparison — the band
-        // covers everything and every pixel is `eval`'s.
-        let span = |c: &[f64]| c[0].abs().max(c[n - 1].abs());
-        let reach = (span(&nx) + span(&ny)) / view.scale.abs();
-        let max_phase = std::f64::consts::PI * 2.0 * MAX_FREQ * reach + std::f64::consts::TAU;
+        // of one) exceeds MAX_PHASE. Outside it — or with anything
+        // non-finite, which fails the comparison — the band covers
+        // everything and every pixel is `eval`'s.
         let bounded = max_phase <= MAX_PHASE
             && view.illumination.abs() <= MAX_GAIN
             && view.noise_sigma <= MAX_SIGMA;
@@ -240,27 +343,28 @@ impl SceneGenerator {
         let mut cos_x = vec![0.0; WAVES * n];
         let mut sin_y = vec![0.0; WAVES * n];
         let mut cos_y = vec![0.0; WAVES * n];
-        let pi_over_scale = std::f64::consts::PI / view.scale;
         for (k, &(fx, fy, phase, amp)) in app.waves.iter().enumerate() {
-            let a = pi_over_scale * (fx * cos_a - fy * sin_a);
-            let b = pi_over_scale * (fx * sin_a + fy * cos_a);
+            let (a, b) = slopes(fx, fy, view.scale, (sin_a, cos_a));
+            let (sx, cx) = (&mut sin_x[k * n..][..n], &mut cos_x[k * n..][..n]);
+            axis_table(a, 0.0, &nx, sx, cx);
+            let (sy, cy) = (&mut sin_y[k * n..][..n], &mut cos_y[k * n..][..n]);
+            axis_table(b, phase, &ny, sy, cy);
             let gain = amp * 40.0;
-            for i in 0..n {
-                (sin_x[k * n + i], cos_x[k * n + i]) = (a * nx[i]).sin_cos();
-                let (s, c) = (b * ny[i] + phase).sin_cos();
-                (sin_y[k * n + i], cos_y[k * n + i]) = (gain * s, gain * c);
+            for (s, c) in sy.iter_mut().zip(cy) {
+                (*s, *c) = (gain * *s, gain * *c);
             }
         }
 
-        let mut pixels = Vec::with_capacity(n * n);
+        let mut pixels = vec![0; n * n];
         let mut row = vec![0.0; n];
         // A noiseless view adds 0.0, which moves no byte (it only turns a
         // -0.0 into +0.0). A noisy one draws a row of samples per row.
         let sigma = view.noise_sigma;
         let noisy = self.noise_samples(view) != 0;
         let (mut u1, mut u2, mut noise) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let value = |acc: f64, z: f64| acc.clamp(0.0, 255.0) * view.illumination + z;
         let mut guarded = 0;
-        for y in 0..n {
+        for (y, out) in pixels.chunks_exact_mut(n).enumerate() {
             row.fill(app.base);
             for k in 0..WAVES {
                 let (sy, cy) = (sin_y[k * n + y], cos_y[k * n + y]);
@@ -277,21 +381,32 @@ impl SceneGenerator {
                     *z = (-2.0 * a.ln()).sqrt() * cos_2pi(b) * sigma;
                 }
             }
-            for (x, (&acc, &z)) in row.iter().zip(&noise).enumerate() {
-                let val = acc.clamp(0.0, 255.0) * view.illumination + z;
-                let mut level = val.round();
-                let trusted = (val - level).abs() <= 0.5 - eps;
-                if !trusted {
-                    guarded += 1;
-                    let (ru, rv) = pattern_coords(x, y);
-                    let z = if noisy {
-                        box_muller(u1[x], u2[x]) * sigma
-                    } else {
-                        0.0
-                    };
-                    level = (app.eval(ru, rv) * view.illumination + z).round();
+            // Branch-free: every pixel of the row, then one flag for the
+            // rare row that holds a pixel the guard must recompute.
+            let mut flagged = false;
+            for (p, (&acc, &z)) in out.iter_mut().zip(row.iter().zip(&noise)) {
+                let val = value(acc, z);
+                let level = nearest(val);
+                flagged |= !trusted(val, level, eps);
+                *p = level.clamp(0.0, 255.0) as u8;
+            }
+            if !flagged {
+                continue;
+            }
+            for (x, (p, (&acc, &z))) in out.iter_mut().zip(row.iter().zip(&noise)).enumerate() {
+                let val = value(acc, z);
+                if trusted(val, nearest(val), eps) {
+                    continue;
                 }
-                pixels.push(level.clamp(0.0, 255.0) as u8);
+                guarded += 1;
+                let (ru, rv) = pattern_coords(x, y);
+                let z = if noisy {
+                    box_muller(u1[x], u2[x]) * sigma
+                } else {
+                    0.0
+                };
+                let level = (app.eval(ru, rv) * view.illumination + z).round();
+                *p = level.clamp(0.0, 255.0) as u8;
             }
         }
         (Image::from_raw(self.side, self.side, pixels), guarded)
@@ -569,6 +684,93 @@ mod tests {
         }
         let (err, u) = worst;
         assert!(err <= COS_2PI_ERR, "cos_2pi({u}) is off by {err:e}");
+    }
+
+    #[test]
+    fn nearest_equals_round_off_ties() {
+        // Equal as numbers: where `round` gives −0.0 `nearest` gives +0.0,
+        // and both clamp to the byte 0.
+        let check = |x: f64| assert_eq!(nearest(x), x.round(), "nearest({x:e})");
+        check(0.0);
+        check(-0.0);
+        let mut r = rng();
+        for _ in 0..1_000_000 {
+            check(r.random_range(-1_048_576.0..=1_048_576.0));
+        }
+        // Every half-integer in ±2²⁰, one ulp either side.
+        for k in -(1 << 20)..(1 << 20) {
+            let tie = k as f64 + 0.5;
+            check(tie.next_down());
+            check(tie.next_up());
+        }
+    }
+
+    #[test]
+    fn no_tie_is_trusted() {
+        for eps in [GUARD_EPS, 1.0] {
+            for k in -(1 << 20)..(1 << 20) {
+                let tie = k as f64 + 0.5;
+                assert!(
+                    !trusted(tie, nearest(tie), eps),
+                    "the tie {tie} is trusted at eps {eps:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rotated_tables_stay_within_their_drift_term() {
+        let sides = [
+            8, 9, 31, 32, 33, 50, 63, 64, 65, 96, 127, 128, 129, 200, 255, 256, 257, 511, 512, 513,
+            1000, 1023, 1024,
+        ];
+        let mut worst = (0.0f64, 0.0f64);
+        for side in sides {
+            let n = side as usize;
+            let view = |angle: f64, scale: f64| ViewParams {
+                angle,
+                scale,
+                dx: 1.5,
+                dy: -0.75,
+                ..ViewParams::default()
+            };
+            // The smallest scale whose frame stays within MAX_PHASE.
+            let unit = Geometry::new(side, &view(0.3, 1.0)).max_phase;
+            let tau = std::f64::consts::TAU;
+            let mut edge = (unit - tau) / (MAX_PHASE - tau);
+            while Geometry::new(side, &view(0.3, edge)).max_phase > MAX_PHASE {
+                edge = edge.next_up();
+            }
+            for scale in [1.0, 0.9, 0.1, 0.01, edge] {
+                for (j, angle) in [0.0, 0.3, -2.5].into_iter().enumerate() {
+                    let geo = Geometry::new(side, &view(angle, scale));
+                    assert!(geo.max_phase <= MAX_PHASE, "side {side}, scale {scale}");
+                    let bound = rotation_err(geo.max_phase);
+                    let app = Appearance::for_class(ObjectClass(side * 3 + j as u32));
+                    for &(fx, fy, phase, _) in &app.waves {
+                        let (a, b) = slopes(fx, fy, scale, (geo.sin_a, geo.cos_a));
+                        for (slope, offset, coords) in [(a, 0.0, &geo.nx), (b, phase, &geo.ny)] {
+                            let (mut sin, mut cos) = (vec![0.0; n], vec![0.0; n]);
+                            axis_table(slope, offset, coords, &mut sin, &mut cos);
+                            for (i, (&s, &c)) in sin.iter().zip(&cos).enumerate() {
+                                let (ds, dc) = (slope * coords[i] + offset).sin_cos();
+                                let err = (s - ds).abs().max((c - dc).abs());
+                                assert!(
+                                    err <= bound,
+                                    "side {side}, scale {scale}, angle {angle}, entry {i}: \
+                                     off by {err:e}, bound {bound:e}"
+                                );
+                                worst = (worst.0.max(err / bound), worst.1.max(err));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        println!(
+            "worst rotation drift: {:.1e}, at most {:.2e} of its bound",
+            worst.1, worst.0
+        );
     }
 
     #[test]
