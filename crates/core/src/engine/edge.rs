@@ -47,7 +47,7 @@ use crate::protocol::Msg;
 use crate::services::{descriptor_digest, EdgeService};
 use crate::task::{Held, TaskRequest, TaskResult};
 use coic_cache::{Digest, Lookup};
-use coic_obs::{Recorder, Telemetry, Value};
+use coic_obs::{Telemetry, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

@@ -17,7 +17,7 @@ use crate::services::{ClientConfig, ClientLogic, PreparedRequest};
 use crate::task::TaskResult;
 use crate::telemetry::{path_label, record_decision};
 use coic_netsim::rt::{FaultError, FrameConn, FrameError};
-use coic_obs::{MetricsRegistry, Recorder, Telemetry, Value};
+use coic_obs::{MetricsRegistry, Telemetry, Value};
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::Arc;

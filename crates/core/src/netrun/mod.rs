@@ -50,7 +50,7 @@ use crate::services::{CloudService, EdgeConfig, EdgeService};
 use crate::task::Held;
 use coic_cache::{Digest, Metrics};
 use coic_netsim::rt::{FaultError, FrameConn, FrameError, FrameServer, Summed};
-use coic_obs::{MetricsRegistry, Recorder, Telemetry, Value};
+use coic_obs::{MetricsRegistry, Telemetry, Value};
 use coic_vision::{ObjectClass, SceneGenerator};
 use parking_lot::Mutex;
 use std::cell::Cell;

@@ -28,7 +28,7 @@ use crate::telemetry::{path_label, record_decision};
 use coic_netsim::{
     Ctx, Departure, LinkParams, Node, NodeId, SimDuration, Simulator, TimerId, Topology,
 };
-use coic_obs::{Recorder, Telemetry, Value};
+use coic_obs::{Telemetry, Value};
 use coic_vision::{ObjectClass, SceneGenerator};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};

@@ -10,7 +10,7 @@
 
 use crate::engine::Decision;
 use crate::qoe::Path;
-use coic_obs::{Recorder, Value};
+use coic_obs::{Telemetry, Value};
 
 /// Stable trace label for a hit path (same vocabulary as
 /// [`Path::label`], which this forwards to).
@@ -21,7 +21,7 @@ pub fn path_label(path: Path) -> &'static str {
 /// Emit one engine decision as a structured trace event on behalf of
 /// `client`. Event names are `decision.<variant>`; every event carries the
 /// client id and the request sequence number.
-pub fn record_decision(rec: &impl Recorder, at_ns: u64, client: u64, decision: &Decision) {
+pub fn record_decision(rec: &Telemetry, at_ns: u64, client: u64, decision: &Decision) {
     let base = |seq: u64| vec![("client", Value::from(client)), ("seq", Value::from(seq))];
     let with_attempt = |seq: u64, attempt: u32| {
         let mut f = base(seq);

@@ -97,28 +97,55 @@ impl PollPace {
     }
 }
 
-// --- CRC-32 (IEEE 802.3), slice-by-16 on interleaved chains --------------
+// --- CRC-32 (IEEE 802.3): a sparse fold for long inputs, slice-by-16 on
+// interleaved chains for short ones and for the fold's tail --------------
 
-/// Bytes consumed per step of the kernel: one table per byte of the step.
-/// Chosen by measurement on the reference sandbox at 8 KB / 100 kB / 1 MB:
-/// bytewise 0.40 GB/s, slice-by-8 1.6 GB/s, slice-by-16 2.1 GB/s on one
-/// chain; with [`CRC_CHAINS`] chains slice-by-16 still leads (DESIGN.md
-/// §3.1 has the grid).
+/// Bytes consumed per step of the table kernel ([`crc_sliced`]): one table
+/// per byte of the step. Chosen by measurement on the reference sandbox at
+/// 8 KB / 100 kB / 1 MB: bytewise 0.40 GB/s, slice-by-8 1.6 GB/s,
+/// slice-by-16 2.1 GB/s on one chain; with [`CRC_CHAINS`] chains
+/// slice-by-16 still leads (DESIGN.md §3.1 has the grid).
 const CRC_SLICES: usize = 16;
 
-/// Independent sums a long [`Crc32::update`] runs side by side, one over
-/// each of as many equal runs of its input. A step cannot start before the
+/// Independent sums the table kernel runs side by side, one over each of
+/// as many equal runs of its input. A step cannot start before the
 /// previous step's sum is known, so one chain leaves the processor waiting
 /// on lookups; chains that do not depend on each other fill that wait.
 /// Measured over 2 – 4 chains × 8 or 16 tables: four chains of slice-by-16
 /// run at 4.7 – 5.2 GB/s from 8 KB to 1 MB, three at 4.4 – 4.9, two at
-/// 3.7 – 3.8, one at 2.0 (DESIGN.md §3.1).
+/// 3.7 – 3.8, one at 2.0 (DESIGN.md §3.1). Those are the rates of inputs
+/// under [`FOLD_MIN`] and of the fold's tail; from `FOLD_MIN` on the fold
+/// reads 1.5 × them at 16 KiB and 2.4 – 3.6 × from 64 KiB to 1 MB.
 const CRC_CHAINS: usize = 4;
 
 /// The shortest input split over [`CRC_CHAINS`] chains. Joining the chains
 /// costs an operator and `CRC_CHAINS − 1` multiplies, 60 – 130 ns, which
 /// the overlap only wins back from about 512 bytes on.
 const CRC_INTERLEAVE_MIN: usize = 512;
+
+/// The shortest input [`Crc32::update`] sums by the sparse fold
+/// ([`crc_fold`]) rather than through the tables. The fold's fixed costs —
+/// zeroing its window, and `FOLD_SPAN` words summed through the tables
+/// whatever the length — are paid back from about 8 KiB on; from 16 KiB
+/// the fold leads in every grid measured (DESIGN.md §3.1), and an 8 KB
+/// panorama reply stays on the tables.
+const FOLD_MIN: usize = 16 * 1024;
+const _: () = assert!(FOLD_MIN >= 8 * FOLD_SPAN, "the fold needs FOLD_SPAN words");
+
+/// With y = x⁶⁴ (one little-endian `u64` of input), the CRC polynomial P
+/// divides y³⁰⁰ + y¹⁵⁵ + y¹¹⁷ + y⁸⁹ + 1: a word may be replaced by copies
+/// of itself 300 − 155, 300 − 117, 300 − 89 and 300 words later without
+/// changing the sum. These are those distances, in words, ascending;
+/// every one is whole, so a copy is an XOR with no bit shift.
+const FOLD_TAPS: [usize; 4] = [145, 183, 211, 300];
+
+/// The longest tap: the words at the end of an input that the fold cannot
+/// push on, and the history a folded word reads.
+const FOLD_SPAN: usize = FOLD_TAPS[3];
+
+/// Words in [`crc_fold`]'s stack window: the `FOLD_SPAN` history plus a
+/// whole number of blocks of `FOLD_TAPS[0]` words.
+const FOLD_WINDOW: usize = FOLD_SPAN + 12 * FOLD_TAPS[0];
 
 /// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is the
 /// CRC of byte `b` followed by `k` zero bytes, which is what lets one step
@@ -174,41 +201,14 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    /// Fold `data` into the sum.
-    ///
-    /// From [`CRC_INTERLEAVE_MIN`] bytes on, the longest prefix that splits
-    /// into [`CRC_CHAINS`] equal runs of whole steps is summed one chain
-    /// per run, all in one loop. The first chain continues this sum and
-    /// the others start from zero, so, as the register of `a ‖ b` is the
-    /// register of `a` times x^(8·|b|) plus that of `b` from zero, the
-    /// chains join as `c = c·x^(8·run) ⊕ cₖ` — [`Sum::then`]'s operator.
-    /// What is left, under `CRC_CHAINS` steps and a partial one, goes
-    /// through the same step on one chain.
+    /// Fold `data` into the sum: from [`FOLD_MIN`] bytes on by the sparse
+    /// fold ([`crc_fold`]), below it through the tables ([`crc_sliced`]).
     pub fn update(mut self, data: &[u8]) -> Crc32 {
-        let (steps, tail) = data.as_chunks::<CRC_SLICES>();
-        let mut rest = steps;
-        if data.len() >= CRC_INTERLEAVE_MIN {
-            let run = steps.len() / CRC_CHAINS;
-            let (runs, after) = steps.split_at(CRC_CHAINS * run);
-            let lanes: [_; CRC_CHAINS] = std::array::from_fn(|k| &runs[k * run..][..run]);
-            let mut sums = [0u32; CRC_CHAINS];
-            sums[0] = self.0;
-            for i in 0..run {
-                for (c, lane) in sums.iter_mut().zip(&lanes) {
-                    *c = crc_step(*c, &lane[i]);
-                }
-            }
-            let shift = x_pow_bytes((run * CRC_SLICES) as u64);
-            self.0 = sums[1..]
-                .iter()
-                .fold(sums[0], |c, &next| gf_mul(c, shift) ^ next);
-            rest = after;
-        }
-        let mut c = rest.iter().fold(self.0, crc_step);
-        for &b in tail {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
+        self.0 = if data.len() >= FOLD_MIN {
+            crc_fold(self.0, data)
+        } else {
+            crc_sliced(self.0, data)
+        };
         self
     }
 
@@ -216,6 +216,97 @@ impl Crc32 {
     pub fn finish(self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
+}
+
+/// The register `c` after `data`, through the tables.
+///
+/// From [`CRC_INTERLEAVE_MIN`] bytes on, the longest prefix that splits
+/// into [`CRC_CHAINS`] equal runs of whole steps is summed one chain per
+/// run, all in one loop. The first chain continues `c` and the others
+/// start from zero, so, as the register of `a ‖ b` is the register of `a`
+/// times x^(8·|b|) plus that of `b` from zero, the chains join as
+/// `c = c·x^(8·run) ⊕ cₖ` — [`Sum::then`]'s operator. What is left, under
+/// `CRC_CHAINS` steps and a partial one, goes through the same step on
+/// one chain.
+fn crc_sliced(c: u32, data: &[u8]) -> u32 {
+    let (steps, tail) = data.as_chunks::<CRC_SLICES>();
+    let (mut c, mut rest) = (c, steps);
+    if data.len() >= CRC_INTERLEAVE_MIN {
+        let run = steps.len() / CRC_CHAINS;
+        let (runs, after) = steps.split_at(CRC_CHAINS * run);
+        let lanes: [_; CRC_CHAINS] = std::array::from_fn(|k| &runs[k * run..][..run]);
+        let mut sums = [0u32; CRC_CHAINS];
+        sums[0] = c;
+        for i in 0..run {
+            for (c, lane) in sums.iter_mut().zip(&lanes) {
+                *c = crc_step(*c, &lane[i]);
+            }
+        }
+        let shift = x_pow_bytes((run * CRC_SLICES) as u64);
+        c = sums[1..]
+            .iter()
+            .fold(sums[0], |c, &next| gf_mul(c, shift) ^ next);
+        rest = after;
+    }
+    let mut c = rest.iter().fold(c, crc_step);
+    for &b in tail {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// The register `c` after `data` (at least [`FOLD_SPAN`] words), by the
+/// sparse fold: no table lookup for all but the last `FOLD_SPAN` words.
+///
+/// Let wₖ be the input's little-endian words, `c` XORed into the low half
+/// of w₀ (which makes the register 0, as in [`crc_step`]). With y = x⁶⁴,
+/// word k stands for wₖ·y^(n−1−k), and the relation behind [`FOLD_TAPS`]
+/// lets a word be replaced by copies of itself `t` words later, one per
+/// tap, without changing the sum modulo P. Done in order, each word first
+/// takes in what earlier words pushed into it, so the folded words are
+/// vₖ = wₖ ⊕ vₖ₋₁₄₅ ⊕ vₖ₋₁₈₃ ⊕ vₖ₋₂₁₁ ⊕ vₖ₋₃₀₀ (0 before the input) for
+/// every word but the last `FOLD_SPAN`, which take in only what the
+/// folded prefix pushes into them and then go, with the `len % 8` bytes
+/// after them, through [`crc_sliced`] from register 0.
+///
+/// The prefix is computed in blocks of `FOLD_TAPS[0]` words: no word of a
+/// block reads another, so the four XORs run as one loop over slices,
+/// which LLVM vectorises. The folded words live in a window on the stack
+/// whose first `FOLD_SPAN` words are the history a block reads; when the
+/// window is full its last `FOLD_SPAN` words move to the front.
+fn crc_fold(c: u32, data: &[u8]) -> u32 {
+    const BLOCK: usize = FOLD_TAPS[0];
+    let (words, bytes) = data.as_chunks::<8>();
+    let (head, tail) = words.split_at(words.len() - FOLD_SPAN);
+    let mut win = [0u64; FOLD_WINDOW];
+    // v₋₃₀₀ sits in `win[0]`, and only word 0 reads it (its last tap), so
+    // the register put there is XORed into w₀ and into nothing else.
+    win[0] = u64::from(c);
+    let mut at = FOLD_SPAN;
+    for block in head.chunks(BLOCK) {
+        if at == FOLD_WINDOW {
+            win.copy_within(FOLD_WINDOW - FOLD_SPAN.., 0);
+            at = FOLD_SPAN;
+        }
+        let (seen, next) = win.split_at_mut(at);
+        let tap = |t: usize| &seen[at - t..][..block.len()];
+        let [t0, t1, t2, t3] = FOLD_TAPS;
+        let taps = tap(t0).iter().zip(tap(t1)).zip(tap(t2)).zip(tap(t3));
+        for ((v, w), (((a, b), c), d)) in next.iter_mut().zip(block).zip(taps) {
+            *v = u64::from_le_bytes(*w) ^ a ^ b ^ c ^ d;
+        }
+        at += block.len();
+    }
+    // Tail word j takes vₖ₋ₜ only while k − t lies before the tail: j < t.
+    let mut last = [[0u8; 8]; FOLD_SPAN];
+    for (j, (out, w)) in last.iter_mut().zip(tail).enumerate() {
+        let pushed = FOLD_TAPS
+            .iter()
+            .filter(|&&t| j < t)
+            .fold(0, |v, &t| v ^ win[at - t + j]);
+        *out = (u64::from_le_bytes(*w) ^ pushed).to_le_bytes();
+    }
+    crc_sliced(crc_sliced(0, last.as_flattened()), bytes)
 }
 
 /// Fold one step of input into the register `c`: the kernel, on one chain
@@ -2078,6 +2169,23 @@ mod tests {
     }
 
     #[test]
+    fn the_fold_taps_are_a_multiple_of_the_polynomial() {
+        // y^FOLD_SPAN ≡ Σ y^(FOLD_SPAN − t) over the taps, y = x⁶⁴: what
+        // appending FOLD_SPAN words does to a register equals the XOR of
+        // what appending the shorter runs does. A mistyped tap breaks it.
+        let words = |n: usize| x_pow_bytes(8 * n as u64);
+        let pushed = FOLD_TAPS
+            .iter()
+            .fold(0, |acc, &t| acc ^ words(FOLD_SPAN - t));
+        assert_eq!(words(FOLD_SPAN), pushed);
+        assert_eq!(
+            x_pow_bytes(2400),
+            x_pow_bytes(1240) ^ x_pow_bytes(936) ^ x_pow_bytes(712) ^ GF_ONE
+        );
+        assert!(FOLD_TAPS.is_sorted(), "blocks are as long as the first tap");
+    }
+
+    #[test]
     fn crc32_matches_reference_at_every_length_to_1_kib_and_offset() {
         // Both sides of CRC_INTERLEAVE_MIN, every remainder the chains can
         // leave, at every alignment of a step.
@@ -2103,6 +2211,102 @@ mod tests {
                 assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
             }
         }
+    }
+
+    /// Input lengths, in bytes, at which the fold's window has just
+    /// filled `k` times (a copy to the front) or is one or `FOLD_SPAN`
+    /// words either side of it, counted both in folded words and in all
+    /// of the input's words, with `extra` bytes after the last word.
+    fn fold_window_lengths(k: usize, extra: usize) -> Vec<usize> {
+        let filled = k * (FOLD_WINDOW - FOLD_SPAN) + FOLD_SPAN;
+        let near = |w: usize| [w - FOLD_SPAN, w - 1, w, w + 1, w + FOLD_SPAN];
+        [filled, k * FOLD_WINDOW]
+            .into_iter()
+            .flat_map(near)
+            .map(|words| 8 * words + extra)
+            .collect()
+    }
+
+    #[test]
+    fn the_fold_matches_reference_at_every_length_and_offset_around_its_threshold() {
+        // Both kernels, every `len % 8` the tail can leave, every alignment.
+        let data = noise(FOLD_MIN + 16 + 16);
+        for offset in 0..16 {
+            for len in FOLD_MIN - 8..=FOLD_MIN + 16 {
+                let s = &data[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_fold_alone_matches_reference_from_its_shortest_input() {
+        // Below FOLD_MIN `update` never calls the fold, so call it directly:
+        // an empty prefix, then each of the first blocks, word by word.
+        let shortest = 8 * FOLD_SPAN;
+        let data = noise(shortest + 8 * 2 * FOLD_TAPS[0] + 8);
+        for len in shortest..=data.len() {
+            let s = &data[..len];
+            assert_eq!(crc_fold(!0, s) ^ !0, crc32_bytewise(s), "len {len}");
+        }
+    }
+
+    #[test]
+    fn the_fold_matches_reference_around_its_window_edges() {
+        let lens: Vec<usize> = (1..=3)
+            .flat_map(|k| fold_window_lengths(k, k + 2))
+            .collect();
+        let data = noise(lens.iter().max().unwrap() + 1);
+        for len in lens {
+            for offset in [0, 1] {
+                let s = &data[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_fold_matches_reference_on_constant_input() {
+        // All-zero input leaves only the register to carry the sum, and
+        // all-0xFF input cancels it in the first word: both show a register
+        // XORed into the wrong word, or not at all.
+        for byte in [0x00, 0xFF] {
+            let window = 8 * FOLD_WINDOW + 3;
+            for len in [FOLD_MIN, FOLD_MIN + 5, RECV_CHUNK, window, 100_003] {
+                let data = vec![byte; len];
+                let whole = crc32_bytewise(&data);
+                assert_eq!(crc32(&data), whole, "{byte:#x} × {len}");
+                // A register other than the initial one comes in too.
+                let (a, b) = data.split_at(7);
+                assert_eq!(Crc32::new().update(a).update(b).finish(), whole);
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_updates_straddling_the_fold_threshold_and_window_match_reference() {
+        let window = fold_window_lengths(1, 0);
+        let data = noise(FOLD_MIN + window.iter().max().unwrap() + 64);
+        let whole = crc32_bytewise(&data);
+        // Each cut leaves one side just under, at or just over FOLD_MIN or
+        // a window edge, so the two kernels hand the register to each other.
+        let sides = [FOLD_MIN - 1, FOLD_MIN, FOLD_MIN + 1]
+            .into_iter()
+            .chain(window);
+        for side in sides {
+            for cut in [side, data.len() - side] {
+                let (a, b) = data.split_at(cut);
+                assert_eq!(
+                    Crc32::new().update(a).update(b).finish(),
+                    whole,
+                    "{} bytes, cut {cut}",
+                    data.len()
+                );
+            }
+        }
+        let (a, rest) = data.split_at(data.len() / 3);
+        let (b, c) = rest.split_at(FOLD_MIN);
+        assert_eq!(Crc32::new().update(a).update(b).update(c).finish(), whole);
     }
 
     #[test]
@@ -2264,13 +2468,26 @@ mod tests {
         let data = noise((2 << 20) + CRC_SLICES);
         let mut rng = StdRng::seed_from_u64(25);
         for case in 0..5_000 {
-            // Half the lengths uniform up to 2 MiB, half log-uniform, so
-            // that short inputs and the interleave threshold come up too.
-            let len = if rng.random_bool(0.5) {
-                rng.random_range(0..=2usize << 20)
-            } else {
-                let bits = rng.random_range(0..=21u32);
-                rng.random_range(0..=1usize << bits)
+            // Two fifths of the lengths uniform up to 2 MiB, two fifths
+            // log-uniform, so that short inputs and the interleave threshold
+            // come up too, and a fifth within FOLD_SPAN·2 words of the
+            // fold's threshold or of a window edge.
+            let len = match rng.random_range(0..5u32) {
+                0 | 1 => rng.random_range(0..=2usize << 20),
+                2 | 3 => {
+                    let bits = rng.random_range(0..=21u32);
+                    rng.random_range(0..=1usize << bits)
+                }
+                _ => {
+                    let edges = fold_window_lengths(rng.random_range(1..=8usize), 0);
+                    let edge = if rng.random_bool(0.25) {
+                        FOLD_MIN
+                    } else {
+                        edges[rng.random_range(0..edges.len())]
+                    };
+                    let reach = 8 * 2 * FOLD_SPAN;
+                    rng.random_range(edge.saturating_sub(reach)..=edge + reach)
+                }
             };
             let offset = rng.random_range(0..CRC_SLICES);
             let s = &data[offset..offset + len];

@@ -5,9 +5,8 @@
 //!
 //! Three layers (DESIGN.md §12):
 //!
-//! * [`Recorder`] — the trait instrumented code talks to: counters,
+//! * [`Telemetry`] — the handle instrumented code talks to: counters,
 //!   gauges, latency observations, and structured trace spans/events.
-//!   [`Telemetry`] implements it.
 //! * [`MetricsRegistry`] — deterministic storage: `BTreeMap`-backed
 //!   counters, gauges and fixed-bucket integer histograms. No default
 //!   hashers, no wall clock — every timestamp is passed in by the caller,

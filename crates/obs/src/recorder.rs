@@ -1,48 +1,24 @@
-//! The [`Recorder`] trait and the [`Telemetry`] handle that implements it.
+//! The [`Telemetry`] handle instrumented code reports through.
 
 use crate::metrics::MetricsRegistry;
 use crate::trace::{Fields, TraceKind, TraceLog};
 
-/// What instrumented code reports through. The trait stays sans-IO:
-/// every method takes caller-supplied data (including timestamps from the
-/// caller's `Clock`) and performs no IO.
-///
-/// Trace records have one path: the `*_with` methods take the fields as a
-/// closure, which a recorder that keeps no trace never calls — so a site
-/// pays for its `Vec` and `String`s only when someone records them. The
-/// eager methods wrap them for a caller whose fields already exist.
-pub trait Recorder {
-    /// Add to a named counter.
-    fn counter_add(&self, name: &str, delta: u64);
-    /// Set a named gauge.
-    fn gauge_set(&self, name: &str, value: i64);
-    /// Record a latency observation (integer ns) into a named histogram.
-    fn observe(&self, name: &str, value_ns: u64);
-    /// Open a span, building its fields only if it is recorded.
-    fn span_enter_with(&self, at_ns: u64, name: &'static str, fields: impl FnOnce() -> Fields);
-    /// Close a span, building its fields only if it is recorded.
-    fn span_exit_with(&self, at_ns: u64, name: &'static str, fields: impl FnOnce() -> Fields);
-    /// Record a point event, building its fields only if it is recorded.
-    fn event_with(&self, at_ns: u64, name: &'static str, fields: impl FnOnce() -> Fields);
-    /// Open a span.
-    fn span_enter(&self, at_ns: u64, name: &'static str, fields: Fields) {
-        self.span_enter_with(at_ns, name, || fields);
-    }
-    /// Close a span.
-    fn span_exit(&self, at_ns: u64, name: &'static str, fields: Fields) {
-        self.span_exit_with(at_ns, name, || fields);
-    }
-    /// Record a point event.
-    fn event(&self, at_ns: u64, name: &'static str, fields: Fields) {
-        self.event_with(at_ns, name, || fields);
-    }
-}
+/// The name of the trait that carried [`Telemetry`]'s recording methods
+/// until they became its own; `benchmark/src/layers.rs` still imports it.
+pub type Recorder = Telemetry;
 
-/// The concrete observability handle: a shared [`MetricsRegistry`] plus a
-/// shared [`TraceLog`]. Clones share both, so one handle threads through
-/// every layer of a run. `Telemetry::default()` is disabled — metrics
-/// still register (they are cheap and always useful) but the trace drops
+/// The observability handle: a shared [`MetricsRegistry`] plus a shared
+/// [`TraceLog`]. Clones share both, so one handle threads through every
+/// layer of a run. `Telemetry::default()` is disabled — metrics still
+/// register (they are cheap and always useful) but the trace drops
 /// records, so default-constructed configs carry no tracing overhead.
+///
+/// It stays sans-IO: every method takes caller-supplied data (including
+/// timestamps from the caller's `Clock`) and performs no IO. Trace records
+/// have one path: the `*_with` methods take the fields as a closure, which
+/// a disabled trace never calls — so a site pays for its `Vec` and
+/// `String`s only when someone records them. [`Telemetry::event`] wraps
+/// [`Telemetry::event_with`] for a caller whose fields already exist.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     registry: MetricsRegistry,
@@ -88,26 +64,40 @@ impl Telemetry {
     pub fn metrics_canonical(&self) -> String {
         self.registry.canonical()
     }
-}
 
-impl Recorder for Telemetry {
-    fn counter_add(&self, name: &str, delta: u64) {
+    /// Add to a named counter.
+    pub fn counter_add(&self, name: &str, delta: u64) {
         self.registry.counter_add(name, delta);
     }
-    fn gauge_set(&self, name: &str, value: i64) {
+
+    /// Set a named gauge.
+    pub fn gauge_set(&self, name: &str, value: i64) {
         self.registry.gauge_set(name, value);
     }
-    fn observe(&self, name: &str, value_ns: u64) {
+
+    /// Record a latency observation (integer ns) into a named histogram.
+    pub fn observe(&self, name: &str, value_ns: u64) {
         self.registry.observe(name, value_ns);
     }
-    fn span_enter_with(&self, at_ns: u64, name: &'static str, fields: impl FnOnce() -> Fields) {
+
+    /// Open a span, building its fields only if it is recorded.
+    pub fn span_enter_with(&self, at_ns: u64, name: &'static str, fields: impl FnOnce() -> Fields) {
         self.trace.push_with(at_ns, TraceKind::Enter, name, fields);
     }
-    fn span_exit_with(&self, at_ns: u64, name: &'static str, fields: impl FnOnce() -> Fields) {
+
+    /// Close a span, building its fields only if it is recorded.
+    pub fn span_exit_with(&self, at_ns: u64, name: &'static str, fields: impl FnOnce() -> Fields) {
         self.trace.push_with(at_ns, TraceKind::Exit, name, fields);
     }
-    fn event_with(&self, at_ns: u64, name: &'static str, fields: impl FnOnce() -> Fields) {
+
+    /// Record a point event, building its fields only if it is recorded.
+    pub fn event_with(&self, at_ns: u64, name: &'static str, fields: impl FnOnce() -> Fields) {
         self.trace.push_with(at_ns, TraceKind::Event, name, fields);
+    }
+
+    /// Record a point event whose fields are already built.
+    pub fn event(&self, at_ns: u64, name: &'static str, fields: Fields) {
+        self.event_with(at_ns, name, || fields);
     }
 }
 
@@ -140,7 +130,7 @@ mod tests {
 
     /// Every record kind, through `rec`: how many times the fields were
     /// built.
-    fn fields_built(rec: &impl Recorder) -> u32 {
+    fn fields_built(rec: &Telemetry) -> u32 {
         let built = Cell::new(0u32);
         let fields = || {
             built.set(built.get() + 1);
