@@ -52,21 +52,10 @@ impl<V> ExactCache<V> {
         self.store.peek(key)
     }
 
-    /// TTL-aware read-only lookup: no stats, no recency, no removal (the
-    /// shared-reference read path of [`crate::sharded::ShardedExactCache`]).
+    /// TTL-aware read-only lookup: no stats, no recency, no removal
+    /// ([`crate::sharded::ShardedExactCache::contains`]).
     pub fn peek_valid(&self, key: &Digest, now_ns: u64) -> Option<&V> {
         self.store.peek_valid(key, now_ns)
-    }
-
-    /// Does the underlying store run an admission filter?
-    pub fn has_admission(&self) -> bool {
-        self.store.has_admission()
-    }
-
-    /// Replay a read-path lookup's side effects; returns `false` when the
-    /// key is absent (see [`crate::store::Store::touch`]).
-    pub fn touch(&mut self, key: &Digest, now_ns: u64) -> bool {
-        self.store.touch(key, now_ns)
     }
 
     /// Insert a result of `size` bytes; returns evicted values.

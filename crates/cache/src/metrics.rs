@@ -1,10 +1,9 @@
 //! The unified cache metrics view and the typed lookup outcome.
 //!
-//! [`Metrics`] is one flat struct — store accounting plus the sharded
-//! cache's deferred-touch counters — that publishes to, and is derivable
-//! back from, the [`coic_obs::MetricsRegistry`]. The per-shard relaxed
-//! atomics stay where they are (they are the measured hot path);
-//! `Metrics` is the snapshot every caller reads.
+//! [`Metrics`] is one flat struct of store accounting that publishes to,
+//! and is derivable back from, the [`coic_obs::MetricsRegistry`]. Each
+//! cache keeps its own counters (the snapshot cache's relaxed atomics are
+//! its measured hot path); `Metrics` is the snapshot every caller reads.
 
 use coic_obs::MetricsRegistry;
 
@@ -69,8 +68,7 @@ impl<V> Lookup<V> {
     }
 }
 
-/// One cache's merged counters: store accounting plus the deferred-touch
-/// protocol, in a single registry-compatible view.
+/// One cache's merged counters in a single registry-compatible view.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Metrics {
     /// Lookup hits.
@@ -87,19 +85,11 @@ pub struct Metrics {
     pub rejected: u64,
     /// Inserts rejected by the admission gate.
     pub admission_rejects: u64,
-    /// Recency touches queued by read-path hits.
-    pub touch_queued: u64,
-    /// Touches dropped (queue full or contended).
-    pub touch_dropped: u64,
-    /// Touches replayed against a still-present key.
-    pub touch_replayed: u64,
-    /// Touches that found their key gone (protocol invariant: zero).
-    pub touch_dead: u64,
 }
 
 /// Registry keys a cache publishes under `<prefix>.<key>`, in the fixed
 /// order [`Metrics::publish`]/[`Metrics::from_registry`] use.
-const KEYS: [&str; 11] = [
+const KEYS: [&str; 7] = [
     "hits",
     "misses",
     "insertions",
@@ -107,14 +97,10 @@ const KEYS: [&str; 11] = [
     "expired",
     "rejected",
     "admission_rejects",
-    "touch_queued",
-    "touch_dropped",
-    "touch_replayed",
-    "touch_dead",
 ];
 
 impl Metrics {
-    fn values(&self) -> [u64; 11] {
+    fn values(&self) -> [u64; 7] {
         [
             self.hits,
             self.misses,
@@ -123,10 +109,6 @@ impl Metrics {
             self.expired,
             self.rejected,
             self.admission_rejects,
-            self.touch_queued,
-            self.touch_dropped,
-            self.touch_replayed,
-            self.touch_dead,
         ]
     }
 
@@ -164,10 +146,6 @@ impl Metrics {
             expired: get("expired"),
             rejected: get("rejected"),
             admission_rejects: get("admission_rejects"),
-            touch_queued: get("touch_queued"),
-            touch_dropped: get("touch_dropped"),
-            touch_replayed: get("touch_replayed"),
-            touch_dead: get("touch_dead"),
         }
     }
 }
@@ -185,10 +163,6 @@ mod tests {
             expired: 1,
             rejected: 0,
             admission_rejects: 4,
-            touch_queued: 6,
-            touch_dropped: 1,
-            touch_replayed: 5,
-            touch_dead: 0,
         }
     }
 

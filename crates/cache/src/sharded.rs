@@ -1,16 +1,24 @@
-//! Sharded, read-optimized concurrent *exact* cache for the live edge.
+//! Sharded concurrent *exact* cache for the live edge.
 //!
 //! One mutex around a whole cache makes every client connection thread
-//! serialize behind every other — lookups included. [`ShardedExactCache`]
-//! splits the digest key space across N independent [`ExactCache`] shards
-//! (shard = digest bytes mod N), each behind its own `RwLock`, so the hot
-//! path (a cache *hit*) takes only a shared read lock on one shard. Values
-//! are stored as `Arc<V>`, so a hit clones a reference count under the
-//! read lock and the guard is dropped **before** any deep clone of the
-//! payload (3D model bytes never copy inside the lock — see
+//! serialize behind every other. [`ShardedExactCache`] splits the digest
+//! key space across N independent [`ExactCache`] shards (shard = digest
+//! bytes mod N), each behind its own mutex, so lookups of keys on
+//! different shards never wait for one another. A lookup is one
+//! [`crate::store::Store::get`] under its shard's lock: the TinyLFU
+//! sketch, recency, TTL expiry and the hit/miss counters are all recorded
+//! inline, exactly as the bare cache records them. Values are stored as
+//! `Arc<V>`, so a hit clones a reference count under the lock and the
+//! guard is dropped **before** any deep clone of the payload (3D model
+//! bytes never copy inside the lock — see
 //! [`ShardedExactCache::lookup_owned`]). With one shard it makes exactly
 //! the decisions of a bare [`ExactCache`] on the same operation stream —
 //! which is how the single-threaded simulator uses it (`tests/equiv.rs`).
+//!
+//! A lookup takes the same lock as an insert, so readers of one shard do
+//! not run in parallel. The traffic never asks them to: the edge engine
+//! makes every exact lookup under its own lock, and the simulator has one
+//! thread and one shard.
 //!
 //! Digest keys shard cleanly because equality is exact. Descriptor keys do
 //! not: sharding the *descriptor space* fragments LSH buckets and forces a
@@ -18,40 +26,13 @@
 //! (DESIGN.md §14). The approximate hot path therefore lives in
 //! [`crate::snapshot`] — immutable snapshots with lock-free lookups — not
 //! here.
-//!
-//! Read-path hit/miss counters accumulate in per-shard relaxed atomics and
-//! are merged with the write-path store counters on [`stats`] snapshots.
-//! Recency is preserved without write-locking on reads: each shard keeps a
-//! small pending-touch queue that the next writer drains and replays, so
-//! LRU order still tracks access order (batched, slightly delayed). The
-//! replay also feeds the shard's TinyLFU sketch, and a shard that has one
-//! queues its read-path *misses* too, so the filter sees every lookup in
-//! order — a missed key can become popular enough to be admitted — just
-//! as [`crate::store::Store::get`] shows them to it inline.
-//!
-//! The touch protocol is deliberately ordered so a drained hit always
-//! refers to a key that is still present:
-//!
-//! * readers queue the touch **while holding the shard's read guard**, so
-//!   no writer can evict the key between the hit and the queue push;
-//! * writers drain the queue **after acquiring the shard's write lock**,
-//!   so no other writer can evict a queued key between drain and replay.
-//!
-//! Lock order is `cache` before `touches` on both paths (the lint's
-//! lock-order rule pins this); the reader uses `try_lock`, which can only
-//! contend with other readers — a writer is excluded by the read guard —
-//! so a failed try drops the touch instead of deadlocking. The model
-//! checker in `tests/model.rs` explores this protocol's interleavings
-//! exhaustively and asserts [`Metrics::touch_dead`] stays zero.
-//!
-//! [`stats`]: ShardedExactCache::stats
 
 use crate::admission::TinyLfuConfig;
 use crate::digest::Digest;
 use crate::exact::ExactCache;
 use crate::metrics::Metrics;
 use crate::policy::PolicyKind;
-use crate::sync::{AtomicU64, Mutex, Ordering, RwLock};
+use crate::sync::Mutex;
 use std::sync::Arc;
 
 /// Default shard count for the live edge: enough to make same-shard
@@ -59,67 +40,9 @@ use std::sync::Arc;
 /// per-shard capacity fragmentation.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Bound on queued read-path lookups per shard (hits, plus misses when
-/// the shard has an admission filter, waiting for the next writer to
-/// replay them). Beyond this, further records are dropped — recency and
-/// the frequency sketch become approximate, correctness is unaffected.
-const MAX_PENDING_TOUCHES: usize = 1024;
-
-/// Per-shard counters for the deferred-touch protocol, published as
-/// [`Metrics`]`::touch_*`: hits queued, hits dropped (queue full, or
-/// another reader held the queue), queued hits replayed against a
-/// still-present key, and queued hits whose key was gone at replay time.
-/// The drain protocol makes the last impossible (see the module docs), so
-/// `dead` staying zero is the protocol's observable invariant — the model
-/// checker and the concurrent regression tests assert on it.
-struct TouchCounters {
-    queued: AtomicU64,
-    dropped: AtomicU64,
-    replayed: AtomicU64,
-    dead: AtomicU64,
-}
-
-impl TouchCounters {
-    fn new() -> TouchCounters {
-        TouchCounters {
-            queued: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            replayed: AtomicU64::new(0),
-            dead: AtomicU64::new(0),
-        }
-    }
-
-    fn merge_into(&self, total: &mut Metrics) {
-        total.touch_queued += self.queued.load(Ordering::Relaxed);
-        total.touch_dropped += self.dropped.load(Ordering::Relaxed);
-        total.touch_replayed += self.replayed.load(Ordering::Relaxed);
-        total.touch_dead += self.dead.load(Ordering::Relaxed);
-    }
-
-    fn count_replay(&self, live: bool) {
-        if live {
-            self.replayed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            debug_assert!(false, "deferred touch replayed against a dead key");
-            self.dead.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-// ------------------------------------------------------------------ exact --
-
-struct ExactShard<V> {
-    cache: RwLock<ExactCache<Arc<V>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Read-path lookups awaiting replay: the key and whether it hit.
-    touches: Mutex<Vec<(Digest, bool)>>,
-    touch_counters: TouchCounters,
-}
-
 /// A shareable exact cache split into N independently locked shards.
 pub struct ShardedExactCache<V> {
-    shards: Arc<Vec<ExactShard<V>>>,
+    shards: Arc<Vec<Mutex<ExactCache<Arc<V>>>>>,
 }
 
 impl<V> Clone for ShardedExactCache<V> {
@@ -145,13 +68,7 @@ impl<V> ShardedExactCache<V> {
         assert!(shards > 0, "shard count must be positive");
         let per_shard = (capacity_bytes / shards as u64).max(1);
         let shards = (0..shards)
-            .map(|_| ExactShard {
-                cache: RwLock::new(ExactCache::new(per_shard, policy, ttl_ns)),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                touches: Mutex::new(Vec::new()),
-                touch_counters: TouchCounters::new(),
-            })
+            .map(|_| Mutex::new(ExactCache::new(per_shard, policy, ttl_ns)))
             .collect();
         ShardedExactCache {
             shards: Arc::new(shards),
@@ -161,7 +78,7 @@ impl<V> ShardedExactCache<V> {
     /// Enable TinyLFU admission on every shard.
     pub fn with_admission(self, cfg: TinyLfuConfig) -> Self {
         for shard in self.shards.iter() {
-            let mut guard = shard.cache.write();
+            let mut guard = shard.lock();
             let plain = std::mem::replace(&mut *guard, ExactCache::new(1, PolicyKind::Lru, None));
             *guard = plain.with_admission(cfg);
         }
@@ -179,126 +96,66 @@ impl<V> ShardedExactCache<V> {
         (key.short() as usize) % self.shards.len()
     }
 
-    fn shard_of(&self, key: &Digest) -> &ExactShard<V> {
+    fn shard_of(&self, key: &Digest) -> &Mutex<ExactCache<Arc<V>>> {
         &self.shards[self.shard_of_key(key)]
     }
 
-    /// Look a digest up at `now_ns`. The returned `Arc` is cloned under a
-    /// *read* lock (a reference-count bump, never a payload copy); the
-    /// guard is released before this function returns.
+    /// Look a digest up at `now_ns`, recording the hit or miss, recency,
+    /// expiry and the admission sketch under the shard's lock. The
+    /// returned `Arc` is cloned under the lock (a reference-count bump,
+    /// never a payload copy); the guard is released before this function
+    /// returns.
     pub fn lookup(&self, key: &Digest, now_ns: u64) -> Option<Arc<V>> {
-        let shard = self.shard_of(key);
-        let found = {
-            let guard = shard.cache.read();
-            let found = guard.peek_valid(key, now_ns).cloned();
-            let hit = found.is_some();
-            if hit || guard.has_admission() {
-                // Queue the lookup while still holding the read guard:
-                // writers drain the queue only under the write lock, so
-                // the key cannot be evicted between a hit and the push.
-                // The try_lock can only contend with other readers (the
-                // read guard excludes writers), so a failed try drops the
-                // record — it never deadlocks.
-                let counter = match shard.touches.try_lock() {
-                    Some(mut queue) if queue.len() < MAX_PENDING_TOUCHES => {
-                        queue.push((*key, hit));
-                        &shard.touch_counters.queued
-                    }
-                    _ => &shard.touch_counters.dropped,
-                };
-                if hit {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            found
-        };
-        // Guard dropped: only the hit/miss atomics remain.
-        match found {
-            Some(value) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.shard_of(key).lock().lookup(key, now_ns).cloned()
     }
 
     /// Presence check without stats or recency side effects (TTL-aware).
     pub fn contains(&self, key: &Digest, now_ns: u64) -> bool {
-        self.shard_of(key)
-            .cache
-            .read()
-            .peek_valid(key, now_ns)
-            .is_some()
+        self.shard_of(key).lock().peek_valid(key, now_ns).is_some()
     }
 
-    /// Insert a value. The writer first replays queued read-path lookups,
-    /// so eviction order keeps tracking access order and the admission
-    /// filter has seen every request that preceded this insert.
+    /// Insert a value.
     pub fn insert(&self, key: Digest, value: V, size: u64, now_ns: u64) {
-        let shard = self.shard_of(&key);
-        let mut guard = shard.cache.write();
-        // Drain only after the write lock is held: touches are queued
-        // under the read guard, so every drained touch refers to a key
-        // that is still present (evictions happen only under this lock).
-        // Draining before locking let a concurrent writer evict a queued
-        // key between our drain and our replay, losing the touch — the
-        // model checker in tests/model.rs finds that schedule in seconds.
-        for (looked_up, hit) in shard.touches.lock().drain(..) {
-            let live = guard.touch(&looked_up, now_ns);
-            if hit {
-                shard.touch_counters.count_replay(live);
-            }
-        }
-        guard.insert(key, Arc::new(value), size, now_ns);
+        self.shard_of(&key)
+            .lock()
+            .insert(key, Arc::new(value), size, now_ns);
     }
 
-    /// The unified counter snapshot: per-shard read-path atomics, each
-    /// shard's write-path store counters, and the deferred-touch protocol
-    /// counters, merged into one [`Metrics`] view. [`Metrics::touch_dead`]
-    /// must be zero (see the module docs).
+    /// The unified counter snapshot: every shard's store counters merged
+    /// into one [`Metrics`] view.
     pub fn metrics(&self) -> Metrics {
         let mut total = Metrics::default();
         for shard in self.shards.iter() {
-            let s = *shard.cache.read().stats();
-            total.hits += s.hits + shard.hits.load(Ordering::Relaxed);
-            total.misses += s.misses + shard.misses.load(Ordering::Relaxed);
+            let s = *shard.lock().stats();
+            total.hits += s.hits;
+            total.misses += s.misses;
             total.insertions += s.insertions;
             total.evictions += s.evictions;
             total.expired += s.expired;
             total.rejected += s.rejected;
             total.admission_rejects += s.admission_rejects;
-            shard.touch_counters.merge_into(&mut total);
         }
         total
     }
 
     /// Total entries across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.cache.read().len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// True when every shard is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.cache.read().is_empty())
+        self.shards.iter().all(|s| s.lock().is_empty())
     }
 
     /// Bytes in use across shards.
     pub fn used_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.cache.read().used_bytes())
-            .sum()
+        self.shards.iter().map(|s| s.lock().used_bytes()).sum()
     }
 
     /// Total capacity across shards.
     pub fn capacity_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.cache.read().capacity_bytes())
-            .sum()
+        self.shards.iter().map(|s| s.lock().capacity_bytes()).sum()
     }
 }
 
@@ -385,7 +242,11 @@ mod tests {
         assert_eq!(cache.lookup_owned(&key, 999), Some(7));
         assert_eq!(cache.lookup_owned(&key, 1_000), None);
         let s = cache.metrics();
-        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!((s.hits, s.misses, s.expired), (1, 1, 1));
+        assert!(
+            cache.is_empty(),
+            "the expired entry is removed by its lookup"
+        );
     }
 
     #[test]
@@ -428,7 +289,7 @@ mod tests {
             let c = cache.clone();
             std::thread::spawn(move || c.lookup_owned(&key, 0).unwrap())
         };
-        // Give the reader time to take and release the read guard (the
+        // Give the reader time to take and release the shard's lock (the
         // slow clone runs after release).
         std::thread::sleep(Duration::from_millis(100));
         let start = Instant::now();
@@ -478,53 +339,5 @@ mod tests {
     #[should_panic(expected = "shard count must be positive")]
     fn zero_shards_rejected() {
         let _ = ShardedExactCache::<u32>::new(1024, PolicyKind::Lru, None, 0);
-    }
-
-    #[test]
-    fn deferred_touches_never_replay_dead_keys_under_churn() {
-        // Regression for the drain-before-lock race: a writer used to
-        // drain the touch queue *before* taking the write lock, so a
-        // second writer could evict a queued key in between and the
-        // drained touch replayed against a dead entry. Tiny capacity +
-        // one shard maximizes eviction pressure on the race window.
-        let cache: ShardedExactCache<u64> = ShardedExactCache::new(200, PolicyKind::Lru, None, 1);
-        let keys: Vec<Digest> = (0..8u64).map(|i| Digest::of(&i.to_le_bytes())).collect();
-        let writers: Vec<_> = (0..2u64)
-            .map(|t| {
-                let c = cache.clone();
-                let keys = keys.clone();
-                std::thread::spawn(move || {
-                    for i in 0..2_000u64 {
-                        let k = keys[((t * 3 + i) % 8) as usize];
-                        c.insert(k, i, 100, i);
-                    }
-                })
-            })
-            .collect();
-        let readers: Vec<_> = (0..2u64)
-            .map(|t| {
-                let c = cache.clone();
-                let keys = keys.clone();
-                std::thread::spawn(move || {
-                    for i in 0..2_000u64 {
-                        let _ = c.lookup(&keys[((t + i) % 8) as usize], i);
-                    }
-                })
-            })
-            .collect();
-        for h in writers.into_iter().chain(readers) {
-            h.join().unwrap();
-        }
-        // Drain whatever is still queued.
-        cache.insert(Digest::of(b"final"), 0, 100, u64::MAX);
-        let m = cache.metrics();
-        assert_eq!(
-            m.touch_dead, 0,
-            "touch replayed against an evicted key: {m:?}"
-        );
-        assert_eq!(
-            m.touch_queued, m.touch_replayed,
-            "every queued touch must replay"
-        );
     }
 }

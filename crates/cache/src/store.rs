@@ -85,11 +85,6 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
         self
     }
 
-    /// Is a TinyLFU admission filter installed?
-    pub fn has_admission(&self) -> bool {
-        self.admission.is_some()
-    }
-
     /// Capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
@@ -153,36 +148,12 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
     /// TTL-aware presence check through a shared reference: like
     /// [`Store::peek`] but an entry whose TTL has elapsed at `now_ns` is
     /// reported absent (it stays in place until a mutating call removes
-    /// it). This is the read path of the sharded concurrent wrappers,
-    /// where lookups hold only a read lock and must not mutate anything.
+    /// it). Its one read-path caller is the sharded exact cache's
+    /// `contains`, a presence probe that must leave no trace in the
+    /// counters, the recency order or the admission sketch.
     pub fn peek_valid(&self, key: &K, now_ns: u64) -> Option<&V> {
         let entry = &self.entries[self.by_key.get(key)?];
         (!entry.expired(now_ns)).then_some(&entry.value)
-    }
-
-    /// Replay a lookup of `key` without recording a hit or a miss: every
-    /// side effect of [`Store::get`] (admission sketch, recency, removal
-    /// of an expired entry) minus the stats. The sharded wrapper counts
-    /// hits and misses on its read path and replays them here under the
-    /// next write lock, so eviction order and the TinyLFU filter still
-    /// track the request stream without double-counting. Returns `false`
-    /// when the key is absent — for a replayed *hit* the wrapper's drain
-    /// protocol guarantees that never happens, and model/regression tests
-    /// pin that invariant on the return value.
-    pub fn touch(&mut self, key: &K, now_ns: u64) -> bool {
-        if let Some(adm) = &mut self.admission {
-            adm.record(key_hash(key));
-        }
-        let Some(&id) = self.by_key.get(key) else {
-            return false;
-        };
-        if self.entries[&id].expired(now_ns) {
-            self.remove_id(id);
-            self.stats.expired += 1;
-            return true;
-        }
-        self.policy.on_access(id);
-        true
     }
 
     /// Insert `value` of `size` bytes under `key`, evicting as needed.

@@ -6,9 +6,10 @@
 //! [`ExactCache`] with the configured eviction policy and admission
 //! filter. This property pins it — one random lookup/insert stream
 //! through both must produce the same hit or miss at every step and the
-//! same write-path counters at the end, for every eviction policy, with
-//! and without TinyLFU. (The TinyLFU half is what catches a read path
-//! that forgets to show lookups to the frequency sketch.)
+//! same counters at the end, for every eviction policy, with and without
+//! TinyLFU, with and without a TTL. (The TinyLFU half is what catches a
+//! read path that forgets to show lookups to the frequency sketch; the
+//! TTL half catches one that leaves an expired entry in place.)
 
 use coic_cache::{Digest, ExactCache, PolicyKind, ShardedExactCache, TinyLfuConfig};
 use proptest::prelude::*;
@@ -16,6 +17,10 @@ use proptest::prelude::*;
 /// Small enough that the 24-key working set never fits: eviction and the
 /// admission gate decide on most inserts.
 const CAPACITY: u64 = 100;
+
+/// Short against the 100 – 400-step streams (one step is one virtual
+/// nanosecond), so entries expire while the stream still looks them up.
+const TTL_NS: u64 = 40;
 
 fn digest(key: u8) -> Digest {
     Digest::of(&[key])
@@ -36,35 +41,37 @@ proptest! {
     ) {
         for policy in PolicyKind::ALL {
             for admission in [None, Some(TinyLfuConfig::default())] {
-                let mut plain: ExactCache<u8> = ExactCache::new(CAPACITY, policy, None);
-                let mut sharded: ShardedExactCache<u8> =
-                    ShardedExactCache::new(CAPACITY, policy, None, 1);
-                if let Some(cfg) = admission {
-                    plain = plain.with_admission(cfg);
-                    sharded = sharded.with_admission(cfg);
-                }
-                for (step, &(insert, key)) in ops.iter().enumerate() {
-                    let now = step as u64;
-                    if insert {
-                        plain.insert(digest(key), key, size_of(key), now);
-                        sharded.insert(digest(key), key, size_of(key), now);
-                    } else {
-                        let want = plain.lookup(&digest(key), now).copied();
-                        let got = sharded.lookup_owned(&digest(key), now);
-                        prop_assert_eq!(
-                            got, want,
-                            "{} admission={} step {}: lookup of key {} diverged",
-                            policy, admission.is_some(), step, key
-                        );
+                for ttl in [None, Some(TTL_NS)] {
+                    let mut plain: ExactCache<u8> = ExactCache::new(CAPACITY, policy, ttl);
+                    let mut sharded: ShardedExactCache<u8> =
+                        ShardedExactCache::new(CAPACITY, policy, ttl, 1);
+                    if let Some(cfg) = admission {
+                        plain = plain.with_admission(cfg);
+                        sharded = sharded.with_admission(cfg);
                     }
+                    for (step, &(insert, key)) in ops.iter().enumerate() {
+                        let now = step as u64;
+                        if insert {
+                            plain.insert(digest(key), key, size_of(key), now);
+                            sharded.insert(digest(key), key, size_of(key), now);
+                        } else {
+                            let want = plain.lookup(&digest(key), now).copied();
+                            let got = sharded.lookup_owned(&digest(key), now);
+                            prop_assert_eq!(
+                                got, want,
+                                "{} admission={} ttl={:?} step {}: lookup of key {} diverged",
+                                policy, admission.is_some(), ttl, step, key
+                            );
+                        }
+                    }
+                    let (p, s) = (*plain.stats(), sharded.metrics());
+                    prop_assert_eq!(
+                        (s.hits, s.misses, s.insertions, s.evictions, s.expired, s.admission_rejects),
+                        (p.hits, p.misses, p.insertions, p.evictions, p.expired, p.admission_rejects),
+                        "{} admission={} ttl={:?}: counters diverged",
+                        policy, admission.is_some(), ttl
+                    );
                 }
-                let (p, s) = (*plain.stats(), sharded.metrics());
-                prop_assert_eq!(
-                    (s.hits, s.misses, s.insertions, s.evictions, s.admission_rejects),
-                    (p.hits, p.misses, p.insertions, p.evictions, p.admission_rejects),
-                    "{} admission={}: counters diverged", policy, admission.is_some()
-                );
-                prop_assert_eq!(s.touch_dead, 0);
             }
         }
     }

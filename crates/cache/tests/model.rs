@@ -1,24 +1,22 @@
-//! Exhaustive interleaving exploration of the sharded cache's deferred-
-//! touch protocol (build with `--features model-check`).
+//! Exhaustive interleaving exploration of the sharded exact cache and the
+//! snapshot ANN cache (build with `--features model-check`).
 //!
 //! The `model-check` feature reroutes `coic-cache`'s locks and atomics
 //! through the in-tree `loom` shim, so every lock acquisition, release,
 //! and atomic access inside [`ShardedExactCache`] becomes a scheduling
-//! point. The explorer then runs the scenario below under every thread
-//! interleaving (bounded preemption) and asserts, in each one, that a
-//! drained recency touch never replays against an evicted key — the race
-//! this protocol was rewritten to close.
+//! point. The explorer then runs each scenario below under every thread
+//! interleaving (bounded preemption) and asserts its invariants in each
+//! one.
 
 #![cfg(feature = "model-check")]
 
 use coic_cache::{Digest, PolicyKind, ShardedExactCache};
-use loom::model::Builder;
+use loom::model::{Builder, Report};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Keys sized so the single shard holds exactly two entries: every insert
-/// beyond the second evicts, keeping maximal pressure on the window
-/// between a read-path touch and its write-path replay.
+/// beyond the second evicts.
 const ENTRY: u64 = 100;
 const CAPACITY: u64 = 200;
 
@@ -26,90 +24,113 @@ fn key(tag: u8) -> Digest {
     Digest::of(&[tag])
 }
 
-fn touch_drain_scenario() {
+/// How many schedules ended in each outcome of [`eviction_race_scenario`]:
+/// both lookups hit, `a` missed, `b` missed.
+#[derive(Default)]
+struct Outcomes {
+    both_hit: AtomicU64,
+    a_missed: AtomicU64,
+    b_missed: AtomicU64,
+}
+
+impl Outcomes {
+    fn counts(&self) -> [u64; 3] {
+        [&self.both_hit, &self.a_missed, &self.b_missed].map(|n| n.load(Ordering::Relaxed))
+    }
+}
+
+/// One shard holds `a` and `b` (`a` the least recent). Reader A looks up
+/// `a`, a writer inserts `c`, which evicts one entry, and reader B looks
+/// up `b`. Each lookup records its recency under the shard's lock, so
+/// the writer evicts whichever entry was least recently used at the
+/// instant it took the lock, and a lookup that comes after it misses only
+/// the entry it evicted. In every schedule: two lookups counted, one
+/// eviction, two entries left, and never both lookups missing.
+fn eviction_race_scenario(outcomes: &Outcomes) {
     let cache: ShardedExactCache<u64> = ShardedExactCache::new(CAPACITY, PolicyKind::Lru, None, 1);
     cache.insert(key(b'a'), 1, ENTRY, 0);
     cache.insert(key(b'b'), 2, ENTRY, 1);
 
     let reader_a = {
         let c = cache.clone();
-        loom::thread::spawn(move || {
-            let _ = c.lookup(&key(b'a'), 2);
-        })
+        loom::thread::spawn(move || c.lookup(&key(b'a'), 2).is_some())
     };
     let writer = {
         let c = cache.clone();
-        loom::thread::spawn(move || {
-            // Evicts the LRU entry (`a`) — racing the reader's touch.
-            c.insert(key(b'c'), 3, ENTRY, 3);
-        })
+        loom::thread::spawn(move || c.insert(key(b'c'), 3, ENTRY, 3))
     };
     let reader_b = {
         let c = cache.clone();
-        loom::thread::spawn(move || {
-            let _ = c.lookup(&key(b'b'), 4);
-        })
+        loom::thread::spawn(move || c.lookup(&key(b'b'), 4).is_some())
     };
-    reader_a.join().unwrap();
+    let a_hit = reader_a.join().unwrap();
     writer.join().unwrap();
-    reader_b.join().unwrap();
+    let b_hit = reader_b.join().unwrap();
 
-    // Drain anything still queued, then check the protocol invariant.
-    cache.insert(key(b'd'), 4, ENTRY, 5);
     let m = cache.metrics();
-    assert_eq!(
-        m.touch_dead, 0,
-        "touch replayed against an evicted key: {m:?}"
-    );
-    assert_eq!(
-        m.touch_queued, m.touch_replayed,
-        "every queued touch must be replayed exactly once: {m:?}"
-    );
-    // Caches stay structurally sound in every schedule.
-    assert!(cache.len() <= 2);
     assert_eq!(m.lookups(), 2, "both lookups accounted: {m:?}");
+    assert_eq!(m.hits, u64::from(a_hit) + u64::from(b_hit), "{m:?}");
+    assert_eq!(
+        m.evictions, 1,
+        "inserting `c` evicts exactly one entry: {m:?}"
+    );
+    assert_eq!(cache.len(), 2);
+    let counter = match (a_hit, b_hit) {
+        (true, true) => &outcomes.both_hit,
+        (false, true) => &outcomes.a_missed,
+        (true, false) => &outcomes.b_missed,
+        (false, false) => panic!("one eviction cannot make both lookups miss: {m:?}"),
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
-#[test]
-fn deferred_touch_drain_never_replays_dead_keys() {
-    let report = Builder::default()
-        .check(touch_drain_scenario)
+/// Explore [`eviction_race_scenario`] with `builder`; returns the report
+/// and the outcome counts.
+fn explore_eviction_race(builder: Builder) -> (Report, [u64; 3]) {
+    let outcomes = Arc::new(Outcomes::default());
+    let tally = Arc::clone(&outcomes);
+    let report = builder
+        .check(move || eviction_race_scenario(&tally))
         .unwrap_or_else(|failure| {
             panic!("model found a schedule violating the invariant:\n{failure}")
         });
+    (report, outcomes.counts())
+}
+
+#[test]
+fn a_lookup_racing_an_eviction_sees_the_entry_or_its_eviction() {
+    let (report, [both_hit, a_missed, b_missed]) = explore_eviction_race(Builder::default());
     println!(
-        "deferred-touch drain: {} schedules explored (complete: {})",
+        "eviction race: {} schedules explored (complete: {}); both hit {both_hit}, \
+         a missed {a_missed}, b missed {b_missed}",
         report.schedules, report.complete
     );
     assert!(report.complete, "exploration must exhaust the bounded tree");
+    // Not vacuous: the exploration reached every outcome the race has.
     assert!(
-        report.schedules >= 1_000,
-        "expected >= 1000 interleavings, got {}",
-        report.schedules
+        both_hit > 0 && a_missed > 0 && b_missed > 0,
+        "an outcome was never reached: both hit {both_hit}, a missed {a_missed}, \
+         b missed {b_missed}"
     );
 }
 
 #[test]
-fn touch_drain_exploration_is_deterministic() {
+fn eviction_race_exploration_is_deterministic() {
     let run = |seed: u64| {
-        Builder::default()
-            .seed(seed)
-            .check(touch_drain_scenario)
-            .expect("invariant holds")
+        let (report, counts) = explore_eviction_race(Builder::default().seed(seed));
+        (report.schedules, counts)
     };
-    let a = run(42);
-    let b = run(42);
     assert_eq!(
-        a.schedules, b.schedules,
+        run(42),
+        run(42),
         "same seed must enumerate the same schedules in the same order"
     );
 }
 
 #[test]
 fn read_path_hit_counters_match_observations_in_every_schedule() {
-    // Two readers hammer one present key while a writer churns another:
-    // merged stats must equal the sum of per-thread observations no
-    // matter how the atomics interleave with the lock operations.
+    // Two readers look up one present key: the merged counters must
+    // equal the sum of per-thread observations in every schedule.
     let report = loom::model(|| {
         let cache: ShardedExactCache<u64> =
             ShardedExactCache::new(CAPACITY, PolicyKind::Lru, None, 1);

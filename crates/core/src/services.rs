@@ -72,8 +72,8 @@ impl Default for EdgeConfig {
 ///   snapshot lock-free, inserts journal (and are visible immediately),
 ///   and [`EdgeService::maintain`] folds rebuilds at points the driver
 ///   chooses;
-/// * exact digests go through [`ShardedExactCache`], where a hit
-///   share-locks one shard and payload clones happen outside any lock. An
+/// * exact digests go through [`ShardedExactCache`], where a lookup
+///   locks one shard and payload clones happen outside any lock. An
 ///   entry is a [`Held`] result, and a lookup returns the entry itself, so
 ///   a live reply reuses the blob checksum kept with it; a [`Held`]
 ///   computes that sum only on its first send, so the simulator, which

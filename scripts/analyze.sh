@@ -15,12 +15,12 @@
 #      bucket boundaries, canonical snapshot ordering — the invariants
 #      the determinism jobs build on);
 #   4. the mini-loom model checker's self-tests (shims/loom);
-#   5. the exhaustive-interleaving model tests for the sharded cache's
-#      deferred-touch drain, the snapshot ANN cache's snapshot/journal
-#      handoff and its compaction racing an insert and a lookup, and the
-#      circuit breaker / single-flight engine structures
-#      (the `model-check` feature swaps parking_lot and std atomics for
-#      the loom shims).
+#   5. the exhaustive-interleaving model tests for the sharded exact
+#      cache's lookups racing an eviction, the snapshot ANN cache's
+#      snapshot/journal handoff and its compaction racing an insert and
+#      a lookup, and the circuit breaker / single-flight engine
+#      structures (the `model-check` feature swaps parking_lot and std
+#      atomics for the loom shims).
 #
 # The last line is the workspace's `.rs` line count (the figure ROADMAP's
 # size targets track), so every CI log carries it.
@@ -64,7 +64,7 @@ cargo test -q --locked -p coic-obs
 echo "==> mini-loom self-tests"
 cargo test -q --locked -p loom
 
-echo "==> model check: cache drain + snapshot/journal handoff + compaction race"
+echo "==> model check: eviction race + snapshot/journal handoff + compaction race"
 cargo test -q --locked -p coic-cache --features model-check --test model
 
 echo "==> model check: circuit breaker + single-flight"
