@@ -16,7 +16,7 @@
 //!   threshold and compaction),
 //! * [`sketch`]/[`admission`] — count-min sketch + TinyLFU admission gate,
 //! * [`sharded`] — the concurrent exact cache: [`exact`] shards behind
-//!   per-shard mutexes,
+//!   per-shard mutexes (the edge uses one),
 //! * [`metrics`] — the unified [`metrics::Metrics`] view (publishes to the
 //!   `coic-obs` registry) and the typed [`metrics::Lookup`] outcome.
 //!

@@ -1,24 +1,24 @@
-//! Sharded concurrent *exact* cache for the live edge.
+//! Sharded concurrent *exact* cache.
 //!
-//! One mutex around a whole cache makes every client connection thread
-//! serialize behind every other. [`ShardedExactCache`] splits the digest
-//! key space across N independent [`ExactCache`] shards (shard = digest
-//! bytes mod N), each behind its own mutex, so lookups of keys on
-//! different shards never wait for one another. A lookup is one
-//! [`crate::store::Store::get`] under its shard's lock: the TinyLFU
-//! sketch, recency, TTL expiry and the hit/miss counters are all recorded
-//! inline, exactly as the bare cache records them. Values are stored as
-//! `Arc<V>`, so a hit clones a reference count under the lock and the
-//! guard is dropped **before** any deep clone of the payload (3D model
-//! bytes never copy inside the lock — see
+//! [`ShardedExactCache`] splits the digest key space across N independent
+//! [`ExactCache`] shards (shard = digest bytes mod N), each behind its own
+//! mutex, so lookups of keys on different shards never wait for one
+//! another. A lookup is one [`crate::store::Store::get`] under its
+//! shard's lock: the TinyLFU sketch, recency, TTL expiry and the hit/miss
+//! counters are all recorded inline, exactly as the bare cache records
+//! them. Values are stored as `Arc<V>`, so a hit clones a reference count
+//! under the lock and the guard is dropped **before** any deep clone of
+//! the payload (3D model bytes never copy inside the lock — see
 //! [`ShardedExactCache::lookup_owned`]). With one shard it makes exactly
-//! the decisions of a bare [`ExactCache`] on the same operation stream —
-//! which is how the single-threaded simulator uses it (`tests/equiv.rs`).
+//! the decisions of a bare [`ExactCache`] on the same operation stream
+//! (`tests/equiv.rs`).
 //!
 //! A lookup takes the same lock as an insert, so readers of one shard do
-//! not run in parallel. The traffic never asks them to: the edge engine
-//! makes every exact lookup under its own lock, and the simulator has one
-//! thread and one shard.
+//! not run in parallel. The edge builds it with one shard, in the
+//! simulator and live alike: its engine makes every exact lookup and
+//! insert under its own lock, so more shards would serve no parallel
+//! traffic — and the shards split the byte budget, so an entry larger than
+//! one shard's share would be rejected where one shard caches it.
 //!
 //! Digest keys shard cleanly because equality is exact. Descriptor keys do
 //! not: sharding the *descriptor space* fragments LSH buckets and forces a
@@ -35,9 +35,9 @@ use crate::policy::PolicyKind;
 use crate::sync::Mutex;
 use std::sync::Arc;
 
-/// Default shard count for the live edge: enough to make same-shard
-/// collisions rare at realistic connection counts without bloating
-/// per-shard capacity fragmentation.
+/// A shard count for callers that lock per key from many threads: enough
+/// to make same-shard collisions rare at a few dozen threads. (The edge
+/// uses one shard.)
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// A shareable exact cache split into N independently locked shards.
@@ -85,19 +85,8 @@ impl<V> ShardedExactCache<V> {
         self
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Index of the shard serving `key` (telemetry: the `shard` field of
-    /// `edge.lookup` trace events).
-    pub fn shard_of_key(&self, key: &Digest) -> usize {
-        (key.short() as usize) % self.shards.len()
-    }
-
     fn shard_of(&self, key: &Digest) -> &Mutex<ExactCache<Arc<V>>> {
-        &self.shards[self.shard_of_key(key)]
+        &self.shards[(key.short() as usize) % self.shards.len()]
     }
 
     /// Look a digest up at `now_ns`, recording the hit or miss, recency,

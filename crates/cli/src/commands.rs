@@ -310,8 +310,8 @@ pub fn sim(args: &Args) -> CmdResult {
 // ------------------------------------------------------------------- live --
 
 /// `live`: replay a CSV trace through the real TCP loopback stack — a
-/// spawned cloud process, one edge with sharded exact caches and the
-/// snapshot/mutex descriptor index picked by `--index`, and a blocking
+/// spawned cloud process, one edge with its one-shard exact cache and the
+/// snapshot descriptor index picked by `--index`, and a blocking
 /// client with origin fallback — then print the same QoE report shape the
 /// simulator emits.
 /// `--trace-out`/`--metrics-out` export the unified telemetry with the

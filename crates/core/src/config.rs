@@ -67,8 +67,6 @@ impl NetConfigBuilder {
         breaker_cooldown: Duration,
         /// Deterministic fault injection at the client's IO boundary.
         faults: FaultSchedule,
-        /// Lock shards per edge cache (clamped to at least 1).
-        cache_shards: usize,
         /// Observability handle shared by everything under this config.
         telemetry: Telemetry,
     }
@@ -183,6 +181,5 @@ mod tests {
         let built = NetConfig::builder().build();
         let literal = NetConfig::default();
         assert_eq!(built.request_deadline, literal.request_deadline);
-        assert_eq!(built.cache_shards, literal.cache_shards);
     }
 }

@@ -3,8 +3,10 @@
 //! [`EdgeEngine`] is the paper's edge box: look a request up, coalesce
 //! identical misses, ask cooperating edges, fall back to the cloud and cache
 //! the answer — plus admission, brownout, ring probes with their deadlines,
-//! placement and hot replication, and the `Replicate` membership check. It
-//! reads no clock, opens no socket and blocks on nothing: a realiser feeds it
+//! placement and hot replication, and the `Replicate` membership check.
+//! Every exact lookup and insert a request causes runs inside an engine
+//! call (the simulator's prefetcher keeps its own). It reads no clock,
+//! opens no socket and blocks on nothing: a realiser feeds it
 //! events stamped with `now_ns` and realises the [`EdgeEffect`]s each one
 //! appends to a buffer the realiser owns. Two realisers exist, and they are
 //! the only two edges there are: the simulator's edge node
@@ -27,10 +29,9 @@
 //!   on_peer_query  ──▶          ▼                     ──▶  Probe(peer, deadline)
 //!   on_peer_reply  ──▶  ring probe round ─▶ cloud     ──▶  Forward(cloud)
 //!   on_cloud_reply ──▶  placement / replication       ──▶  Replicate(peer)
-//!   on_replicate   ──▶  membership token              ──▶  Insert
+//!   on_replicate   ──▶  membership token              ──▶  Insert(recognition)
 //!   on_timer       ──▶  probe deadline, queue age     ──▶  Close(conn)
 //!   on_slot_free   ──▶  AIMD release, queue drain
-//!   on_inserted    ──▶  a kept result has landed
 //!   on_conn_closed ──▶  reap the connection's entries
 //! ```
 //!
@@ -197,15 +198,13 @@ pub enum EdgeEffect<P> {
         /// The result pushed.
         held: Arc<Held>,
     },
-    /// Store `held` under `descriptor` in the cache. With `landing`, report
-    /// the insert with [`EdgeEngine::on_inserted`] once it is done.
+    /// Store the recognition result `held` under `descriptor` in the
+    /// cache. (The engine inserts an exact result itself.)
     Insert {
         /// Key of the entry.
         descriptor: FeatureDescriptor,
         /// The entry.
         held: Held,
-        /// The digest whose landing the engine waits for.
-        landing: Option<Digest>,
     },
     /// `(conn, req)` took an admission slot; give it back with
     /// [`EdgeEngine::on_slot_free`] once local service is over.
@@ -306,9 +305,6 @@ pub struct EdgeEngine<P> {
     /// lives until its probe is answered or its timer fires.
     deadlines: BTreeMap<u64, (ConnId, u64, EdgeId)>,
     next_timer: u64,
-    /// Results kept by a completed fetch whose insert has not landed yet:
-    /// a miss in between is answered from here instead of fetching again.
-    landing: BTreeMap<Digest, (Arc<Held>, bool)>,
     overflows: u64,
 }
 
@@ -338,7 +334,6 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
             rounds: BTreeMap::new(),
             deadlines: BTreeMap::new(),
             next_timer: 0,
-            landing: BTreeMap::new(),
             overflows: 0,
         }
     }
@@ -452,7 +447,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
     /// [`EdgeEngine::on_looked_up`], so that searches do not wait for one
     /// another. An exact query is always looked up inside the engine: its
     /// lookup must see the same instant as its single flight and the
-    /// results landing, or a fetch that lands in between is fetched again.
+    /// engine's inserts, or a fetch that lands in between is fetched again.
     pub fn looks_up_on_arrival(&self) -> bool {
         self.overload.is_none()
     }
@@ -554,7 +549,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
             }
         }
         let held = Arc::new(held);
-        self.land(descriptor, &held, keep, false, fx);
+        self.land(descriptor, &held, keep, now_ns, fx);
         if let (Some(owner), Some(d)) = (push, digest) {
             self.trace_peer(now_ns, "decision.peer_replicate", req, owner);
             self.replicate(owner, req, d, &held, fx);
@@ -607,24 +602,23 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
     /// A peer pushed a copy. Installed only when it carries this cluster's
     /// token: an edge outside the cluster (or with none joined) must not be
     /// able to plant results under chosen digests. A refused push closes
-    /// the connection it came on.
+    /// the connection it came on; an accepted one is in the cache when
+    /// this returns.
     pub fn on_replicate(
         &mut self,
         conn: ConnId,
         token: u64,
         digest: Digest,
         held: Held,
+        now_ns: u64,
         fx: &mut Vec<EdgeEffect<P>>,
     ) {
         if self.cluster.as_ref().is_none_or(|cl| cl.token != token) {
             return fx.push(EdgeEffect::Close { conn });
         }
         // The exact store is digest-keyed; the descriptor kind is moot.
-        fx.push(EdgeEffect::Insert {
-            descriptor: FeatureDescriptor::ModelHash(digest),
-            held,
-            landing: None,
-        });
+        self.service
+            .insert(&FeatureDescriptor::ModelHash(digest), held, now_ns);
     }
 
     /// Peer `from` answered the probe of `(conn, req)` (`None`: it does not
@@ -702,7 +696,7 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
             .registry()
             .observe("cluster.peer_latency_ns", now_ns.saturating_sub(started_ns));
         let held = Arc::new(held);
-        self.land(descriptor, &held, keep == Some(true), true, fx);
+        self.land(descriptor, &held, keep == Some(true), now_ns, fx);
         self.resolve(conn, req, Some(digest), &held, true, fx);
     }
 
@@ -746,11 +740,6 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
                 self.start_service(q.query, q.offered_at, true, now_ns, fx);
             }
         }
-    }
-
-    /// The insert an [`EdgeEffect::Insert`] asked to hear about has landed.
-    pub fn on_inserted(&mut self, digest: &Digest) {
-        self.landing.remove(digest);
     }
 
     /// `conn` is gone: nothing it parked will be uploaded and nobody is
@@ -885,12 +874,6 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
     ) {
         let digest = descriptor_digest(&descriptor);
         if let Some(d) = digest {
-            // A result fetched a moment ago whose insert has not landed:
-            // serve it rather than fetch it again.
-            if let Some((held, from_peer)) = self.landing.get(&d) {
-                let answer = fetched(held, *from_peer, req);
-                return self.reply(conn, req, answer, fx);
-            }
             if self.flights.claim(d, (conn, req)) == FlightClaim::Queued {
                 self.trace(now_ns, "flight.queued", || [("req", Value::from(req))]);
                 return fx.push(EdgeEffect::Wait {
@@ -1075,28 +1058,25 @@ impl<P: Copy + PartialEq> EdgeEngine<P> {
         }
     }
 
-    /// Cache a fetched result (when `keep`); until the insert lands, a miss
-    /// on its digest is answered with it.
+    /// Cache a fetched result when `keep`. An exact result is inserted
+    /// here, so the next lookup of its digest hits; a recognition result
+    /// is left to the realiser, whose insert may fold the index journal.
     fn land(
         &mut self,
         descriptor: FeatureDescriptor,
         held: &Arc<Held>,
         keep: bool,
-        from_peer: bool,
+        now_ns: u64,
         fx: &mut Vec<EdgeEffect<P>>,
     ) {
         if !keep {
             return;
         }
-        let landing = descriptor_digest(&descriptor);
-        if let Some(d) = landing {
-            self.landing.insert(d, (held.clone(), from_peer));
+        let held = Held::clone(held);
+        if let FeatureDescriptor::Dnn(_) = descriptor {
+            return fx.push(EdgeEffect::Insert { descriptor, held });
         }
-        fx.push(EdgeEffect::Insert {
-            descriptor,
-            held: Held::clone(held),
-            landing,
-        });
+        self.service.insert(&descriptor, held, now_ns);
     }
 
     /// Answer a fetch's requester and every request coalesced behind it.
@@ -1296,7 +1276,7 @@ mod tests {
             };
             OverloadControl::new(cfg, None)
         });
-        let service = Arc::new(EdgeService::new(&EdgeConfig::default(), 1));
+        let service = Arc::new(EdgeService::new(&EdgeConfig::default()));
         EdgeEngine::new(service, breaker, stats, overload, Telemetry::disabled())
     }
 
@@ -1447,49 +1427,77 @@ mod tests {
             [EdgeEffect::Forward { req: 11, .. }]
         ));
         fx.clear();
-        let pano = TaskResult::Panorama(bytes::Bytes::from(vec![1u8; 16]));
-        e.on_cloud_reply(1, 11, Some(Held::new(pano)), 401 * MS, &mut fx);
+        e.on_cloud_reply(1, 11, Some(fetched_pano(1)), 401 * MS, &mut fx);
         assert_eq!(e.breaker_state(), BreakerState::Closed);
         let snap = e.stats.snapshot();
         assert_eq!((snap.breaker_trips, snap.breaker_closes), (1, 1));
     }
 
+    /// A panorama of 64 bytes of `fill`, as the cloud would answer it.
+    fn fetched_pano(fill: u8) -> Held {
+        Held::new(TaskResult::Panorama(bytes::Bytes::from(vec![fill; 64])))
+    }
+
     #[test]
-    fn a_miss_before_a_fetched_result_lands_is_answered_with_it() {
-        // The realiser inserts after the engine lets go of the result, so
-        // a miss can arrive in between: it shares the fetch's answer
-        // instead of fetching the same content again.
+    fn a_fetched_result_is_cached_before_the_cloud_reply_returns() {
         let mut e = engine(None);
         let mut fx = Fx::new();
         let (descriptor, hint) = panorama(5);
         e.on_query(1, 1, descriptor.clone(), hint.clone(), 0, &mut fx);
-        assert!(matches!(fx.as_slice(), [EdgeEffect::Forward { .. }]));
         fx.clear();
-        let pano = TaskResult::Panorama(bytes::Bytes::from(vec![5u8; 64]));
-        e.on_cloud_reply(1, 1, Some(Held::new(pano.clone())), MS, &mut fx);
-        let digest = descriptor_digest(&descriptor).unwrap();
+        e.on_cloud_reply(1, 1, Some(fetched_pano(5)), MS, &mut fx);
+        assert!(matches!(fx.as_slice(), [EdgeEffect::Reply { conn: 1, .. }]));
+        assert!(e
+            .service
+            .exact_contains(&descriptor_digest(&descriptor).unwrap(), MS));
+        // The next miss on the digest is a hit, with no second fetch.
+        fx.clear();
+        e.on_query(2, 1, descriptor, hint, 2 * MS, &mut fx);
+        let [EdgeEffect::Reply { answer, .. }] = fx.as_slice() else {
+            panic!("expected one reply, got {fx:?}");
+        };
+        assert!(matches!(answer.msg, Msg::Hit { .. }), "{answer:?}");
+    }
+
+    #[test]
+    fn a_non_owner_does_not_cache_a_result_that_is_not_hot() {
+        let mut e = engine(None);
+        let cluster = ClusterConfig {
+            peer_fanout: 0,
+            ..ClusterConfig::default()
+        };
+        e.join_cluster(ClusterState::new(0, 2, cluster), vec![0, 1], 9);
+        let digest = |d: &FeatureDescriptor| descriptor_digest(d).unwrap();
+        let (descriptor, hint) = (0..)
+            .map(panorama)
+            .find(|(d, _)| !e.cluster().unwrap().is_owner(&digest(d)))
+            .unwrap();
+        let mut fx = Fx::new();
+        e.on_query(1, 1, descriptor.clone(), hint, 0, &mut fx);
+        fx.clear();
+        e.on_cloud_reply(1, 1, Some(fetched_pano(3)), MS, &mut fx);
+        // The copy goes to the owner; this edge keeps none.
         assert!(matches!(
-            fx.first(),
-            Some(EdgeEffect::Insert { landing: Some(d), .. }) if *d == digest
+            fx.as_slice(),
+            [
+                EdgeEffect::Replicate { to: 1, .. },
+                EdgeEffect::Reply { conn: 1, .. }
+            ]
         ));
-        fx.clear();
-        e.on_query(2, 1, descriptor.clone(), hint.clone(), 2 * MS, &mut fx);
-        match fx.as_slice() {
-            [EdgeEffect::Reply {
-                conn: 2, answer, ..
-            }] => {
-                let want = Msg::Result {
-                    req_id: 1,
-                    result: pano,
-                };
-                assert_eq!(answer.msg, want);
-            }
-            other => panic!("expected the landing result, got {other:?}"),
-        }
-        // Landed (here: never inserted), the next miss fetches again.
-        e.on_inserted(&digest);
-        fx.clear();
-        e.on_query(3, 1, descriptor, hint, 3 * MS, &mut fx);
-        assert!(matches!(fx.as_slice(), [EdgeEffect::Forward { .. }]));
+        assert!(!e.service.exact_contains(&digest(&descriptor), MS));
+    }
+
+    #[test]
+    fn a_replicate_push_is_installed_only_under_the_cluster_token() {
+        let mut e = engine(None);
+        let cluster = ClusterState::new(0, 2, ClusterConfig::default());
+        e.join_cluster(cluster, vec![0, 1], 9);
+        let mut fx = Fx::new();
+        let (kept, forged) = (Digest::of(b"kept"), Digest::of(b"forged"));
+        e.on_replicate(4, 9, kept, fetched_pano(1), MS, &mut fx);
+        assert!(fx.is_empty() && e.service.exact_contains(&kept, MS));
+        e.on_replicate(4, 8, forged, fetched_pano(2), MS, &mut fx);
+        assert!(matches!(fx.as_slice(), [EdgeEffect::Close { conn: 4 }]));
+        assert!(!e.service.exact_contains(&forged, MS));
     }
 }

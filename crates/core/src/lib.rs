@@ -12,7 +12,7 @@
 //!
 //! * [`descriptor`], [`task`], [`protocol`] — the data plane,
 //! * [`services`] — client / edge / cloud logic, transport-independent
-//!   (one `&self` edge service over the sharded exact cache and the
+//!   (one `&self` edge service over the exact cache and the
 //!   snapshot descriptor cache, shared by the simulator and live stack),
 //! * [`compute`] — per-tier cost models,
 //! * [`config`] — the typed builders for [`simrun::SimConfig`] /

@@ -86,10 +86,6 @@ pub struct NetConfig {
     /// client's IO boundary without touching the network, mirroring the
     /// simulator's schedule semantics for the determinism tests.
     pub faults: FaultSchedule,
-    /// Lock shards per edge cache (and for the single-flight table).
-    /// More shards cut contention between connection threads; values are
-    /// clamped to at least 1.
-    pub cache_shards: usize,
     /// Edge admission control: the same sans-IO bounded-queue + AIMD
     /// controller the simulator runs, here behind a mutex with queued
     /// connection threads parked on a condvar. `None` (the default)
@@ -117,7 +113,6 @@ impl Default for NetConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(300),
             faults: FaultSchedule::new(),
-            cache_shards: coic_cache::DEFAULT_SHARDS,
             admission: None,
             brownout: None,
             telemetry: Telemetry::disabled(),
@@ -344,12 +339,12 @@ impl EdgeHandle {
         self.inner.engine.lock().brownout_state()
     }
 
-    /// Recognition-cache metrics, merged across shards.
+    /// Recognition-cache metrics.
     pub fn recog_cache_metrics(&self) -> Metrics {
         self.inner.service.recog_metrics()
     }
 
-    /// Exact-cache metrics, merged across shards.
+    /// Exact-cache metrics.
     pub fn exact_cache_metrics(&self) -> Metrics {
         self.inner.service.exact_metrics()
     }
@@ -389,11 +384,6 @@ impl EdgeHandle {
     /// counts, rebuilds, journal depth, snapshot age).
     pub fn index_telemetry(&self) -> coic_cache::IndexTelemetry {
         self.inner.service.index_telemetry()
-    }
-
-    /// Lock shards per cache on this edge.
-    pub fn cache_shards(&self) -> usize {
-        self.inner.service.shard_count()
     }
 
     /// Stop the edge: no new connections, live ones severed, idle cloud
@@ -655,7 +645,7 @@ impl LiveEdge {
                 digest,
                 result,
                 ..
-            } => engine.on_replicate(conn, token, digest, Held::new(result), fx),
+            } => engine.on_replicate(conn, token, digest, Held::new(result), now, fx),
             _ => {}
         });
         while turn.waiting && turn.reply.is_none() && !turn.close {
@@ -729,16 +719,9 @@ impl LiveEdge {
             // A probe here is one blocking call under its socket deadline,
             // so there is no armed timer to cancel.
             EdgeEffect::Disarm { .. } => {}
-            EdgeEffect::Insert {
-                descriptor,
-                held,
-                landing,
-            } => {
+            EdgeEffect::Insert { descriptor, held } => {
                 let folded = self.service.insert(&descriptor, held, self.clock.now_ns());
                 trace_rebuild(&self.net, &self.service, folded, self.clock.now_ns());
-                if let Some(digest) = landing {
-                    self.engine.lock().on_inserted(&digest);
-                }
             }
             EdgeEffect::Replicate {
                 to,
@@ -931,7 +914,7 @@ pub fn spawn_edge_with(
     net: NetConfig,
     bind: Option<SocketAddr>,
 ) -> std::io::Result<EdgeHandle> {
-    let service = Arc::new(EdgeService::new(cfg, net.cache_shards.max(1)));
+    let service = Arc::new(EdgeService::new(cfg));
     let stats = RobustnessStats::default();
     let breaker = CircuitBreaker::new(net.breaker_threshold, net.breaker_cooldown);
     let overload = net

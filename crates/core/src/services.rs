@@ -64,39 +64,30 @@ impl Default for EdgeConfig {
 
 /// The edge cache service — the one cache stack [`crate::engine::EdgeEngine`]
 /// looks requests up in, in the simulator and in the live TCP edge alike.
-/// Every method takes `&self`, so the live edge inserts from connection
-/// threads without a service-wide lock:
+/// Every method takes `&self`:
 ///
 /// * recognition descriptors go through the snapshot/journal cache
 ///   ([`SnapshotApproxCache`]) — lookups walk an immutable `Arc`-swapped
 ///   snapshot lock-free, inserts journal (and are visible immediately),
 ///   and [`EdgeService::maintain`] folds rebuilds at points the driver
-///   chooses;
-/// * exact digests go through [`ShardedExactCache`], where a lookup
-///   locks one shard and payload clones happen outside any lock. An
-///   entry is a [`Held`] result, and a lookup returns the entry itself, so
-///   a live reply reuses the blob checksum kept with it; a [`Held`]
-///   computes that sum only on its first send, so the simulator, which
-///   never sends, never causes one.
-///
-/// The exact cache's capacity is split evenly across shards, so the shard
-/// count changes which entries get evicted. The simulator therefore
-/// builds the service with one shard, which makes exactly the decisions
-/// of a bare `ExactCache` (`coic-cache`'s `tests/equiv.rs`); the live
-/// edge passes [`crate::netrun::NetConfig::cache_shards`].
+///   chooses; the live edge searches it and inserts into it from
+///   connection threads, outside the engine's lock;
+/// * exact digests go through a one-shard [`ShardedExactCache`], which
+///   makes exactly the decisions of a bare `ExactCache` (`coic-cache`'s
+///   `tests/equiv.rs`) on both realisers. The engine makes every exact
+///   lookup and insert a request causes. An entry is a [`Held`]
+///   result, and a lookup returns the entry itself, so a live reply
+///   reuses the blob checksum kept with it; a [`Held`] computes that sum
+///   only on its first send, so the simulator, which never sends, never
+///   causes one.
 pub struct EdgeService {
     recog: SnapshotApproxCache<RecognitionResult>,
     exact: ShardedExactCache<Held>,
 }
 
 impl EdgeService {
-    /// Create the service with `shards` lock shards for the exact cache
-    /// (the snapshot recognition cache is unsharded by design — see
-    /// [`coic_cache::sharded`]).
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn new(cfg: &EdgeConfig, shards: usize) -> Self {
+    /// Create the service's two caches as `cfg` sizes them.
+    pub fn new(cfg: &EdgeConfig) -> Self {
         EdgeService {
             recog: SnapshotApproxCache::new(
                 cfg.recog_cache_bytes,
@@ -107,7 +98,7 @@ impl EdgeService {
             ),
             exact: {
                 let ttl_ns = cfg.exact_ttl_ms.map(|ms| ms * 1_000_000);
-                let c = ShardedExactCache::new(cfg.exact_cache_bytes, cfg.policy, ttl_ns, shards);
+                let c = ShardedExactCache::new(cfg.exact_cache_bytes, cfg.policy, ttl_ns, 1);
                 match cfg.admission {
                     Some(a) => c.with_admission(a),
                     None => c,
@@ -194,7 +185,7 @@ impl EdgeService {
         self.recog.metrics()
     }
 
-    /// Exact cache metrics, merged across shards.
+    /// Exact cache metrics.
     pub fn exact_metrics(&self) -> Metrics {
         self.exact.metrics()
     }
@@ -230,11 +221,6 @@ impl EdgeService {
         } else {
             hits as f64 / total as f64
         }
-    }
-
-    /// Shard count of the exact cache.
-    pub fn shard_count(&self) -> usize {
-        self.exact.shard_count()
     }
 }
 
@@ -460,7 +446,7 @@ mod tests {
             models.clone(),
             panos.clone(),
         );
-        let edge = EdgeService::new(&EdgeConfig::default(), 4);
+        let edge = EdgeService::new(&EdgeConfig::default());
         let classes: Vec<_> = (0..10).map(ObjectClass).collect();
         let gen = SceneGenerator::new(64);
         let cloud = CloudService::new(&classes, &gen, compute, models, panos, 7);
@@ -695,13 +681,10 @@ mod tests {
             models.clone(),
             panos.clone(),
         );
-        let edge = EdgeService::new(
-            &EdgeConfig {
-                exact_ttl_ms: Some(100),
-                ..EdgeConfig::default()
-            },
-            1,
-        );
+        let edge = EdgeService::new(&EdgeConfig {
+            exact_ttl_ms: Some(100),
+            ..EdgeConfig::default()
+        });
         // No recognition here, so a cloud trained on nothing serves it.
         let gen = SceneGenerator::new(64);
         let cloud = CloudService::new(&[], &gen, compute, models, panos, 7);

@@ -253,13 +253,6 @@ fn wire_len(msg: &Msg) -> u64 {
     }
 }
 
-/// Exact-cache shards per simulated edge. The cache splits its byte
-/// budget evenly across shards, so the count changes what gets evicted;
-/// one shard is the bare cache the paper describes, which every figure
-/// and canonical report assumes. (The live edge shards for lock
-/// granularity — `NetConfig::cache_shards`.)
-const SIM_CACHE_SHARDS: usize = 1;
-
 const TOKEN_ISSUE: u64 = 1 << 62;
 const TOKEN_PREP: u64 = 1 << 61;
 const TOKEN_TIMEOUT: u64 = 1 << 60;
@@ -737,15 +730,8 @@ impl EdgeNode {
                     };
                     self.send(ctx, Charge::Free, to, msg);
                 }
-                EdgeEffect::Insert {
-                    descriptor,
-                    held,
-                    landing,
-                } => {
+                EdgeEffect::Insert { descriptor, held } => {
                     self.service.insert(&descriptor, held, now);
-                    if let Some(digest) = landing {
-                        self.engine.on_inserted(&digest);
-                    }
                 }
                 EdgeEffect::Serving { slot, .. } => {
                     let token = self.next_token;
@@ -884,7 +870,7 @@ impl Node<Msg> for EdgeNode {
                 ..
             } => {
                 self.engine
-                    .on_replicate(conn, token, digest, Held::new(result), &mut self.fx);
+                    .on_replicate(conn, token, digest, Held::new(result), now, &mut self.fx);
             }
             Msg::PeerReply { req_id, result } => {
                 let result = result.map(Held::new);
@@ -1150,7 +1136,7 @@ fn simulate(
         let stats = RobustnessStats::default();
         robustness.push(stats.clone());
         let breaker = CircuitBreaker::new(3, Duration::from_millis(300));
-        let service = Arc::new(EdgeService::new(&cfg.edge, SIM_CACHE_SHARDS));
+        let service = Arc::new(EdgeService::new(&cfg.edge));
         edge_services.push(service.clone());
         let overload = cfg
             .admission

@@ -22,8 +22,9 @@
 #      structures (the `model-check` feature swaps parking_lot and std
 #      atomics for the loom shims).
 #
-# The last line is the workspace's `.rs` line count (the figure ROADMAP's
-# size targets track), so every CI log carries it.
+# The last lines are the workspace's `.rs` line count and its number of
+# settable values — the `pub` fields of the seven config structs (the
+# figures ROADMAP's size targets track), so every CI log carries them.
 #
 # Usage: scripts/analyze.sh
 set -eu
@@ -72,3 +73,11 @@ cargo test -q --locked -p coic-core --features model-check --test model
 
 echo "analysis pass clean"
 echo "workspace .rs lines: $(find crates shims src tests examples -name '*.rs' | xargs cat | wc -l)"
+structs='NetConfig|SimConfig|EdgeConfig|ClusterConfig|ClientConfig|AdmissionConfig|BrownoutConfig'
+head="^pub struct ($structs) [{]"
+knobs=$(grep -rlE "$head" crates | xargs awk -v head="$head" '
+  $0 ~ head { inside = 1; next }
+  inside && /^}/ { inside = 0 }
+  inside && /^    pub [a-z_0-9]+:/ { n++ }
+  END { print n }')
+echo "settable values (pub fields of the config structs): $knobs"

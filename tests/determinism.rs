@@ -3,8 +3,9 @@
 //! yields byte-identical QoE reports, and (b) the simulator and the live
 //! TCP stack traverse byte-identical decision traces — timestamps differ
 //! (virtual vs wall clock) but every hit/miss/retry/degrade choice agrees,
-//! the client's and the edge's alike.
+//! the client's and the edge's alike, and they keep the same exact cache.
 
+use coic::cache::Metrics;
 use coic::core::netrun::{spawn_cloud, spawn_edge_with, NetClient, NetConfig};
 use coic::core::simrun::{run_instrumented, run_traced, Mode, SimConfig};
 use coic::core::{
@@ -20,7 +21,12 @@ use std::time::Duration;
 /// One client requesting panorama frames [0, 0, 1]: a cloud miss, an edge
 /// hit, then a request whose edge leg is killed by the fault schedule.
 fn pano_trace() -> Vec<Request> {
-    [0u64, 0, 1]
+    pano_requests([0, 0, 1])
+}
+
+/// One client requesting `frames` in order, a millisecond apart.
+fn pano_requests(frames: impl IntoIterator<Item = u64>) -> Vec<Request> {
+    frames
         .into_iter()
         .enumerate()
         .map(|(i, frame_id)| Request {
@@ -195,4 +201,48 @@ fn sim_and_live_traverse_identical_decision_traces() {
     assert_eq!(live_report.cloud_trips, sim_report.cloud_trips);
     assert_eq!(live_report.retries, sim_report.retries);
     assert_eq!(live_report.retried_requests, sim_report.retried_requests);
+}
+
+#[test]
+fn sim_and_live_keep_the_same_exact_cache() {
+    // Frames 0..6, each asked for twice in a row, over two passes, through
+    // a cache four 8 KB frames fill: the frames evict one another.
+    let trace = pano_requests((0..24).map(|i| i / 2 % 6));
+    let panos = Arc::new(PanoLibrary::new(64));
+    let edge_cfg = EdgeConfig {
+        exact_cache_bytes: 4 * panos.held(0).result().byte_size(),
+        ..EdgeConfig::default()
+    };
+    let tel = Telemetry::new();
+    let sim_cfg = SimConfig {
+        pano_height: 64,
+        edge: edge_cfg,
+        ..SimConfig::default()
+    };
+    assert_eq!(run_instrumented(&trace, &sim_cfg, &tel).0.completed, 24);
+    let sim = Metrics::from_registry(tel.registry(), "cache.exact");
+
+    let (models, compute) = (Arc::new(ModelLibrary::new()), ComputeConfig::default());
+    let cloud = spawn_cloud(&[], 64, compute, models.clone(), panos.clone(), 7).unwrap();
+    let edge = spawn_edge_with(cloud.addr(), &edge_cfg, NetConfig::default(), None).unwrap();
+    let mut client = NetClient::connect_with(
+        edge.addr(),
+        Some(cloud.addr()),
+        NetConfig::default(),
+        ClientConfig::default(),
+        compute,
+        models,
+        panos,
+    )
+    .unwrap();
+    for req in &trace {
+        client.execute(req).unwrap();
+    }
+    let live = edge.exact_cache_metrics();
+    let counts = |m: &Metrics| (m.hits, m.misses, m.insertions, m.evictions, m.rejected);
+    assert!(
+        sim.hits > 0 && sim.evictions > 0 && sim.rejected == 0,
+        "{sim:?}"
+    );
+    assert_eq!(counts(&live), counts(&sim), "live {live:?} != sim {sim:?}");
 }
