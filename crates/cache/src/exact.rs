@@ -47,11 +47,6 @@ impl<V> ExactCache<V> {
         self.store.get(key, now_ns)
     }
 
-    /// Presence check without stats/recency side effects.
-    pub fn peek(&self, key: &Digest) -> Option<&V> {
-        self.store.peek(key)
-    }
-
     /// TTL-aware read-only lookup: no stats, no recency, no removal
     /// ([`crate::sharded::ShardedExactCache::contains`]).
     pub fn peek_valid(&self, key: &Digest, now_ns: u64) -> Option<&V> {

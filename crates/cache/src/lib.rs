@@ -35,6 +35,8 @@ pub mod digest;
 pub mod exact;
 pub mod metrics;
 pub mod policy;
+#[cfg(test)]
+mod reference;
 pub mod sharded;
 pub mod sketch;
 pub mod snapshot;

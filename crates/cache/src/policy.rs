@@ -3,21 +3,30 @@
 //! The paper's prototype uses a "simple cache management policy" and names
 //! better management as ongoing work; the policy ablation (experiment Ext B)
 //! compares these implementations. Policies track entries by the store's
-//! internal ids and only decide *ordering* — size accounting and the actual
+//! slots and only decide *ordering* — size accounting and the actual
 //! removal live in [`crate::store`].
+//!
+//! A slot is a dense handle: the store hands out slot `0, 1, 2, …` and
+//! reuses a freed one for a later entry, so every policy keeps its
+//! per-entry state in `Vec`s indexed by slot and hashes nothing. Because
+//! a slot is recycled, its number never decides an order: LRU, FIFO and
+//! SLRU order by position in a list, LFU by a tick that is never reused,
+//! and GDSF breaks equal priorities by the entry's insertion sequence.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-/// An eviction-ordering policy over store entry ids.
+/// An eviction-ordering policy over store slots.
 pub trait EvictionPolicy: Send + Sync {
-    /// A new entry was inserted.
-    fn on_insert(&mut self, id: u64, size: u64);
+    /// A new entry was inserted into `slot`, which the policy does not
+    /// hold; `seq` is its insertion sequence, unique over the store's
+    /// life (a slot is reused, a sequence never is).
+    fn on_insert(&mut self, slot: usize, seq: u64, size: u64);
     /// An existing entry was hit.
-    fn on_access(&mut self, id: u64);
+    fn on_access(&mut self, slot: usize);
     /// An entry left the store (evicted, replaced or expired).
-    fn on_remove(&mut self, id: u64);
-    /// The id the policy would evict next; `None` when it tracks nothing.
-    fn victim(&self) -> Option<u64>;
+    fn on_remove(&mut self, slot: usize);
+    /// The slot the policy would evict next; `None` when it tracks nothing.
+    fn victim(&self) -> Option<usize>;
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 }
@@ -73,39 +82,110 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
-/// Least-recently-used ordering.
-#[derive(Default)]
-pub struct Lru {
-    tick: u64,
-    by_id: HashMap<u64, u64>,
-    by_tick: BTreeMap<u64, u64>,
+/// Marks the end of a [`List`] and an unlinked slot's neighbours.
+const NIL: usize = usize::MAX;
+
+/// A slot's neighbours in a [`List`].
+#[derive(Clone, Copy)]
+struct Link {
+    prev: usize,
+    next: usize,
 }
 
-impl Lru {
-    fn touch(&mut self, id: u64) {
-        if let Some(old) = self.by_id.get(&id).copied() {
-            self.by_tick.remove(&old);
+/// A doubly linked list threaded through per-slot links, oldest at the
+/// head: push, unlink and move-to-back are O(1) and touch only the links
+/// of the slot and its two neighbours.
+struct List {
+    /// By slot; `None` for a slot this list does not hold.
+    links: Vec<Option<Link>>,
+    head: usize,
+    tail: usize,
+    len: usize,
+}
+
+impl Default for List {
+    fn default() -> Self {
+        List {
+            links: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
         }
-        self.tick += 1;
-        self.by_id.insert(id, self.tick);
-        self.by_tick.insert(self.tick, id);
     }
+}
+
+impl List {
+    fn front(&self) -> Option<usize> {
+        (self.head != NIL).then_some(self.head)
+    }
+
+    /// Append `slot`, which the list must not hold, as the newest.
+    fn push_back(&mut self, slot: usize) {
+        if slot >= self.links.len() {
+            self.links.resize(slot + 1, None);
+        }
+        debug_assert!(self.links[slot].is_none(), "slot {slot} linked twice");
+        self.links[slot] = Some(Link {
+            prev: self.tail,
+            next: NIL,
+        });
+        match self.tail {
+            NIL => self.head = slot,
+            tail => self.link_mut(tail).next = slot,
+        }
+        self.tail = slot;
+        self.len += 1;
+    }
+
+    /// Take `slot` out; false when the list does not hold it.
+    fn unlink(&mut self, slot: usize) -> bool {
+        let Some(Link { prev, next }) = self.links.get_mut(slot).and_then(Option::take) else {
+            return false;
+        };
+        match prev {
+            NIL => self.head = next,
+            prev => self.link_mut(prev).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.link_mut(next).prev = prev,
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// Make `slot` the newest if the list holds it.
+    fn move_to_back(&mut self, slot: usize) {
+        if self.tail != slot && self.unlink(slot) {
+            self.push_back(slot);
+        }
+    }
+
+    fn link_mut(&mut self, slot: usize) -> &mut Link {
+        self.links[slot]
+            .as_mut()
+            .expect("a list neighbour is linked")
+    }
+}
+
+/// Least-recently-used ordering: a hit moves its slot to the list's back.
+#[derive(Default)]
+pub struct Lru {
+    order: List,
 }
 
 impl EvictionPolicy for Lru {
-    fn on_insert(&mut self, id: u64, _size: u64) {
-        self.touch(id);
+    fn on_insert(&mut self, slot: usize, _seq: u64, _size: u64) {
+        self.order.push_back(slot);
     }
-    fn on_access(&mut self, id: u64) {
-        self.touch(id);
+    fn on_access(&mut self, slot: usize) {
+        self.order.move_to_back(slot);
     }
-    fn on_remove(&mut self, id: u64) {
-        if let Some(t) = self.by_id.remove(&id) {
-            self.by_tick.remove(&t);
-        }
+    fn on_remove(&mut self, slot: usize) {
+        self.order.unlink(slot);
     }
-    fn victim(&self) -> Option<u64> {
-        self.by_tick.values().next().copied()
+    fn victim(&self) -> Option<usize> {
+        self.order.front()
     }
     fn name(&self) -> &'static str {
         "LRU"
@@ -115,25 +195,19 @@ impl EvictionPolicy for Lru {
 /// Insertion-order (FIFO) eviction.
 #[derive(Default)]
 pub struct Fifo {
-    tick: u64,
-    by_id: HashMap<u64, u64>,
-    by_tick: BTreeMap<u64, u64>,
+    order: List,
 }
 
 impl EvictionPolicy for Fifo {
-    fn on_insert(&mut self, id: u64, _size: u64) {
-        self.tick += 1;
-        self.by_id.insert(id, self.tick);
-        self.by_tick.insert(self.tick, id);
+    fn on_insert(&mut self, slot: usize, _seq: u64, _size: u64) {
+        self.order.push_back(slot);
     }
-    fn on_access(&mut self, _id: u64) {}
-    fn on_remove(&mut self, id: u64) {
-        if let Some(t) = self.by_id.remove(&id) {
-            self.by_tick.remove(&t);
-        }
+    fn on_access(&mut self, _slot: usize) {}
+    fn on_remove(&mut self, slot: usize) {
+        self.order.unlink(slot);
     }
-    fn victim(&self) -> Option<u64> {
-        self.by_tick.values().next().copied()
+    fn victim(&self) -> Option<usize> {
+        self.order.front()
     }
     fn name(&self) -> &'static str {
         "FIFO"
@@ -144,37 +218,41 @@ impl EvictionPolicy for Fifo {
 #[derive(Default)]
 pub struct Lfu {
     tick: u64,
-    by_id: HashMap<u64, (u64, u64)>,    // id -> (count, tick)
-    ordered: BTreeSet<(u64, u64, u64)>, // (count, tick, id)
+    /// `(count, tick)` by slot; `None` for a slot not held.
+    by_slot: Vec<Option<(u64, u64)>>,
+    /// `(count, tick, slot)`: ticks are unique, so the slot never decides.
+    ordered: BTreeSet<(u64, u64, usize)>,
 }
 
 impl Lfu {
-    fn bump(&mut self, id: u64, reset: bool) {
+    fn set(&mut self, slot: usize, count: u64) {
         self.tick += 1;
-        let (count, old_tick) = self.by_id.get(&id).copied().unwrap_or((0, 0));
-        if count > 0 || old_tick > 0 {
-            self.ordered.remove(&(count, old_tick, id));
-        }
-        let new_count = if reset { 1 } else { count + 1 };
-        self.by_id.insert(id, (new_count, self.tick));
-        self.ordered.insert((new_count, self.tick, id));
+        self.by_slot[slot] = Some((count, self.tick));
+        self.ordered.insert((count, self.tick, slot));
     }
 }
 
 impl EvictionPolicy for Lfu {
-    fn on_insert(&mut self, id: u64, _size: u64) {
-        self.bump(id, true);
+    fn on_insert(&mut self, slot: usize, _seq: u64, _size: u64) {
+        if slot >= self.by_slot.len() {
+            self.by_slot.resize(slot + 1, None);
+        }
+        debug_assert!(self.by_slot[slot].is_none(), "slot {slot} inserted twice");
+        self.set(slot, 1);
     }
-    fn on_access(&mut self, id: u64) {
-        self.bump(id, false);
-    }
-    fn on_remove(&mut self, id: u64) {
-        if let Some((c, t)) = self.by_id.remove(&id) {
-            self.ordered.remove(&(c, t, id));
+    fn on_access(&mut self, slot: usize) {
+        if let Some((count, tick)) = self.by_slot.get(slot).copied().flatten() {
+            self.ordered.remove(&(count, tick, slot));
+            self.set(slot, count + 1);
         }
     }
-    fn victim(&self) -> Option<u64> {
-        self.ordered.iter().next().map(|&(_, _, id)| id)
+    fn on_remove(&mut self, slot: usize) {
+        if let Some((count, tick)) = self.by_slot.get_mut(slot).and_then(Option::take) {
+            self.ordered.remove(&(count, tick, slot));
+        }
+    }
+    fn victim(&self) -> Option<usize> {
+        self.ordered.first().map(|&(_, _, slot)| slot)
     }
     fn name(&self) -> &'static str {
         "LFU"
@@ -187,46 +265,36 @@ impl EvictionPolicy for Lfu {
 /// keep flowing.
 #[derive(Default)]
 pub struct Slru {
-    probation: Lru,
-    protected: Lru,
-    seg: HashMap<u64, bool>, // id -> is_protected
+    probation: List,
+    protected: List,
 }
 
 impl EvictionPolicy for Slru {
-    fn on_insert(&mut self, id: u64, size: u64) {
-        self.probation.on_insert(id, size);
-        self.seg.insert(id, false);
+    fn on_insert(&mut self, slot: usize, _seq: u64, _size: u64) {
+        self.probation.push_back(slot);
     }
-    fn on_access(&mut self, id: u64) {
-        match self.seg.get(&id).copied() {
-            Some(false) => {
-                self.probation.on_remove(id);
-                self.protected.on_insert(id, 0);
-                self.seg.insert(id, true);
-                // Keep the protected segment from starving probation.
-                while self.protected.by_id.len() > 4 * (self.probation.by_id.len() + 1) {
-                    if let Some(demote) = self.protected.victim() {
-                        self.protected.on_remove(demote);
-                        self.probation.on_insert(demote, 0);
-                        self.seg.insert(demote, false);
-                    } else {
-                        break;
-                    }
-                }
+    fn on_access(&mut self, slot: usize) {
+        if self.probation.unlink(slot) {
+            self.protected.push_back(slot);
+            // Keep the protected segment from starving probation.
+            while self.protected.len > 4 * (self.probation.len + 1) {
+                let Some(demote) = self.protected.front() else {
+                    break;
+                };
+                self.protected.unlink(demote);
+                self.probation.push_back(demote);
             }
-            Some(true) => self.protected.on_access(id),
-            None => {}
+        } else {
+            self.protected.move_to_back(slot);
         }
     }
-    fn on_remove(&mut self, id: u64) {
-        match self.seg.remove(&id) {
-            Some(false) => self.probation.on_remove(id),
-            Some(true) => self.protected.on_remove(id),
-            None => {}
+    fn on_remove(&mut self, slot: usize) {
+        if !self.probation.unlink(slot) {
+            self.protected.unlink(slot);
         }
     }
-    fn victim(&self) -> Option<u64> {
-        self.probation.victim().or_else(|| self.protected.victim())
+    fn victim(&self) -> Option<usize> {
+        self.probation.front().or_else(|| self.protected.front())
     }
     fn name(&self) -> &'static str {
         "SLRU"
@@ -248,48 +316,73 @@ impl Ord for OrdF64 {
     }
 }
 
+/// One GDSF entry's state.
+#[derive(Clone, Copy)]
+struct GdsfEntry {
+    freq: u64,
+    size: u64,
+    priority: f64,
+    seq: u64,
+}
+
+impl GdsfEntry {
+    fn key(&self, slot: usize) -> (OrdF64, u64, usize) {
+        (OrdF64(self.priority), self.seq, slot)
+    }
+}
+
 /// Greedy-Dual-Size-Frequency: priority `L + freq / size`; evicting an
 /// entry raises the global ageing level `L` to its priority, so cold small
-/// entries eventually lose to fresh large ones.
+/// entries eventually lose to fresh large ones. Equal priorities go
+/// oldest insertion first.
 #[derive(Default)]
 pub struct Gdsf {
     level: f64,
-    by_id: HashMap<u64, (u64, u64, f64)>, // id -> (freq, size, priority)
-    ordered: BTreeSet<(OrdF64, u64)>,
+    by_slot: Vec<Option<GdsfEntry>>,
+    /// `(priority, seq, slot)`: sequences are unique, so the slot never
+    /// decides.
+    ordered: BTreeSet<(OrdF64, u64, usize)>,
 }
 
 impl Gdsf {
-    fn set(&mut self, id: u64, freq: u64, size: u64) {
-        if let Some((_, _, p)) = self.by_id.get(&id) {
-            self.ordered.remove(&(OrdF64(*p), id));
-        }
+    fn set(&mut self, slot: usize, freq: u64, size: u64, seq: u64) {
         let size = size.max(1);
-        let priority = self.level + freq as f64 / size as f64;
-        self.by_id.insert(id, (freq, size, priority));
-        self.ordered.insert((OrdF64(priority), id));
+        let entry = GdsfEntry {
+            freq,
+            size,
+            priority: self.level + freq as f64 / size as f64,
+            seq,
+        };
+        self.by_slot[slot] = Some(entry);
+        self.ordered.insert(entry.key(slot));
     }
 }
 
 impl EvictionPolicy for Gdsf {
-    fn on_insert(&mut self, id: u64, size: u64) {
-        self.set(id, 1, size);
+    fn on_insert(&mut self, slot: usize, seq: u64, size: u64) {
+        if slot >= self.by_slot.len() {
+            self.by_slot.resize(slot + 1, None);
+        }
+        debug_assert!(self.by_slot[slot].is_none(), "slot {slot} inserted twice");
+        self.set(slot, 1, size, seq);
     }
-    fn on_access(&mut self, id: u64) {
-        if let Some((freq, size, _)) = self.by_id.get(&id).copied() {
-            self.set(id, freq + 1, size);
+    fn on_access(&mut self, slot: usize) {
+        if let Some(entry) = self.by_slot.get(slot).copied().flatten() {
+            self.ordered.remove(&entry.key(slot));
+            self.set(slot, entry.freq + 1, entry.size, entry.seq);
         }
     }
-    fn on_remove(&mut self, id: u64) {
-        if let Some((_, _, p)) = self.by_id.remove(&id) {
-            self.ordered.remove(&(OrdF64(p), id));
+    fn on_remove(&mut self, slot: usize) {
+        if let Some(entry) = self.by_slot.get_mut(slot).and_then(Option::take) {
+            self.ordered.remove(&entry.key(slot));
             // Ageing: future priorities start from the evicted level.
-            if p > self.level {
-                self.level = p;
+            if entry.priority > self.level {
+                self.level = entry.priority;
             }
         }
     }
-    fn victim(&self) -> Option<u64> {
-        self.ordered.iter().next().map(|&(_, id)| id)
+    fn victim(&self) -> Option<usize> {
+        self.ordered.first().map(|&(_, _, slot)| slot)
     }
     fn name(&self) -> &'static str {
         "GDSF"
@@ -300,12 +393,17 @@ impl EvictionPolicy for Gdsf {
 mod tests {
     use super::*;
 
+    /// Insert `slot` with its number as its sequence.
+    fn insert(p: &mut dyn EvictionPolicy, slot: usize, size: u64) {
+        p.on_insert(slot, slot as u64, size);
+    }
+
     #[test]
     fn lru_evicts_least_recent() {
         let mut p = Lru::default();
-        p.on_insert(1, 10);
-        p.on_insert(2, 10);
-        p.on_insert(3, 10);
+        insert(&mut p, 1, 10);
+        insert(&mut p, 2, 10);
+        insert(&mut p, 3, 10);
         p.on_access(1); // 2 is now coldest
         assert_eq!(p.victim(), Some(2));
         p.on_remove(2);
@@ -315,8 +413,8 @@ mod tests {
     #[test]
     fn fifo_ignores_accesses() {
         let mut p = Fifo::default();
-        p.on_insert(1, 10);
-        p.on_insert(2, 10);
+        insert(&mut p, 1, 10);
+        insert(&mut p, 2, 10);
         p.on_access(1);
         p.on_access(1);
         assert_eq!(p.victim(), Some(1));
@@ -325,12 +423,12 @@ mod tests {
     #[test]
     fn lfu_evicts_least_frequent() {
         let mut p = Lfu::default();
-        p.on_insert(1, 10);
-        p.on_insert(2, 10);
+        insert(&mut p, 1, 10);
+        insert(&mut p, 2, 10);
         p.on_access(1);
         p.on_access(1);
         p.on_access(2);
-        p.on_insert(3, 10); // freq 1, newest
+        insert(&mut p, 3, 10); // freq 1, newest
         assert_eq!(p.victim(), Some(3));
         p.on_access(3);
         p.on_access(3);
@@ -341,8 +439,8 @@ mod tests {
     #[test]
     fn lfu_ties_break_by_recency() {
         let mut p = Lfu::default();
-        p.on_insert(1, 10);
-        p.on_insert(2, 10);
+        insert(&mut p, 1, 10);
+        insert(&mut p, 2, 10);
         // Both freq 1; 1 is older.
         assert_eq!(p.victim(), Some(1));
     }
@@ -350,8 +448,8 @@ mod tests {
     #[test]
     fn slru_protects_hit_entries() {
         let mut p = Slru::default();
-        p.on_insert(1, 10);
-        p.on_insert(2, 10);
+        insert(&mut p, 1, 10);
+        insert(&mut p, 2, 10);
         p.on_access(1); // 1 promoted to protected
                         // 2 is on probation, so it goes first even though 1 is older.
         assert_eq!(p.victim(), Some(2));
@@ -363,8 +461,8 @@ mod tests {
     #[test]
     fn gdsf_prefers_evicting_large_cold_entries() {
         let mut p = Gdsf::default();
-        p.on_insert(1, 1_000_000); // big
-        p.on_insert(2, 1_000); // small
+        insert(&mut p, 1, 1_000_000); // big
+        insert(&mut p, 2, 1_000); // small
         assert_eq!(p.victim(), Some(1));
         // Many hits on the big one flip the order.
         for _ in 0..2000 {
@@ -376,16 +474,16 @@ mod tests {
     #[test]
     fn gdsf_ageing_lets_new_entries_survive() {
         let mut p = Gdsf::default();
-        p.on_insert(1, 10);
+        insert(&mut p, 1, 10);
         for _ in 0..100 {
             p.on_access(1);
         }
-        p.on_insert(2, 10);
+        insert(&mut p, 2, 10);
         // 2 is the victim now...
         assert_eq!(p.victim(), Some(2));
         p.on_remove(2);
         // ...but after ageing, a fresh insert competes with the old hot one.
-        p.on_insert(3, 10);
+        insert(&mut p, 3, 10);
         for _ in 0..2 {
             p.on_access(3);
         }
@@ -396,10 +494,20 @@ mod tests {
     }
 
     #[test]
+    fn gdsf_ties_break_by_sequence_not_slot() {
+        let mut p = Gdsf::default();
+        // A reused low slot holds the newer entry: equal priorities, so
+        // the older insertion (slot 7, sequence 1) goes first.
+        p.on_insert(7, 1, 10);
+        p.on_insert(0, 2, 10);
+        assert_eq!(p.victim(), Some(7));
+    }
+
+    #[test]
     fn removal_is_idempotent_across_policies() {
         for kind in PolicyKind::ALL {
             let mut p = kind.build();
-            p.on_insert(5, 100);
+            insert(p.as_mut(), 5, 100);
             p.on_remove(5);
             p.on_remove(5);
             assert_eq!(p.victim(), None, "{kind}");
@@ -410,12 +518,12 @@ mod tests {
     fn all_policies_drain_completely() {
         for kind in PolicyKind::ALL {
             let mut p = kind.build();
-            for id in 0..50 {
-                p.on_insert(id, 10 + id);
+            for slot in 0..50 {
+                insert(p.as_mut(), slot, 10 + slot as u64);
             }
-            for id in 0..50 {
-                if id % 3 == 0 {
-                    p.on_access(id);
+            for slot in 0..50 {
+                if slot % 3 == 0 {
+                    p.on_access(slot);
                 }
             }
             let mut seen = std::collections::HashSet::new();

@@ -32,6 +32,12 @@ impl<K, V> Entry<K, V> {
 
 /// A bounded, size-aware key-value store.
 ///
+/// Entries sit still in a slab of slots (`None` marks a slot on the free
+/// list, which is refilled before the slab grows); `by_key` maps a key to
+/// its slot and is the only hashed structure, and the eviction policy
+/// keeps its per-entry state in vectors indexed by slot. A hit is one key
+/// hash, one slab index and the policy's O(1) update.
+///
 /// # Examples
 /// ```
 /// use coic_cache::{PolicyKind, Store};
@@ -49,9 +55,13 @@ pub struct Store<K, V> {
     ttl_ns: Option<u64>,
     policy: Box<dyn EvictionPolicy>,
     admission: Option<TinyLfu>,
-    by_key: HashMap<K, u64>,
-    entries: HashMap<u64, Entry<K, V>>,
-    next_id: u64,
+    by_key: HashMap<K, usize>,
+    slots: Vec<Option<Entry<K, V>>>,
+    /// Vacated slots, reused before the slab grows.
+    free: Vec<usize>,
+    /// The next entry's insertion sequence, handed to the policy: unique
+    /// over the store's life, where a slot is reused.
+    next_seq: u64,
     used_bytes: u64,
     stats: CacheStats,
 }
@@ -71,8 +81,9 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
             policy: policy.build(),
             admission: None,
             by_key: HashMap::new(),
-            entries: HashMap::new(),
-            next_id: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
             used_bytes: 0,
             stats: CacheStats::default(),
         }
@@ -97,12 +108,12 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_key.len()
     }
 
     /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_key.is_empty()
     }
 
     /// Counters.
@@ -110,12 +121,22 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
         &self.stats
     }
 
-    fn remove_id(&mut self, id: u64) -> Option<(K, V)> {
-        let entry = self.entries.remove(&id)?;
-        self.by_key.remove(&entry.key);
-        self.policy.on_remove(id);
+    fn entry(&self, slot: usize) -> &Entry<K, V> {
+        self.slots[slot]
+            .as_ref()
+            .expect("a mapped slot holds an entry")
+    }
+
+    /// Take the entry out of `slot`, put the slot on the free list and
+    /// tell the policy. The caller removes the key from `by_key`.
+    fn release(&mut self, slot: usize) -> Entry<K, V> {
+        let entry = self.slots[slot]
+            .take()
+            .expect("a released slot holds an entry");
+        self.free.push(slot);
+        self.policy.on_remove(slot);
         self.used_bytes -= entry.size;
-        Some((entry.key, entry.value))
+        entry
     }
 
     /// Look `key` up at virtual time `now_ns`, recording hit/miss and
@@ -124,35 +145,29 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
         if let Some(adm) = &mut self.admission {
             adm.record(key_hash(key));
         }
-        let Some(&id) = self.by_key.get(key) else {
+        let Some(&slot) = self.by_key.get(key) else {
             self.stats.misses += 1;
             return None;
         };
-        if self.entries[&id].expired(now_ns) {
-            self.remove_id(id);
+        if self.entry(slot).expired(now_ns) {
+            self.by_key.remove(key);
+            self.release(slot);
             self.stats.expired += 1;
             self.stats.misses += 1;
             return None;
         }
         self.stats.hits += 1;
-        self.policy.on_access(id);
-        Some(&self.entries[&id].value)
+        self.policy.on_access(slot);
+        Some(&self.entry(slot).value)
     }
 
-    /// Check presence without touching stats or recency (diagnostics).
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        let id = self.by_key.get(key)?;
-        Some(&self.entries[id].value)
-    }
-
-    /// TTL-aware presence check through a shared reference: like
-    /// [`Store::peek`] but an entry whose TTL has elapsed at `now_ns` is
-    /// reported absent (it stays in place until a mutating call removes
-    /// it). Its one read-path caller is the sharded exact cache's
-    /// `contains`, a presence probe that must leave no trace in the
-    /// counters, the recency order or the admission sketch.
+    /// Presence check through a shared reference that records nothing: no
+    /// counters, no recency, no admission-sketch count, no removal. An
+    /// entry whose TTL has elapsed at `now_ns` is reported absent (it
+    /// stays in place until a mutating call removes it). Its one caller is
+    /// the sharded exact cache's `contains`.
     pub fn peek_valid(&self, key: &K, now_ns: u64) -> Option<&V> {
-        let entry = &self.entries[self.by_key.get(key)?];
+        let entry = self.entry(*self.by_key.get(key)?);
         (!entry.expired(now_ns)).then_some(&entry.value)
     }
 
@@ -173,8 +188,8 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
             hash
         });
         // Replace an existing entry under the same key.
-        if let Some(&old) = self.by_key.get(&key) {
-            self.remove_id(old);
+        if let Some(old) = self.by_key.remove(&key) {
+            self.release(old);
         }
         while self.used_bytes + size > self.capacity_bytes {
             let victim = self
@@ -184,46 +199,46 @@ impl<K: Hash + Eq + Clone, V> Store<K, V> {
             if let (Some(adm), Some(candidate_hash)) = (&self.admission, candidate_hash) {
                 // TinyLFU gate: the newcomer must be warmer than the entry
                 // it would displace, else it is turned away at the door.
-                let victim_hash = key_hash(&self.entries.get(&victim).expect("victim exists").key);
+                let victim_hash = key_hash(&self.entry(victim).key);
                 if !adm.admit(candidate_hash, victim_hash) {
                     self.stats.admission_rejects += 1;
                     return evicted;
                 }
             }
-            let pair = self
-                .remove_id(victim)
-                .expect("policy returned unknown victim");
+            let entry = self.release(victim);
+            self.by_key.remove(&entry.key);
             self.stats.evictions += 1;
-            evicted.push(pair);
+            evicted.push((entry.key, entry.value));
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        let expires_at_ns = self.ttl_ns.map(|ttl| now_ns + ttl);
-        self.entries.insert(
-            id,
-            Entry {
-                key: key.clone(),
-                value,
-                size,
-                expires_at_ns,
-            },
-        );
-        self.by_key.insert(key, id);
-        self.policy.on_insert(id, size);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let entry = Entry {
+            key: key.clone(),
+            value,
+            size,
+            expires_at_ns: self.ttl_ns.map(|ttl| now_ns + ttl),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(entry);
+                slot
+            }
+            None => {
+                self.slots.push(Some(entry));
+                self.slots.len() - 1
+            }
+        };
+        self.by_key.insert(key, slot);
+        self.policy.on_insert(slot, seq, size);
         self.used_bytes += size;
         self.stats.insertions += 1;
         evicted
     }
 
-    /// Iterate over all live `(key, value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.values().map(|e| (&e.key, &e.value))
-    }
-
     /// Remove `key`, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let id = *self.by_key.get(key)?;
-        self.remove_id(id).map(|(_, v)| v)
+        let slot = self.by_key.remove(key)?;
+        Some(self.release(slot).value)
     }
 }
 
@@ -308,11 +323,21 @@ mod tests {
 
     #[test]
     fn peek_does_not_affect_stats_or_order() {
-        let mut s = store(25);
+        let mut s: Store<String, u32> = Store::new(25, PolicyKind::Lru, Some(1_000));
         s.insert("a".into(), 1, 10, 0);
         s.insert("b".into(), 2, 10, 0);
-        assert_eq!(s.peek(&"a".into()), Some(&1));
-        assert_eq!(s.stats().hits, 0);
+        assert_eq!(s.peek_valid(&"a".into(), 0), Some(&1));
+        assert_eq!(s.peek_valid(&"z".into(), 0), None);
+        // Past its TTL an entry reads absent, and stays in place.
+        assert_eq!(s.peek_valid(&"a".into(), 1_000), None);
+        assert_eq!(s.len(), 2);
+        assert_eq!(
+            *s.stats(),
+            CacheStats {
+                insertions: 2,
+                ..CacheStats::default()
+            }
+        );
         // a was peeked, not touched: it is still the LRU victim.
         let evicted = s.insert("c".into(), 3, 10, 0);
         assert_eq!(evicted, vec![("a".into(), 1)]);
