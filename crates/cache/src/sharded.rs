@@ -85,8 +85,13 @@ impl<V> ShardedExactCache<V> {
         self
     }
 
+    /// The shard that owns `key`. The edge builds one shard, which owns
+    /// every key without a division.
     fn shard_of(&self, key: &Digest) -> &Mutex<ExactCache<Arc<V>>> {
-        &self.shards[(key.short() as usize) % self.shards.len()]
+        match &self.shards[..] {
+            [only] => only,
+            shards => &shards[(key.short() as usize) % shards.len()],
+        }
     }
 
     /// Look a digest up at `now_ns`, recording the hit or miss, recency,

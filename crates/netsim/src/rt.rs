@@ -17,6 +17,11 @@
 //! path allocates incrementally so a lying length prefix cannot reserve
 //! more memory than the peer actually transmits.
 //!
+//! A [`FrameConn`] receives each frame into the allocation of the frame it
+//! returned before, once nothing else holds that frame or a slice of it,
+//! and reads into the part it reuses with as few calls as the socket
+//! allows. Between two `recv`s a connection holds at most that one frame.
+//!
 //! A sender that holds a buffer for reuse — a cache entry, a library entry —
 //! need not sum it again for every frame that carries it: CRC-32 is linear
 //! over GF(2), so a frame's checksum folds from the sums of its parts
@@ -618,6 +623,10 @@ impl From<io::Error> for FrameError {
 /// A framed, blocking TCP connection.
 pub struct FrameConn {
     stream: TcpStream,
+    /// A handle on the frame [`FrameConn::recv`] returned last: once the
+    /// caller has let go of it, the next frame is received into its
+    /// allocation ([`FrameConn::reclaim`]).
+    last: Option<Bytes>,
 }
 
 impl FrameConn {
@@ -625,7 +634,7 @@ impl FrameConn {
     /// frames are not delayed — CoIC descriptor queries are latency-bound.
     pub fn new(stream: TcpStream) -> io::Result<Self> {
         stream.set_nodelay(true)?;
-        Ok(FrameConn { stream })
+        Ok(FrameConn { stream, last: None })
     }
 
     /// Connect to a listening peer.
@@ -656,6 +665,7 @@ impl FrameConn {
     pub fn try_clone(&self) -> io::Result<FrameConn> {
         Ok(FrameConn {
             stream: self.stream.try_clone()?,
+            last: None,
         })
     }
 
@@ -728,7 +738,12 @@ impl FrameConn {
     /// frame boundary, [`FrameError::Timeout`] if a read deadline expires,
     /// and [`FrameError::Corrupt`] on checksum mismatch. The returned
     /// buffer is the receive buffer itself (no copy) and holds no capacity
-    /// beyond the frame.
+    /// beyond the frame. It is often the allocation of the frame returned
+    /// before it: the connection keeps a handle on the last frame, and the
+    /// next `recv` writes into that allocation only if that handle is the
+    /// last one left — a frame, or a slice of one, that anyone still holds
+    /// is never written over. Until then the connection pins at most that
+    /// one frame, and an error lets it go.
     pub fn recv(&mut self) -> Result<Bytes, FrameError> {
         self.recv_verified().map(|(frame, _crc)| frame)
     }
@@ -753,12 +768,23 @@ impl FrameConn {
         if len > MAX_FRAME {
             return Err(FrameError::Oversized(len));
         }
-        let mut buf = Vec::new();
+        let mut buf = self.reclaim();
         let actual = read_body(&mut self.stream, len as usize, &mut buf)?;
         if actual != expected {
             return Err(FrameError::Corrupt { expected, actual });
         }
-        Ok((Bytes::from(buf), actual))
+        let frame = Bytes::from(buf);
+        self.last = Some(frame.clone());
+        Ok((frame, actual))
+    }
+
+    /// The last frame's allocation, if nobody else holds any part of it
+    /// any more; an empty buffer otherwise.
+    fn reclaim(&mut self) -> Vec<u8> {
+        match self.last.take().map(Bytes::try_into_mut) {
+            Some(Ok(frame)) => frame.into(),
+            _ => Vec::new(),
+        }
     }
 
     /// Wait up to `budget` for the first byte of the next frame without
@@ -836,19 +862,40 @@ fn read_header<R: Read>(r: &mut R) -> io::Result<(u32, u32)> {
     ))
 }
 
-/// Read exactly `len` payload bytes into `buf` (which must be empty) and
-/// return their CRC-32.
+/// Read exactly `len` payload bytes into `buf` and return their CRC-32.
+/// On return `buf` holds what arrived: the frame, or on an error the bytes
+/// received before it.
 ///
-/// Bytes land in the vector's spare capacity — never zero-filled first —
-/// and each [`RECV_CHUNK`] is summed while it is still cache-hot. Capacity
+/// `buf` may be a reclaimed frame ([`FrameConn::reclaim`]). Its first
+/// `min(buf.len(), len)` bytes are initialized, so they are overwritten by
+/// plain `read`s, each asking for the whole rest of them: a socket with a
+/// whole frame queued hands it over in one call. Past them — all of it on
+/// a fresh buffer — bytes land in the vector's spare capacity, never
+/// zero-filled first, in reads of at most [`RECV_CHUNK`]. That capacity
 /// starts at `min(len, RECV_CHUNK)` and doubles only once the buffer is
 /// full, capped at `len`: a lying length prefix costs at most
-/// `max(RECV_CHUNK, 2 × received)` and never more than it declared, and a
-/// completed frame's capacity is exactly its length, so a cache entry
-/// sliced out of it pins no slack.
+/// `max(retained, RECV_CHUNK, 2 × received)` and never more than it
+/// declared beyond what `buf` held. Each read of the reused part, and each
+/// chunk past it, is summed as it lands. A completed frame's capacity is
+/// exactly its length (a reclaimed buffer larger than the frame is
+/// shrunk), so a cache entry sliced out of it pins no slack.
 fn read_body<R: Read>(r: &mut R, len: usize, buf: &mut Vec<u8>) -> io::Result<u32> {
-    debug_assert!(buf.is_empty());
     let mut crc = Crc32::new();
+    buf.truncate(len);
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(n @ 1..) => {
+                crc = crc.update(&buf[got..got + n]);
+                got += n;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            end => {
+                buf.truncate(got);
+                return Err(end.err().unwrap_or(io::ErrorKind::UnexpectedEof.into()));
+            }
+        }
+    }
     while buf.len() < len {
         let got = buf.len();
         if got == buf.capacity() {
@@ -864,6 +911,7 @@ fn read_body<R: Read>(r: &mut R, len: usize, buf: &mut Vec<u8>) -> io::Result<u3
         }
         crc = crc.update(&buf[got..]);
     }
+    buf.shrink_to_fit();
     Ok(crc.finish())
 }
 
@@ -1850,6 +1898,173 @@ mod tests {
             );
             assert_eq!(crc, crc32(&buf));
         }
+        // The same from a reclaimed frame of `held` bytes: it keeps its
+        // capacity while it is being overwritten and grows past it only as
+        // a fresh buffer grows past its first chunk; whatever the next
+        // frame's length, the completed frame is exactly that length and
+        // none of the old bytes survive in it.
+        for held in [RECV_CHUNK / 2, 3 * RECV_CHUNK] {
+            let doubled = (2 * held + 1).min(declared - 1);
+            for received in [0, 1, held - 1, held, held + 1, doubled, declared - 1] {
+                let mut src = Stalling {
+                    supply: received,
+                    step: 1500,
+                };
+                let mut buf = vec![0x11; held];
+                assert!(read_body(&mut src, declared, &mut buf).is_err());
+                assert_eq!(buf.len(), received);
+                assert!(
+                    buf.capacity() <= held.max(RECV_CHUNK.max(2 * received).min(declared)),
+                    "held {held}, received {received}, reserved {}",
+                    buf.capacity()
+                );
+            }
+            for len in [0, 1, held - 1, held, held + 1, declared] {
+                let mut src = Stalling {
+                    supply: len,
+                    step: 7001,
+                };
+                let mut buf = vec![0x11; held];
+                let crc = read_body(&mut src, len, &mut buf).unwrap();
+                assert_eq!(buf.len(), len);
+                assert_eq!(
+                    buf.capacity(),
+                    len,
+                    "slack pinned behind a {len}-byte frame"
+                );
+                assert!(buf.iter().all(|&b| b == 0x5a), "an old byte survived");
+                assert_eq!(crc, crc32(&buf));
+            }
+        }
+    }
+
+    /// Hands out whatever is asked for, as long as `data` lasts.
+    struct Queued<'a> {
+        data: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Queued<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = out.len().min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_queued_frame_fills_a_reclaimed_buffer_in_one_read() {
+        let frame = noise(1 << 20);
+        let mut src = Queued {
+            data: &frame,
+            calls: 0,
+        };
+        let mut buf = vec![0u8; frame.len()];
+        let crc = read_body(&mut src, frame.len(), &mut buf).unwrap();
+        assert!(src.calls <= 2, "{} reads", src.calls);
+        assert_eq!((buf == frame, crc), (true, crc32(&frame)));
+        // A fresh buffer reads at most one chunk at a time.
+        let mut src = Queued {
+            data: &frame,
+            calls: 0,
+        };
+        let mut buf = Vec::new();
+        read_body(&mut src, frame.len(), &mut buf).unwrap();
+        assert!(src.calls >= frame.len() / RECV_CHUNK, "{} reads", src.calls);
+        assert!(buf == frame);
+    }
+
+    /// Echo `[fill; len]` off `conn`'s peer and return the reply.
+    fn echo(conn: &mut FrameConn, fill: u8, len: usize) -> Bytes {
+        conn.send(&vec![fill; len]).unwrap();
+        let reply = conn.recv().unwrap();
+        assert!(reply.iter().all(|&b| b == fill) && reply.len() == len);
+        reply
+    }
+
+    #[test]
+    fn a_frame_the_caller_still_holds_is_never_written_over() {
+        let server = FrameServer::spawn("127.0.0.1:0", |frame| Some(frame.to_vec())).unwrap();
+        let mut conn = FrameConn::connect(server.local_addr()).unwrap();
+        let held = echo(&mut conn, 1, 100_000);
+        // A slice outlives the frame it was cut from, as a cache entry does.
+        let sliced = echo(&mut conn, 2, 100_000).slice(10..20);
+        for fill in 3..6 {
+            echo(&mut conn, fill, 100_000);
+        }
+        assert_eq!(held, vec![1u8; 100_000]);
+        assert_eq!(sliced, vec![2u8; 10]);
+    }
+
+    #[test]
+    fn a_released_frame_is_received_into_again() {
+        let server = FrameServer::spawn("127.0.0.1:0", |frame| Some(frame.to_vec())).unwrap();
+        let mut conn = FrameConn::connect(server.local_addr()).unwrap();
+        let first = echo(&mut conn, 1, 100_000).as_ptr();
+        assert_eq!(echo(&mut conn, 2, 100_000).as_ptr(), first, "not reused");
+        assert_eq!(echo(&mut conn, 3, 100_000).as_ptr(), first, "not reused");
+        // The allocator may hand a fresh buffer the address just freed, so
+        // look at what the next receive starts from: the frame itself.
+        let next = conn.reclaim();
+        assert_eq!((next.as_ptr(), next.len()), (first, 100_000));
+        assert!(next.iter().all(|&b| b == 3));
+    }
+
+    #[test]
+    fn a_lying_prefix_after_a_long_frame_times_out_without_growing_the_connection() {
+        // A peer sends a 1 MiB frame, then declares the largest legal frame,
+        // sends 10 bytes and stalls until the receiver is done.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let long = noise(1 << 20);
+        let wire = encode_frame(&long).unwrap();
+        let (done, wait) = std::sync::mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            let mut stalled = Vec::new();
+            for _ in 0..2 {
+                let (mut s, _) = listener.accept().unwrap();
+                s.write_all(&wire).unwrap();
+                let mut hdr = [0u8; HDR_LEN];
+                hdr[..4].copy_from_slice(&MAX_FRAME.to_be_bytes());
+                s.write_all(&hdr).unwrap();
+                s.write_all(&[0u8; 10]).unwrap();
+                stalled.push(s);
+            }
+            let _ = wait.recv();
+        });
+        let mut conn = FrameConn::connect(addr).unwrap();
+        conn.set_read_deadline(Some(Duration::from_millis(100)))
+            .unwrap();
+        assert!(conn.recv().unwrap() == long);
+        assert_eq!(conn.last.as_ref().map(Bytes::len), Some(long.len()));
+        match conn.recv() {
+            Err(FrameError::Timeout) => {}
+            other => panic!("expected timeout, got {other:?}"),
+        }
+        assert!(conn.last.is_none(), "a failed receive kept a buffer");
+        // The same exchange one layer down, where the buffer is visible:
+        // the stalled frame is read into the long frame's allocation, and
+        // that allocation does not grow.
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut buf = Vec::new();
+        let (len, _crc) = read_header(&mut raw).unwrap();
+        read_body(&mut raw, len as usize, &mut buf).unwrap();
+        let (len, _crc) = read_header(&mut raw).unwrap();
+        assert_eq!(len, MAX_FRAME);
+        let err = read_body(&mut raw, len as usize, &mut buf).unwrap_err();
+        assert!(matches!(FrameError::from(err), FrameError::Timeout));
+        assert_eq!(buf.len(), 10);
+        assert_eq!(
+            buf.capacity(),
+            long.len(),
+            "the stalled frame grew the buffer"
+        );
+        done.send(()).unwrap();
+        writer.join().unwrap();
     }
 
     /// Hands out `data` in reads of 1 – 7 bytes, cycling.

@@ -87,6 +87,21 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
+
+    /// Take the allocation back as a [`BytesMut`] holding the view, if
+    /// this is its only handle; otherwise return `self` unchanged. No
+    /// clone or slice that is still alive can see the bytes change.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes { data, start, end } = self;
+        match Arc::try_unwrap(data) {
+            Ok(mut v) => {
+                v.truncate(end);
+                v.drain(..start);
+                Ok(BytesMut { v })
+            }
+            Err(data) => Err(Bytes { data, start, end }),
+        }
+    }
 }
 
 impl Default for Bytes {
@@ -291,6 +306,13 @@ impl fmt::Debug for BytesMut {
 impl From<Vec<u8>> for BytesMut {
     fn from(v: Vec<u8>) -> BytesMut {
         BytesMut { v }
+    }
+}
+
+impl From<BytesMut> for Vec<u8> {
+    /// Hand the builder's allocation over as it is (no copy).
+    fn from(b: BytesMut) -> Vec<u8> {
+        b.v
     }
 }
 
@@ -501,6 +523,24 @@ mod tests {
         assert_eq!(b.to_vec().capacity(), 100);
         assert_eq!(Bytes::copy_from_slice(&b).data.capacity(), 100);
         assert_eq!(b.slice(..10).to_vec().capacity(), 10);
+    }
+
+    #[test]
+    fn try_into_mut_takes_back_only_an_unshared_allocation() {
+        let b = Bytes::from(vec![1u8, 2, 3, 4, 5]);
+        let ptr = b.as_ptr();
+        let held = b.clone();
+        let b = b.try_into_mut().expect_err("a clone is alive");
+        drop(held);
+        let m = b.try_into_mut().expect("the only handle");
+        assert_eq!(m.as_ptr(), ptr, "try_into_mut copied");
+        assert_eq!(Vec::from(m), vec![1, 2, 3, 4, 5]);
+
+        let whole = Bytes::from(vec![1u8, 2, 3, 4, 5]);
+        let view = whole.slice(1..4);
+        let view = view.try_into_mut().expect_err("the whole buffer is alive");
+        drop(whole);
+        assert_eq!(&view.try_into_mut().unwrap()[..], &[2, 3, 4]);
     }
 
     #[test]
